@@ -13,15 +13,13 @@ network-wide certificate without a collector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import (OPTIMAL, LinearProgram, Tolerances, solve_lp,
-                     solve_milp, split_singleton_rows)
+from .dialgo import AgentSolveError, LocalProblem
+from .solver import OPTIMAL, Tolerances, solve_lp, solve_milp
 from .stochastic import RecourseCost, ScenarioSet, recourse_phi
-
-INTEGRALITY_DETECTION_TOL = 1e-6
 
 
 class CertificateError(RuntimeError):
@@ -40,16 +38,14 @@ def compute_lower_bound(lifted, cap: float,
     One LP per component; the eta part separates and contributes -cap
     exactly, so each LP only minimizes the coupling row over the block.
     """
-    blk = lifted.base
     dim = lifted.eta_dim
     out = np.empty(dim)
-    if blk.n == 0:
+    if lifted.base.n == 0:
         out.fill(-cap)
         return out
-    G0, g0, lo0, hi0 = split_singleton_rows(
-        blk.G, blk.g, np.full(blk.n, -np.inf), np.full(blk.n, np.inf))
+    problem = LocalProblem(lifted, np.zeros(dim))
     for j in range(dim):
-        sol = solve_lp(LinearProgram(lifted.H[j], G0, g0, lo0, hi0), tol)
+        sol = solve_lp(problem.block_lp(lifted.H[j]), tol)
         if sol.status != OPTIMAL:
             raise CertificateError(
                 f"lower-bound LP for component {j} ended {sol.status}")
@@ -58,43 +54,22 @@ def compute_lower_bound(lifted, cap: float,
 
 
 def compute_auxiliary(lifted, ell: np.ndarray, cost: RecourseCost,
-                      cap: float, tol: Tolerances = Tolerances(),
-                      max_doublings: int = 60):
-    """Mixed-integer optimum against the floored allocation.
+                      cap: float, tol: Tolerances = Tolerances()):
+    """Mixed-integer optimum of the local problem at the floored allocation.
 
     The recourse cap almost always needs one doubling relative to the
     floor's cap: at the floor, every coupling component sits `cap` below
     its row minimum plus the row's spread, so a same-size cap cannot
-    absorb the spread.  Doubles until feasible and returns the cap used.
+    absorb the spread.  `LocalProblem.solve` doubles it until the
+    problem is feasible; returns (x, eta, cap used).
     """
-    blk = lifted.base
-    dim = lifted.eta_dim
-    n = blk.n
-    G0, g0, lo0, hi0 = split_singleton_rows(
-        blk.G, blk.g, np.full(n, -np.inf), np.full(n, np.inf))
-    m0 = G0.shape[0]
-    G = np.zeros((m0 + dim, n + dim))
-    if n:
-        G[:m0, :n] = G0
-        G[m0:, :n] = lifted.H
-    G[m0:, n:] = -np.eye(dim)
-    g = np.concatenate([g0, ell])
-    c = np.concatenate([blk.c, cost.d])
-    mask = np.concatenate([blk.integrality, np.zeros(dim, dtype=bool)])
-    lo = np.concatenate([lo0, np.zeros(dim)])
-    used = cap
-    for _ in range(max_doublings):
-        hi = np.concatenate([hi0, np.full(dim, used)])
-        sol = solve_milp(LinearProgram(c, G, g, lo, hi, integrality=mask), tol)
-        if sol.status == OPTIMAL:
-            return sol.x[:n], sol.x[n:], used
-        used *= 2.0
-    raise CertificateError("auxiliary problem stayed infeasible after "
-                           f"{max_doublings} cap doublings")
+    problem = LocalProblem(lifted, cost.d)
+    sol, used = problem.solve(solve_milp, ell, cap, tol, "auxiliary MILP")
+    return sol.x[:problem.n], sol.x[problem.n:], used
 
 
 def is_integral(block, z: np.ndarray,
-                tol: float = INTEGRALITY_DETECTION_TOL) -> bool:
+                tol: float = Tolerances().integrality) -> bool:
     ints = z[block.integrality]
     return bool(np.all(np.abs(ints - np.round(ints)) <= tol))
 
@@ -112,7 +87,6 @@ class ViolationCertificate:
     contributions: list  # per-agent vectors, length 2RK each
     d_min: float
     label: str  # "converged" when allocations had settled, else "empirical"
-    caps_used: list = field(default_factory=list)
 
     @property
     def holds(self) -> bool:
@@ -155,20 +129,22 @@ def violation_certificate(result, cost: RecourseCost,
     bound = np.zeros(dim)
     contributions = []
     flags = []
-    caps = []
     measured = -result.h.copy()
-    for a in agents:
+    for i, a in enumerate(agents):
         measured += a.lifted.H @ a.x_mi
-        integral = is_integral(a.lifted.base, a.z) if a.lifted.base.n else True
+        integral = (is_integral(a.lifted.base, a.z, tol.integrality)
+                    if a.lifted.base.n else True)
         flags.append(integral)
         if integral:
             contrib = a.eta_relax.copy()
-            caps.append(result.eta_cap)
         else:
             ell = compute_lower_bound(a.lifted, result.eta_cap, tol)
-            x_l, eta_l, used = compute_auxiliary(a.lifted, ell, cost,
-                                                 result.eta_cap, tol)
-            caps.append(used)
+            try:
+                x_l, eta_l, _ = compute_auxiliary(a.lifted, ell, cost,
+                                                  result.eta_cap, tol)
+            except AgentSolveError as e:
+                raise AgentSolveError(i, e.status, "certificate " + e.stage) \
+                    from e
             blk = a.lifted.base
             scalar = (blk.c @ (x_l - a.x_mi) + cost.d @ eta_l) / cost.d_min
             contrib = np.full(dim, scalar)
@@ -177,7 +153,7 @@ def violation_certificate(result, cost: RecourseCost,
     return ViolationCertificate(
         bound=bound, measured=measured, in_integral_set=flags,
         contributions=contributions, d_min=cost.d_min,
-        label=result.converged_label, caps_used=caps)
+        label=result.converged_label)
 
 
 # --------------------------------------------------------------------------

@@ -12,13 +12,19 @@ Schema sketch (see configs/desk.yaml for a complete example):
     seeds: {problem: 11, scenario: 2025, graph: 3}
     scenarios:
       count: 2
-      surplus_penalty_eur_per_kwh: null   # null = 10x the top energy price
+      surplus_penalty_eur_per_kwh: null   # > 0; null = 10x the top price
       shortage_penalty_eur_per_kwh: null
     algorithm:
       iterations: 300
       finalize_every: 10
       step_size: {kind: piecewise, initial: 3.0, factor: 0.5, period: 100}
       graph: {kind: random, edge_probability: 0.4}
+      tolerances:          # optional; used by the rounds, the
+                           # certificate and recertify alike
+        feasibility: 1e-7  # simplex: phase-1 infeasibility taken as zero
+        reduced_cost: 1e-9 # simplex: pricing optimality threshold
+        integrality: 1e-6  # certificate: when a relaxed block solution
+                           # counts as integral
     profiles:
       name: {literal_kw: [...]} | {kind: demand, base_kw: .., peaks: [[c,w,h]],
              sigma_kw: ..} | {literal_eur_per_kwh: [...]}
@@ -128,8 +134,9 @@ def validate_config(raw) -> list:
         for key in ("surplus_penalty_eur_per_kwh",
                     "shortage_penalty_eur_per_kwh"):
             v = scen.get(key)
-            if v is not None and v < 0:
-                _err(errors, f"scenarios.{key}", "must be >= 0")
+            if v is not None and v <= 0:
+                # the certificate divides by the smallest recourse price
+                _err(errors, f"scenarios.{key}", "must be > 0")
     algo = _need(raw, "algorithm", "config", errors, dict)
     if algo is not None:
         it = _need(algo, "iterations", "algorithm", errors, int)
@@ -143,8 +150,7 @@ def validate_config(raw) -> list:
             _err(errors, "algorithm.tolerances", "must be a mapping")
         else:
             for key, v in tols.items():
-                if key not in ("feasibility", "integrality", "objective",
-                               "reduced_cost"):
+                if key not in ("feasibility", "integrality", "reduced_cost"):
                     _err(errors, f"algorithm.tolerances.{key}",
                          "unknown tolerance")
                 elif not isinstance(v, (int, float)) or v <= 0:
@@ -410,7 +416,6 @@ def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
     tolerances = Tolerances(
         feasibility=float(tol_cfg.get("feasibility", 1e-7)),
         integrality=float(tol_cfg.get("integrality", 1e-6)),
-        objective=float(tol_cfg.get("objective", 1e-8)),
         reduced_cost=float(tol_cfg.get("reduced_cost", 1e-9)))
     return Problem(
         blocks=blocks, agent_names=names, scen=scen, cost=cost, graph=graph,

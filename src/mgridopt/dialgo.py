@@ -181,8 +181,62 @@ class StepSizeSchedule:
 
 
 # --------------------------------------------------------------------------
-# agent state and the local solves
+# the local problem and the agent state
 # --------------------------------------------------------------------------
+
+MAX_CAP_DOUBLINGS = 60
+
+
+class LocalProblem:
+    """One agent's program min c'z + d'eta over its block (singleton rows
+    folded into bounds once, here) and H z - eta <= y, 0 <= eta <= cap.
+
+    The rounds solve it relaxed for the multiplier of the allocation
+    rows and mixed-integer to recover a feasible point; the certificate
+    solves it once more at the resource floor y = ell.
+    """
+
+    def __init__(self, lifted: LiftedBlock, d: np.ndarray, index: int = 0):
+        blk = lifted.base
+        n, dim = blk.n, lifted.eta_dim
+        G0, g0, lo0, hi0 = split_singleton_rows(
+            blk.G, blk.g, np.full(n, -np.inf), np.full(n, np.inf))
+        m0 = G0.shape[0]
+        self.index, self.n, self.m0 = index, n, m0
+        self.lp = LinearProgram(
+            np.concatenate([blk.c, d]),
+            np.block([[G0, np.zeros((m0, dim))], [lifted.H, -np.eye(dim)]]),
+            np.concatenate([g0, np.zeros(dim)]),
+            np.concatenate([lo0, np.zeros(dim)]),
+            np.concatenate([hi0, np.full(dim, np.inf)]),
+            integrality=np.concatenate([blk.integrality,
+                                        np.zeros(dim, dtype=bool)]))
+
+    def block_lp(self, c: np.ndarray) -> LinearProgram:
+        """min c'z over the relaxed block alone (folded rows and bounds)."""
+        lp, m0, n = self.lp, self.m0, self.n
+        return LinearProgram(c, lp.G[:m0, :n], lp.g[:m0], lp.lo[:n], lp.hi[:n])
+
+    def solve(self, solver, y: np.ndarray, cap: float, tol: Tolerances,
+              stage: str):
+        """Solve at allocation y with `solver` (solve_lp or solve_milp).
+
+        The recourse cap is a safety net that must not bind: it is
+        doubled while the solve is infeasible or eta reaches the cap, at
+        most MAX_CAP_DOUBLINGS times.  Returns (solution, cap used).
+        """
+        lp, n = self.lp, self.n
+        lp.g[self.m0:] = y
+        for _ in range(MAX_CAP_DOUBLINGS + 1):
+            lp.hi[n:] = cap
+            sol = solver(lp, tol)
+            if (sol.status == OPTIMAL
+                    and np.max(sol.x[n:], initial=0.0) < cap * (1 - 1e-9)):
+                return sol, cap
+            cap *= 2.0
+        raise AgentSolveError(
+            self.index, f"{sol.status} after {MAX_CAP_DOUBLINGS} cap doublings",
+            stage)
 
 
 @dataclass
@@ -198,35 +252,18 @@ class AgentState:
     eta_relax: np.ndarray | None = None
     x_mi: np.ndarray | None = None       # last mixed-integer finalize
     eta_mi: np.ndarray | None = None
-    relaxed: bool = True
-    _template: tuple | None = field(default=None, repr=False)
+    eta_cap: float | None = None         # cap of the last local solve
+    problem: LocalProblem = field(init=False, repr=False)
 
-    def _subproblem(self, eta_cap: float):
-        """Cached [z | eta] subproblem; only the allocation rhs changes."""
-        if self._template is None:
-            blk = self.lifted.base
-            H = self.lifted.H
-            dim = H.shape[0]
-            n = blk.n
-            G0, g0, lo0, hi0 = split_singleton_rows(
-                blk.G, blk.g, np.full(n, -np.inf), np.full(n, np.inf))
-            m0 = G0.shape[0]
-            G = np.zeros((m0 + dim, n + dim))
-            if n:
-                G[:m0, :n] = G0
-                G[m0:, :n] = H
-            G[m0:, n:] = -np.eye(dim)
-            g = np.concatenate([g0, np.zeros(dim)])
-            c = np.concatenate([blk.c, self.d])
-            lo = np.concatenate([lo0, np.zeros(dim)])
-            hi = np.concatenate([hi0, np.full(dim, np.nan)])  # cap filled below
-            mask = np.concatenate([blk.integrality,
-                                   np.zeros(dim, dtype=bool)])
-            self._template = (LinearProgram(c, G, g, lo, hi, integrality=mask),
-                              m0, dim, n)
-        lp, m0, dim, n = self._template
-        lp.hi[n:] = eta_cap
-        return lp, m0, dim, n
+    def __post_init__(self):
+        self.problem = LocalProblem(self.lifted, self.d, self.index)
+
+
+def make_agents(blocks, scen: ScenarioSet, cost: RecourseCost, ys) -> list:
+    """One agent per block, agent i holding allocation ys[i]."""
+    return [AgentState(index=i, lifted=lift_block(blk, scen.R),
+                       d=cost.d.copy(), y=ys[i])
+            for i, blk in enumerate(blocks)]
 
 
 def local_multiplier_step(agent: AgentState, eta_cap: float,
@@ -237,28 +274,23 @@ def local_multiplier_step(agent: AgentState, eta_cap: float,
     H z - eta <= y); records the relaxed primal pair for diagnostics
     and integrality detection.
     """
-    lp, m0, dim, n = agent._subproblem(eta_cap)
-    lp.g[m0:] = agent.y
-    relaxed = LinearProgram(lp.c, lp.G, lp.g, lp.lo, lp.hi)
-    sol = solve_lp(relaxed, tol)
-    if sol.status != OPTIMAL:
-        raise AgentSolveError(agent.index, sol.status, "allocation LP")
-    agent.mu = sol.duals[m0:].copy()
-    agent.z = sol.x[:n].copy()
-    agent.eta_relax = sol.x[n:].copy()
+    p = agent.problem
+    sol, agent.eta_cap = p.solve(solve_lp, agent.y, eta_cap, tol,
+                                 "allocation LP")
+    agent.mu = sol.duals[p.m0:].copy()
+    agent.z = sol.x[:p.n].copy()
+    agent.eta_relax = sol.x[p.n:].copy()
     return agent.mu
 
 
 def finalize_mixed_integer(agent: AgentState, eta_cap: float,
                            tol: Tolerances = Tolerances()):
     """Mixed-integer recovery at the current allocation."""
-    lp, m0, dim, n = agent._subproblem(eta_cap)
-    lp.g[m0:] = agent.y
-    sol = solve_milp(lp, tol)
-    if sol.status != OPTIMAL:
-        raise AgentSolveError(agent.index, sol.status, "recovery MILP")
-    agent.x_mi = sol.x[:n].copy()
-    agent.eta_mi = sol.x[n:].copy()
+    p = agent.problem
+    sol, agent.eta_cap = p.solve(solve_milp, agent.y, eta_cap, tol,
+                                 "recovery MILP")
+    agent.x_mi = sol.x[:p.n].copy()
+    agent.eta_mi = sol.x[p.n:].copy()
     return agent.x_mi, agent.eta_mi
 
 
@@ -313,7 +345,6 @@ class RunTrace:
     coupling_viol_pos: list = field(default_factory=list)
     coupling_viol_neg: list = field(default_factory=list)
     alloc_residual: list = field(default_factory=list)
-    statuses: list = field(default_factory=list)
     coupling_vectors: list = field(default_factory=list)
     balance_injection: list = field(default_factory=list)  # sum A_i x_i, K-dim
     eta_total: list = field(default_factory=list)          # sum eta_i, 2RK-dim
@@ -336,10 +367,6 @@ class RunResult:
     converged_label: str
     schedule: StepSizeSchedule
     T_f: int
-
-    @property
-    def solution(self):
-        return [(a.x_mi, a.eta_mi) for a in self.agents]
 
     def incumbent_cost(self) -> float:
         return float(sum(a.lifted.base.c @ a.x_mi + a.d @ a.eta_mi
@@ -378,9 +405,10 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
 
     Logged iterations are {0, 1, multiples of finalize_every, T_f}; the
     allocation conservation residual is recorded at every round.  The
-    recourse cap is doubled and the round redone if any local optimum
-    ever touches it (it should not; the cap is a safety net, see
-    `recourse_cap`).
+    recourse cap (default `recourse_cap`) is run-wide: a local solve
+    doubles it while it ends infeasible or its recourse reaches the cap,
+    at most MAX_CAP_DOUBLINGS times, else raises an AgentSolveError
+    naming the agent, the round and the stage; later solves keep it.
     """
     if T_f < 0:
         raise ValueError("T_f must be >= 0")
@@ -390,68 +418,59 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
     h = build_h(scen)
     if eta_cap is None:
         eta_cap = recourse_cap(blocks, scen)
-    ys = init_allocations(h, len(blocks), mode=init_mode, seed=init_seed)
-    agents = [AgentState(index=i, lifted=lift_block(blk, scen.R),
-                         d=cost.d.copy(), y=ys[i])
-              for i, blk in enumerate(blocks)]
+    agents = make_agents(blocks, scen, cost,
+                         init_allocations(h, len(blocks), mode=init_mode,
+                                          seed=init_seed))
     trace = RunTrace()
+    result = RunResult(agents=agents, trace=trace, h=h, eta_cap=eta_cap,
+                       converged_label="empirical", schedule=schedule,
+                       T_f=T_f)
     log_set = {0, 1, T_f} | {t for t in range(0, T_f + 1, max(finalize_every, 1))}
-    label = "empirical"
     prev_logged_y = None
 
     for t in range(T_f + 1):
         residual = float(np.max(np.abs(
             sum(a.y for a in agents) - h))) if agents else 0.0
         trace.alloc_residual_all.append(residual)
-        for a in agents:
-            while True:
-                try:
-                    local_multiplier_step(a, eta_cap, tol)
-                except AgentSolveError as e:
-                    raise AgentSolveError(
-                        a.index, e.status,
-                        f"round {t} allocation LP (y_i = {a.y!r})") from e
-                if np.max(a.eta_relax, initial=0.0) < eta_cap * (1 - 1e-9):
-                    break
-                eta_cap *= 2.0  # cap touched: enlarge and redo
+        try:
+            for a in agents:
+                local_multiplier_step(a, eta_cap, tol)
+                eta_cap = a.eta_cap
+            if t in log_set:
+                for a in agents:
+                    finalize_mixed_integer(a, eta_cap, tol)
+                    eta_cap = a.eta_cap
+        except AgentSolveError as e:
+            raise AgentSolveError(e.agent, e.status,
+                                  f"round {t} {e.stage}") from e
         trace.relax_cost_all.append(float(sum(
             a.lifted.base.c @ a.z + a.d @ a.eta_relax for a in agents)))
         if t in log_set:
-            statuses = []
-            for a in agents:
-                while True:
-                    finalize_mixed_integer(a, eta_cap, tol)
-                    if np.max(a.eta_mi, initial=0.0) < eta_cap * (1 - 1e-9):
-                        break
-                    eta_cap *= 2.0
-                statuses.append(OPTIMAL)
-            coupling = -h.copy()
+            coupling = result.total_coupling()
             injection = np.zeros(scen.K)
             eta_sum = np.zeros(h.size)
             for a in agents:
-                coupling += a.lifted.H @ a.x_mi - a.eta_mi
                 eta_sum += a.eta_mi
                 if a.lifted.base.n:
                     injection += a.lifted.base.A @ a.x_mi
             trace.balance_injection.append(injection)
             trace.eta_total.append(eta_sum)
             trace.iters.append(t)
-            trace.incumbent_cost.append(float(sum(
-                a.lifted.base.c @ a.x_mi + a.d @ a.eta_mi for a in agents)))
+            trace.incumbent_cost.append(result.incumbent_cost())
             trace.coupling_viol_pos.append(float(np.max(
                 np.maximum(coupling, 0.0), initial=0.0)))
             trace.coupling_viol_neg.append(float(np.max(
                 np.maximum(-coupling, 0.0), initial=0.0)))
             trace.alloc_residual.append(residual)
-            trace.statuses.append(statuses)
             trace.coupling_vectors.append(coupling)
             y_snapshot = np.concatenate([a.y for a in agents])
             if prev_logged_y is not None and t == T_f:
                 moved = float(np.max(np.abs(y_snapshot - prev_logged_y)))
-                label = "converged" if moved < 1e-6 else "empirical"
+                result.converged_label = ("converged" if moved < 1e-6
+                                          else "empirical")
             prev_logged_y = y_snapshot
         if t < T_f:
             exchange_and_update(agents, graph, schedule(t))
 
-    return RunResult(agents=agents, trace=trace, h=h, eta_cap=eta_cap,
-                     converged_label=label, schedule=schedule, T_f=T_f)
+    result.eta_cap = eta_cap
+    return result

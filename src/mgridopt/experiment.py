@@ -30,7 +30,10 @@ import numpy as np
 
 from .analysis import distributed_certificate, violation_certificate
 from .config import ConfigError, ExperimentConfig, Problem, build_problem
-from .dialgo import RunResult, run
+from .dialgo import (RunResult, RunTrace, finalize_mixed_integer,
+                     local_multiplier_step, make_agents, run)
+from .stochastic import build_h
+
 OUTPUT_ROOT_ENV = "MGRIDOPT_OUT"
 TRACE_HEADER = ("iter,incumbent_cost,max_coupling_violation_pos,"
                 "max_coupling_violation_neg,alloc_residual")
@@ -184,10 +187,10 @@ def write_solution(path, problem: Problem, result: RunResult):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, scenario_seed=None,
+def run_experiment(cfg: ExperimentConfig, out_dir=None,
                    consensus_rounds: int = 500) -> ExperimentResult:
     """Build, run, certify, and write the artifact set."""
-    problem = build_problem(cfg, scenario_seed=scenario_seed)
+    problem = build_problem(cfg)
     out = Path(out_dir) if out_dir is not None else \
         output_root() / cfg.raw.get("output_dir", "out")
     out.mkdir(parents=True, exist_ok=True)
@@ -195,7 +198,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, scenario_seed=None,
                  problem.schedule, problem.T_f,
                  finalize_every=problem.finalize_every,
                  tol=problem.tolerances)
-    cert = violation_certificate(result, problem.cost)
+    cert = violation_certificate(result, problem.cost, problem.tolerances)
     _, deviation = distributed_certificate(cert, problem.graph,
                                            rounds=consensus_rounds)
     cert_payload = cert.to_dict()
@@ -215,9 +218,10 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
                    consensus_rounds: int = 200) -> Path:
     """Independent trials differing only in the scenario seed.
 
-    Trial t draws scenarios with seed (scenario_seed + t); unit
-    parameters and topology stay fixed.  Writes trial_XXX/ artifact
-    sets plus aggregate.csv with per-iteration mean/std of the
+    Trial t draws scenarios with the seed [scenario, t], which its
+    config.yaml records, so `recertify` works on a trial directory;
+    unit parameters and topology stay fixed.  Writes trial_XXX/
+    artifact sets plus aggregate.csv with per-iteration mean/std of the
     incumbent cost and the extreme coupling values across trials.
     """
     if trials < 1:
@@ -228,15 +232,15 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
     base_seed = cfg.seeds.get("scenario", 0)
     traces = []
     for t in range(trials):
-        sub = out / f"trial_{t:03d}"
+        seed = [base_seed, t]
+        trial = ExperimentConfig(
+            raw={**cfg.raw, "seeds": {**cfg.seeds, "scenario": seed}})
         try:
-            res = run_experiment(cfg, out_dir=sub,
-                                 scenario_seed=(base_seed, t),
+            res = run_experiment(trial, out_dir=out / f"trial_{t:03d}",
                                  consensus_rounds=consensus_rounds)
         except Exception as e:
             raise RuntimeError(
-                f"trial {t} (scenario seed {(base_seed, t)}) failed: {e}"
-            ) from e
+                f"trial {t} (scenario seed {seed}) failed: {e}") from e
         traces.append(res.trace)
     iters = traces[0].iters
     lines = ["iter,cost_mean,cost_std,viol_pos_max,viol_neg_max"]
@@ -255,43 +259,33 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
 
     Rebuilds the problem from the stored config, restores the final
     allocations, re-solves the local problems (deterministic), and
-    compares against the stored certificate.
+    compares the bound and the measured violation against the stored
+    certificate.
     """
-    from .dialgo import AgentState, finalize_mixed_integer, \
-        local_multiplier_step
-    from .stochastic import lift_block
-
     run_dir = Path(run_dir)
     cfg = ExperimentConfig.from_yaml(run_dir / "config.yaml")
     saved = json.loads((run_dir / "solution.json").read_text())
     problem = build_problem(cfg)
-    agents = []
-    for i, blk in enumerate(problem.blocks):
-        a = AgentState(index=i, lifted=lift_block(blk, problem.scen.R),
-                       d=problem.cost.d.copy(),
-                       y=np.array(saved["y"][i], dtype=float))
-        local_multiplier_step(a, saved["eta_cap"])
-        finalize_mixed_integer(a, saved["eta_cap"])
-        agents.append(a)
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.agents = agents
-    from .stochastic import build_h
-    shim.h = build_h(problem.scen)
-    shim.eta_cap = saved["eta_cap"]
-    shim.converged_label = saved["label"]
-    cert = violation_certificate(shim, problem.cost)
+    tol = problem.tolerances
+    agents = make_agents(problem.blocks, problem.scen, problem.cost,
+                         [np.array(y, dtype=float) for y in saved["y"]])
+    for a in agents:
+        local_multiplier_step(a, saved["eta_cap"], tol)
+        finalize_mixed_integer(a, saved["eta_cap"], tol)
+    result = RunResult(agents=agents, trace=RunTrace(),
+                       h=build_h(problem.scen), eta_cap=saved["eta_cap"],
+                       converged_label=saved["label"],
+                       schedule=problem.schedule, T_f=saved["T_f"])
+    cert = violation_certificate(result, problem.cost, tol)
     _, deviation = distributed_certificate(cert, problem.graph,
                                            rounds=consensus_rounds)
     payload = cert.to_dict()
     payload["consensus"] = {"rounds": consensus_rounds,
                             "max_deviation": deviation}
     stored = json.loads((run_dir / "certificate.json").read_text())
-    payload["matches_stored_bound"] = bool(np.allclose(
-        np.array(payload["bound"]), np.array(stored["bound"]), atol=1e-9))
+    payload["matches_stored_bound"] = all(
+        np.allclose(np.array(payload[key]), np.array(stored[key]), atol=1e-9)
+        for key in ("bound", "measured"))
     (run_dir / "certificate_recomputed.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload

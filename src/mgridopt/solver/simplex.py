@@ -36,12 +36,13 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances shared by the LP and MILP solvers."""
+    """Numeric tolerances of the LP and MILP solvers; `integrality` is
+    the certificate's test of whether a relaxed block solution is
+    integral."""
 
     feasibility: float = 1e-7
     reduced_cost: float = 1e-9
     integrality: float = 1e-6
-    objective: float = 1e-8
     pivot: float = 1e-10
     refactor_every: int = 60
 

@@ -86,6 +86,15 @@ def test_unknown_profile_reference():
     assert any("nope" in e for e in errors)
 
 
+def test_zero_recourse_penalty_rejected_up_front():
+    for key in ("surplus_penalty_eur_per_kwh",
+                "shortage_penalty_eur_per_kwh"):
+        raw = minimal_config()
+        raw["scenarios"][key] = 0.0
+        errors = validate_config(raw)
+        assert any(f"scenarios.{key}" in e and "> 0" in e for e in errors)
+
+
 def test_valid_minimal_config_ok():
     assert validate_config(minimal_config()) == []
 
@@ -98,10 +107,11 @@ def test_tolerance_overrides_flow_through():
     problem = build_problem(cfg)
     assert problem.tolerances.integrality == 1e-5
     assert problem.tolerances.feasibility == 1e-6
-    assert problem.tolerances.objective == 1e-8  # default kept
-    raw["algorithm"]["tolerances"] = {"pivot_style": 1e-5}
-    errors = validate_config(raw)
-    assert any("unknown tolerance" in e for e in errors)
+    assert problem.tolerances.reduced_cost == 1e-9  # default kept
+    for key in ("pivot_style", "objective"):
+        raw["algorithm"]["tolerances"] = {key: 1e-5}
+        errors = validate_config(raw)
+        assert any("unknown tolerance" in e for e in errors)
 
 
 # --------------------------------------------------------------- experiments
@@ -200,6 +210,33 @@ def test_recertify_matches(tmp_path):
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     payload = recertify(res.out_dir, consensus_rounds=100)
     assert payload["matches_stored_bound"]
+
+
+def test_recertify_montecarlo_trial(tmp_path):
+    # each trial records its own scenario seed, so recertify re-solves
+    # the trial's scenarios and reproduces the measured violation too
+    cfg = ExperimentConfig.from_dict(minimal_config(T_f=4))
+    out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc",
+                         consensus_rounds=10)
+    trial = out / "trial_001"
+    saved = yaml.safe_load((trial / "config.yaml").read_text())
+    assert saved["seeds"]["scenario"] == [2, 1]
+    stored = json.loads((trial / "certificate.json").read_text())
+    payload = recertify(trial, consensus_rounds=10)
+    assert payload["matches_stored_bound"]
+    assert payload["measured"] == pytest.approx(stored["measured"], abs=1e-9)
+
+
+def test_configured_integrality_reaches_certificate(tmp_path):
+    raw = minimal_config(T_f=0)
+    default = run_experiment(ExperimentConfig.from_dict(raw),
+                             out_dir=tmp_path / "default")
+    assert not all(default.certificate.in_integral_set)
+    # every fraction lies within 0.5 of an integer
+    raw["algorithm"]["tolerances"] = {"integrality": 0.5}
+    loose = run_experiment(ExperimentConfig.from_dict(raw),
+                           out_dir=tmp_path / "loose")
+    assert all(loose.certificate.in_integral_set)
 
 
 def test_regenerate_reports_identical(tmp_path):

@@ -5,7 +5,8 @@ optimum."""
 import numpy as np
 import pytest
 
-from mgridopt.dialgo import (AgentState, CommGraph, GraphError,
+from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
+                             CommGraph, GraphError,
                              StepSizeSchedule, exchange_and_update,
                              finalize_mixed_integer, generate_graph,
                              init_allocations, local_multiplier_step, run)
@@ -295,6 +296,35 @@ def test_run_with_empty_block_agent():
               finalize_every=5)
     assert np.all(res.total_coupling() <= 1e-6)
     assert max(res.trace.alloc_residual_all) <= 1e-9
+
+
+def test_run_doubles_a_cap_too_small_for_feasibility():
+    # a cap of 1e-3 leaves the allocation LPs infeasible; the run
+    # doubles it until they solve instead of stopping at round 0
+    blocks, scen, cost = two_agent_instance()
+    res = run(blocks, scen, cost, generate_graph(2, "path"),
+              StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
+              finalize_every=10, eta_cap=1e-3)
+    assert res.eta_cap > 1e-3
+    assert max(res.trace.alloc_residual_all) <= 1e-9
+    assert np.all(res.total_coupling() <= 1e-6)
+    for coupling in res.trace.coupling_vectors:
+        assert np.all(coupling <= 1e-6)
+
+
+def test_recovery_infeasible_for_every_cap_names_its_round():
+    # one binary confined to [0.3, 0.7]: the relaxation is feasible, the
+    # mixed-integer problem is not, whatever the cap
+    blk = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
+                     g=np.array([0.7, -0.3]), integrality=np.array([True]),
+                     A=np.array([[1.0]]), var_index={}, K=1)
+    scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
+    cost = build_recourse_cost(scen.pi, 3.0, 3.0, 1)
+    with pytest.raises(AgentSolveError, match="round 0 recovery MILP") as e:
+        run([blk], scen, cost, generate_graph(1, "path"),
+            StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
+    assert e.value.agent == 0
+    assert f"after {MAX_CAP_DOUBLINGS} cap doublings" in e.value.status
 
 
 def test_mismatched_graph_size_rejected():

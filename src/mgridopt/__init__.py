@@ -9,8 +9,7 @@ worst-case power-balance violation bound.
 """
 
 from .analysis import (ViolationCertificate, consensus_bound,
-                       coupling_report, distributed_certificate,
-                       violation_certificate)
+                       distributed_certificate, violation_certificate)
 from .config import ExperimentConfig, build_problem, validate_config
 from .dialgo import (AgentState, CommGraph, RunResult, RunTrace,
                      StepSizeSchedule, generate_graph, run)
@@ -26,7 +25,6 @@ from .solver import (LinearProgram, LpSolution, MipSolution, Tolerances,
                      solve_lp, solve_milp)
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet,
                          assemble_two_stage, build_h, build_recourse_cost,
-                         expected_recourse, lift_block, recourse_phi,
-                         split_recourse)
+                         expected_recourse, lift_block, recourse_phi)
 
 __version__ = "0.1.0"

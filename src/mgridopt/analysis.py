@@ -12,14 +12,13 @@ network-wide certificate without a collector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dialgo import AgentSolveError, LocalProblem
 from .solver import OPTIMAL, Tolerances, solve_lp, solve_milp
-from .stochastic import RecourseCost, ScenarioSet, recourse_phi
+from .stochastic import RecourseCost
 
 
 class CertificateError(RuntimeError):
@@ -35,22 +34,23 @@ def compute_lower_bound(lifted, cap: float,
                         tol: Tolerances = Tolerances()) -> np.ndarray:
     """Componentwise floor of H x - eta over the relaxed block.
 
-    One LP per component; the eta part separates and contributes -cap
-    exactly, so each LP only minimizes the coupling row over the block.
+    One LP per distinct component; the eta part separates and
+    contributes -cap exactly, so each LP only minimizes the coupling row
+    over the block.  H = 1_R kron (A; -A) repeats its first 2K rows in
+    every scenario, so those floors are solved once and tiled R times.
     """
     dim = lifted.eta_dim
-    out = np.empty(dim)
     if lifted.base.n == 0:
-        out.fill(-cap)
-        return out
+        return np.full(dim, -cap)
     problem = LocalProblem(lifted, np.zeros(dim))
-    for j in range(dim):
+    floor = np.empty(dim // lifted.R)
+    for j in range(floor.size):
         sol = solve_lp(problem.block_lp(lifted.H[j]), tol)
         if sol.status != OPTIMAL:
             raise CertificateError(
                 f"lower-bound LP for component {j} ended {sol.status}")
-        out[j] = sol.value - cap
-    return out
+        floor[j] = sol.value - cap
+    return np.tile(floor, lifted.R)
 
 
 def compute_auxiliary(lifted, ell: np.ndarray, cost: RecourseCost,
@@ -103,13 +103,6 @@ class ViolationCertificate:
                               for c in self.contributions],
             "bound_holds_componentwise": self.holds,
         }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def violation_certificate(result, cost: RecourseCost,
@@ -185,31 +178,3 @@ def distributed_certificate(cert: ViolationCertificate, graph,
     initial = [N * c for c in cert.contributions]
     return consensus_bound(initial, graph, rounds)
 
-
-# --------------------------------------------------------------------------
-# balance reporting
-# --------------------------------------------------------------------------
-
-
-def coupling_report(blocks, xs, scen: ScenarioSet, cost: RecourseCost) -> dict:
-    """Signed per-scenario balance residuals of a mixed-integer solution.
-
-    residual[r, k] = sum_i [A_i x_i]_k - b_r(k); the expected recourse
-    prices the positive and negative parts by scenario probability.
-    """
-    K = scen.K
-    total = np.zeros(K)
-    for blk, x in zip(blocks, xs):
-        if blk.n:
-            total += blk.A @ x
-    residuals = np.array([total - b for b in scen.b_r])
-    expected = sum(scen.pi[r] * recourse_phi(residuals[r, k],
-                                             cost.q_plus, cost.q_minus)
-                   for r in range(scen.R) for k in range(K))
-    return {
-        "residuals": residuals,
-        "max_positive": float(np.max(np.maximum(residuals, 0.0))),
-        "max_negative": float(np.max(np.maximum(-residuals, 0.0))),
-        "expected_recourse": float(expected),
-        "total_injection": total,
-    }

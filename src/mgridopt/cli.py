@@ -28,10 +28,6 @@ from .stochastic import assemble_two_stage
 import yaml
 
 
-def _load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_yaml(path)
-
-
 def cmd_build(args) -> int:
     with open(args.config) as fh:
         raw = yaml.safe_load(fh)
@@ -57,7 +53,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_yaml(args.config)
     res = run_experiment(cfg, out_dir=args.out)
     trace = res.trace
     print(f"run finished: {len(trace.iters)} logged iterations "
@@ -69,7 +65,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_yaml(args.config)
     out = run_montecarlo(cfg, trials=args.trials, out_dir=args.out)
     print(f"{args.trials} trials -> {out}")
     return 0

@@ -40,7 +40,7 @@ Schema sketch (see configs/desk.yaml for a complete example):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -81,9 +81,6 @@ class ExperimentConfig:
         if errors:
             raise ConfigError("; ".join(errors))
         return cls(raw=raw)
-
-    def __getitem__(self, key):
-        return self.raw[key]
 
     @property
     def K(self) -> int:
@@ -316,7 +313,6 @@ class Problem:
     finalize_every: int
     cl_demands: list
     lo_demands: list
-    renewable_models: list
     grid_index: int
     storage_indices: list
     generator_indices: list
@@ -421,7 +417,6 @@ def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
         blocks=blocks, agent_names=names, scen=scen, cost=cost, graph=graph,
         schedule=schedule, T_f=int(algo["iterations"]),
         finalize_every=int(algo.get("finalize_every", 10)),
-        cl_demands=cl_demands, lo_demands=lo_demands,
-        renewable_models=renewables, grid_index=grid_index,
+        cl_demands=cl_demands, lo_demands=lo_demands, grid_index=grid_index,
         storage_indices=storage_idx, generator_indices=gen_idx,
         load_indices=load_idx, tolerances=tolerances)

@@ -223,7 +223,8 @@ class LocalProblem:
 
         The recourse cap is a safety net that must not bind: it is
         doubled while the solve is infeasible or eta reaches the cap, at
-        most MAX_CAP_DOUBLINGS times.  Returns (solution, cap used).
+        most MAX_CAP_DOUBLINGS times; a zero cap steps to 1 first, since
+        doubling it could never lift it.  Returns (solution, cap used).
         """
         lp, n = self.lp, self.n
         lp.g[self.m0:] = y
@@ -233,7 +234,7 @@ class LocalProblem:
             if (sol.status == OPTIMAL
                     and np.max(sol.x[n:], initial=0.0) < cap * (1 - 1e-9)):
                 return sol, cap
-            cap *= 2.0
+            cap = 2.0 * cap if cap > 0.0 else 1.0
         raise AgentSolveError(
             self.index, f"{sol.status} after {MAX_CAP_DOUBLINGS} cap doublings",
             stage)
@@ -340,22 +341,31 @@ def exchange_and_update(states, graph: CommGraph, alpha: float):
 
 @dataclass
 class RunTrace:
-    iters: list = field(default_factory=list)
-    incumbent_cost: list = field(default_factory=list)
-    coupling_viol_pos: list = field(default_factory=list)
-    coupling_viol_neg: list = field(default_factory=list)
-    alloc_residual: list = field(default_factory=list)
-    coupling_vectors: list = field(default_factory=list)
-    balance_injection: list = field(default_factory=list)  # sum A_i x_i, K-dim
-    eta_total: list = field(default_factory=list)          # sum eta_i, 2RK-dim
+    """Per-round series and, at each logged round, the finalized point.
+
+    Only what cannot be derived is stored; `rows` derives the extreme
+    coupling values and looks up the round's allocation residual.
+    """
+
+    # one entry per round
     relax_cost_all: list = field(default_factory=list)
     alloc_residual_all: list = field(default_factory=list)
+    # one entry per logged round
+    iters: list = field(default_factory=list)
+    incumbent_cost: list = field(default_factory=list)
+    coupling_vectors: list = field(default_factory=list)   # 2RK-dim
+    balance_injection: list = field(default_factory=list)  # sum A_i x_i, K-dim
+    eta_total: list = field(default_factory=list)          # sum eta_i, 2RK-dim
 
     def rows(self):
-        for idx in range(len(self.iters)):
-            yield (self.iters[idx], self.incumbent_cost[idx],
-                   self.coupling_viol_pos[idx], self.coupling_viol_neg[idx],
-                   self.alloc_residual[idx])
+        """(round, incumbent cost, max coupling above the band, max slack
+        below it, allocation residual) per logged round."""
+        for t, cost, c in zip(self.iters, self.incumbent_cost,
+                              self.coupling_vectors):
+            yield (t, cost,
+                   float(np.max(np.maximum(c, 0.0), initial=0.0)),
+                   float(np.max(np.maximum(-c, 0.0), initial=0.0)),
+                   self.alloc_residual_all[t])
 
 
 @dataclass
@@ -457,11 +467,6 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
             trace.eta_total.append(eta_sum)
             trace.iters.append(t)
             trace.incumbent_cost.append(result.incumbent_cost())
-            trace.coupling_viol_pos.append(float(np.max(
-                np.maximum(coupling, 0.0), initial=0.0)))
-            trace.coupling_viol_neg.append(float(np.max(
-                np.maximum(-coupling, 0.0), initial=0.0)))
-            trace.alloc_residual.append(residual)
             trace.coupling_vectors.append(coupling)
             y_snapshot = np.concatenate([a.y for a in agents])
             if prev_logged_y is not None and t == T_f:

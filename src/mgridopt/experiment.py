@@ -59,12 +59,15 @@ class ExperimentResult:
         return self.result.trace
 
 
-def write_trace_csv(path, trace):
-    lines = [TRACE_HEADER]
-    for it, cost, pos, neg, resid in trace.rows():
-        lines.append(",".join([str(it), _fmt(cost), _fmt(pos), _fmt(neg),
-                               _fmt(resid)]))
+def _write_csv(path, header, rows):
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_trace_csv(path, trace):
+    _write_csv(path, TRACE_HEADER, trace.rows())
 
 
 def read_trace_csv(path):
@@ -78,13 +81,6 @@ def read_trace_csv(path):
         rows.append((int(it), float(cost), float(pos), float(neg),
                      float(resid)))
     return rows
-
-
-def _write_csv(path, header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_csv(path):
@@ -242,15 +238,14 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
             raise RuntimeError(
                 f"trial {t} (scenario seed {seed}) failed: {e}") from e
         traces.append(res.trace)
-    iters = traces[0].iters
-    lines = ["iter,cost_mean,cost_std,viol_pos_max,viol_neg_max"]
-    for i, it in enumerate(iters):
-        costs = np.array([tr.incumbent_cost[i] for tr in traces])
-        pos = max(tr.coupling_viol_pos[i] for tr in traces)
-        neg = max(tr.coupling_viol_neg[i] for tr in traces)
-        lines.append(",".join([str(it), _fmt(costs.mean()),
-                               _fmt(costs.std()), _fmt(pos), _fmt(neg)]))
-    (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
+    aggregate = []
+    for rows in zip(*(tr.rows() for tr in traces)):  # one logged round
+        costs = np.array([row[1] for row in rows])
+        aggregate.append((rows[0][0], costs.mean(), costs.std(),
+                          max(row[2] for row in rows),
+                          max(row[3] for row in rows)))
+    _write_csv(out / "aggregate.csv",
+               "iter,cost_mean,cost_std,viol_pos_max,viol_neg_max", aggregate)
     return out
 
 

@@ -32,7 +32,6 @@ class ProfileModel:
     solar: peak_kw, window=(first, last) step indices, cloud_sigma
     wind: mean_kw, rho (autocorrelation), sigma
     demand: base_kw, peaks=((center, width, height_kw), ...), sigma
-    price: purchase and sell curves, sampled verbatim
     """
 
     kind: str
@@ -45,12 +44,9 @@ class ProfileModel:
     sigma: float = 0.0
     base_kw: float = 0.0
     peaks: tuple = ()
-    purchase: tuple = ()
-    sell: tuple = ()
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("solar", "wind", "demand", "price"):
+        if self.kind not in ("solar", "wind", "demand"):
             raise ProfileError(f"unknown profile kind {self.kind!r}")
         if self.K < 1:
             raise ProfileError(f"profile length must be >= 1, got {self.K}")
@@ -65,30 +61,20 @@ class ProfileModel:
         elif self.kind == "demand":
             if self.base_kw < 0 or self.sigma < 0:
                 raise ProfileError("demand needs base >= 0, sigma >= 0")
-        elif self.kind == "price":
-            if len(self.purchase) != self.K or len(self.sell) != self.K:
-                raise ProfileError("price curves must have length K")
 
     @classmethod
-    def solar(cls, K, peak_kw, window=(5, 20), cloud_sigma=0.0, seed=None):
+    def solar(cls, K, peak_kw, window=(5, 20), cloud_sigma=0.0):
         return cls(kind="solar", K=K, peak_kw=peak_kw, window=tuple(window),
-                   cloud_sigma=cloud_sigma, seed=seed)
+                   cloud_sigma=cloud_sigma)
 
     @classmethod
-    def wind(cls, K, mean_kw, rho=0.0, sigma=0.0, seed=None):
-        return cls(kind="wind", K=K, mean_kw=mean_kw, rho=rho, sigma=sigma,
-                   seed=seed)
+    def wind(cls, K, mean_kw, rho=0.0, sigma=0.0):
+        return cls(kind="wind", K=K, mean_kw=mean_kw, rho=rho, sigma=sigma)
 
     @classmethod
-    def demand(cls, K, base_kw, peaks=(), sigma=0.0, seed=None):
+    def demand(cls, K, base_kw, peaks=(), sigma=0.0):
         return cls(kind="demand", K=K, base_kw=base_kw,
-                   peaks=tuple(tuple(p) for p in peaks), sigma=sigma,
-                   seed=seed)
-
-    @classmethod
-    def price(cls, K, purchase, sell):
-        return cls(kind="price", K=K, purchase=tuple(purchase),
-                   sell=tuple(sell))
+                   peaks=tuple(tuple(p) for p in peaks), sigma=sigma)
 
 
 def solar_base_curve(model: ProfileModel) -> np.ndarray:
@@ -104,8 +90,6 @@ def solar_base_curve(model: ProfileModel) -> np.ndarray:
 
 def sample_profile(model: ProfileModel, seed=None) -> np.ndarray:
     """Draw one realization; deterministic per (model, seed)."""
-    if seed is None:
-        seed = model.seed
     rng = np.random.default_rng(seed)
     if model.kind == "solar":
         attenuation = max(0.0, 1.0 - abs(rng.normal(0.0, model.cloud_sigma))) \
@@ -119,17 +103,14 @@ def sample_profile(model: ProfileModel, seed=None) -> np.ndarray:
             level = model.mean_kw + model.rho * (level - model.mean_kw) + noise
             out[k] = max(level, 0.0)
         return out
-    if model.kind == "demand":
-        ks = np.arange(model.K, dtype=float)
-        out = np.full(model.K, float(model.base_kw))
-        for center, width, height in model.peaks:
-            out += height * np.exp(-0.5 * ((ks - center) / max(width, 1e-9)) ** 2)
-        if model.sigma > 0:
-            out += rng.normal(0.0, model.sigma, size=model.K)
-        return np.maximum(out, 0.0)
-    # price: both curves, stacked purchase-first
-    return np.vstack([np.asarray(model.purchase, dtype=float),
-                      np.asarray(model.sell, dtype=float)])
+    # demand
+    ks = np.arange(model.K, dtype=float)
+    out = np.full(model.K, float(model.base_kw))
+    for center, width, height in model.peaks:
+        out += height * np.exp(-0.5 * ((ks - center) / max(width, 1e-9)) ** 2)
+    if model.sigma > 0:
+        out += rng.normal(0.0, model.sigma, size=model.K)
+    return np.maximum(out, 0.0)
 
 
 def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
@@ -221,13 +202,3 @@ def load_csv_profiles(path, column_map: dict, window=None,
             out[name].append(np.array(slot[name], dtype=float))
     return out
 
-
-def profiles_to_csv(path, profiles: dict):
-    """Dump named step profiles side by side for external plotting."""
-    names = list(profiles)
-    K = len(next(iter(profiles.values()))) if names else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + names)
-        for k in range(K):
-            writer.writerow([k] + [repr(float(profiles[n][k])) for n in names])

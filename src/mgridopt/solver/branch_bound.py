@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                      LpSolution, Tolerances, solve_lp)
+                      Tolerances, solve_lp)
 
 
 @dataclass

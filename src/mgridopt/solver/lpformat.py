@@ -18,12 +18,13 @@ def _term(coef: float, name: str, first: bool) -> str:
     return f"{sign} {mag:.17g} {name} "
 
 
-def write_lp_format(lp: LinearProgram, path, names=None, sense="Minimize"):
-    """Write `lp` in CPLEX LP format. `names` may rename columns."""
+def write_lp_format(lp: LinearProgram, path, names=None):
+    """Write the minimization `lp` in CPLEX LP format. `names` may rename
+    columns."""
     n = lp.n
     if names is None:
         names = [f"x{j}" for j in range(n)]
-    lines = [f"\\ {n} variables, {lp.m} rows", sense, " obj:"]
+    lines = [f"\\ {n} variables, {lp.m} rows", "Minimize", " obj:"]
     body = "   "
     wrote = False
     for j in range(n):

@@ -51,10 +51,9 @@ class Tolerances:
 class LinearProgram:
     """min c'x s.t. G x <= g, lo <= x <= hi.
 
-    `dual_rows` marks the rows whose multipliers the caller needs;
-    None requests all of them.  Bounds may be +-inf, but a bounded
-    feasible set is expected (problems here come from compact
-    polyhedra, so unboundedness is reported only defensively).
+    Bounds may be +-inf, but a bounded feasible set is expected
+    (problems here come from compact polyhedra, so unboundedness is
+    reported only defensively).
     """
 
     c: np.ndarray
@@ -63,7 +62,6 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     integrality: np.ndarray | None = None
-    dual_rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -105,12 +103,9 @@ class LpSolution:
     basis: np.ndarray | None = None          # basic column indices in [G | I]
     pivots: int = 0
 
-    def duals_for(self, rows) -> np.ndarray:
-        return self.duals[np.asarray(rows, dtype=int)]
-
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> LpSolution:
-    """Solve the LP to a vertex, returning row duals for marked rows.
+    """Solve the LP to a vertex, returning a dual for every row.
 
     The returned multipliers satisfy mu >= 0 and complementary
     slackness; -mu is a subgradient of the optimal value with respect
@@ -381,28 +376,6 @@ class _Simplex:
             basis=self.basis.copy(),
             pivots=self.pivots,
         )
-
-
-def lp_value_subgradient(c, G, g, lo, hi, A, y,
-                         tol: Tolerances = Tolerances()):
-    """Multiplier of the resource rows of a parameterized subproblem.
-
-    Solves min c'x s.t. G x <= g, lo <= x <= hi, A x <= y and returns
-    (mu, solution) where mu are the duals of the A-rows: -mu is a
-    subgradient of the optimal value with respect to the resource y,
-    so p(y + d) >= p(y) - mu'd for any perturbation d keeping the
-    subproblem feasible.
-    """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    G = np.asarray(G, dtype=float)
-    g = np.asarray(g, dtype=float).ravel()
-    stacked = LinearProgram(c, np.vstack([G, A]) if G.size else A,
-                            np.concatenate([g, y]), lo, hi)
-    sol = solve_lp(stacked, tol)
-    if sol.status != OPTIMAL:
-        return None, sol
-    return sol.duals[g.size:].copy(), sol
 
 
 def split_singleton_rows(G, g, lo, hi):

@@ -199,22 +199,3 @@ def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
               "n_agents": n_agents, "per_agent_eta": per_agent_eta}
     return lp, layout
 
-
-def split_recourse(eta_total, N: int) -> list:
-    """Share a nonnegative recourse vector among N agents, summing exactly.
-
-    Equal proportional shares; the last agent absorbs the floating-point
-    remainder so the reconstruction sum eta_i = eta holds to the bit.
-    """
-    eta_total = np.asarray(eta_total, dtype=float)
-    if np.any(eta_total < 0):
-        raise ValueError("recourse must be >= 0")
-    if N < 1:
-        raise ValueError("need at least one agent")
-    share = eta_total / N
-    parts = [share.copy() for _ in range(N - 1)]
-    last = eta_total.copy()
-    for p in parts:
-        last = last - p
-    parts.append(last)
-    return parts

@@ -298,6 +298,21 @@ def test_run_with_empty_block_agent():
     assert max(res.trace.alloc_residual_all) <= 1e-9
 
 
+def test_run_grows_a_zero_cap():
+    # no coupling mass and a zero balance give recourse_cap 0, which
+    # doubling alone never lifts
+    blocks = [LocalBlock.empty(2)]
+    scen = ScenarioSet(pi=[1.0], b_r=[np.zeros(2)])
+    cost = build_recourse_cost(scen.pi, 1.0, 1.0, 2)
+    res = run(blocks, scen, cost, generate_graph(1, "path"),
+              StepSizeSchedule.diminishing(1.0, 1.0), T_f=2,
+              finalize_every=1)
+    assert res.eta_cap == 1.0
+    assert res.trace.iters == [0, 1, 2]
+    assert res.incumbent_cost() == 0.0
+    assert np.all(res.total_coupling() <= 1e-12)
+
+
 def test_run_doubles_a_cap_too_small_for_feasibility():
     # a cap of 1e-3 leaves the allocation LPs infeasible; the run
     # doubles it until they solve instead of stopping at round 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mgridopt.scenario import (ProfileError, ProfileModel, load_csv_profiles,
-                               profiles_to_csv, sample_profile,
-                               sample_scenarioset, solar_base_curve)
+                               sample_profile, sample_scenarioset,
+                               solar_base_curve)
 
 
 def test_noiseless_solar_is_bell_in_window():
@@ -42,20 +42,11 @@ def test_demand_peaks_and_clipping():
         assert np.all(sample_profile(noisy, seed=s) >= 0.0)
 
 
-def test_price_model_round_trip():
-    m = ProfileModel.price(K=3, purchase=(0.3, 0.2, 0.25), sell=(0.1, 0.1, 0.12))
-    curves = sample_profile(m)
-    assert curves[0] == pytest.approx([0.3, 0.2, 0.25])
-    assert curves[1] == pytest.approx([0.1, 0.1, 0.12])
-
-
 def test_profile_validation():
     with pytest.raises(ProfileError):
         ProfileModel(kind="fusion", K=4)
     with pytest.raises(ProfileError):
         ProfileModel.wind(K=4, mean_kw=-1.0)
-    with pytest.raises(ProfileError):
-        ProfileModel.price(K=4, purchase=(0.2,), sell=(0.1,))
 
 
 def test_scenarioset_uniform_probabilities_and_determinism():
@@ -141,11 +132,3 @@ def test_csv_bad_number_diagnostic(tmp_path):
     write_csv(f, rows)
     with pytest.raises(ProfileError, match="line 5"):
         load_csv_profiles(f, {"solar": "solar_mw"})
-
-
-def test_profiles_round_trip_csv(tmp_path):
-    f = tmp_path / "dump.csv"
-    profiles_to_csv(f, {"a": np.array([1.5, 2.5]), "b": np.array([0.25, 0.5])})
-    text = f.read_text().splitlines()
-    assert text[0] == "step,a,b"
-    assert text[1].split(",")[1] == "1.5"

@@ -248,44 +248,6 @@ def test_hand_kkt_subproblem():
     assert sol.duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_lp_value_subgradient_operation():
-    from mgridopt.solver import lp_value_subgradient
-    # zero objective -> zero multiplier
-    mu, sol = lp_value_subgradient(
-        np.zeros(1), np.zeros((0, 1)), np.zeros(0), np.array([0.0]),
-        np.array([2.0]), np.array([[1.0]]), np.array([5.0]))
-    assert sol.status == OPTIMAL and mu == pytest.approx([0.0])
-    # hand KKT case through the named operation
-    mu, sol = lp_value_subgradient(
-        np.array([-1.0]), np.zeros((0, 1)), np.zeros(0), np.array([0.0]),
-        np.array([10.0]), np.array([[1.0]]), np.array([5.0]))
-    assert sol.value == pytest.approx(-5.0) and mu == pytest.approx([1.0])
-    # finite-difference cross-check on a random block
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        n, k, m = 3, 2, 4
-        G = rng.normal(size=(m, n))
-        x0 = rng.uniform(-0.4, 0.4, size=n)
-        g = G @ x0 + rng.uniform(0.1, 1.0, size=m)
-        A = rng.normal(size=(k, n))
-        y = A @ x0 + rng.uniform(0.0, 0.5, size=k)
-        c = rng.normal(size=n)
-        lo, hi = -np.ones(n), np.ones(n)
-        mu, sol = lp_value_subgradient(c, G, g, lo, hi, A, y)
-        assert sol.status == OPTIMAL
-        eps = 1e-5
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = eps
-            up, up_sol = lp_value_subgradient(c, G, g, lo, hi, A, y + e)
-            assert up_sol.value >= sol.value - mu[j] * eps - 1e-7
-    # infeasible subproblem reported, no multiplier
-    mu, sol = lp_value_subgradient(
-        np.zeros(1), np.zeros((0, 1)), np.zeros(0), np.array([0.0]),
-        np.array([1.0]), np.array([[1.0]]), np.array([-5.0]))
-    assert mu is None and sol.status == INFEASIBLE
-
-
 def test_lp_format_dump(tmp_path):
     from mgridopt.solver import write_lp_format
     lp = LinearProgram(np.array([-1.0, 2.0]), np.array([[1.0, 1.0]]),

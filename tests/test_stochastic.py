@@ -12,7 +12,7 @@ from mgridopt.solver import OPTIMAL, LinearProgram, solve_lp, solve_milp
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost, expected_recourse,
                                  lift_block, recourse_from_residuals,
-                                 recourse_phi, split_recourse)
+                                 recourse_phi)
 
 
 def toy_block(A):
@@ -99,24 +99,6 @@ def test_expected_recourse_matches_phi_sum():
     direct = sum(pi[r] * recourse_phi(residuals[r][k], q_plus, q_minus)
                  for r in range(R) for k in range(K))
     assert expected_recourse(rc, eta) == pytest.approx(direct, abs=1e-12)
-
-
-def test_split_recourse_reconstructs_exactly():
-    rng = np.random.default_rng(77)
-    assert all(np.all(p == 0) for p in split_recourse(np.zeros(5), 4))
-    equal = split_recourse(np.full(3, 4.0), 4)
-    assert all(p == pytest.approx(np.ones(3)) for p in equal)
-    for _ in range(20):
-        eta = rng.uniform(0, 10, size=8)
-        N = int(rng.integers(1, 7))
-        parts = split_recourse(eta, N)
-        total = parts[0].copy()
-        for p in parts[1:]:
-            total = total + p
-        assert np.max(np.abs(total - eta)) <= 1e-12
-        assert all(np.all(p >= -1e-15) for p in parts)
-    with pytest.raises(ValueError):
-        split_recourse(np.array([-1.0]), 2)
 
 
 # ------------------------------------------------------- form equivalences

@@ -42,10 +42,9 @@ def compute_lower_bound(lifted, cap: float,
     dim = lifted.eta_dim
     if lifted.base.n == 0:
         return np.full(dim, -cap)
-    problem = LocalProblem(lifted, np.zeros(dim))
     floor = np.empty(dim // lifted.R)
     for j in range(floor.size):
-        sol = solve_lp(problem.block_lp(lifted.H[j]), tol)
+        sol = solve_lp(lifted.base.relaxation_lp(lifted.H[j]), tol)
         if sol.status != OPTIMAL:
             raise CertificateError(
                 f"lower-bound LP for component {j} ended {sol.status}")
@@ -53,18 +52,18 @@ def compute_lower_bound(lifted, cap: float,
     return np.tile(floor, lifted.R)
 
 
-def compute_auxiliary(lifted, ell: np.ndarray, cost: RecourseCost,
-                      cap: float, tol: Tolerances = Tolerances()):
-    """Mixed-integer optimum of the local problem at the floored allocation.
+def compute_auxiliary(problem: LocalProblem, ell: np.ndarray, cap: float,
+                      tol: Tolerances = Tolerances()):
+    """Mixed-integer optimum of the agent's local problem at the floored
+    allocation y = ell; returns (x, eta, cap used).
 
-    The recourse cap almost always needs one doubling relative to the
-    floor's cap: at the floor, every coupling component sits `cap` below
-    its row minimum plus the row's spread, so a same-size cap cannot
-    absorb the spread.  `LocalProblem.solve` doubles it until the
-    problem is feasible; returns (x, eta, cap used).
+    The solve starts at 2 * cap.  At ell = floor - cap, row j reads
+    eta_j >= cap + (H_j z - floor_j) >= cap, so a solve at `cap` ends
+    infeasible or with eta at the cap, and `LocalProblem.solve` would
+    double it to this same LP.
     """
-    problem = LocalProblem(lifted, cost.d)
-    sol, used = problem.solve(solve_milp, ell, cap, tol, "auxiliary MILP")
+    sol, used = problem.solve(solve_milp, ell, 2.0 * cap, tol,
+                              "auxiliary MILP")
     return sol.x[:problem.n], sol.x[problem.n:], used
 
 
@@ -125,15 +124,14 @@ def violation_certificate(result, cost: RecourseCost,
     measured = -result.h.copy()
     for i, a in enumerate(agents):
         measured += a.lifted.H @ a.x_mi
-        integral = (is_integral(a.lifted.base, a.z, tol.integrality)
-                    if a.lifted.base.n else True)
+        integral = is_integral(a.lifted.base, a.z, tol.integrality)
         flags.append(integral)
         if integral:
             contrib = a.eta_relax.copy()
         else:
             ell = compute_lower_bound(a.lifted, result.eta_cap, tol)
             try:
-                x_l, eta_l, _ = compute_auxiliary(a.lifted, ell, cost,
+                x_l, eta_l, _ = compute_auxiliary(a.problem, ell,
                                                   result.eta_cap, tol)
             except AgentSolveError as e:
                 raise AgentSolveError(i, e.status, "certificate " + e.stage) \

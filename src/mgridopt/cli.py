@@ -18,25 +18,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, build_problem, \
-    validate_config
+from .config import ConfigError, ExperimentConfig, build_problem
 from .experiment import (output_root, recertify, regenerate_reports,
                          run_experiment, run_montecarlo)
 from .solver import write_lp_format
 from .stochastic import assemble_two_stage
 
-import yaml
-
 
 def cmd_build(args) -> int:
-    with open(args.config) as fh:
-        raw = yaml.safe_load(fh)
-    errors = validate_config(raw)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    cfg = ExperimentConfig(raw=raw, path=args.config)
+    cfg = ExperimentConfig.from_yaml(args.config)
     problem = build_problem(cfg)
     lp, _ = assemble_two_stage(problem.blocks, problem.scen, problem.cost)
     out = Path(args.out) if args.out else \

@@ -45,13 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .dialgo import StepSizeSchedule, generate_graph
-from .model import (ControllableLoadParams, GeneratorParams, GridParams,
-                    LocalBlock, ParameterError, StorageParams,
+from .dialgo import DEFAULT_FINALIZE_EVERY, StepSizeSchedule, generate_graph
+from .model import (DEFAULT_EPSILON, ControllableLoadParams, GeneratorParams,
+                    GridParams, LocalBlock, ParameterError, StorageParams,
                     build_controllable_load_block, build_generator_block,
                     build_grid_block, build_storage_block,
                     quadratic_cost_segments)
 from .scenario import ProfileModel, sample_profile
+from .solver import Tolerances
 from .stochastic import build_recourse_cost, ScenarioSet
 from .scenario import sample_scenarioset
 
@@ -63,17 +64,12 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     raw: dict
-    path: str | None = None
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-        cfg = cls(raw=raw, path=str(path))
-        errors = validate_config(raw)
-        if errors:
-            raise ConfigError("; ".join(errors))
-        return cfg
+        return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -139,7 +135,7 @@ def validate_config(raw) -> list:
         it = _need(algo, "iterations", "algorithm", errors, int)
         if it is not None and it < 0:
             _err(errors, "algorithm.iterations", "must be >= 0")
-        fe = algo.get("finalize_every", 10)
+        fe = algo.get("finalize_every", DEFAULT_FINALIZE_EVERY)
         if not isinstance(fe, int) or fe < 1:
             _err(errors, "algorithm.finalize_every", "must be an int >= 1")
         tols = algo.get("tolerances", {})
@@ -182,8 +178,7 @@ def validate_config(raw) -> list:
         elif isinstance(grid, list):
             _err(errors, "units.grid",
                  "must be a single mapping, not a list (one connection)")
-        for name, req in (("purchase_price_profile", True),
-                          ("sell_price_profile", True)):
+        for name in ("purchase_price_profile", "sell_price_profile"):
             if isinstance(grid, dict) and name not in grid:
                 _err(errors, f"units.grid.{name}", "missing")
         for i, s in enumerate(units.get("storages", []) or []):
@@ -244,7 +239,7 @@ def _storage_params(s: dict) -> StorageParams:
         C=float(s["power_limit_kw"]),
         zeta=float(s.get("om_cost_eur_per_kwh", 0.0)),
         x0=float(s["initial_energy_kwh"]),
-        epsilon=float(s.get("epsilon", 1e-6)),
+        epsilon=float(s.get("epsilon", DEFAULT_EPSILON)),
     )
 
 
@@ -317,7 +312,7 @@ class Problem:
     storage_indices: list
     generator_indices: list
     load_indices: list
-    tolerances: object = None
+    tolerances: Tolerances
 
 
 def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
@@ -364,7 +359,7 @@ def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
     blocks.append(build_grid_block(GridParams(
         P_max=float(grid_cfg["max_exchange_kw"]),
         phi_p=tuple(phi_p), phi_s=tuple(phi_s),
-        epsilon=float(grid_cfg.get("epsilon", 1e-6))), K))
+        epsilon=float(grid_cfg.get("epsilon", DEFAULT_EPSILON))), K))
     names.append("grid")
 
     renewables = []
@@ -407,16 +402,12 @@ def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
     graph = generate_graph(len(blocks), graph_cfg["kind"],
                            seed=cfg.seeds.get("graph", 0),
                            p=float(graph_cfg.get("edge_probability", 0.3)))
-    from .solver import Tolerances
-    tol_cfg = algo.get("tolerances", {})
-    tolerances = Tolerances(
-        feasibility=float(tol_cfg.get("feasibility", 1e-7)),
-        integrality=float(tol_cfg.get("integrality", 1e-6)),
-        reduced_cost=float(tol_cfg.get("reduced_cost", 1e-9)))
+    tolerances = Tolerances(**{key: float(v) for key, v in
+                               algo.get("tolerances", {}).items()})
     return Problem(
         blocks=blocks, agent_names=names, scen=scen, cost=cost, graph=graph,
         schedule=schedule, T_f=int(algo["iterations"]),
-        finalize_every=int(algo.get("finalize_every", 10)),
+        finalize_every=int(algo.get("finalize_every", DEFAULT_FINALIZE_EVERY)),
         cl_demands=cl_demands, lo_demands=lo_demands, grid_index=grid_index,
         storage_indices=storage_idx, generator_indices=gen_idx,
         load_indices=load_idx, tolerances=tolerances)

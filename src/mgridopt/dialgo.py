@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionError
-from .solver import (OPTIMAL, LinearProgram, Tolerances, solve_lp, solve_milp,
-                     split_singleton_rows)
+from .solver import OPTIMAL, LinearProgram, Tolerances, solve_lp, solve_milp
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet, build_h,
                          lift_block)
 
@@ -185,11 +184,13 @@ class StepSizeSchedule:
 # --------------------------------------------------------------------------
 
 MAX_CAP_DOUBLINGS = 60
+DEFAULT_FINALIZE_EVERY = 10
 
 
 class LocalProblem:
-    """One agent's program min c'z + d'eta over its block (singleton rows
-    folded into bounds once, here) and H z - eta <= y, 0 <= eta <= cap.
+    """One agent's program min c'z + d'eta over its block (in the block's
+    folded form, `LocalBlock.relaxation_lp`) and H z - eta <= y,
+    0 <= eta <= cap.
 
     The rounds solve it relaxed for the multiplier of the allocation
     rows and mixed-integer to recover a feasible point; the certificate
@@ -198,24 +199,18 @@ class LocalProblem:
 
     def __init__(self, lifted: LiftedBlock, d: np.ndarray, index: int = 0):
         blk = lifted.base
-        n, dim = blk.n, lifted.eta_dim
-        G0, g0, lo0, hi0 = split_singleton_rows(
-            blk.G, blk.g, np.full(n, -np.inf), np.full(n, np.inf))
-        m0 = G0.shape[0]
+        base = blk.relaxation_lp(blk.c)
+        n, m0, dim = base.n, base.m, lifted.eta_dim
         self.index, self.n, self.m0 = index, n, m0
         self.lp = LinearProgram(
-            np.concatenate([blk.c, d]),
-            np.block([[G0, np.zeros((m0, dim))], [lifted.H, -np.eye(dim)]]),
-            np.concatenate([g0, np.zeros(dim)]),
-            np.concatenate([lo0, np.zeros(dim)]),
-            np.concatenate([hi0, np.full(dim, np.inf)]),
+            np.concatenate([base.c, d]),
+            np.block([[base.G, np.zeros((m0, dim))],
+                      [lifted.H, -np.eye(dim)]]),
+            np.concatenate([base.g, np.zeros(dim)]),
+            np.concatenate([base.lo, np.zeros(dim)]),
+            np.concatenate([base.hi, np.full(dim, np.inf)]),
             integrality=np.concatenate([blk.integrality,
                                         np.zeros(dim, dtype=bool)]))
-
-    def block_lp(self, c: np.ndarray) -> LinearProgram:
-        """min c'z over the relaxed block alone (folded rows and bounds)."""
-        lp, m0, n = self.lp, self.m0, self.n
-        return LinearProgram(c, lp.G[:m0, :n], lp.g[:m0], lp.lo[:n], lp.hi[:n])
 
     def solve(self, solver, y: np.ndarray, cap: float, tol: Tolerances,
               stage: str):
@@ -403,12 +398,13 @@ def recourse_cap(blocks, scen: ScenarioSet) -> float:
             continue
         lo, hi = blk.coordinate_box()
         radius = np.maximum(np.abs(lo), np.abs(hi))
-        mass += float(np.max(np.abs(blk.A) @ radius)) if blk.A.size else 0.0
+        mass += float(np.max(np.abs(blk.A) @ radius))
     return 2.0 * (b_max + mass)
 
 
 def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
-        schedule: StepSizeSchedule, T_f: int, finalize_every: int = 10,
+        schedule: StepSizeSchedule, T_f: int,
+        finalize_every: int = DEFAULT_FINALIZE_EVERY,
         init_mode: str = "uniform", init_seed=None, eta_cap: float | None = None,
         tol: Tolerances = Tolerances()) -> RunResult:
     """Execute T_f rounds and return the finalized solution plus trace.

@@ -16,10 +16,12 @@ curtailment removes -beta*D of demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from .solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
+                     split_singleton_rows)
 
 DEFAULT_EPSILON = 1e-6  # machine epsilon would make the big-M rows tie-prone
 
@@ -200,10 +202,23 @@ class LocalBlock:
         ints = x[self.integrality]
         return bool(np.all(np.abs(ints - np.round(ints)) <= 1e-6))
 
-    def relaxation_lp(self, c=None) -> LinearProgram:
-        cost = self.c if c is None else c
-        return LinearProgram(cost, self.G, self.g,
-                             np.full(self.n, -np.inf), np.full(self.n, np.inf))
+    @cached_property
+    def folded(self) -> tuple:
+        """(G', g', lo, hi): the rows G x <= g with every one-variable row
+        folded into the bounds lo <= x <= hi, computed once per block.
+
+        The arrays are read-only because every LP over the block shares
+        them; G and g stay as built for `contains` and the oracles.
+        """
+        out = split_singleton_rows(self.G, self.g, np.full(self.n, -np.inf),
+                                   np.full(self.n, np.inf))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+    def relaxation_lp(self, c: np.ndarray) -> LinearProgram:
+        """min c'x over the relaxed block in its folded form."""
+        return LinearProgram(c, *self.folded)
 
     def coordinate_box(self):
         """Min/max of every coordinate over the relaxed polyhedron.
@@ -214,6 +229,9 @@ class LocalBlock:
         """
         if self.box is not None:
             return self.box
+        if np.any(self.folded[2] > self.folded[3]):
+            # crossed one-variable rows: no LP can even be built
+            raise DimensionError(f"{self.kind} block polyhedron is empty")
         lo = np.zeros(self.n)
         hi = np.zeros(self.n)
         for j in range(self.n):

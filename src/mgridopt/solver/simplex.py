@@ -29,6 +29,9 @@ _FREE = 2
 _BASIC = 3
 _FIXED = 4
 
+PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
+REFACTOR_EVERY = 60   # pivots between fresh basis inversions
+
 
 class SolverError(Exception):
     """Raised when the pivot loop cannot make progress (numerical failure)."""
@@ -43,8 +46,6 @@ class Tolerances:
     feasibility: float = 1e-7
     reduced_cost: float = 1e-9
     integrality: float = 1e-6
-    pivot: float = 1e-10
-    refactor_every: int = 60
 
 
 @dataclass
@@ -238,7 +239,7 @@ class _Simplex:
                 if phase_one:
                     raise SolverError("phase-1 subproblem unbounded")
                 return True
-            if t <= self.tol.pivot:
+            if t <= PIVOT_TOL:
                 self.degenerate_run += 1
                 if not self.bland and self.degenerate_run > 10 * max(self.m, 1):
                     self.bland = True
@@ -270,14 +271,13 @@ class _Simplex:
         Returns (t, leaving basis position or -1 for a bound flip,
         leaving-variable-goes-to-upper flag); t None means unbounded.
         """
-        piv = self.tol.pivot
         den = sigma * w
         xb, basis = self.xb, self.basis
         lo_b = self.lo[basis]
         hi_b = self.hi[basis]
         steps = np.full(self.m, np.inf)
-        dec = den > piv
-        inc = den < -piv
+        dec = den > PIVOT_TOL
+        inc = den < -PIVOT_TOL
         with np.errstate(invalid="ignore"):
             if np.any(dec):
                 steps[dec] = (xb[dec] - lo_b[dec]) / den[dec]
@@ -322,7 +322,7 @@ class _Simplex:
                 self.xn[out] = self.lo[out]
             # rank-one update of the basis inverse
             wr = w[pos]
-            if abs(wr) < self.tol.pivot:
+            if abs(wr) < PIVOT_TOL:
                 raise SolverError("vanishing pivot element")
             row = self.Binv[pos] / wr
             self.Binv -= np.outer(w, row)
@@ -330,7 +330,7 @@ class _Simplex:
             self.xb[pos] = enter_val
         self.pivots += 1
         self.since_refactor += 1
-        if self.since_refactor >= self.tol.refactor_every:
+        if self.since_refactor >= REFACTOR_EVERY:
             self._refactor()
 
     def _expel_artificials(self, c1: np.ndarray):

@@ -4,10 +4,12 @@ assembly and consensus averaging."""
 import numpy as np
 import pytest
 
+from mgridopt import analysis
 from mgridopt.analysis import (compute_auxiliary, compute_lower_bound,
                                consensus_bound, distributed_certificate,
                                violation_certificate)
-from mgridopt.dialgo import (StepSizeSchedule, generate_graph, run)
+from mgridopt.dialgo import (AgentState, LocalProblem, StepSizeSchedule,
+                             generate_graph, run)
 from mgridopt.hull import relaxation_equals_hull
 from mgridopt.model import (ControllableLoadParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
@@ -70,7 +72,8 @@ def test_auxiliary_singleton_block():
     lifted = lift_block(blk, 1)
     cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
     ell = compute_lower_bound(lifted, cap=4.0)
-    x_l, eta_l, used = compute_auxiliary(lifted, ell, cost, cap=4.0)
+    x_l, eta_l, used = compute_auxiliary(LocalProblem(lifted, cost.d), ell,
+                                         cap=4.0)
     assert x_l[0] == pytest.approx(1.5, abs=1e-9)
     assert eta_l == pytest.approx(np.maximum(lifted.H @ x_l - ell, 0.0),
                                   abs=1e-8)
@@ -82,7 +85,8 @@ def test_auxiliary_slack_floor_gives_zero_eta():
     lifted = lift_block(blk, 1)
     cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
     ell = np.array([10.0, 10.0])  # far above anything the block can emit
-    x_l, eta_l, _ = compute_auxiliary(lifted, ell, cost, cap=4.0)
+    x_l, eta_l, _ = compute_auxiliary(LocalProblem(lifted, cost.d), ell,
+                                      cap=4.0)
     assert eta_l == pytest.approx([0.0, 0.0], abs=1e-9)
     assert x_l[0] == pytest.approx(0.0, abs=1e-9)  # unconstrained optimum
 
@@ -97,7 +101,8 @@ def test_auxiliary_matches_enumeration_two_binaries():
         cost = build_recourse_cost([1.0], 1.3, 0.7, 1)
         cap = 6.0
         ell = compute_lower_bound(lifted, cap)
-        x_l, eta_l, used = compute_auxiliary(lifted, ell, cost, cap)
+        x_l, eta_l, used = compute_auxiliary(LocalProblem(lifted, cost.d),
+                                             ell, cap)
         best = np.inf
         for x1 in (0.0, 1.0):
             for x2 in (0.0, 1.0):
@@ -177,23 +182,13 @@ def test_certificate_scalar_plugin_example():
     """Single non-integral agent with c = 0, d'eta_L = 3, d_min = 0.5
     contributes 6 on every component."""
 
-    class FakeLifted:
-        def __init__(self, base, H):
-            self.base = base
-            self.H = H
-            self.eta_dim = H.shape[0]
-
-    class FakeAgent:
-        pass
-
     class FakeResult:
         pass
 
     blk = box_block([0.0, 0.0], [1.0, 1.0], np.zeros((1, 2)),
                     c=np.zeros(2), integrality=np.array([True, True]))
-    agent = FakeAgent()
-    agent.lifted = lift_block(blk, 1)
-    agent.d = np.array([0.5, 1.0])
+    agent = AgentState(index=0, lifted=lift_block(blk, 1),
+                       d=np.array([0.5, 1.0]), y=np.zeros(2))
     agent.z = np.array([0.5, 0.5])      # fractional -> not integral
     agent.x_mi = np.array([0.0, 0.0])
     agent.eta_mi = np.zeros(2)
@@ -209,9 +204,22 @@ def test_certificate_scalar_plugin_example():
     # H = 0 so the auxiliary optimum has eta_L = max(0, -ell) = cap each,
     # d'eta_L = 1.5 * cap ... verify against the direct formula instead
     ell = compute_lower_bound(agent.lifted, res.eta_cap)
-    x_l, eta_l, _ = compute_auxiliary(agent.lifted, ell, cost, res.eta_cap)
+    x_l, eta_l, _ = compute_auxiliary(agent.problem, ell, res.eta_cap)
     want = (blk.c @ (x_l - agent.x_mi) + cost.d @ eta_l) / cost.d_min
     assert cert.bound == pytest.approx(np.full(2, want))
+
+
+def test_certificate_solves_one_auxiliary_milp_per_nonintegral_agent(
+        monkeypatch):
+    blocks, scen, cost, graph, res = desk_micro_run(T_f=40)
+    original = analysis.solve_milp
+    calls = []
+    monkeypatch.setattr(analysis, "solve_milp",
+                        lambda lp, tol: calls.append(lp) or original(lp, tol))
+    cert = violation_certificate(res, cost)
+    nonintegral = cert.in_integral_set.count(False)
+    assert nonintegral >= 1
+    assert len(calls) == nonintegral
 
 
 def test_optimality_transfer_and_componentwise_eta_bound():
@@ -223,7 +231,7 @@ def test_optimality_transfer_and_componentwise_eta_bound():
         val_inf = blk.c @ a.x_mi + cost.d @ a.eta_mi
         ell = compute_lower_bound(lifted, res.eta_cap)
         assert np.all(ell <= a.y + 1e-7)  # floor below any admissible share
-        x_l, eta_l, _ = compute_auxiliary(lifted, ell, cost, res.eta_cap)
+        x_l, eta_l, _ = compute_auxiliary(a.problem, ell, res.eta_cap)
         val_l = blk.c @ x_l + cost.d @ eta_l
         assert val_inf <= val_l + 1e-7
         assert np.all(a.eta_mi <= (cost.d @ a.eta_mi) / cost.d_min + 1e-7)

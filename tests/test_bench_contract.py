@@ -1,6 +1,7 @@
 """The traced benchmark in perfbench/ reaches into the package by name:
-every wrapped call site must still resolve, and the run trace must still
-carry every field the benchmark reads."""
+every wrapped call site must still resolve and fire where the benchmark
+counts it, and the run trace must still carry every field the benchmark
+reads."""
 
 import dataclasses
 import importlib
@@ -8,9 +9,14 @@ import importlib.util
 import re
 from pathlib import Path
 
+import yaml
+
+from mgridopt import experiment
+from mgridopt.config import ExperimentConfig
 from mgridopt.dialgo import RunTrace
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_tracing():
@@ -35,3 +41,28 @@ def test_run_trace_keeps_the_fields_the_benchmark_reads():
             "relax_cost_all"} <= read
     fields = {f.name for f in dataclasses.fields(RunTrace)}
     assert read <= fields, f"RunTrace lost {sorted(read - fields)}"
+
+
+def test_traced_run_fires_every_solver_span(tmp_path):
+    # one round of desk.yaml leaves agents non-integral, so the
+    # certificate's floor LPs and auxiliary MILPs run too
+    raw = yaml.safe_load((ROOT / "configs" / "desk.yaml").read_text())
+    raw["algorithm"]["iterations"] = 1
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        experiment.run_experiment(ExperimentConfig.from_dict(raw),
+                                  out_dir=tmp_path)
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    assert {"simplex.box", "simplex.alloc", "bnb.finalize", "simplex.cert",
+            "bnb.cert_aux"} <= {s.name for s in spans}
+    # a solve reached through the wrong module's name lands under the
+    # wrong span, where the reduction to metrics fails or miscounts it
+    root = next(i for i, s in enumerate(spans) if s.name == tracing.UNIT_SPAN)
+    m = tracing.unit_metrics(spans, tracing.children(spans), root)
+    assert m["bnb.cert_aux.solves"] == \
+        m["analysis.certificate.nonintegral_agents"] >= 1
+    assert m["bnb.cert_aux.infeasible"] == 0

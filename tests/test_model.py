@@ -15,7 +15,8 @@ from mgridopt.model import (ControllableLoadParams, DimensionError,
                             build_storage_block, grid_e_matrices,
                             power_balance_rhs, quadratic_cost_segments,
                             storage_e_matrices)
-from mgridopt.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_milp
+from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
+                             solve_milp)
 
 
 def storage_params(**kw):
@@ -318,6 +319,22 @@ def test_blocks_compact_and_binaries_boxed(maker):
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
     assert np.all(lo[blk.integrality] >= -1e-9)
     assert np.all(hi[blk.integrality] <= 1.0 + 1e-9)
+    # the box is solved over the folded rows; the raw rows must agree
+    free = np.full(blk.n, np.inf)
+    for j, e in enumerate(np.eye(blk.n)):
+        smin = solve_lp(LinearProgram(e, blk.G, blk.g, -free, free))
+        smax = solve_lp(LinearProgram(-e, blk.G, blk.g, -free, free))
+        assert lo[j] == pytest.approx(smin.value, abs=1e-9)
+        assert hi[j] == pytest.approx(-smax.value, abs=1e-9)
+
+
+def test_crossed_one_variable_rows_make_an_empty_block():
+    # x <= 0 and -x <= -1 fold into the bounds 1 <= x <= 0
+    blk = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
+                     g=np.array([0.0, -1.0]), integrality=np.zeros(1, bool),
+                     A=np.ones((1, 1)), var_index={}, K=1)
+    with pytest.raises(DimensionError, match="empty"):
+        blk.coordinate_box()
 
 
 def test_coupling_matches_named_power_expressions():

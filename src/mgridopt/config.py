@@ -5,6 +5,13 @@ confusion is the dominant failure mode in energy models.  A config
 fully determines an experiment given its three seeds: `problem` drives
 forecast sampling, `scenario` the renewable draws, `graph` the topology.
 
+Validation is the build: one walk over the mapping builds each section
+with the constructor that owns its rules (parameter records, profile
+models, step-size schedule, graph) and records each failure under its
+field path, e.g. `units.grid.max_exchange_kw: missing`.  Checked here
+are only the rules no record states: the shape of the mapping, the
+counts, the recourse penalties, the tolerances and the step-size kind.
+
 Schema sketch (see configs/desk.yaml for a complete example):
 
     horizon_steps: 6
@@ -21,10 +28,11 @@ Schema sketch (see configs/desk.yaml for a complete example):
       graph: {kind: random, edge_probability: 0.4}
       tolerances:          # optional; used by the rounds, the
                            # certificate and recertify alike
-        feasibility: 1e-7  # simplex: phase-1 infeasibility taken as zero
-        reduced_cost: 1e-9 # simplex: pricing optimality threshold
-        integrality: 1e-6  # certificate: when a relaxed block solution
-                           # counts as integral
+        feasibility: 1.0e-7  # simplex: phase-1 infeasibility taken as
+                             # zero (YAML reads 1e-7 as a string)
+        reduced_cost: 1.0e-9 # simplex: pricing optimality threshold
+        integrality: 1.0e-6  # certificate: when a relaxed block
+                             # solution counts as integral
     profiles:
       name: {literal_kw: [...]} | {kind: demand, base_kw: .., peaks: [[c,w,h]],
              sigma_kw: ..} | {literal_eur_per_kwh: [...]}
@@ -40,21 +48,20 @@ Schema sketch (see configs/desk.yaml for a complete example):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
 
 from .dialgo import DEFAULT_FINALIZE_EVERY, StepSizeSchedule, generate_graph
 from .model import (DEFAULT_EPSILON, ControllableLoadParams, GeneratorParams,
-                    GridParams, LocalBlock, ParameterError, StorageParams,
+                    GridParams, LocalBlock, StorageParams,
                     build_controllable_load_block, build_generator_block,
                     build_grid_block, build_storage_block,
                     quadratic_cost_segments)
-from .scenario import ProfileModel, sample_profile
+from .scenario import ProfileModel, sample_profile, sample_scenarioset
 from .solver import Tolerances
 from .stochastic import build_recourse_cost, ScenarioSet
-from .scenario import sample_scenarioset
 
 
 class ConfigError(ValueError):
@@ -83,10 +90,6 @@ class ExperimentConfig:
         return int(self.raw["horizon_steps"])
 
     @property
-    def R(self) -> int:
-        return int(self.raw["scenarios"]["count"])
-
-    @property
     def seeds(self) -> dict:
         return self.raw.get("seeds", {})
 
@@ -95,138 +98,58 @@ class ExperimentConfig:
             yaml.safe_dump(self.raw, fh, sort_keys=True)
 
 
-def _err(errors, path, message):
-    errors.append(f"{path}: {message}")
+# --------------------------------------------------------------------------
+# the rules no record states; raw mapping -> parameter records
+# --------------------------------------------------------------------------
 
 
-def _need(raw, key, path, errors, types=None):
-    if key not in raw:
-        _err(errors, f"{path}.{key}", "missing")
-        return None
-    value = raw[key]
-    if types is not None and not isinstance(value, types):
-        _err(errors, f"{path}.{key}",
-             f"expected {types}, got {type(value).__name__}")
-        return None
+def _mapping(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a mapping, got {type(value).__name__}")
     return value
 
 
-def validate_config(raw) -> list:
-    """All schema and parameter checks; returns error strings with paths."""
-    errors: list = []
-    if not isinstance(raw, dict):
-        return ["config: expected a mapping"]
-    K = _need(raw, "horizon_steps", "config", errors, int)
-    if K is not None and K < 1:
-        _err(errors, "config.horizon_steps", "must be >= 1")
-    scen = _need(raw, "scenarios", "config", errors, dict)
-    if scen is not None:
-        R = _need(scen, "count", "scenarios", errors, int)
-        if R is not None and R < 1:
-            _err(errors, "scenarios.count", "must be >= 1")
-        for key in ("surplus_penalty_eur_per_kwh",
-                    "shortage_penalty_eur_per_kwh"):
-            v = scen.get(key)
-            if v is not None and v <= 0:
-                # the certificate divides by the smallest recourse price
-                _err(errors, f"scenarios.{key}", "must be > 0")
-    algo = _need(raw, "algorithm", "config", errors, dict)
-    if algo is not None:
-        it = _need(algo, "iterations", "algorithm", errors, int)
-        if it is not None and it < 0:
-            _err(errors, "algorithm.iterations", "must be >= 0")
-        fe = algo.get("finalize_every", DEFAULT_FINALIZE_EVERY)
-        if not isinstance(fe, int) or fe < 1:
-            _err(errors, "algorithm.finalize_every", "must be an int >= 1")
-        tols = algo.get("tolerances", {})
-        if not isinstance(tols, dict):
-            _err(errors, "algorithm.tolerances", "must be a mapping")
-        else:
-            for key, v in tols.items():
-                if key not in ("feasibility", "integrality", "reduced_cost"):
-                    _err(errors, f"algorithm.tolerances.{key}",
-                         "unknown tolerance")
-                elif not isinstance(v, (int, float)) or v <= 0:
-                    _err(errors, f"algorithm.tolerances.{key}",
-                         "must be a positive number")
-        step = _need(algo, "step_size", "algorithm", errors, dict)
-        if step is not None:
-            kind = step.get("kind")
-            if kind == "diminishing":
-                if step.get("a", 0) <= 0 or step.get("b", 0) <= 0:
-                    _err(errors, "algorithm.step_size", "needs a > 0, b > 0")
-            elif kind == "piecewise":
-                if (step.get("initial", 0) <= 0 or step.get("factor", 0) <= 0
-                        or step.get("period", 0) < 1):
-                    _err(errors, "algorithm.step_size",
-                         "needs initial > 0, factor > 0, period >= 1")
-            else:
-                _err(errors, "algorithm.step_size.kind",
-                     f"unknown kind {kind!r}")
-        graph = _need(algo, "graph", "algorithm", errors, dict)
-        if graph is not None and graph.get("kind") not in ("path", "cycle",
-                                                           "random"):
-            _err(errors, "algorithm.graph.kind",
-                 f"unknown kind {graph.get('kind')!r}")
-    units = _need(raw, "units", "config", errors, dict)
-    profiles = raw.get("profiles", {})
-    if units is not None:
-        grid = units.get("grid")
-        if grid is None:
-            _err(errors, "units.grid",
-                 "missing: exactly one grid connection is required")
-        elif isinstance(grid, list):
-            _err(errors, "units.grid",
-                 "must be a single mapping, not a list (one connection)")
-        for name in ("purchase_price_profile", "sell_price_profile"):
-            if isinstance(grid, dict) and name not in grid:
-                _err(errors, f"units.grid.{name}", "missing")
-        for i, s in enumerate(units.get("storages", []) or []):
-            path = f"units.storages[{i}]"
-            try:
-                _storage_params(s).validate()
-            except (ParameterError, KeyError, TypeError) as e:
-                _err(errors, path, str(e))
-        K_val = K if isinstance(K, int) and K >= 1 else 1
-        for i, g in enumerate(units.get("generators", []) or []):
-            path = f"units.generators[{i}]"
-            try:
-                _generator_params(g, K_val).validate(K_val)
-            except (ParameterError, KeyError, TypeError) as e:
-                _err(errors, path, str(e))
-        for i, c in enumerate(units.get("controllable_loads", []) or []):
-            path = f"units.controllable_loads[{i}]"
-            if "demand_profile" not in c:
-                _err(errors, f"{path}.demand_profile", "missing")
-            elif c["demand_profile"] not in profiles:
-                _err(errors, f"{path}.demand_profile",
-                     f"unknown profile {c['demand_profile']!r}")
-            lo_f = c.get("curtail_min_fraction", 0.0)
-            hi_f = c.get("curtail_max_fraction", 0.0)
-            if not (0.0 <= lo_f <= hi_f <= 1.0):
-                _err(errors, path,
-                     "need 0 <= curtail_min_fraction <= curtail_max_fraction <= 1")
-            if c.get("curtailment_penalty_eur_per_kwh", 0.0) <= 0.0:
-                _err(errors, f"{path}.curtailment_penalty_eur_per_kwh",
-                     "must be > 0")
-        for i, c in enumerate(units.get("critical_loads", []) or []):
-            if c.get("demand_profile") not in profiles:
-                _err(errors, f"units.critical_loads[{i}].demand_profile",
-                     f"unknown profile {c.get('demand_profile')!r}")
-        if isinstance(grid, dict):
-            for key in ("purchase_price_profile", "sell_price_profile"):
-                prof = grid.get(key)
-                if prof is not None and prof not in profiles:
-                    _err(errors, f"units.grid.{key}",
-                         f"unknown profile {prof!r}")
-            if grid.get("max_exchange_kw", 0.0) < 0:
-                _err(errors, "units.grid.max_exchange_kw", "must be >= 0")
-    return errors
+def _roster(value) -> list:
+    value = value or []  # an empty YAML entry means no units
+    if not isinstance(value, list) or \
+            not all(isinstance(e, dict) for e in value):
+        raise TypeError("expected a list of mappings")
+    return value
 
 
-# --------------------------------------------------------------------------
-# raw mapping -> parameter records
-# --------------------------------------------------------------------------
+def _int_at_least(least: int):
+    def check(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < least:
+            raise ValueError(f"must be an int >= {least}, got {value!r}")
+        return value
+    return check
+
+
+def _positive(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not value > 0:
+        raise ValueError(f"must be a number > 0, got {value!r}")
+    return float(value)
+
+
+def _tolerance_names(value) -> dict:
+    known = {f.name for f in fields(Tolerances)}
+    for key in _mapping(value):
+        if key not in known:
+            raise ValueError(f"unknown tolerance {key!r}")
+    return value
+
+
+def _schedule(step) -> StepSizeSchedule:
+    kind = step["kind"]
+    if kind == "diminishing":
+        return StepSizeSchedule.diminishing(float(step["a"]), float(step["b"]))
+    if kind == "piecewise":
+        return StepSizeSchedule.piecewise(float(step["initial"]),
+                                          float(step["factor"]),
+                                          int(step["period"]))
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _storage_params(s: dict) -> StorageParams:
@@ -268,30 +191,24 @@ def _generator_params(g: dict, K: int) -> GeneratorParams:
     )
 
 
-def resolve_profile(cfg: ExperimentConfig, name: str,
-                    seed_tag: int = 0) -> np.ndarray:
-    """Materialize a named profile: literal values or a sampled forecast."""
-    spec = cfg.raw.get("profiles", {}).get(name)
-    if spec is None:
-        raise ConfigError(f"profiles.{name}: unknown profile")
-    K = cfg.K
+def resolve_profile(spec: dict, K: int, seed) -> np.ndarray:
+    """Materialize one profile: literal values or a forecast sampled
+    with `seed`."""
     for key in ("literal_kw", "literal_eur_per_kwh"):
         if key in spec:
             values = np.asarray(spec[key], dtype=float)
             if values.size != K:
-                raise ConfigError(
-                    f"profiles.{name}.{key}: length {values.size} != "
-                    f"horizon_steps {K}")
+                raise ValueError(f"{key} has {values.size} values, "
+                                 f"horizon_steps is {K}")
             return values
     if spec.get("kind") == "demand":
         model = ProfileModel.demand(
             K=K, base_kw=float(spec.get("base_kw", 0.0)),
             peaks=tuple(tuple(p) for p in spec.get("peaks", ())),
             sigma=float(spec.get("sigma_kw", 0.0)))
-        problem_seed = cfg.seeds.get("problem", 0)
-        return sample_profile(model, seed=(problem_seed, seed_tag))
-    raise ConfigError(f"profiles.{name}: cannot resolve (no literal values "
-                      f"and kind is {spec.get('kind')!r})")
+        return sample_profile(model, seed=seed)
+    raise ValueError(f"cannot resolve (no literal values and kind is "
+                     f"{spec.get('kind')!r})")
 
 
 @dataclass
@@ -315,99 +232,172 @@ class Problem:
     tolerances: Tolerances
 
 
-def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
-    """Blocks, scenario set, recourse cost, graph and schedule from config.
+def _build(raw, scenario_seed=None):
+    """(Problem, []) or (None, errors).  A failure to build from the
+    mapping at `path` is recorded as `<path>.<key>: missing` (KeyError)
+    or `<path>: <message>` (ValueError, TypeError, IndexError).
 
     Agent order (and so graph node ids): storages, generators,
     controllable loads, critical loads (empty blocks), grid.
     """
-    K = cfg.K
-    units = cfg.raw["units"]
+    if not isinstance(raw, dict):
+        return None, ["config: expected a mapping"]
+    errors: list = []
+
+    def build(path, make):
+        try:
+            return make()
+        except KeyError as e:
+            errors.append(f"{path}.{e.args[0]}: missing")
+        except (ValueError, TypeError, IndexError) as e:
+            errors.append(f"{path}: {e}")
+        return None
+
+    def field(mapping, path, key, check, *default):
+        """check(mapping[key]), or of the default when the key is absent."""
+        if key not in mapping and not default:
+            errors.append(f"{path}.{key}: missing")
+            return None
+        return build(f"{path}.{key}",
+                     lambda: check(mapping.get(key, *default)))
+
+    K = field(raw, "config", "horizon_steps", _int_at_least(1))
+    seeds = field(raw, "config", "seeds", _mapping, {})
+    profiles = field(raw, "config", "profiles", _mapping, {})
+    scen_cfg = field(raw, "config", "scenarios", _mapping)
+    algo = field(raw, "config", "algorithm", _mapping)
+    units = field(raw, "config", "units", _mapping)
+
+    if scen_cfg is not None:
+        R = field(scen_cfg, "scenarios", "count", _int_at_least(1))
+        # null is the default; the certificate divides by the penalties
+        q_plus, q_minus = (
+            None if scen_cfg.get(key) is None
+            else field(scen_cfg, "scenarios", key, _positive)
+            for key in ("surplus_penalty_eur_per_kwh",
+                        "shortage_penalty_eur_per_kwh"))
+    graph_cfg = None
+    if algo is not None:
+        T_f = field(algo, "algorithm", "iterations", _int_at_least(0))
+        finalize_every = field(algo, "algorithm", "finalize_every",
+                               _int_at_least(1), DEFAULT_FINALIZE_EVERY)
+        tols = field(algo, "algorithm", "tolerances", _tolerance_names, {})
+        tolerances = Tolerances(**{key: field(tols, "algorithm.tolerances",
+                                              key, _positive)
+                                   for key in tols or {}})
+        schedule = field(algo, "algorithm", "step_size", _schedule)
+        graph_cfg = field(algo, "algorithm", "graph", _mapping)
+    if None in (K, seeds, profiles, units):
+        return None, errors
+
+    def profile(entry, path, key, seed_tag=0):
+        name = entry.get(key)
+        if key not in entry:
+            errors.append(f"{path}.{key}: missing")
+        elif not isinstance(name, str) or name not in profiles:
+            errors.append(f"{path}.{key}: unknown profile {name!r}")
+        else:
+            seed = (seeds.get("problem", 0), seed_tag)
+            return build(f"profiles.{name}", lambda: resolve_profile(
+                _mapping(profiles[name]), K, seed))
+        return None
+
+    def roster(key):
+        return field(units, "units", key, _roster, []) or []
+
     blocks: list = []
     names: list = []
     storage_idx, gen_idx, load_idx = [], [], []
-    for i, s in enumerate(units.get("storages", []) or []):
+    for i, s in enumerate(roster("storages")):
         storage_idx.append(len(blocks))
-        blocks.append(build_storage_block(_storage_params(s), K))
+        blocks.append(build(f"units.storages[{i}]", lambda: (
+            build_storage_block(_storage_params(s), K))))
         names.append(f"storage_{i}")
-    for i, g in enumerate(units.get("generators", []) or []):
+    for i, g in enumerate(roster("generators")):
         gen_idx.append(len(blocks))
-        blocks.append(build_generator_block(_generator_params(g, K), K))
+        blocks.append(build(f"units.generators[{i}]", lambda: (
+            build_generator_block(_generator_params(g, K), K))))
         names.append(f"generator_{i}")
     cl_demands = []
-    for i, c in enumerate(units.get("controllable_loads", []) or []):
-        D = resolve_profile(cfg, c["demand_profile"], seed_tag=100 + i)
+    for i, c in enumerate(roster("controllable_loads")):
+        path = f"units.controllable_loads[{i}]"
+        D = profile(c, path, "demand_profile", seed_tag=100 + i)
         cl_demands.append(D)
         load_idx.append(len(blocks))
-        blocks.append(build_controllable_load_block(
-            ControllableLoadParams(
+        blocks.append(None if D is None else build(path, lambda: (
+            build_controllable_load_block(ControllableLoadParams(
                 beta_min=float(c.get("curtail_min_fraction", 0.0)),
                 beta_max=float(c.get("curtail_max_fraction", 0.0)),
                 D=tuple(D),
-                varphi=float(c["curtailment_penalty_eur_per_kwh"])), K))
+                varphi=float(c["curtailment_penalty_eur_per_kwh"])), K))))
         names.append(f"controllable_load_{i}")
     lo_demands = []
-    for i, c in enumerate(units.get("critical_loads", []) or []):
-        D = resolve_profile(cfg, c["demand_profile"], seed_tag=200 + i)
-        lo_demands.append(D)
+    for i, c in enumerate(roster("critical_loads")):
+        lo_demands.append(profile(c, f"units.critical_loads[{i}]",
+                                  "demand_profile", seed_tag=200 + i))
         blocks.append(LocalBlock.empty(K, kind="critical_load"))
         names.append(f"critical_load_{i}")
-    grid_cfg = units["grid"]
-    phi_p = resolve_profile(cfg, grid_cfg["purchase_price_profile"])
-    phi_s = resolve_profile(cfg, grid_cfg["sell_price_profile"])
+    grid_cfg = field(units, "units", "grid", _mapping)
+    phi_p = phi_s = None
+    if grid_cfg is not None:
+        phi_p = profile(grid_cfg, "units.grid", "purchase_price_profile")
+        phi_s = profile(grid_cfg, "units.grid", "sell_price_profile")
     grid_index = len(blocks)
-    blocks.append(build_grid_block(GridParams(
-        P_max=float(grid_cfg["max_exchange_kw"]),
-        phi_p=tuple(phi_p), phi_s=tuple(phi_s),
-        epsilon=float(grid_cfg.get("epsilon", DEFAULT_EPSILON))), K))
+    blocks.append(None if phi_p is None or phi_s is None else build(
+        "units.grid", lambda: build_grid_block(GridParams(
+            P_max=float(grid_cfg["max_exchange_kw"]),
+            phi_p=tuple(phi_p), phi_s=tuple(phi_s),
+            epsilon=float(grid_cfg.get("epsilon", DEFAULT_EPSILON))), K)))
     names.append("grid")
 
     renewables = []
-    for i, s in enumerate(units.get("solar", []) or []):
-        renewables.append(ProfileModel.solar(
-            K=K, peak_kw=float(s["peak_kw"]),
-            window=tuple(s.get("daylight_window_steps", (0, K - 1))),
-            cloud_sigma=float(s.get("cloud_sigma", 0.0))))
-    for i, w in enumerate(units.get("wind", []) or []):
-        renewables.append(ProfileModel.wind(
+    for i, s in enumerate(roster("solar")):
+        renewables.append(build(f"units.solar[{i}]", lambda: (
+            ProfileModel.solar(
+                K=K, peak_kw=float(s["peak_kw"]),
+                window=tuple(s.get("daylight_window_steps", (0, K - 1))),
+                cloud_sigma=float(s.get("cloud_sigma", 0.0))))))
+    for i, w in enumerate(roster("wind")):
+        renewables.append(build(f"units.wind[{i}]", lambda: ProfileModel.wind(
             K=K, mean_kw=float(w["mean_kw"]),
             rho=float(w.get("autocorrelation", 0.0)),
-            sigma=float(w.get("sigma_kw", 0.0))))
+            sigma=float(w.get("sigma_kw", 0.0)))))
+    if graph_cfg is not None:
+        graph = build("algorithm.graph", lambda: generate_graph(
+            len(blocks), graph_cfg["kind"], seed=seeds.get("graph", 0),
+            p=float(graph_cfg.get("edge_probability", 0.3))))
+    if errors:
+        return None, errors
 
     if scenario_seed is None:
-        scenario_seed = cfg.seeds.get("scenario", 0)
-    scen = sample_scenarioset(renewables, cfg.R,
-                              controllable_demands=cl_demands,
-                              critical_demands=lo_demands,
-                              seed=scenario_seed)
-    scen_cfg = cfg.raw["scenarios"]
+        scenario_seed = seeds.get("scenario", 0)
+    scen = build("seeds.scenario", lambda: sample_scenarioset(
+        renewables, R, controllable_demands=cl_demands,
+        critical_demands=lo_demands, seed=scenario_seed))
+    if errors:
+        return None, errors
     top_price = float(max(phi_p.max(), phi_s.max()))
-    q_plus = scen_cfg.get("surplus_penalty_eur_per_kwh")
-    q_minus = scen_cfg.get("shortage_penalty_eur_per_kwh")
     # recourse is a penalty of last resort: default 10x the top price
-    q_plus = 10.0 * top_price if q_plus is None else float(q_plus)
-    q_minus = 10.0 * top_price if q_minus is None else float(q_minus)
-    cost = build_recourse_cost(scen.pi, q_plus, q_minus, K)
-
-    algo = cfg.raw["algorithm"]
-    step = algo["step_size"]
-    if step["kind"] == "diminishing":
-        schedule = StepSizeSchedule.diminishing(float(step["a"]),
-                                                float(step["b"]))
-    else:
-        schedule = StepSizeSchedule.piecewise(float(step["initial"]),
-                                              float(step["factor"]),
-                                              int(step["period"]))
-    graph_cfg = algo["graph"]
-    graph = generate_graph(len(blocks), graph_cfg["kind"],
-                           seed=cfg.seeds.get("graph", 0),
-                           p=float(graph_cfg.get("edge_probability", 0.3)))
-    tolerances = Tolerances(**{key: float(v) for key, v in
-                               algo.get("tolerances", {}).items()})
+    q_plus = 10.0 * top_price if q_plus is None else q_plus
+    q_minus = 10.0 * top_price if q_minus is None else q_minus
     return Problem(
-        blocks=blocks, agent_names=names, scen=scen, cost=cost, graph=graph,
-        schedule=schedule, T_f=int(algo["iterations"]),
-        finalize_every=int(algo.get("finalize_every", DEFAULT_FINALIZE_EVERY)),
+        blocks=blocks, agent_names=names, scen=scen,
+        cost=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,
+        schedule=schedule, T_f=T_f, finalize_every=finalize_every,
         cl_demands=cl_demands, lo_demands=lo_demands, grid_index=grid_index,
         storage_indices=storage_idx, generator_indices=gen_idx,
-        load_indices=load_idx, tolerances=tolerances)
+        load_indices=load_idx, tolerances=tolerances), []
+
+
+def validate_config(raw) -> list:
+    """Every error of building `raw`, each with its field path."""
+    return _build(raw)[1]
+
+
+def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
+    """Blocks, scenario set, recourse cost, graph and schedule from config;
+    raises ConfigError listing every invalid field."""
+    problem, errors = _build(cfg.raw, scenario_seed)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return problem

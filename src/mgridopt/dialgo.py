@@ -115,14 +115,15 @@ def generate_graph(N: int, kind: str = "random", seed=None,
     The random kind redraws up to 100 times and falls back to a cycle,
     so the result is always connected and deterministic per seed.
     """
+    if kind not in ("path", "cycle", "random"):
+        raise GraphError(f"unknown graph kind {kind!r}")
     if N < 1:
         raise GraphError(f"need at least one node, got {N}")
     if N == 1:
         return CommGraph(1, [])
+    path = [(i, i + 1) for i in range(N - 1)]
     if kind == "path" or N == 2:
-        return CommGraph(N, [(i, i + 1) for i in range(N - 1)])
-    if kind == "cycle":
-        return CommGraph(N, [(i, i + 1) for i in range(N - 1)] + [(0, N - 1)])
+        return CommGraph(N, path)
     if kind == "random":
         rng = np.random.default_rng(seed)
         for _ in range(100):
@@ -132,8 +133,7 @@ def generate_graph(N: int, kind: str = "random", seed=None,
                 return CommGraph(N, edges)
             except GraphError:
                 continue
-        return CommGraph(N, [(i, i + 1) for i in range(N - 1)] + [(0, N - 1)])
-    raise GraphError(f"unknown graph kind {kind!r}")
+    return CommGraph(N, path + [(0, N - 1)])
 
 
 # --------------------------------------------------------------------------
@@ -290,25 +290,14 @@ def finalize_mixed_integer(agent: AgentState, eta_cap: float,
     return agent.x_mi, agent.eta_mi
 
 
-def init_allocations(h: np.ndarray, N: int, mode: str = "uniform",
-                     seed=None) -> list:
-    """Starting allocations summing to h exactly.
-
-    uniform: equal shares, the last agent absorbing the floating-point
-    remainder.  random: seeded zero-sum perturbations on top.
-    """
+def init_allocations(h: np.ndarray, N: int) -> list:
+    """Equal shares of h, the last agent absorbing the floating-point
+    remainder, so the allocations sum to h exactly."""
     if N < 1:
         raise ValueError("need at least one agent")
     h = np.asarray(h, dtype=float)
     share = h / N
     ys = [share.copy() for _ in range(N - 1)]
-    if mode == "random" and N > 1:
-        rng = np.random.default_rng(seed)
-        scale = 1.0 + np.abs(h) / N
-        for y in ys:
-            y += rng.normal(0.0, 0.1 * scale)
-    elif mode not in ("uniform", "random"):
-        raise ValueError(f"unknown allocation mode {mode!r}")
     last = h.copy()
     for y in ys:
         last = last - y
@@ -370,7 +359,6 @@ class RunResult:
     h: np.ndarray
     eta_cap: float
     converged_label: str
-    schedule: StepSizeSchedule
     T_f: int
 
     def incumbent_cost(self) -> float:
@@ -404,11 +392,13 @@ def recourse_cap(blocks, scen: ScenarioSet) -> float:
 
 def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
         schedule: StepSizeSchedule, T_f: int,
-        finalize_every: int = DEFAULT_FINALIZE_EVERY,
-        init_mode: str = "uniform", init_seed=None, eta_cap: float | None = None,
+        finalize_every: int = DEFAULT_FINALIZE_EVERY, ys=None,
+        eta_cap: float | None = None,
         tol: Tolerances = Tolerances()) -> RunResult:
     """Execute T_f rounds and return the finalized solution plus trace.
 
+    Round 0 starts from the allocations `ys` (one per block, summing to
+    the stacked band h; default the equal split of `init_allocations`).
     Logged iterations are {0, 1, multiples of finalize_every, T_f}; the
     allocation conservation residual is recorded at every round.  The
     recourse cap (default `recourse_cap`) is run-wide: a local solve
@@ -418,20 +408,22 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
     """
     if T_f < 0:
         raise ValueError("T_f must be >= 0")
+    if finalize_every < 1:
+        raise ValueError("finalize_every must be >= 1")
     if graph.n != len(blocks):
         raise DimensionError(
             f"graph has {graph.n} nodes but {len(blocks)} blocks given")
     h = build_h(scen)
     if eta_cap is None:
         eta_cap = recourse_cap(blocks, scen)
+    if ys is None:
+        ys = init_allocations(h, len(blocks))
     agents = make_agents(blocks, scen, cost,
-                         init_allocations(h, len(blocks), mode=init_mode,
-                                          seed=init_seed))
+                         [np.array(y, dtype=float) for y in ys])
     trace = RunTrace()
     result = RunResult(agents=agents, trace=trace, h=h, eta_cap=eta_cap,
-                       converged_label="empirical", schedule=schedule,
-                       T_f=T_f)
-    log_set = {0, 1, T_f} | {t for t in range(0, T_f + 1, max(finalize_every, 1))}
+                       converged_label="empirical", T_f=T_f)
+    log_set = {0, 1, T_f} | set(range(0, T_f + 1, finalize_every))
     prev_logged_y = None
 
     for t in range(T_f + 1):

@@ -30,9 +30,7 @@ import numpy as np
 
 from .analysis import distributed_certificate, violation_certificate
 from .config import ConfigError, ExperimentConfig, Problem, build_problem
-from .dialgo import (RunResult, RunTrace, finalize_mixed_integer,
-                     local_multiplier_step, make_agents, run)
-from .stochastic import build_h
+from .dialgo import RunResult, run
 
 OUTPUT_ROOT_ENV = "MGRIDOPT_OUT"
 TRACE_HEADER = ("iter,incumbent_cost,max_coupling_violation_pos,"
@@ -183,6 +181,17 @@ def write_solution(path, problem: Problem, result: RunResult):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _certify(problem: Problem, result: RunResult, consensus_rounds: int):
+    """The violation certificate and its payload with the consensus check."""
+    cert = violation_certificate(result, problem.cost, problem.tolerances)
+    _, deviation = distributed_certificate(cert, problem.graph,
+                                           rounds=consensus_rounds)
+    payload = cert.to_dict()
+    payload["consensus"] = {"rounds": consensus_rounds,
+                            "max_deviation": deviation}
+    return cert, payload
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None,
                    consensus_rounds: int = 500) -> ExperimentResult:
     """Build, run, certify, and write the artifact set."""
@@ -194,12 +203,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                  problem.schedule, problem.T_f,
                  finalize_every=problem.finalize_every,
                  tol=problem.tolerances)
-    cert = violation_certificate(result, problem.cost, problem.tolerances)
-    _, deviation = distributed_certificate(cert, problem.graph,
-                                           rounds=consensus_rounds)
-    cert_payload = cert.to_dict()
-    cert_payload["consensus"] = {"rounds": consensus_rounds,
-                                 "max_deviation": deviation}
+    cert, cert_payload = _certify(problem, result, consensus_rounds)
     cfg.to_yaml(out / "config.yaml")
     write_trace_csv(out / "trace.csv", result.trace)
     (out / "certificate.json").write_text(
@@ -252,31 +256,20 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
 def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     """Recompute the certificate of a saved run from its artifacts.
 
-    Rebuilds the problem from the stored config, restores the final
-    allocations, re-solves the local problems (deterministic), and
-    compares the bound and the measured violation against the stored
-    certificate.
+    Rebuilds the problem from the stored config, replays round 0 from
+    the final allocations at the stored recourse cap (the local solves
+    are deterministic), and compares the bound and the measured
+    violation against the stored certificate.
     """
     run_dir = Path(run_dir)
     cfg = ExperimentConfig.from_yaml(run_dir / "config.yaml")
     saved = json.loads((run_dir / "solution.json").read_text())
     problem = build_problem(cfg)
-    tol = problem.tolerances
-    agents = make_agents(problem.blocks, problem.scen, problem.cost,
-                         [np.array(y, dtype=float) for y in saved["y"]])
-    for a in agents:
-        local_multiplier_step(a, saved["eta_cap"], tol)
-        finalize_mixed_integer(a, saved["eta_cap"], tol)
-    result = RunResult(agents=agents, trace=RunTrace(),
-                       h=build_h(problem.scen), eta_cap=saved["eta_cap"],
-                       converged_label=saved["label"],
-                       schedule=problem.schedule, T_f=saved["T_f"])
-    cert = violation_certificate(result, problem.cost, tol)
-    _, deviation = distributed_certificate(cert, problem.graph,
-                                           rounds=consensus_rounds)
-    payload = cert.to_dict()
-    payload["consensus"] = {"rounds": consensus_rounds,
-                            "max_deviation": deviation}
+    result = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+                 problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"],
+                 tol=problem.tolerances)
+    result.converged_label = saved["label"]
+    _, payload = _certify(problem, result, consensus_rounds)
     stored = json.loads((run_dir / "certificate.json").read_text())
     payload["matches_stored_bound"] = all(
         np.allclose(np.array(payload[key]), np.array(stored[key]), atol=1e-9)

@@ -1,6 +1,7 @@
 """Config validation, experiment artifacts, determinism, CLI verbs."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import yaml
 
 from mgridopt.cli import main
-from mgridopt.config import ExperimentConfig, build_problem, validate_config
+from mgridopt.config import (ConfigError, ExperimentConfig, build_problem,
+                             validate_config)
 from mgridopt.experiment import (read_csv, read_trace_csv, recertify,
                                  regenerate_reports, run_experiment,
                                  run_montecarlo)
@@ -112,6 +114,71 @@ def test_tolerance_overrides_flow_through():
         raw["algorithm"]["tolerances"] = {key: 1e-5}
         errors = validate_config(raw)
         assert any("unknown tolerance" in e for e in errors)
+
+
+# each breaks one field of desk.yaml; the error names the field's path
+MALFORMED_DESK = {
+    "solar_peak_missing": (
+        lambda raw: raw["units"]["solar"][0].pop("peak_kw"),
+        "units.solar[0].peak_kw: missing"),
+    "wind_autocorrelation_above_one": (
+        lambda raw: raw["units"]["wind"][0].update(autocorrelation=1.5),
+        "units.wind[0]: wind needs"),
+    "grid_exchange_missing": (
+        lambda raw: raw["units"]["grid"].pop("max_exchange_kw"),
+        "units.grid.max_exchange_kw: missing"),
+    "edge_probability_text": (
+        lambda raw: raw["algorithm"]["graph"].update(edge_probability="x"),
+        "algorithm.graph: could not convert"),
+    "step_size_text": (
+        lambda raw: raw["algorithm"]["step_size"].update(a="x"),
+        "algorithm.step_size: could not convert"),
+    "penalty_text": (
+        lambda raw: raw["scenarios"].update(surplus_penalty_eur_per_kwh="x"),
+        "scenarios.surplus_penalty_eur_per_kwh: must be a number > 0"),
+    "curtail_fraction_text": (
+        lambda raw: raw["units"]["controllable_loads"][0].update(
+            curtail_max_fraction="x"),
+        "units.controllable_loads[0]: could not convert"),
+    "step_size_kind_unknown": (
+        lambda raw: raw["algorithm"]["step_size"].update(kind="linear"),
+        "algorithm.step_size: unknown kind 'linear'"),
+    "solar_window_one_step": (
+        lambda raw: raw["units"]["solar"][0].update(
+            daylight_window_steps=[3]),
+        "units.solar[0]: tuple index out of range"),
+    "storages_not_a_list": (
+        lambda raw: raw["units"].update(storages=5),
+        "units.storages: expected a list of mappings"),
+    "seeds_not_a_mapping": (
+        lambda raw: raw.update(seeds=[11, 2025, 3]),
+        "config.seeds: expected a mapping"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DESK))
+def test_malformed_desk_config_rejected_with_field_path(tmp_path, capsys,
+                                                         case):
+    break_field, path = MALFORMED_DESK[case]
+    raw = yaml.safe_load(DESK.read_text())
+    break_field(raw)
+    errors = validate_config(raw)
+    assert any(e.startswith(path) for e in errors), errors
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        build_problem(ExperimentConfig(raw=raw))
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["build", str(cfg_path), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unknown_graph_kind_rejected_for_two_agents():
+    # minimal_config has two agents, the size generate_graph shortcuts
+    raw = minimal_config()
+    raw["algorithm"]["graph"]["kind"] = "bogus"
+    assert validate_config(raw) == [
+        "algorithm.graph: unknown graph kind 'bogus'"]
 
 
 # --------------------------------------------------------------- experiments

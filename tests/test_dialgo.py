@@ -15,7 +15,7 @@ from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             build_grid_block, build_storage_block,
                             power_balance_rhs)
 from mgridopt.solver import OPTIMAL, solve_lp
-from mgridopt.stochastic import (ScenarioSet, assemble_two_stage,
+from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost, lift_block)
 
 
@@ -64,6 +64,13 @@ def test_graph_validation():
         CommGraph(2, [(0, 5)])
 
 
+def test_unknown_graph_kind_rejected_for_any_size():
+    # the kind is checked before the one- and two-node shortcuts
+    for N in (1, 2, 5):
+        with pytest.raises(GraphError, match="bogus"):
+            generate_graph(N, "bogus")
+
+
 def test_metropolis_weights_doubly_stochastic():
     g = generate_graph(2, "path")
     W = g.metropolis_weights()
@@ -98,16 +105,6 @@ def test_uniform_split_example():
     ys = init_allocations(np.array([4.0, 8.0]), 4)
     for y in ys:
         assert y == pytest.approx([1.0, 2.0])
-
-
-def test_random_split_sums_exactly():
-    h = np.array([3.7, -2.2, 0.0])
-    for seed in range(5):
-        ys = init_allocations(h, 6, mode="random", seed=seed)
-        total = ys[0].copy()
-        for y in ys[1:]:
-            total = total + y
-        assert np.max(np.abs(total - h)) <= 1e-12
 
 
 def test_single_agent_gets_everything():
@@ -276,9 +273,13 @@ def test_run_converges_to_centralized_relaxation():
 
 def test_run_anytime_feasibility_and_conservation():
     blocks, scen, cost = two_agent_instance()
+    # a seeded zero-sum perturbation of the equal split
+    h = build_h(scen)
+    rng = np.random.default_rng(4)
+    y0 = h / 2 + rng.normal(0.0, 0.1 * (1.0 + np.abs(h) / 2))
     res = run(blocks, scen, cost, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 5.0), T_f=40,
-              finalize_every=10, init_mode="random", init_seed=4)
+              finalize_every=10, ys=[y0, h - y0])
     h = res.h
     for idx in range(len(res.trace.iters)):
         assert np.all(res.trace.coupling_vectors[idx] <= 1e-6)
@@ -340,6 +341,13 @@ def test_recovery_infeasible_for_every_cap_names_its_round():
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
     assert e.value.agent == 0
     assert f"after {MAX_CAP_DOUBLINGS} cap doublings" in e.value.status
+
+
+def test_run_rejects_finalize_every_below_one():
+    blocks, scen, cost = two_agent_instance()
+    with pytest.raises(ValueError, match="finalize_every"):
+        run(blocks, scen, cost, generate_graph(2, "path"),
+            StepSizeSchedule.diminishing(1.0, 1.0), T_f=2, finalize_every=0)
 
 
 def test_mismatched_graph_size_rejected():

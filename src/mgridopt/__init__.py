@@ -19,8 +19,7 @@ from .model import (ControllableLoadParams, GeneratorParams, GridParams,
                     build_controllable_load_block, build_generator_block,
                     build_grid_block, build_storage_block,
                     power_balance_rhs)
-from .scenario import ProfileModel, load_csv_profiles, sample_profile, \
-    sample_scenarioset
+from .scenario import ProfileModel, sample_profile, sample_scenarioset
 from .solver import (LinearProgram, LpSolution, MipSolution, Tolerances,
                      solve_lp, solve_milp)
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet,

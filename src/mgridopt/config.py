@@ -64,6 +64,11 @@ from .solver import Tolerances
 from .stochastic import build_recourse_cost, ScenarioSet
 
 
+# libyaml's C parser where PyYAML was built with it (it reads desk.yaml
+# about 8x faster); the same mapping either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(ValueError):
     """Config invalid; message carries the offending field path."""
 
@@ -75,7 +80,7 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
         return cls.from_dict(raw)
 
     @classmethod
@@ -126,6 +131,14 @@ def _int_at_least(least: int):
     return check
 
 
+def _count(key: str, value) -> int:
+    """A step or segment count: an int >= 1 (no bool, no truncation)."""
+    try:
+        return _int_at_least(1)(value)
+    except ValueError as e:
+        raise ValueError(f"{key} {e}") from None
+
+
 def _positive(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not value > 0:
@@ -148,7 +161,7 @@ def _schedule(step) -> StepSizeSchedule:
     if kind == "piecewise":
         return StepSizeSchedule.piecewise(float(step["initial"]),
                                           float(step["factor"]),
-                                          int(step["period"]))
+                                          _count("period", step["period"]))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -168,17 +181,17 @@ def _storage_params(s: dict) -> StorageParams:
 
 def _generator_params(g: dict, K: int) -> GeneratorParams:
     segs = g.get("cost_segments", 3)
-    if isinstance(segs, int):
+    if isinstance(segs, list):
+        segments = tuple((float(S), float(s)) for S, s in segs)
+    else:
         segments = quadratic_cost_segments(
             float(g.get("fuel_cost_quadratic_eur_per_kw2", 0.0)),
             float(g.get("fuel_cost_linear_eur_per_kwh", 0.0)),
             float(g["power_min_kw"]), float(g["power_max_kw"]),
-            n_segments=segs)
-    else:
-        segments = tuple((float(S), float(s)) for S, s in segs)
+            n_segments=_count("cost_segments", segs))
     return GeneratorParams(
-        T_up=int(g["min_up_steps"]),
-        T_down=int(g["min_down_steps"]),
+        T_up=_count("min_up_steps", g["min_up_steps"]),
+        T_down=_count("min_down_steps", g["min_down_steps"]),
         u_min=float(g["power_min_kw"]),
         u_max=float(g["power_max_kw"]),
         r_max=float(g["ramp_limit_kw_per_step"]),

@@ -188,9 +188,8 @@ DEFAULT_FINALIZE_EVERY = 10
 
 
 class LocalProblem:
-    """One agent's program min c'z + d'eta over its block (in the block's
-    folded form, `LocalBlock.relaxation_lp`) and H z - eta <= y,
-    0 <= eta <= cap.
+    """One agent's program min c'z + d'eta over its block
+    (`LocalBlock.relaxation_lp`) and H z - eta <= y, 0 <= eta <= cap.
 
     The rounds solve it relaxed for the multiplier of the allocation
     rows and mixed-integer to recover a feasible point; the certificate

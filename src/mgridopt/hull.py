@@ -44,6 +44,15 @@ def enumerate_vertices(G, g, tol: float = 1e-7):
     return verts
 
 
+def _bounded_rows(block: LocalBlock):
+    """(G, g) of the block's relaxed polytope: its rows followed by its
+    finite bounds, x_j <= hi_j then -x_j <= -lo_j."""
+    eye = np.eye(block.n)
+    up, dn = np.isfinite(block.hi), np.isfinite(block.lo)
+    return (np.vstack([block.G, eye[up], -eye[dn]]),
+            np.concatenate([block.g, block.hi[up], -block.lo[dn]]))
+
+
 def relaxation_equals_hull(block: LocalBlock, tol: float = 1e-6) -> bool:
     """True iff every vertex of the relaxed polytope is integer-feasible.
 
@@ -54,7 +63,7 @@ def relaxation_equals_hull(block: LocalBlock, tol: float = 1e-6) -> bool:
     if not np.any(block.integrality):
         return True
     mask = block.integrality
-    for v in enumerate_vertices(block.G, block.g):
+    for v in enumerate_vertices(*_bounded_rows(block)):
         ints = v[mask]
         if np.any(np.abs(ints - np.round(ints)) > tol):
             return False
@@ -66,9 +75,11 @@ def feasible_binary_assignments(block: LocalBlock):
     idx = np.flatnonzero(block.integrality)
     out = []
     for combo in itertools.product((0.0, 1.0), repeat=idx.size):
-        lo = np.full(block.n, -np.inf)
-        hi = np.full(block.n, np.inf)
-        lo[idx] = hi[idx] = combo
+        lo, hi = block.lo.copy(), block.hi.copy()
+        lo[idx] = np.maximum(lo[idx], combo)
+        hi[idx] = np.minimum(hi[idx], combo)
+        if np.any(lo[idx] > hi[idx]):
+            continue  # the pin leaves the block's box
         sol = solve_lp(LinearProgram(np.zeros(block.n), block.G, block.g,
                                      lo, hi))
         if sol.status == OPTIMAL:
@@ -158,14 +169,15 @@ def slice_vertices(block: LocalBlock, pattern) -> list:
     idx = np.flatnonzero(block.integrality)
     cont = np.flatnonzero(~block.integrality)
     pattern = np.asarray(pattern, dtype=float)
+    G, g = _bounded_rows(block)
     if cont.size == 0:
         x = np.zeros(block.n)
         x[idx] = pattern
-        ok = block.G.size == 0 or np.all(block.G @ x <= block.g + 1e-9)
+        ok = G.size == 0 or np.all(G @ x <= g + 1e-9)
         return [x] if ok else []
-    g_adj = block.g - block.G[:, idx] @ pattern
+    g_adj = g - G[:, idx] @ pattern
     out = []
-    for v in enumerate_vertices(block.G[:, cont], g_adj):
+    for v in enumerate_vertices(G[:, cont], g_adj):
         x = np.zeros(block.n)
         x[cont] = v
         x[idx] = pattern

@@ -2,11 +2,14 @@
 
 Each microgrid unit (storage, generator, controllable load, grid
 connection) is translated into a LocalBlock: a compact polyhedron
-G x <= g with an integrality mask, a linear cost c, and a K-row
-coupling matrix A whose k-th row evaluates the unit's signed power
-injection at step k.  Logical switches (charge/discharge, on/off,
-import/export) are encoded with big-M inequalities driven by a strict
-positivity constant epsilon.
+G x <= g, lo <= x <= hi with an integrality mask, a linear cost c, and
+a K-row coupling matrix A whose k-th row evaluates the unit's signed
+power injection at step k.  Boxes (state of charge, power limits,
+0 <= delta <= 1) are variable bounds, and any row a builder writes with
+a single nonzero tightens them as it is added, so G holds only rows
+touching two or more variables.  Logical switches
+(charge/discharge, on/off, import/export) are encoded with big-M
+inequalities driven by a strict positivity constant epsilon.
 
 Sign conventions: storage power u >= 0 while charging (it consumes),
 generator and grid power enter the balance negated (they supply),
@@ -16,12 +19,10 @@ curtailment removes -beta*D of demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
-                     split_singleton_rows)
+from .solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 
 DEFAULT_EPSILON = 1e-6  # machine epsilon would make the big-M rows tie-prone
 
@@ -169,11 +170,13 @@ class GridParams:
 
 @dataclass
 class LocalBlock:
-    """One agent's share of the coupled problem.
+    """One agent's share of the coupled problem: min c'x over
+    G x <= g, lo <= x <= hi with x[integrality] integer.
 
-    `var_index` maps names like "u(3)" to column positions, which keeps
-    tests and reports readable.  `box` caches per-coordinate ranges once
-    compactness has been verified.
+    `lo`/`hi` default to the unbounded box.  `var_index` maps names
+    like "u(3)" to column positions, which keeps tests and reports
+    readable.  `box` caches per-coordinate ranges once compactness has
+    been verified.
     """
 
     c: np.ndarray
@@ -184,7 +187,15 @@ class LocalBlock:
     var_index: dict
     K: int
     kind: str = "generic"
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
     box: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.lo is None:
+            self.lo = np.full(self.n, -np.inf)
+        if self.hi is None:
+            self.hi = np.full(self.n, np.inf)
 
     @property
     def n(self) -> int:
@@ -197,28 +208,16 @@ class LocalBlock:
         return float(x[self.var_index[name]])
 
     def contains(self, x: np.ndarray, tol: float = 1e-7) -> bool:
+        if np.any(x < self.lo - tol) or np.any(x > self.hi + tol):
+            return False
         if self.G.size and np.any(self.G @ x > self.g + tol):
             return False
         ints = x[self.integrality]
         return bool(np.all(np.abs(ints - np.round(ints)) <= 1e-6))
 
-    @cached_property
-    def folded(self) -> tuple:
-        """(G', g', lo, hi): the rows G x <= g with every one-variable row
-        folded into the bounds lo <= x <= hi, computed once per block.
-
-        The arrays are read-only because every LP over the block shares
-        them; G and g stay as built for `contains` and the oracles.
-        """
-        out = split_singleton_rows(self.G, self.g, np.full(self.n, -np.inf),
-                                   np.full(self.n, np.inf))
-        for arr in out:
-            arr.flags.writeable = False
-        return out
-
     def relaxation_lp(self, c: np.ndarray) -> LinearProgram:
-        """min c'x over the relaxed block in its folded form."""
-        return LinearProgram(c, *self.folded)
+        """min c'x over the relaxed block."""
+        return LinearProgram(c, self.G, self.g, self.lo, self.hi)
 
     def coordinate_box(self):
         """Min/max of every coordinate over the relaxed polyhedron.
@@ -229,8 +228,8 @@ class LocalBlock:
         """
         if self.box is not None:
             return self.box
-        if np.any(self.folded[2] > self.folded[3]):
-            # crossed one-variable rows: no LP can even be built
+        if np.any(self.lo > self.hi):
+            # crossed bounds: no LP can even be built
             raise DimensionError(f"{self.kind} block polyhedron is empty")
         lo = np.zeros(self.n)
         hi = np.zeros(self.n)
@@ -259,15 +258,32 @@ class LocalBlock:
 
 
 class _RowBuilder:
+    """Rows G x <= g and bounds lo <= x <= hi of one block.
+
+    A row with a single nonzero a x_j <= r is not stored: it tightens
+    hi_j to r / a (a > 0) or lo_j to r / a (a < 0) as it is added.
+    """
+
     def __init__(self, n):
         self.n = n
         self.rows = []
         self.rhs = []
+        self.lo = np.full(n, -np.inf)
+        self.hi = np.full(n, np.inf)
 
     def add(self, coeffs: dict, rhs: float):
         row = np.zeros(self.n)
         for j, v in coeffs.items():
             row[j] += v
+        nz = np.flatnonzero(row)
+        if nz.size == 1:
+            j = int(nz[0])
+            a = row[j]
+            if a > 0:
+                self.hi[j] = min(self.hi[j], float(rhs) / a)
+            else:
+                self.lo[j] = max(self.lo[j], float(rhs) / a)
+            return
         self.rows.append(row)
         self.rhs.append(float(rhs))
 
@@ -275,13 +291,14 @@ class _RowBuilder:
         self.add(coeffs, rhs)
         self.add({j: -v for j, v in coeffs.items()}, -rhs)
 
-    def add_box(self, j: int, lo: float, hi: float):
-        self.add({j: 1.0}, hi)
-        self.add({j: -1.0}, -lo)
+    def bound(self, j: int, lo: float, hi: float):
+        """Intersect column j's bounds with [lo, hi]."""
+        self.lo[j] = max(self.lo[j], lo)
+        self.hi[j] = min(self.hi[j], hi)
 
     def matrices(self):
         return np.array(self.rows).reshape(len(self.rows), self.n), \
-            np.array(self.rhs)
+            np.array(self.rhs), self.lo, self.hi
 
 
 # --------------------------------------------------------------------------
@@ -348,13 +365,13 @@ def build_storage_block(p: StorageParams, K: int) -> LocalBlock:
         for r in range(6):
             b.add({dk: E1[r], zk: E2[r], uk: -E3[r]}, E4[r])
     for k in range(1, K + 1):
-        b.add_box(idx[f"x({k})"], p.x_min, p.x_max)
+        b.bound(idx[f"x({k})"], p.x_min, p.x_max)
     b.add_equality({idx["x(0)"]: 1.0}, p.x0)
     for k in range(K):
-        b.add_box(idx[f"u({k})"], -p.C, p.C)
-        b.add_box(idx[f"z({k})"], -p.C, p.C)
-        b.add_box(idx[f"delta({k})"], 0.0, 1.0)
-    G, g = b.matrices()
+        b.bound(idx[f"u({k})"], -p.C, p.C)
+        b.bound(idx[f"z({k})"], -p.C, p.C)
+        b.bound(idx[f"delta({k})"], 0.0, 1.0)
+    G, g, lo, hi = b.matrices()
     c = np.zeros(n)
     A = np.zeros((K, n))
     mask = np.zeros(n, dtype=bool)
@@ -364,7 +381,7 @@ def build_storage_block(p: StorageParams, K: int) -> LocalBlock:
         A[k, idx[f"u({k})"]] = 1.0
         mask[idx[f"delta({k})"]] = True
     return LocalBlock(c=c, G=G, g=g, integrality=mask, A=A, var_index=idx,
-                      K=K, kind="storage")
+                      K=K, kind="storage", lo=lo, hi=hi)
 
 
 def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
@@ -433,8 +450,8 @@ def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
         b.add({nk: 1.0}, nu_ub)
         b.add({tu: 1.0}, p.kappa_u[k])
         b.add({td: 1.0}, p.kappa_d[k])
-        b.add_box(idx[f"delta({k})"], 0.0, 1.0)
-    G, g = b.matrices()
+        b.bound(idx[f"delta({k})"], 0.0, 1.0)
+    G, g, lo, hi = b.matrices()
     c = np.zeros(n)
     A = np.zeros((K, n))
     mask = np.zeros(n, dtype=bool)
@@ -446,7 +463,7 @@ def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
         A[k, idx[f"u({k})"]] = -1.0
         mask[idx[f"delta({k})"]] = True
     return LocalBlock(c=c, G=G, g=g, integrality=mask, A=A, var_index=idx,
-                      K=K, kind="generator")
+                      K=K, kind="generator", lo=lo, hi=hi)
 
 
 def quadratic_cost_segments(a: float, b: float, u_min: float, u_max: float,
@@ -472,14 +489,15 @@ def build_controllable_load_block(p: ControllableLoadParams, K: int) -> LocalBlo
     idx = {f"beta({k})": k for k in range(K)}
     b = _RowBuilder(K)
     for k in range(K):
-        b.add_box(k, p.beta_min, p.beta_max)
-    G, g = b.matrices()
+        b.bound(k, p.beta_min, p.beta_max)
+    G, g, lo, hi = b.matrices()
     c = np.array([p.varphi * p.D[k] for k in range(K)])
     A = np.zeros((K, K))
     for k in range(K):
         A[k, k] = -p.D[k]
     return LocalBlock(c=c, G=G, g=g, integrality=np.zeros(K, dtype=bool),
-                      A=A, var_index=idx, K=K, kind="controllable_load")
+                      A=A, var_index=idx, K=K, kind="controllable_load",
+                      lo=lo, hi=hi)
 
 
 def build_grid_block(p: GridParams, K: int) -> LocalBlock:
@@ -500,10 +518,10 @@ def build_grid_block(p: GridParams, K: int) -> LocalBlock:
         E1, E2, E3, E4 = grid_e_matrices(p, k, K)
         for r in range(6):
             b.add({dk: E1[r], fk: E2[r], uk: -E3[r]}, E4[r])
-        b.add_box(uk, -p.P_max, p.P_max)
-        b.add_box(fk, -M, M)
-        b.add_box(dk, 0.0, 1.0)
-    G, g = b.matrices()
+        b.bound(uk, -p.P_max, p.P_max)
+        b.bound(fk, -M, M)
+        b.bound(dk, 0.0, 1.0)
+    G, g, lo, hi = b.matrices()
     c = np.zeros(n)
     A = np.zeros((K, n))
     mask = np.zeros(n, dtype=bool)
@@ -512,7 +530,7 @@ def build_grid_block(p: GridParams, K: int) -> LocalBlock:
         A[k, idx[f"u({k})"]] = -1.0
         mask[idx[f"delta({k})"]] = True
     return LocalBlock(c=c, G=G, g=g, integrality=mask, A=A, var_index=idx,
-                      K=K, kind="grid")
+                      K=K, kind="grid", lo=lo, hi=hi)
 
 
 # --------------------------------------------------------------------------
@@ -585,6 +603,7 @@ def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
         G[row + K:row + 2 * K, offsets[i]:offsets[i] + blk.n] = -blk.A
     g[row:row + K] = b
     g[row + K:row + 2 * K] = -b
-    lp = LinearProgram(c, G, g, np.full(n_total, -np.inf),
-                       np.full(n_total, np.inf), integrality=mask)
+    lp = LinearProgram(c, G, g, np.concatenate([blk.lo for blk in blocks]),
+                       np.concatenate([blk.hi for blk in blocks]),
+                       integrality=mask)
     return lp, offsets

@@ -1,4 +1,4 @@
-"""Exogenous profile generation and historical CSV ingestion.
+"""Exogenous profile generation.
 
 Synthetic generators replace the learned scenario sampler with
 parametric shapes that keep the qualitative features: solar is a
@@ -11,9 +11,7 @@ identical scenario sets on any platform.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .stochastic import ScenarioSet
 
 
 class ProfileError(ValueError):
-    """Malformed profile model or CSV input."""
+    """Malformed profile model."""
 
 
 @dataclass(frozen=True)
@@ -136,69 +134,4 @@ def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
     if pi is None:
         pi = np.full(R, 1.0 / R)
     return ScenarioSet(pi=pi, b_r=b_r, realizations=realizations)
-
-
-# --------------------------------------------------------------------------
-# historical CSV ingestion (hourly time series, one day = 24 rows)
-# --------------------------------------------------------------------------
-
-
-def load_csv_profiles(path, column_map: dict, window=None,
-                      timestamp_column: str = "utc_timestamp") -> dict:
-    """Per-day hourly vectors from a timestamped CSV.
-
-    `column_map` maps output names to CSV column headers; `window` is an
-    optional (first_date, last_date) pair of ISO dates limiting the
-    rows.  Days missing any hour or holding any unparseable/empty value
-    are dropped entirely.  Returns {name: [24-vector, ...]} with days in
-    chronological order.
-    """
-    days: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if timestamp_column not in header:
-            raise ProfileError(
-                f"timestamp column {timestamp_column!r} not in {header}")
-        for name, colname in column_map.items():
-            if colname not in header:
-                raise ProfileError(
-                    f"column {colname!r} (for {name!r}) not in {header}")
-        for lineno, row in enumerate(reader, start=2):
-            raw_ts = row[timestamp_column]
-            try:
-                ts = datetime.fromisoformat(raw_ts.replace("Z", "+00:00"))
-            except ValueError as e:
-                raise ProfileError(
-                    f"line {lineno}: bad timestamp {raw_ts!r}") from e
-            day = ts.date()
-            if window is not None:
-                lo = datetime.fromisoformat(window[0]).date()
-                hi = datetime.fromisoformat(window[1]).date()
-                if not (lo <= day <= hi):
-                    continue
-            slot = days.setdefault(day, {name: [None] * 24
-                                         for name in column_map})
-            for name, colname in column_map.items():
-                text = (row[colname] or "").strip()
-                if not text:
-                    continue  # missing value, the day will be dropped
-                try:
-                    value = float(text)
-                except ValueError as e:
-                    raise ProfileError(
-                        f"line {lineno}, column {colname!r}: "
-                        f"cannot parse {text!r}") from e
-                if value == value:  # NaN guard
-                    slot[name][ts.hour] = value
-    out = {name: [] for name in column_map}
-    for day in sorted(days):
-        slot = days[day]
-        complete = all(v is not None
-                       for series in slot.values() for v in series)
-        if not complete:
-            continue
-        for name in column_map:
-            out[name].append(np.array(slot[name], dtype=float))
-    return out
 

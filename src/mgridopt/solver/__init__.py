@@ -1,12 +1,10 @@
 from .branch_bound import MipSolution, solve_milp
 from .lpformat import write_lp_format
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                      LpSolution, SolverError, Tolerances, solve_lp,
-                      split_singleton_rows)
+                      LpSolution, SolverError, Tolerances, solve_lp)
 
 __all__ = [
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED",
     "LinearProgram", "LpSolution", "MipSolution", "SolverError", "Tolerances",
-    "solve_lp", "solve_milp", "split_singleton_rows",
-    "write_lp_format",
+    "solve_lp", "solve_milp", "write_lp_format",
 ]

@@ -377,31 +377,3 @@ class _Simplex:
             pivots=self.pivots,
         )
 
-
-def split_singleton_rows(G, g, lo, hi):
-    """Fold rows with a single nonzero into variable bounds.
-
-    Returns (G', g', lo', hi') where G' keeps only rows touching two or
-    more variables.  Solving with native bounds is much cheaper than
-    carrying box rows, and the feasible set is unchanged.
-    """
-    G = np.asarray(G, dtype=float)
-    g = np.asarray(g, dtype=float).ravel()
-    lo = np.array(lo, dtype=float).ravel().copy()
-    hi = np.array(hi, dtype=float).ravel().copy()
-    if G.size == 0:
-        return G.reshape(g.size if G.shape[0] else 0, lo.size), g, lo, hi
-    nnz = np.count_nonzero(G, axis=1)
-    keep = nnz >= 2
-    for i in np.flatnonzero(nnz == 1):
-        j = int(np.flatnonzero(G[i])[0])
-        a = G[i, j]
-        if a > 0:
-            hi[j] = min(hi[j], g[i] / a)
-        else:
-            lo[j] = max(lo[j], g[i] / a)
-    # rows with no nonzeros: constant constraints, keep only if violated
-    for i in np.flatnonzero(nnz == 0):
-        if g[i] < 0:
-            keep[i] = True  # provably infeasible row, let the solver report it
-    return G[keep], g[keep], lo, hi

@@ -189,10 +189,9 @@ def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
         G[row:row + dim, sl] = -np.eye(dim)
         c[sl] = cost.d
     g[row:row + dim] = h
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    lo[eta_off:] = 0.0
-    hi[eta_off:] = eta_cap
+    lo = np.concatenate([blk.lo for blk in blocks] + [np.zeros(n_eta)])
+    hi = np.concatenate([blk.hi for blk in blocks]
+                        + [np.full(n_eta, eta_cap)])
     lp = LinearProgram(c, G, g, lo, hi,
                        integrality=mask if not relax else None)
     layout = {"offsets": offsets, "eta_offset": eta_off, "eta_dim": dim,

@@ -9,11 +9,14 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from mgridopt import experiment
-from mgridopt.config import ExperimentConfig
+from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import RunTrace
+from mgridopt.solver import OPTIMAL, LinearProgram, solve_milp
+from mgridopt.stochastic import lift_block
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -66,3 +69,38 @@ def test_traced_run_fires_every_solver_span(tmp_path):
     assert m["bnb.cert_aux.solves"] == \
         m["analysis.certificate.nonintegral_agents"] >= 1
     assert m["bnb.cert_aux.infeasible"] == 0
+
+
+def test_gate_rejects_a_point_past_a_native_bound():
+    # the benchmark's gate checks every finalized point with
+    # lifted.base.contains; a block's boxes are bounds, not rows of G,
+    # so a point meeting every row but past one bound must fail it
+    problem = build_problem(
+        ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
+    tried, rejected = set(), {}
+    for blk in problem.blocks:
+        base = lift_block(blk, problem.scen.R).base
+        if base.kind in rejected or base.n == 0:
+            continue
+        tried.add(base.kind)
+        for j in np.flatnonzero(~base.integrality):
+            for value in (base.hi[j] + 1e-3, base.lo[j] - 1e-3):
+                if not np.isfinite(value):
+                    continue
+                lo, hi = base.lo.copy(), base.hi.copy()
+                lo[j] = hi[j] = value
+                sol = solve_milp(LinearProgram(
+                    np.zeros(base.n), base.G, base.g, lo, hi,
+                    integrality=base.integrality))
+                if sol.status != OPTIMAL:
+                    continue
+                assert np.all(base.G @ sol.x <= base.g + 1e-7)
+                assert not base.contains(sol.x), (base.kind, j)
+                rejected[base.kind] = j
+                break
+            if base.kind in rejected:
+                break
+    # the grid's switch rows already imply |u| <= P_max and |phi| <= M
+    # at delta in {0, 1}, so no integral point meets them past a bound
+    assert "grid" in tried
+    assert set(rejected) == {"storage", "generator", "controllable_load"}

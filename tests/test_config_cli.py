@@ -63,6 +63,11 @@ def test_desk_config_validates():
     assert validate_config(raw) == []
 
 
+def test_yaml_parse_matches_safe_load():
+    assert ExperimentConfig.from_yaml(DESK).raw == \
+        yaml.safe_load(DESK.read_text())
+
+
 def test_missing_grid_is_reported():
     raw = minimal_config()
     del raw["units"]["grid"]
@@ -153,6 +158,17 @@ MALFORMED_DESK = {
     "seeds_not_a_mapping": (
         lambda raw: raw.update(seeds=[11, 2025, 3]),
         "config.seeds: expected a mapping"),
+    "min_up_steps_fractional": (
+        lambda raw: raw["units"]["generators"][0].update(min_up_steps=2.7),
+        "units.generators[0]: min_up_steps must be an int >= 1, got 2.7"),
+    "period_fractional": (
+        lambda raw: raw["algorithm"].update(step_size={
+            "kind": "piecewise", "initial": 1.0, "factor": 0.5,
+            "period": 10.9}),
+        "algorithm.step_size: period must be an int >= 1, got 10.9"),
+    "cost_segments_bool": (
+        lambda raw: raw["units"]["generators"][0].update(cost_segments=True),
+        "units.generators[0]: cost_segments must be an int >= 1, got True"),
 }
 
 
@@ -329,6 +345,22 @@ def test_cli_build_and_run(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "r")]) == 0
     assert "certificate recomputed" in capsys.readouterr().out
     assert main(["report", str(tmp_path / "r")]) == 0
+
+
+def test_cli_build_writes_bounds_and_binaries(tmp_path, capsys):
+    # block boxes are column bounds, not rows; the 30 switches are binary
+    assert main(["build", str(DESK), "--out", str(tmp_path)]) == 0
+    assert "(30 binary), 276 rows" in capsys.readouterr().out
+    text = (tmp_path / "centralized_problem.lp").read_text()
+    rows = text.split("Subject To\n")[1].split("Bounds\n")[0]
+    assert len(rows.splitlines()) == 252 + 24  # block rows + band rows
+    assert "Generals" not in text
+    binaries = text.split("Binaries\n")[1].split("\n")[0].split()
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    mask = np.concatenate([blk.integrality for blk in problem.blocks])
+    assert binaries == [f"x{j}" for j in np.flatnonzero(mask)]
+    for name in binaries:
+        assert f" 0 <= {name} <= 1\n" in text
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

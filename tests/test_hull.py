@@ -60,14 +60,14 @@ def test_hull_block_four_route_agreement():
         V = integer_vertices(blk)
         hb = hull_block(blk)
         assert relaxation_equals_hull(hb)  # hull of a hull is itself
-        free = np.full(blk.n, -np.inf), np.full(blk.n, np.inf)
         for _ in range(8):
             c = rng.normal(size=blk.n)
-            by_facets = solve_lp(LinearProgram(c, hb.G, hb.g, *free)).value
+            by_facets = solve_lp(hb.relaxation_lp(c)).value
             by_lift = hull_optimum(blk, c)
             by_vertices = float(np.min(V @ c))
             by_milp = solve_milp(LinearProgram(
-                c, blk.G, blk.g, *free, integrality=blk.integrality)).value
+                c, blk.G, blk.g, blk.lo, blk.hi,
+                integrality=blk.integrality)).value
             assert by_facets == pytest.approx(by_vertices, abs=1e-6)
             assert by_lift == pytest.approx(by_vertices, abs=1e-6)
             assert by_milp == pytest.approx(by_vertices, abs=1e-6)
@@ -87,15 +87,12 @@ def test_hull_optimum_matches_assignment_enumeration():
         hull_val = hull_optimum(blk, c)
         best = np.inf
         for pattern in assigns:
-            lo = np.full(blk.n, -np.inf)
-            hi = np.full(blk.n, np.inf)
+            lo, hi = blk.lo.copy(), blk.hi.copy()
             lo[idx] = hi[idx] = pattern
             sol = solve_lp(LinearProgram(c, blk.G, blk.g, lo, hi))
             best = min(best, sol.value)
         assert hull_val == pytest.approx(best, abs=1e-6)
-        relax = solve_lp(LinearProgram(c, blk.G, blk.g,
-                                       np.full(blk.n, -np.inf),
-                                       np.full(blk.n, np.inf))).value
+        relax = solve_lp(blk.relaxation_lp(c)).value
         assert hull_val >= relax - 1e-8
         gaps.append(hull_val - relax)
     assert max(gaps) > 1e-6  # the switch rows do relax strictly

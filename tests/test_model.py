@@ -15,8 +15,7 @@ from mgridopt.model import (ControllableLoadParams, DimensionError,
                             build_storage_block, grid_e_matrices,
                             power_balance_rhs, quadratic_cost_segments,
                             storage_e_matrices)
-from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
-                             solve_milp)
+from mgridopt.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_milp
 
 
 def storage_params(**kw):
@@ -43,8 +42,7 @@ def grid_params(K=2, **kw):
 
 def pinned_milp(block, pins, c=None):
     """Solve the block's MILP with named variables pinned to values."""
-    lo = np.full(block.n, -np.inf)
-    hi = np.full(block.n, np.inf)
+    lo, hi = block.lo.copy(), block.hi.copy()
     for name, val in pins.items():
         j = block.col(name)
         lo[j] = hi[j] = val
@@ -210,8 +208,7 @@ def test_zero_cost_segment_gives_zero_nu():
     p = generator_params(K, cost_segments=((0.0, 0.0),))
     blk = build_generator_block(p, K)
     sol = solve_milp(LinearProgram(blk.c, blk.G, blk.g,
-                                   np.full(blk.n, -np.inf),
-                                   np.full(blk.n, np.inf),
+                                   blk.lo, blk.hi,
                                    integrality=blk.integrality))
     assert sol.status == OPTIMAL
     for k in range(K):
@@ -244,8 +241,7 @@ def test_degenerate_load_box_fixes_beta():
                                varphi=1.0)
     blk = build_controllable_load_block(p, 2)
     sol = solve_milp(LinearProgram(blk.c, blk.G, blk.g,
-                                   np.full(blk.n, -np.inf),
-                                   np.full(blk.n, np.inf)))
+                                   blk.lo, blk.hi))
     assert np.allclose(sol.x, 0.0, atol=1e-9)
     assert np.allclose(blk.A @ sol.x, 0.0, atol=1e-9)
 
@@ -319,22 +315,33 @@ def test_blocks_compact_and_binaries_boxed(maker):
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
     assert np.all(lo[blk.integrality] >= -1e-9)
     assert np.all(hi[blk.integrality] <= 1.0 + 1e-9)
-    # the box is solved over the folded rows; the raw rows must agree
-    free = np.full(blk.n, np.inf)
+    # an independent solver over the same rows and bounds must agree
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rows = dict(A_ub=blk.G, b_ub=blk.g) if blk.G.shape[0] else {}
+    # at HiGHS' default 1e-7 dual tolerance it stops 7e-8 short of the
+    # grid's phi range; 1e-10 brings it within the 1e-9 comparison
+    kw = dict(rows, bounds=list(zip(blk.lo, blk.hi)), method="highs",
+              options={"dual_feasibility_tolerance": 1e-10})
     for j, e in enumerate(np.eye(blk.n)):
-        smin = solve_lp(LinearProgram(e, blk.G, blk.g, -free, free))
-        smax = solve_lp(LinearProgram(-e, blk.G, blk.g, -free, free))
-        assert lo[j] == pytest.approx(smin.value, abs=1e-9)
-        assert hi[j] == pytest.approx(-smax.value, abs=1e-9)
+        smin = scipy_opt.linprog(e, **kw)
+        smax = scipy_opt.linprog(-e, **kw)
+        assert smin.status == 0 and smax.status == 0
+        assert lo[j] == pytest.approx(smin.fun, abs=1e-9)
+        assert hi[j] == pytest.approx(-smax.fun, abs=1e-9)
 
 
 def test_crossed_one_variable_rows_make_an_empty_block():
-    # x <= 0 and -x <= -1 fold into the bounds 1 <= x <= 0
-    blk = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
-                     g=np.array([0.0, -1.0]), integrality=np.zeros(1, bool),
-                     A=np.ones((1, 1)), var_index={}, K=1)
-    with pytest.raises(DimensionError, match="empty"):
-        blk.coordinate_box()
+    # x <= 0 and -x <= -1, as rows and as the bounds 1 <= x <= 0
+    as_rows = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
+                         g=np.array([0.0, -1.0]),
+                         integrality=np.zeros(1, bool), A=np.ones((1, 1)),
+                         var_index={}, K=1)
+    as_bounds = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
+                           integrality=np.zeros(1, bool), A=np.ones((1, 1)),
+                           var_index={}, K=1, lo=np.ones(1), hi=np.zeros(1))
+    for blk in (as_rows, as_bounds):
+        with pytest.raises(DimensionError, match="empty"):
+            blk.coordinate_box()
 
 
 def test_coupling_matches_named_power_expressions():
@@ -352,8 +359,7 @@ def test_coupling_matches_named_power_expressions():
         for _ in range(5):
             c = rng.normal(size=blk.n)
             sol = solve_milp(LinearProgram(c, blk.G, blk.g,
-                                           np.full(blk.n, -np.inf),
-                                           np.full(blk.n, np.inf),
+                                           blk.lo, blk.hi,
                                            integrality=blk.integrality))
             assert sol.status == OPTIMAL
             coupled = blk.A @ sol.x

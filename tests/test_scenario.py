@@ -1,11 +1,10 @@
-"""Profile generators and CSV ingestion."""
+"""Profile generators and scenario sets."""
 
 import numpy as np
 import pytest
 
-from mgridopt.scenario import (ProfileError, ProfileModel, load_csv_profiles,
-                               sample_profile, sample_scenarioset,
-                               solar_base_curve)
+from mgridopt.scenario import (ProfileError, ProfileModel, sample_profile,
+                               sample_scenarioset, solar_base_curve)
 
 
 def test_noiseless_solar_is_bell_in_window():
@@ -64,71 +63,3 @@ def test_scenarioset_uniform_probabilities_and_determinism():
     assert any(a.tobytes() != b.tobytes()
                for a, b in zip(five.b_r, other.b_r))
 
-
-# --------------------------------------------------------------- CSV
-
-
-def write_csv(path, rows, header="utc_timestamp,solar_mw,load_mw"):
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
-
-
-def hourly_rows(day, solar, load):
-    return [f"{day}T{h:02d}:00:00Z,{s},{l}"
-            for h, (s, l) in enumerate(zip(solar, load))]
-
-
-def test_csv_two_clean_days(tmp_path):
-    f = tmp_path / "series.csv"
-    d1 = hourly_rows("2019-07-01", range(24), range(24))
-    d2 = hourly_rows("2019-07-02", range(1, 25), range(2, 26))
-    write_csv(f, d1 + d2)
-    out = load_csv_profiles(f, {"solar": "solar_mw", "load": "load_mw"})
-    assert len(out["solar"]) == 2 and len(out["load"]) == 2
-    assert out["solar"][0] == pytest.approx(np.arange(24.0))
-    assert out["load"][1] == pytest.approx(np.arange(2.0, 26.0))
-
-
-def test_csv_day_with_gap_dropped(tmp_path):
-    f = tmp_path / "series.csv"
-    d1 = hourly_rows("2019-07-01", range(24), range(24))
-    d2 = hourly_rows("2019-07-02", range(24), range(24))
-    d2[7] = "2019-07-02T07:00:00Z,,3"  # missing solar value at 7am
-    write_csv(f, d1 + d2)
-    out = load_csv_profiles(f, {"solar": "solar_mw"})
-    assert len(out["solar"]) == 1
-
-
-def test_csv_short_day_dropped(tmp_path):
-    f = tmp_path / "series.csv"
-    d1 = hourly_rows("2019-07-01", range(24), range(24))
-    d2 = hourly_rows("2019-07-02", range(23), range(23))  # 23 hours only
-    write_csv(f, d1 + d2)
-    out = load_csv_profiles(f, {"load": "load_mw"})
-    assert len(out["load"]) == 1
-
-
-def test_csv_missing_column_reported(tmp_path):
-    f = tmp_path / "series.csv"
-    write_csv(f, hourly_rows("2019-07-01", range(24), range(24)))
-    with pytest.raises(ProfileError, match="wind_mw"):
-        load_csv_profiles(f, {"wind": "wind_mw"})
-
-
-def test_csv_window_filter(tmp_path):
-    f = tmp_path / "series.csv"
-    rows = []
-    for day in ("2019-06-30", "2019-07-01", "2019-07-02"):
-        rows += hourly_rows(day, range(24), range(24))
-    write_csv(f, rows)
-    out = load_csv_profiles(f, {"solar": "solar_mw"},
-                            window=("2019-07-01", "2019-07-01"))
-    assert len(out["solar"]) == 1
-
-
-def test_csv_bad_number_diagnostic(tmp_path):
-    f = tmp_path / "series.csv"
-    rows = hourly_rows("2019-07-01", range(24), range(24))
-    rows[3] = "2019-07-01T03:00:00Z,oops,3"
-    write_csv(f, rows)
-    with pytest.raises(ProfileError, match="line 5"):
-        load_csv_profiles(f, {"solar": "solar_mw"})

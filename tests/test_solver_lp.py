@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             Tolerances, solve_lp, split_singleton_rows)
+                             Tolerances, solve_lp)
 
 
 def box_lp(c, G, g, lo, hi):
@@ -262,19 +262,3 @@ def test_lp_format_dump(tmp_path):
     assert "Binaries" in text and "\n on" in text
     assert "0 <= flow <= +inf" in text
 
-
-def test_split_singleton_rows_preserves_feasible_set():
-    rng = np.random.default_rng(3)
-    G = np.array([[1.0, 0.0], [0.0, -2.0], [1.0, 1.0]])
-    g = np.array([2.0, 4.0, 2.5])
-    lo = np.array([-5.0, -5.0])
-    hi = np.array([5.0, 5.0])
-    G2, g2, lo2, hi2 = split_singleton_rows(G, g, lo, hi)
-    assert G2.shape == (1, 2)
-    assert hi2[0] == 2.0 and lo2[1] == -2.0
-    for _ in range(200):
-        x = rng.uniform(-5, 5, size=2)
-        inside_old = np.all(G @ x <= g) and np.all(x >= lo) and np.all(x <= hi)
-        inside_new = (np.all(G2 @ x <= g2) and np.all(x >= lo2)
-                      and np.all(x <= hi2))
-        assert inside_old == inside_new

@@ -157,9 +157,9 @@ def band_form_milp(blocks, scen, cost):
         g[row:row + K] = scen.b_r[r]
         g[row + K:row + 2 * K] = -scen.b_r[r]
         row += 2 * K
-    lo = np.full(n, -np.inf)
-    lo[n_x:] = 0.0
-    return LinearProgram(c, G, g, lo, np.full(n, np.inf), integrality=mask)
+    lo = np.concatenate([b.lo for b in blocks] + [np.zeros(2 * R * K)])
+    hi = np.concatenate([b.hi for b in blocks] + [np.full(2 * R * K, np.inf)])
+    return LinearProgram(c, G, g, lo, hi, integrality=mask)
 
 
 def test_band_pooled_and_per_agent_forms_agree():

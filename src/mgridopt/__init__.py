@@ -15,15 +15,14 @@ from .dialgo import (AgentState, CommGraph, RunResult, RunTrace,
                      StepSizeSchedule, generate_graph, run)
 from .experiment import run_experiment, run_montecarlo
 from .model import (ControllableLoadParams, GeneratorParams, GridParams,
-                    LocalBlock, StorageParams, assemble_centralized,
-                    build_controllable_load_block, build_generator_block,
-                    build_grid_block, build_storage_block,
-                    power_balance_rhs)
+                    LocalBlock, StorageParams, build_controllable_load_block,
+                    build_generator_block, build_grid_block,
+                    build_storage_block, power_balance_rhs)
 from .scenario import ProfileModel, sample_profile, sample_scenarioset
 from .solver import (LinearProgram, LpSolution, MipSolution, Tolerances,
                      solve_lp, solve_milp)
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet,
                          assemble_two_stage, build_h, build_recourse_cost,
-                         expected_recourse, lift_block, recourse_phi)
+                         lift_block)
 
 __version__ = "0.1.0"

@@ -236,16 +236,12 @@ class Problem:
     schedule: StepSizeSchedule
     T_f: int
     finalize_every: int
-    cl_demands: list
+    cl_demands: list  # one per controllable-load block, in roster order
     lo_demands: list
-    grid_index: int
-    storage_indices: list
-    generator_indices: list
-    load_indices: list
     tolerances: Tolerances
 
 
-def _build(raw, scenario_seed=None):
+def _build(raw):
     """(Problem, []) or (None, errors).  A failure to build from the
     mapping at `path` is recorded as `<path>.<key>: missing` (KeyError)
     or `<path>: <message>` (ValueError, TypeError, IndexError).
@@ -320,14 +316,11 @@ def _build(raw, scenario_seed=None):
 
     blocks: list = []
     names: list = []
-    storage_idx, gen_idx, load_idx = [], [], []
     for i, s in enumerate(roster("storages")):
-        storage_idx.append(len(blocks))
         blocks.append(build(f"units.storages[{i}]", lambda: (
             build_storage_block(_storage_params(s), K))))
         names.append(f"storage_{i}")
     for i, g in enumerate(roster("generators")):
-        gen_idx.append(len(blocks))
         blocks.append(build(f"units.generators[{i}]", lambda: (
             build_generator_block(_generator_params(g, K), K))))
         names.append(f"generator_{i}")
@@ -336,7 +329,6 @@ def _build(raw, scenario_seed=None):
         path = f"units.controllable_loads[{i}]"
         D = profile(c, path, "demand_profile", seed_tag=100 + i)
         cl_demands.append(D)
-        load_idx.append(len(blocks))
         blocks.append(None if D is None else build(path, lambda: (
             build_controllable_load_block(ControllableLoadParams(
                 beta_min=float(c.get("curtail_min_fraction", 0.0)),
@@ -355,7 +347,6 @@ def _build(raw, scenario_seed=None):
     if grid_cfg is not None:
         phi_p = profile(grid_cfg, "units.grid", "purchase_price_profile")
         phi_s = profile(grid_cfg, "units.grid", "sell_price_profile")
-    grid_index = len(blocks)
     blocks.append(None if phi_p is None or phi_s is None else build(
         "units.grid", lambda: build_grid_block(GridParams(
             P_max=float(grid_cfg["max_exchange_kw"]),
@@ -382,11 +373,9 @@ def _build(raw, scenario_seed=None):
     if errors:
         return None, errors
 
-    if scenario_seed is None:
-        scenario_seed = seeds.get("scenario", 0)
     scen = build("seeds.scenario", lambda: sample_scenarioset(
         renewables, R, controllable_demands=cl_demands,
-        critical_demands=lo_demands, seed=scenario_seed))
+        critical_demands=lo_demands, seed=seeds.get("scenario", 0)))
     if errors:
         return None, errors
     top_price = float(max(phi_p.max(), phi_s.max()))
@@ -397,9 +386,8 @@ def _build(raw, scenario_seed=None):
         blocks=blocks, agent_names=names, scen=scen,
         cost=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,
         schedule=schedule, T_f=T_f, finalize_every=finalize_every,
-        cl_demands=cl_demands, lo_demands=lo_demands, grid_index=grid_index,
-        storage_indices=storage_idx, generator_indices=gen_idx,
-        load_indices=load_idx, tolerances=tolerances), []
+        cl_demands=cl_demands, lo_demands=lo_demands,
+        tolerances=tolerances), []
 
 
 def validate_config(raw) -> list:
@@ -407,10 +395,10 @@ def validate_config(raw) -> list:
     return _build(raw)[1]
 
 
-def build_problem(cfg: ExperimentConfig, scenario_seed=None) -> Problem:
+def build_problem(cfg: ExperimentConfig) -> Problem:
     """Blocks, scenario set, recourse cost, graph and schedule from config;
     raises ConfigError listing every invalid field."""
-    problem, errors = _build(cfg.raw, scenario_seed)
+    problem, errors = _build(cfg.raw)
     if errors:
         raise ConfigError("; ".join(errors))
     return problem

@@ -68,32 +68,6 @@ def write_trace_csv(path, trace):
     _write_csv(path, TRACE_HEADER, trace.rows())
 
 
-def read_trace_csv(path):
-    """Round-trip reader for the module's own trace format."""
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != TRACE_HEADER:
-        raise ConfigError(f"{path}: unexpected trace header {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        it, cost, pos, neg, resid = ln.split(",")
-        rows.append((int(it), float(cost), float(pos), float(neg),
-                     float(resid)))
-    return rows
-
-
-def read_csv(path):
-    """Reader for every CSV this module emits: (column names, float rows)."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{path}: ragged row {ln!r}")
-        rows.append([float(v) for v in cells])
-    return header, rows
-
-
 def solution_reports(problem: Problem, xs: list) -> dict:
     """Figure-data series from a solved instance.
 
@@ -102,30 +76,32 @@ def solution_reports(problem: Problem, xs: list) -> dict:
     generators, (expected) renewables and grid import.
     """
     K = problem.scen.K
+
+    def series(blk, x, name, first=0):
+        return np.array([blk.value_of(x, f"{name}({k})")
+                         for k in range(first, first + K)])
+
     consumed = np.zeros(K)
     curtailed = np.zeros(K)
     for D in problem.lo_demands:
         consumed += D
-    for idx, D in zip(problem.load_indices, problem.cl_demands):
-        blk = problem.blocks[idx]
-        beta = np.array([blk.value_of(xs[idx], f"beta({k})")
-                         for k in range(K)])
-        consumed += (1.0 - beta) * D
-        curtailed += beta * D
     storage_u = np.zeros(K)
     storage_level = np.zeros(K)
-    for idx in problem.storage_indices:
-        blk = problem.blocks[idx]
-        storage_u += [blk.value_of(xs[idx], f"u({k})") for k in range(K)]
-        storage_level += [blk.value_of(xs[idx], f"x({k + 1})")
-                          for k in range(K)]
     gen_u = np.zeros(K)
-    for idx in problem.generator_indices:
-        blk = problem.blocks[idx]
-        gen_u += [blk.value_of(xs[idx], f"u({k})") for k in range(K)]
-    grid_blk = problem.blocks[problem.grid_index]
-    grid_u = np.array([grid_blk.value_of(xs[problem.grid_index], f"u({k})")
-                       for k in range(K)])
+    cl_demands = iter(problem.cl_demands)
+    for blk, x in zip(problem.blocks, xs):
+        if blk.kind == "controllable_load":
+            D = next(cl_demands)
+            beta = series(blk, x, "beta")
+            consumed += (1.0 - beta) * D
+            curtailed += beta * D
+        elif blk.kind == "storage":
+            storage_u += series(blk, x, "u")
+            storage_level += series(blk, x, "x", first=1)
+        elif blk.kind == "generator":
+            gen_u += series(blk, x, "u")
+        elif blk.kind == "grid":
+            grid_u = series(blk, x, "u")
     renewable = np.zeros(K)
     for r, bundle in enumerate(problem.scen.realizations):
         for profile in bundle:

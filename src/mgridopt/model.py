@@ -534,7 +534,7 @@ def build_grid_block(p: GridParams, K: int) -> LocalBlock:
 
 
 # --------------------------------------------------------------------------
-# balance right-hand side and the assembled problem
+# balance right-hand side
 # --------------------------------------------------------------------------
 
 
@@ -565,45 +565,3 @@ def power_balance_rhs(renewables, controllable_demands, critical_demands,
         b -= np.asarray(v, dtype=float)
     return b
 
-
-def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
-    """Stack blocks into one MILP with the equality balance sum A_i x_i = b.
-
-    Equality rows are stored as paired inequalities so the same row
-    representation serves both the LP and MILP engines.  Returns the
-    program and the per-block column offsets.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    K = blocks[0].K
-    if b.size != K:
-        raise DimensionError(f"balance vector length {b.size} != horizon {K}")
-    for blk in blocks:
-        if blk.K != K:
-            raise DimensionError("blocks disagree on horizon length")
-    n_total = sum(blk.n for blk in blocks)
-    m_total = sum(blk.G.shape[0] for blk in blocks) + 2 * K
-    G = np.zeros((m_total, n_total))
-    g = np.zeros(m_total)
-    c = np.zeros(n_total)
-    mask = np.zeros(n_total, dtype=bool)
-    offsets = []
-    row = 0
-    col = 0
-    for blk in blocks:
-        offsets.append(col)
-        mb = blk.G.shape[0]
-        G[row:row + mb, col:col + blk.n] = blk.G
-        g[row:row + mb] = blk.g
-        c[col:col + blk.n] = blk.c
-        mask[col:col + blk.n] = blk.integrality
-        row += mb
-        col += blk.n
-    for i, blk in enumerate(blocks):
-        G[row:row + K, offsets[i]:offsets[i] + blk.n] = blk.A
-        G[row + K:row + 2 * K, offsets[i]:offsets[i] + blk.n] = -blk.A
-    g[row:row + K] = b
-    g[row + K:row + 2 * K] = -b
-    lp = LinearProgram(c, G, g, np.concatenate([blk.lo for blk in blocks]),
-                       np.concatenate([blk.hi for blk in blocks]),
-                       integrality=mask)
-    return lp, offsets

@@ -112,13 +112,13 @@ def sample_profile(model: ProfileModel, seed=None) -> np.ndarray:
 
 
 def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
-                       critical_demands=(), pi=None, seed=0) -> ScenarioSet:
+                       critical_demands=(), seed=0) -> ScenarioSet:
     """R independent renewable realizations and their balance vectors.
 
-    Probabilities are uniform unless an explicit `pi` is given (the
-    sampler has no information to weigh draws differently).  Scenario r
-    uses the derived seed (seed, r, unit), so sets with equal seeds are
-    identical and scenario streams are independent.
+    Probabilities are uniform: the sampler has no information to weigh
+    draws differently.  Scenario r uses the derived seed (seed, r,
+    unit), so sets with equal seeds are identical and scenario streams
+    are independent.
     """
     if R < 1:
         raise DimensionError(f"scenario count must be >= 1, got {R}")
@@ -131,7 +131,6 @@ def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
         realizations.append(bundle)
         b_r.append(power_balance_rhs(bundle, controllable_demands,
                                      critical_demands))
-    if pi is None:
-        pi = np.full(R, 1.0 / R)
-    return ScenarioSet(pi=pi, b_r=b_r, realizations=realizations)
+    return ScenarioSet(pi=np.full(R, 1.0 / R), b_r=b_r,
+                       realizations=realizations)
 

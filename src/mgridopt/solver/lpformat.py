@@ -18,12 +18,10 @@ def _term(coef: float, name: str, first: bool) -> str:
     return f"{sign} {mag:.17g} {name} "
 
 
-def write_lp_format(lp: LinearProgram, path, names=None):
-    """Write the minimization `lp` in CPLEX LP format. `names` may rename
-    columns."""
+def write_lp_format(lp: LinearProgram, path):
+    """Write the minimization `lp` in CPLEX LP format; column j is `xj`."""
     n = lp.n
-    if names is None:
-        names = [f"x{j}" for j in range(n)]
+    names = [f"x{j}" for j in range(n)]
     lines = [f"\\ {n} variables, {lp.m} rows", "Minimize", " obj:"]
     body = "   "
     wrote = False

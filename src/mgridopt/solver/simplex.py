@@ -101,12 +101,12 @@ class LpSolution:
     value: float = np.nan
     duals: np.ndarray | None = None          # >= 0, one per row of G
     reduced_costs: np.ndarray | None = None  # structural columns only
-    basis: np.ndarray | None = None          # basic column indices in [G | I]
     pivots: int = 0
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> LpSolution:
-    """Solve the LP to a vertex, returning a dual for every row.
+    """Solve the LP to a vertex, returning a dual for every row; an
+    integrality mask is ignored, so a MILP gives its relaxation.
 
     The returned multipliers satisfy mu >= 0 and complementary
     slackness; -mu is a subgradient of the optimal value with respect
@@ -373,7 +373,6 @@ class _Simplex:
             value=value,
             duals=duals,
             reduced_costs=d_struct,
-            basis=self.basis.copy(),
             pivots=self.pivots,
         )
 

@@ -117,42 +117,16 @@ def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> RecourseCo
                         d=np.concatenate(parts))
 
 
-def expected_recourse(cost: RecourseCost, eta) -> float:
-    eta = np.asarray(eta, dtype=float).ravel()
-    if eta.size != cost.d.size:
-        raise DimensionError("recourse vector does not match d")
-    return float(cost.d @ eta)
-
-
-def recourse_phi(z: float, q_plus: float, q_minus: float) -> float:
-    """Per-unit imbalance expense: q_plus above balance, q_minus below."""
-    return q_plus * z if z >= 0 else -q_minus * z
-
-
-def recourse_from_residuals(residuals, scen: ScenarioSet) -> np.ndarray:
-    """eta implied by per-scenario balance residuals (positive/negative parts).
-
-    `residuals[r]` is the K-vector sum_i [A_i x_i] - b_r; the returned
-    eta follows the module row ordering.
-    """
-    parts = []
-    for r in range(scen.R):
-        res = np.asarray(residuals[r], dtype=float)
-        parts.append(np.maximum(res, 0.0))
-        parts.append(np.maximum(-res, 0.0))
-    return np.concatenate(parts)
-
-
 def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
-                       per_agent_eta: bool = False, relax: bool = False,
-                       eta_cap: float = np.inf):
-    """Centralized two-stage program over all blocks (oracle use).
+                       per_agent_eta: bool = False):
+    """Centralized two-stage program over all blocks (`mgridopt build`).
 
     Columns are [x_1 .. x_N | eta] with one pooled recourse vector, or
     [x_1 .. x_N | eta_1 .. eta_N] when `per_agent_eta` is set (the
     distributed form whose vertices carry the integral-block counting
-    property).  `relax` drops the integrality mask.  Returns the
-    program plus a layout dict with column offsets.
+    property).  `solve_lp` ignores the integrality mask, so the same
+    program serves as its own relaxation.  Returns the program plus a
+    layout dict with column offsets.
     """
     from .solver import LinearProgram  # local import avoids a cycle
 
@@ -177,8 +151,7 @@ def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
         G[row:row + mb, col:col + blk.n] = blk.G
         g[row:row + mb] = blk.g
         c[col:col + blk.n] = blk.c
-        if not relax:
-            mask[col:col + blk.n] = blk.integrality
+        mask[col:col + blk.n] = blk.integrality
         row += mb
         col += blk.n
     for i, lb in enumerate(lifted):
@@ -191,9 +164,8 @@ def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
     g[row:row + dim] = h
     lo = np.concatenate([blk.lo for blk in blocks] + [np.zeros(n_eta)])
     hi = np.concatenate([blk.hi for blk in blocks]
-                        + [np.full(n_eta, eta_cap)])
-    lp = LinearProgram(c, G, g, lo, hi,
-                       integrality=mask if not relax else None)
+                        + [np.full(n_eta, np.inf)])
+    lp = LinearProgram(c, G, g, lo, hi, integrality=mask)
     layout = {"offsets": offsets, "eta_offset": eta_off, "eta_dim": dim,
               "n_agents": n_agents, "per_agent_eta": per_agent_eta}
     return lp, layout

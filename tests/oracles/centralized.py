@@ -1,0 +1,83 @@
+"""The one-big-problem forms the distributed run is checked against.
+
+`assemble_centralized` stacks the blocks under the deterministic
+balance; the recourse formulas price imbalance directly from
+residuals, in the row ordering of `mgridopt.stochastic`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from mgridopt.model import DimensionError
+from mgridopt.solver import LinearProgram
+from mgridopt.stochastic import RecourseCost, ScenarioSet
+
+
+def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
+    """Stack blocks into one MILP with the equality balance sum A_i x_i = b.
+
+    Equality rows are stored as paired inequalities so the same row
+    representation serves both the LP and MILP engines.  Returns the
+    program and the per-block column offsets.
+    """
+    b = np.asarray(b, dtype=float).ravel()
+    K = blocks[0].K
+    if b.size != K:
+        raise DimensionError(f"balance vector length {b.size} != horizon {K}")
+    for blk in blocks:
+        if blk.K != K:
+            raise DimensionError("blocks disagree on horizon length")
+    n_total = sum(blk.n for blk in blocks)
+    m_total = sum(blk.G.shape[0] for blk in blocks) + 2 * K
+    G = np.zeros((m_total, n_total))
+    g = np.zeros(m_total)
+    c = np.zeros(n_total)
+    mask = np.zeros(n_total, dtype=bool)
+    offsets = []
+    row = 0
+    col = 0
+    for blk in blocks:
+        offsets.append(col)
+        mb = blk.G.shape[0]
+        G[row:row + mb, col:col + blk.n] = blk.G
+        g[row:row + mb] = blk.g
+        c[col:col + blk.n] = blk.c
+        mask[col:col + blk.n] = blk.integrality
+        row += mb
+        col += blk.n
+    for i, blk in enumerate(blocks):
+        G[row:row + K, offsets[i]:offsets[i] + blk.n] = blk.A
+        G[row + K:row + 2 * K, offsets[i]:offsets[i] + blk.n] = -blk.A
+    g[row:row + K] = b
+    g[row + K:row + 2 * K] = -b
+    lp = LinearProgram(c, G, g, np.concatenate([blk.lo for blk in blocks]),
+                       np.concatenate([blk.hi for blk in blocks]),
+                       integrality=mask)
+    return lp, offsets
+
+
+def expected_recourse(cost: RecourseCost, eta) -> float:
+    eta = np.asarray(eta, dtype=float).ravel()
+    if eta.size != cost.d.size:
+        raise DimensionError("recourse vector does not match d")
+    return float(cost.d @ eta)
+
+
+def recourse_phi(z: float, q_plus: float, q_minus: float) -> float:
+    """Per-unit imbalance expense: q_plus above balance, q_minus below."""
+    return q_plus * z if z >= 0 else -q_minus * z
+
+
+def recourse_from_residuals(residuals, scen: ScenarioSet) -> np.ndarray:
+    """eta implied by per-scenario balance residuals (positive/negative parts).
+
+    `residuals[r]` is the K-vector sum_i [A_i x_i] - b_r; the returned
+    eta follows the `mgridopt.stochastic` row ordering.
+    """
+    parts = []
+    for r in range(scen.R):
+        res = np.asarray(residuals[r], dtype=float)
+        parts.append(np.maximum(res, 0.0))
+        parts.append(np.maximum(-res, 0.0))
+    return np.concatenate(parts)

@@ -1,9 +1,10 @@
 """Exact convex-hull tooling for small mixed-integer blocks.
 
-Used to decide whether a block's continuous relaxation already equals
-the convex hull of its mixed-integer set (the hypothesis under which
-the violation certificate is provably valid), and to quantify the
-relaxation gap on blocks where it does not.  Everything here is
+No run calls it; the tests use it to decide whether a block's
+continuous relaxation already equals the convex hull of its
+mixed-integer set (the hypothesis under which the violation
+certificate is provably valid), and to quantify the relaxation gap on
+blocks where it does not.  Everything here is
 exponential in the binary count and meant for blocks with at most a
 handful of binaries.
 """
@@ -14,8 +15,8 @@ import itertools
 
 import numpy as np
 
-from .model import LocalBlock
-from .solver import OPTIMAL, LinearProgram, solve_lp
+from mgridopt.model import LocalBlock
+from mgridopt.solver import OPTIMAL, LinearProgram, solve_lp
 
 
 def enumerate_vertices(G, g, tol: float = 1e-7):

@@ -17,7 +17,6 @@ import pytest
 from mgridopt.analysis import distributed_certificate, violation_certificate
 from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import StepSizeSchedule, generate_graph, run
-from mgridopt.hull import hull_block, relaxation_equals_hull
 from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
                             build_grid_block, build_storage_block,
@@ -26,6 +25,7 @@ from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
                              solve_milp)
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage,
                                  build_recourse_cost)
+from oracles.hull import hull_block, relaxation_equals_hull
 
 REPO = Path(__file__).resolve().parents[1]
 DESK = REPO / "configs" / "desk.yaml"
@@ -50,7 +50,9 @@ def mc_trials():
     schedule = StepSizeSchedule.piecewise(3.0, 0.5, 50)
     trials = []
     for t in range(20):
-        problem = build_problem(cfg, scenario_seed=(9000, t))
+        trial = ExperimentConfig(
+            raw={**cfg.raw, "seeds": {**cfg.seeds, "scenario": [9000, t]}})
+        problem = build_problem(trial)
         res = run(problem.blocks, problem.scen, problem.cost, problem.graph,
                   schedule, T_f=150, finalize_every=50)
         trials.append((problem, res))
@@ -107,7 +109,7 @@ def test_criterion_03_relaxation_convergence():
               StepSizeSchedule.diminishing(0.8, 2.0), T_f=2000,
               finalize_every=1000)
     elapsed = time.time() - t0
-    lp, _ = assemble_two_stage(blocks, scen, cost, relax=True)
+    lp, _ = assemble_two_stage(blocks, scen, cost)
     central = solve_lp(lp)
     assert central.status == OPTIMAL
     gap = abs(res.trace.relax_cost_all[-1] - central.value) / abs(central.value)
@@ -173,7 +175,7 @@ def test_criterion_04_integral_block_count():
         hulls = [hull_block(blk) if np.any(blk.integrality) else blk
                  for blk in blocks]
         lp, layout = assemble_two_stage(hulls, scen, cost,
-                                        per_agent_eta=True, relax=True)
+                                        per_agent_eta=True)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         fractional = 0
@@ -199,7 +201,7 @@ def test_box_relaxation_can_exceed_count_bound():
     for _ in range(50):
         blocks, scen, cost = _random_small_instance(rng)
         lp, layout = assemble_two_stage(blocks, scen, cost,
-                                        per_agent_eta=True, relax=True)
+                                        per_agent_eta=True)
         sol = solve_lp(lp)
         fractional = 0
         for i, blk in enumerate(blocks):

@@ -10,12 +10,12 @@ from mgridopt.analysis import (compute_auxiliary, compute_lower_bound,
                                violation_certificate)
 from mgridopt.dialgo import (AgentState, LocalProblem, StepSizeSchedule,
                              generate_graph, run)
-from mgridopt.hull import relaxation_equals_hull
 from mgridopt.model import (ControllableLoadParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
                             build_storage_block, power_balance_rhs)
 from mgridopt.stochastic import (RecourseCost, ScenarioSet,
                                  build_recourse_cost, lift_block)
+from oracles.hull import relaxation_equals_hull
 
 
 def box_block(lo, hi, A, c=None, integrality=None):

@@ -1,7 +1,11 @@
 """Config validation, experiment artifacts, determinism, CLI verbs."""
 
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +15,9 @@ import yaml
 from mgridopt.cli import main
 from mgridopt.config import (ConfigError, ExperimentConfig, build_problem,
                              validate_config)
-from mgridopt.experiment import (read_csv, read_trace_csv, recertify,
-                                 regenerate_reports, run_experiment,
-                                 run_montecarlo)
+from mgridopt.experiment import (recertify, regenerate_reports,
+                                 run_experiment, run_montecarlo)
+from oracles.artifacts import read_csv, read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
 DESK = REPO / "configs" / "desk.yaml"
@@ -378,3 +382,31 @@ def test_cli_montecarlo(tmp_path, capsys):
     assert main(["montecarlo", str(cfg_path), "--trials", "2",
                  "--out", str(tmp_path / "mc")]) == 0
     assert (tmp_path / "mc" / "aggregate.csv").exists()
+
+
+def test_every_package_module_is_on_the_run_path():
+    """The package is what the command line runs: importing the CLI in a
+    fresh interpreter loads every module under src/mgridopt/, and no
+    module imports the test oracles (code only tests reach lives in
+    tests/oracles/)."""
+    pkg = REPO / "src" / "mgridopt"
+    sources = sorted(pkg.rglob("*.py"))
+    modules = {".".join(("mgridopt",) + p.relative_to(pkg).with_suffix("")
+                        .parts).removesuffix(".__init__") for p in sources}
+    probe = ("import sys, mgridopt.cli; print(' '.join(m for m in "
+             "sys.modules if m.split('.')[0] == 'mgridopt'))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert sorted(modules - set(loaded)) == []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] in ("oracles", "tests")
+                           for name in names), f"{path.name}: {names}"

@@ -262,7 +262,7 @@ def test_run_converges_to_centralized_relaxation():
     res = run(blocks, scen, cost, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 2.0), T_f=200,
               finalize_every=100)
-    lp, _ = assemble_two_stage(blocks, scen, cost, relax=True)
+    lp, _ = assemble_two_stage(blocks, scen, cost)
     central = solve_lp(lp)
     assert central.status == OPTIMAL
     final_relax = res.trace.relax_cost_all[-1]

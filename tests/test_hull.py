@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from mgridopt.hull import (enumerate_vertices, feasible_binary_assignments,
-                           hull_optimum, relaxation_equals_hull)
 from mgridopt.model import (ControllableLoadParams, GridParams, StorageParams,
                             build_controllable_load_block, build_grid_block,
                             build_storage_block)
 from mgridopt.solver import LinearProgram, solve_lp, solve_milp
+from oracles.hull import (enumerate_vertices, feasible_binary_assignments,
+                          hull_block, hull_optimum, integer_vertices,
+                          relaxation_equals_hull)
 
 
 def test_vertex_enumeration_unit_box():
@@ -47,7 +48,6 @@ def test_storage_block_relaxation_strictly_larger():
 def test_hull_block_four_route_agreement():
     """Facet-row LP, lifted formulation, vertex enumeration and the MILP
     must all give the same optimum over the mixed-integer hull."""
-    from mgridopt.hull import hull_block, integer_vertices
     rng = np.random.default_rng(5)
     blocks = [
         build_storage_block(

@@ -10,12 +10,13 @@ import pytest
 from mgridopt.model import (ControllableLoadParams, DimensionError,
                             GeneratorParams, GridParams, LocalBlock,
                             ParameterError, StorageParams,
-                            assemble_centralized, build_controllable_load_block,
+                            build_controllable_load_block,
                             build_generator_block, build_grid_block,
                             build_storage_block, grid_e_matrices,
                             power_balance_rhs, quadratic_cost_segments,
                             storage_e_matrices)
 from mgridopt.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_milp
+from oracles.centralized import assemble_centralized
 
 
 def storage_params(**kw):

@@ -1,0 +1,121 @@
+"""Property tests of the paper's invariants on small generated instances.
+
+Rosters of at most four units (K <= 3 steps, R <= 2 scenarios) on a
+random connected graph, run for at most 20 rounds: the allocations keep
+summing to the band at every round, every logged mixed-integer point
+meets the lifted coupling, and every finalized point lies in its block.
+On rosters whose relaxations are their hulls the certificate holds.
+"""
+
+import numpy as np
+import pytest
+
+from mgridopt.analysis import violation_certificate
+from mgridopt.dialgo import StepSizeSchedule, generate_graph, run
+from mgridopt.model import (ControllableLoadParams, GeneratorParams,
+                            GridParams, LocalBlock, StorageParams,
+                            build_controllable_load_block,
+                            build_generator_block, build_grid_block,
+                            build_storage_block, power_balance_rhs)
+from mgridopt.stochastic import ScenarioSet, build_recourse_cost
+from oracles.hull import relaxation_equals_hull
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+PROPERTY = settings(max_examples=80, derandomize=True, deadline=None,
+                    database=None)
+ALL_KINDS = ("storage", "generator", "controllable_load", "critical_load",
+             "grid")
+
+
+def unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def profile(draw, K, lo, hi):
+    return tuple(draw(st.lists(unit(lo, hi), min_size=K, max_size=K)))
+
+
+@st.composite
+def instances(draw, kinds=ALL_KINDS):
+    """(blocks, scenario set, recourse cost, graph, schedule, T_f,
+    finalize_every) of one small random roster."""
+    K = draw(st.integers(1, 3))
+    R = draw(st.integers(1, 2))
+    blocks, cl_demands, critical = [], [], []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=4)):
+        if kind == "storage":
+            x_min = draw(unit(0.5, 2.0))
+            x_max = x_min + draw(unit(1.0, 8.0))
+            C = draw(unit(1.0, 5.0))
+            eta_c = draw(unit(0.8, 1.0))
+            blocks.append(build_storage_block(StorageParams(
+                eta_c=eta_c, eta_d=draw(unit(0.8, 1.0)), x_min=x_min,
+                x_max=x_max, x_pl=draw(unit(0.0, 0.5 * eta_c * C)), C=C,
+                zeta=draw(unit(0.0, 0.3)),
+                x0=draw(unit(x_min, x_max))), K))
+        elif kind == "generator":
+            u_min = draw(unit(0.0, 3.0))
+            blocks.append(build_generator_block(GeneratorParams(
+                T_up=draw(st.integers(1, 3)), T_down=draw(st.integers(1, 3)),
+                u_min=u_min, u_max=u_min + draw(unit(0.5, 5.0)),
+                r_max=draw(unit(0.5, 8.0)),
+                kappa_u=profile(draw, K, 0.1, 2.0),
+                kappa_d=profile(draw, K, 0.1, 2.0),
+                zeta=draw(unit(0.0, 0.3)),
+                cost_segments=((draw(unit(0.0, 0.5)), draw(unit(0.0, 1.0))),
+                               (draw(unit(0.0, 0.5)), 0.0))), K))
+        elif kind == "controllable_load":
+            D = profile(draw, K, 0.0, 8.0)
+            beta_max = draw(unit(0.0, 1.0))
+            cl_demands.append(D)
+            blocks.append(build_controllable_load_block(
+                ControllableLoadParams(draw(unit(0.0, beta_max)), beta_max,
+                                       D, draw(unit(0.1, 2.0))), K))
+        elif kind == "critical_load":
+            critical.append(profile(draw, K, 0.0, 4.0))
+            blocks.append(LocalBlock.empty(K, kind="critical_load"))
+        else:
+            blocks.append(build_grid_block(GridParams(
+                P_max=draw(unit(0.0, 15.0)), phi_p=profile(draw, K, 0.1, 0.4),
+                phi_s=profile(draw, K, 0.0, 0.2)), K))
+    scen = ScenarioSet(pi=np.full(R, 1.0 / R), b_r=[
+        power_balance_rhs([profile(draw, K, 0.0, 10.0)], cl_demands,
+                          critical) for _ in range(R)])
+    cost = build_recourse_cost(scen.pi, draw(unit(0.5, 5.0)),
+                               draw(unit(0.5, 5.0)), K)
+    graph = generate_graph(len(blocks), "random",
+                           seed=draw(st.integers(0, 2 ** 16)),
+                           p=draw(unit(0.2, 0.9)))
+    schedule = StepSizeSchedule.diminishing(draw(unit(0.2, 3.0)),
+                                            draw(unit(1.0, 5.0)))
+    return (blocks, scen, cost, graph, schedule, draw(st.integers(0, 20)),
+            draw(st.integers(1, 10)))
+
+
+def run_instance(instance):
+    blocks, scen, cost, graph, schedule, T_f, finalize_every = instance
+    return blocks, cost, run(blocks, scen, cost, graph, schedule, T_f,
+                             finalize_every=finalize_every)
+
+
+@PROPERTY
+@given(instances())
+def test_conservation_anytime_feasibility_and_block_membership(instance):
+    blocks, _, res = run_instance(instance)
+    assert max(res.trace.alloc_residual_all) <= 1e-9
+    for coupling in res.trace.coupling_vectors:
+        assert np.max(coupling) <= 1e-6
+    for blk, a in zip(blocks, res.agents):
+        assert blk.contains(a.x_mi), blk.kind
+
+
+@PROPERTY
+@given(instances(kinds=("controllable_load", "critical_load")))
+def test_certificate_holds_where_relaxations_are_hulls(instance):
+    blocks, cost, res = run_instance(instance)
+    assert all(relaxation_equals_hull(blk) for blk in blocks)
+    assert violation_certificate(res, cost).holds

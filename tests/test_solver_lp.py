@@ -254,11 +254,11 @@ def test_lp_format_dump(tmp_path):
                        np.array([1.5]), np.array([0.0, 0.0]),
                        np.array([1.0, np.inf]),
                        integrality=np.array([True, False]))
-    text = write_lp_format(lp, tmp_path / "p.lp", names=["on", "flow"])
+    text = write_lp_format(lp, tmp_path / "p.lp")
     assert (tmp_path / "p.lp").read_text() == text
     assert "Minimize" in text and "Subject To" in text and "End" in text
-    assert "- 1 on" in text and "+ 2 flow" in text
+    assert "- 1 x0" in text and "+ 2 x1" in text
     assert "r0: " in text and "<= 1.5" in text
-    assert "Binaries" in text and "\n on" in text
-    assert "0 <= flow <= +inf" in text
+    assert "Binaries" in text and "\n x0" in text
+    assert "0 <= x1 <= +inf" in text
 

@@ -1,12 +1,19 @@
-"""Branch-and-bound checks against exhaustive enumeration."""
+"""Branch-and-bound checks against exhaustive enumeration and, on the
+desk agents' finalize MILPs, against HiGHS."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mgridopt.config import ExperimentConfig, build_problem
+from mgridopt.dialgo import init_allocations, make_agents, recourse_cap
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
                              solve_milp)
+from mgridopt.stochastic import build_h
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
 
 def enumerate_milp(lp):
@@ -118,3 +125,27 @@ def test_determinism():
     assert a.value == b.value
     assert a.node_count == b.node_count
     assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_desk_finalize_milps_match_highs():
+    """Every desk agent's finalize MILP at the equal split and the run's
+    starting recourse cap: branch-and-bound on the agent's own
+    LocalProblem reaches the optimum HiGHS certifies."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    scen, tol = problem.scen, problem.tolerances
+    cap = recourse_cap(problem.blocks, scen)
+    agents = make_agents(problem.blocks, scen, problem.cost,
+                         init_allocations(build_h(scen), len(problem.blocks)))
+    for a in agents:
+        # solve() leaves y and the cap it ended with in the agent's LP
+        sol, _ = a.problem.solve(solve_milp, a.y, cap, tol, "recovery MILP")
+        lp = a.problem.lp
+        ref = scipy_opt.milp(
+            lp.c, integrality=lp.integrality.astype(int),
+            bounds=scipy_opt.Bounds(lp.lo, lp.hi),
+            constraints=scipy_opt.LinearConstraint(lp.G, -np.inf, lp.g),
+            options={"mip_rel_gap": 1e-9})
+        assert sol.status == OPTIMAL and ref.success, a.index
+        assert abs(sol.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun)), \
+            (a.index, sol.value, ref.fun)

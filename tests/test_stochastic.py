@@ -10,8 +10,8 @@ from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             power_balance_rhs)
 from mgridopt.solver import OPTIMAL, LinearProgram, solve_lp, solve_milp
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
-                                 build_recourse_cost, expected_recourse,
-                                 lift_block, recourse_from_residuals,
+                                 build_recourse_cost, lift_block)
+from oracles.centralized import (expected_recourse, recourse_from_residuals,
                                  recourse_phi)
 
 
@@ -189,7 +189,7 @@ def test_band_pooled_and_per_agent_forms_agree():
 
 def test_pooled_relaxation_solver_finite_eta():
     blocks, scen, cost = three_agent_toy()
-    lp, layout = assemble_two_stage(blocks, scen, cost, relax=True)
+    lp, layout = assemble_two_stage(blocks, scen, cost)
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     eta = sol.x[layout["eta_offset"]:]
@@ -204,7 +204,7 @@ def test_raising_h_never_hurts():
     move either way (the band is a two-sided tube around the balance).
     """
     blocks, scen, cost = three_agent_toy()
-    lp, layout = assemble_two_stage(blocks, scen, cost, relax=True)
+    lp, layout = assemble_two_stage(blocks, scen, cost)
     base = solve_lp(lp).value
     dim = layout["eta_dim"]
     for j in range(dim):
@@ -218,10 +218,10 @@ def test_b_r_shift_moves_optimum_both_ways():
     # documents why monotonicity is stated in h: surplus scenarios can
     # be costlier than balanced ones, so b_r itself is not monotone
     blocks, scen, cost = three_agent_toy()
-    lp, _ = assemble_two_stage(blocks, scen, cost, relax=True)
+    lp, _ = assemble_two_stage(blocks, scen, cost)
     base = solve_lp(lp).value
     b_up = [b + 4.0 for b in scen.b_r]
     scen_up = ScenarioSet(pi=scen.pi, b_r=b_up)
-    lp_up, _ = assemble_two_stage(blocks, scen_up, cost, relax=True)
+    lp_up, _ = assemble_two_stage(blocks, scen_up, cost)
     up = solve_lp(lp_up).value
     assert up != pytest.approx(base, abs=1e-6)

@@ -39,10 +39,7 @@ def compute_lower_bound(lifted, cap: float,
     over the block.  H = 1_R kron (A; -A) repeats its first 2K rows in
     every scenario, so those floors are solved once and tiled R times.
     """
-    dim = lifted.eta_dim
-    if lifted.base.n == 0:
-        return np.full(dim, -cap)
-    floor = np.empty(dim // lifted.R)
+    floor = np.empty(lifted.eta_dim // lifted.R)
     for j in range(floor.size):
         sol = solve_lp(lifted.base.relaxation_lp(lifted.H[j]), tol)
         if sol.status != OPTIMAL:

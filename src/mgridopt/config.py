@@ -9,8 +9,10 @@ Validation is the build: one walk over the mapping builds each section
 with the constructor that owns its rules (parameter records, profile
 models, step-size schedule, graph) and records each failure under its
 field path, e.g. `units.grid.max_exchange_kw: missing`.  Checked here
-are only the rules no record states: the shape of the mapping, the
-counts, the recourse penalties, the tolerances and the step-size kind.
+are only the rules no record states: finite numbers, the shape of the
+mapping, the counts, the recourse penalties, the tolerances and the
+step-size kind.  Each unit builder also rejects a block whose
+polyhedron is empty.
 
 Schema sketch (see configs/desk.yaml for a complete example):
 
@@ -48,6 +50,7 @@ Schema sketch (see configs/desk.yaml for a complete example):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -144,6 +147,20 @@ def _positive(value) -> float:
             or not value > 0:
         raise ValueError(f"must be a number > 0, got {value!r}")
     return float(value)
+
+
+def _non_finite(value, path: str) -> list:
+    """An error for every inf or nan float in `value`, with its path."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else \
+            [f"{path}: must be a finite number, got {value}"]
+    if isinstance(value, dict):
+        return [e for key, v in value.items()
+                for e in _non_finite(v, f"{path}.{key}" if path else str(key))]
+    if isinstance(value, (list, tuple)):
+        return [e for i, v in enumerate(value)
+                for e in _non_finite(v, f"{path}[{i}]")]
+    return []
 
 
 def _tolerance_names(value) -> dict:
@@ -251,7 +268,10 @@ def _build(raw):
     """
     if not isinstance(raw, dict):
         return None, ["config: expected a mapping"]
-    errors: list = []
+    # with finite numbers every builder's block is compact
+    errors = _non_finite(raw, "")
+    if errors:
+        return None, errors
 
     def build(path, make):
         try:

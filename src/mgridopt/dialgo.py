@@ -374,19 +374,12 @@ class RunResult:
 def recourse_cap(blocks, scen: ScenarioSet) -> float:
     """Crude certified overestimate of any useful recourse magnitude.
 
-    Twice (max |b_r(k)| + total coupling row mass), where each block's
-    mass bounds |A_i x_i| via per-coordinate boxes.  Large on purpose:
-    the cap must never bind at an optimum.
+    Twice (max |b_r(k)| + total coupling mass), where each block's
+    `coupling_mass` bounds |A_i x_i| over its relaxation.  Large on
+    purpose: the cap must never bind at an optimum.
     """
     b_max = max(float(np.max(np.abs(b))) for b in scen.b_r)
-    mass = 0.0
-    for blk in blocks:
-        if blk.n == 0:
-            continue
-        lo, hi = blk.coordinate_box()
-        radius = np.maximum(np.abs(lo), np.abs(hi))
-        mass += float(np.max(np.abs(blk.A) @ radius))
-    return 2.0 * (b_max + mass)
+    return 2.0 * (b_max + sum(blk.coupling_mass for blk in blocks))
 
 
 def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
@@ -426,8 +419,7 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
     prev_logged_y = None
 
     for t in range(T_f + 1):
-        residual = float(np.max(np.abs(
-            sum(a.y for a in agents) - h))) if agents else 0.0
+        residual = float(np.max(np.abs(sum(a.y for a in agents) - h)))
         trace.alloc_residual_all.append(residual)
         try:
             for a in agents:
@@ -448,8 +440,7 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
             eta_sum = np.zeros(h.size)
             for a in agents:
                 eta_sum += a.eta_mi
-                if a.lifted.base.n:
-                    injection += a.lifted.base.A @ a.x_mi
+                injection += a.lifted.base.A @ a.x_mi
             trace.balance_injection.append(injection)
             trace.eta_total.append(eta_sum)
             trace.iters.append(t)

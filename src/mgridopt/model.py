@@ -18,7 +18,8 @@ curtailment removes -beta*D of demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,8 +176,7 @@ class LocalBlock:
 
     `lo`/`hi` default to the unbounded box.  `var_index` maps names
     like "u(3)" to column positions, which keeps tests and reports
-    readable.  `box` caches per-coordinate ranges once compactness has
-    been verified.
+    readable.
     """
 
     c: np.ndarray
@@ -189,7 +189,6 @@ class LocalBlock:
     kind: str = "generic"
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    box: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lo is None:
@@ -219,21 +218,21 @@ class LocalBlock:
         """min c'x over the relaxed block."""
         return LinearProgram(c, self.G, self.g, self.lo, self.hi)
 
-    def coordinate_box(self):
-        """Min/max of every coordinate over the relaxed polyhedron.
+    @cached_property
+    def coupling_mass(self) -> float:
+        """max_k sum_j |A_kj| r_j, where r_j = max(|lo_j|, |hi_j|) is the
+        range of x_j over the relaxed block: a bound on |A x| there.
 
-        Doubles as the compactness and nonemptiness verification; raises
-        DimensionError when the polyhedron is empty or a coordinate is
-        unbounded.
+        Two LPs per column that A touches; the other columns carry no
+        mass.  Raises DimensionError when the polyhedron is empty or a
+        coupled coordinate is unbounded.
         """
-        if self.box is not None:
-            return self.box
         if np.any(self.lo > self.hi):
             # crossed bounds: no LP can even be built
             raise DimensionError(f"{self.kind} block polyhedron is empty")
-        lo = np.zeros(self.n)
-        hi = np.zeros(self.n)
-        for j in range(self.n):
+        weight = np.abs(self.A)
+        radius = np.zeros(self.n)
+        for j in np.flatnonzero(weight.any(axis=0)):
             e = np.zeros(self.n)
             e[j] = 1.0
             smin = solve_lp(self.relaxation_lp(e))
@@ -243,18 +242,15 @@ class LocalBlock:
             if smin.status != OPTIMAL or smax.status != OPTIMAL:
                 raise DimensionError(
                     f"{self.kind} block coordinate {j} is unbounded")
-            lo[j], hi[j] = smin.value, -smax.value
-        self.box = (lo, hi)
-        return self.box
+            radius[j] = max(abs(smin.value), abs(smax.value))
+        return float(np.max(weight @ radius))
 
     @classmethod
     def empty(cls, K: int, kind: str = "exogenous") -> "LocalBlock":
         """Block of a unit with no decision variables (critical load)."""
-        blk = cls(c=np.zeros(0), G=np.zeros((0, 0)), g=np.zeros(0),
-                  integrality=np.zeros(0, dtype=bool), A=np.zeros((K, 0)),
-                  var_index={}, K=K, kind=kind)
-        blk.box = (np.zeros(0), np.zeros(0))
-        return blk
+        return cls(c=np.zeros(0), G=np.zeros((0, 0)), g=np.zeros(0),
+                   integrality=np.zeros(0, dtype=bool), A=np.zeros((K, 0)),
+                   var_index={}, K=K, kind=kind)
 
 
 class _RowBuilder:
@@ -335,6 +331,13 @@ def _check_horizon(K):
         raise DimensionError(f"horizon K must be an integer >= 1, got {K}")
 
 
+def _nonempty(blk: LocalBlock) -> LocalBlock:
+    """`blk`, once a phase-1 LP has found a point of its relaxation."""
+    if solve_lp(blk.relaxation_lp(np.zeros(blk.n))).status != OPTIMAL:
+        raise ParameterError(f"{blk.kind} block polyhedron is empty")
+    return blk
+
+
 def build_storage_block(p: StorageParams, K: int) -> LocalBlock:
     """Storage unit block.
 
@@ -380,8 +383,9 @@ def build_storage_block(p: StorageParams, K: int) -> LocalBlock:
         c[idx[f"u({k})"]] = -p.zeta
         A[k, idx[f"u({k})"]] = 1.0
         mask[idx[f"delta({k})"]] = True
-    return LocalBlock(c=c, G=G, g=g, integrality=mask, A=A, var_index=idx,
-                      K=K, kind="storage", lo=lo, hi=hi)
+    return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
+                                var_index=idx, K=K, kind="storage", lo=lo,
+                                hi=hi))
 
 
 def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
@@ -462,8 +466,9 @@ def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
         c[idx[f"delta({k})"]] = p.zeta
         A[k, idx[f"u({k})"]] = -1.0
         mask[idx[f"delta({k})"]] = True
-    return LocalBlock(c=c, G=G, g=g, integrality=mask, A=A, var_index=idx,
-                      K=K, kind="generator", lo=lo, hi=hi)
+    return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
+                                var_index=idx, K=K, kind="generator", lo=lo,
+                                hi=hi))
 
 
 def quadratic_cost_segments(a: float, b: float, u_min: float, u_max: float,
@@ -495,9 +500,10 @@ def build_controllable_load_block(p: ControllableLoadParams, K: int) -> LocalBlo
     A = np.zeros((K, K))
     for k in range(K):
         A[k, k] = -p.D[k]
-    return LocalBlock(c=c, G=G, g=g, integrality=np.zeros(K, dtype=bool),
-                      A=A, var_index=idx, K=K, kind="controllable_load",
-                      lo=lo, hi=hi)
+    return _nonempty(LocalBlock(c=c, G=G, g=g,
+                                integrality=np.zeros(K, dtype=bool), A=A,
+                                var_index=idx, K=K, kind="controllable_load",
+                                lo=lo, hi=hi))
 
 
 def build_grid_block(p: GridParams, K: int) -> LocalBlock:
@@ -529,8 +535,9 @@ def build_grid_block(p: GridParams, K: int) -> LocalBlock:
         c[idx[f"phi({k})"]] = 1.0
         A[k, idx[f"u({k})"]] = -1.0
         mask[idx[f"delta({k})"]] = True
-    return LocalBlock(c=c, G=G, g=g, integrality=mask, A=A, var_index=idx,
-                      K=K, kind="grid", lo=lo, hi=hi)
+    return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
+                                var_index=idx, K=K, kind="grid", lo=lo,
+                                hi=hi))
 
 
 # --------------------------------------------------------------------------

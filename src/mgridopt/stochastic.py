@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionError, LocalBlock
+from .solver import LinearProgram
 
 
 @dataclass
@@ -117,27 +118,20 @@ def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> RecourseCo
                         d=np.concatenate(parts))
 
 
-def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
-                       per_agent_eta: bool = False):
+def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost):
     """Centralized two-stage program over all blocks (`mgridopt build`).
 
-    Columns are [x_1 .. x_N | eta] with one pooled recourse vector, or
-    [x_1 .. x_N | eta_1 .. eta_N] when `per_agent_eta` is set (the
-    distributed form whose vertices carry the integral-block counting
-    property).  `solve_lp` ignores the integrality mask, so the same
-    program serves as its own relaxation.  Returns the program plus a
-    layout dict with column offsets.
+    Columns are [x_1 .. x_N | eta] with one pooled recourse vector.
+    `solve_lp` ignores the integrality mask, so the same program serves
+    as its own relaxation.  Returns the program plus a layout dict with
+    column offsets.
     """
-    from .solver import LinearProgram  # local import avoids a cycle
-
     R, K = scen.R, scen.K
     dim = 2 * R * K
     lifted = [lift_block(blk, R) for blk in blocks]
     h = build_h(scen)
-    n_agents = len(blocks)
     n_x = sum(blk.n for blk in blocks)
-    n_eta = dim * (n_agents if per_agent_eta else 1)
-    n = n_x + n_eta
+    n = n_x + dim
     m_blocks = sum(blk.G.shape[0] for blk in blocks)
     G = np.zeros((m_blocks + dim, n))
     g = np.zeros(m_blocks + dim)
@@ -156,17 +150,11 @@ def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost,
         col += blk.n
     for i, lb in enumerate(lifted):
         G[row:row + dim, offsets[i]:offsets[i] + lb.n] = lb.H
-    eta_off = n_x
-    for i in range(n_agents if per_agent_eta else 1):
-        sl = slice(eta_off + i * dim, eta_off + (i + 1) * dim)
-        G[row:row + dim, sl] = -np.eye(dim)
-        c[sl] = cost.d
+    G[row:row + dim, n_x:] = -np.eye(dim)
+    c[n_x:] = cost.d
     g[row:row + dim] = h
-    lo = np.concatenate([blk.lo for blk in blocks] + [np.zeros(n_eta)])
-    hi = np.concatenate([blk.hi for blk in blocks]
-                        + [np.full(n_eta, np.inf)])
+    lo = np.concatenate([blk.lo for blk in blocks] + [np.zeros(dim)])
+    hi = np.concatenate([blk.hi for blk in blocks] + [np.full(dim, np.inf)])
     lp = LinearProgram(c, G, g, lo, hi, integrality=mask)
-    layout = {"offsets": offsets, "eta_offset": eta_off, "eta_dim": dim,
-              "n_agents": n_agents, "per_agent_eta": per_agent_eta}
+    layout = {"offsets": offsets, "eta_offset": n_x, "eta_dim": dim}
     return lp, layout
-

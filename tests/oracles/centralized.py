@@ -1,8 +1,9 @@
 """The one-big-problem forms the distributed run is checked against.
 
 `assemble_centralized` stacks the blocks under the deterministic
-balance; the recourse formulas price imbalance directly from
-residuals, in the row ordering of `mgridopt.stochastic`.
+balance; `assemble_per_agent_eta` gives each agent its own recourse
+vector; the recourse formulas price imbalance directly from residuals,
+in the row ordering of `mgridopt.stochastic`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from mgridopt.model import DimensionError
 from mgridopt.solver import LinearProgram
-from mgridopt.stochastic import RecourseCost, ScenarioSet
+from mgridopt.stochastic import RecourseCost, ScenarioSet, assemble_two_stage
 
 
 def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
@@ -55,6 +56,22 @@ def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
                        np.concatenate([blk.hi for blk in blocks]),
                        integrality=mask)
     return lp, offsets
+
+
+def assemble_per_agent_eta(blocks, scen: ScenarioSet, cost: RecourseCost):
+    """`assemble_two_stage` with columns [x_1 .. x_N | eta_1 .. eta_N]:
+    the distributed form, whose vertices carry the integral-block
+    counting property.  Same layout dict as the pooled form; agent i's
+    recourse starts at eta_offset + i * eta_dim."""
+    lp, layout = assemble_two_stage(blocks, scen, cost)
+    n_x, N = layout["eta_offset"], len(blocks)
+
+    def per_agent(v):
+        return np.concatenate([v[..., :n_x]] + [v[..., n_x:]] * N, axis=-1)
+
+    return LinearProgram(per_agent(lp.c), per_agent(lp.G), lp.g,
+                         per_agent(lp.lo), per_agent(lp.hi),
+                         integrality=per_agent(lp.integrality)), layout
 
 
 def expected_recourse(cost: RecourseCost, eta) -> float:

@@ -3,10 +3,10 @@
 No run calls it; the tests use it to decide whether a block's
 continuous relaxation already equals the convex hull of its
 mixed-integer set (the hypothesis under which the violation
-certificate is provably valid), and to quantify the relaxation gap on
-blocks where it does not.  Everything here is
-exponential in the binary count and meant for blocks with at most a
-handful of binaries.
+certificate is provably valid), to quantify the relaxation gap on
+blocks where it does not, and to check that built blocks are compact
+(`coordinate_box`).  Everything else here is exponential in the binary
+count and meant for blocks with at most a handful of binaries.
 """
 
 from __future__ import annotations
@@ -15,8 +15,42 @@ import itertools
 
 import numpy as np
 
-from mgridopt.model import LocalBlock
-from mgridopt.solver import OPTIMAL, LinearProgram, solve_lp
+from mgridopt.model import DimensionError, LocalBlock
+from mgridopt.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+
+
+def coordinate_box(block: LocalBlock):
+    """(lo, hi): min and max of every coordinate over the relaxed block.
+
+    Two LPs per column, coupled or not; the builders' blocks are
+    compact, so every entry is finite.  Raises DimensionError when the
+    polyhedron is empty or a coordinate is unbounded.
+    """
+    if np.any(block.lo > block.hi):
+        raise DimensionError(f"{block.kind} block polyhedron is empty")
+    lo, hi = np.zeros(block.n), np.zeros(block.n)
+    for j, e in enumerate(np.eye(block.n)):
+        smin = solve_lp(block.relaxation_lp(e))
+        smax = solve_lp(block.relaxation_lp(-e))
+        if INFEASIBLE in (smin.status, smax.status):
+            raise DimensionError(f"{block.kind} block polyhedron is empty")
+        if smin.status != OPTIMAL or smax.status != OPTIMAL:
+            raise DimensionError(
+                f"{block.kind} block coordinate {j} is unbounded")
+        lo[j], hi[j] = smin.value, -smax.value
+    return lo, hi
+
+
+def box_recourse_cap(blocks, scen) -> float:
+    """`dialgo.recourse_cap` from the full coordinate boxes:
+    2 * (b_max + sum_i max(|A_i| @ max(|lo_i|, |hi_i|)))."""
+    b_max = max(float(np.max(np.abs(b))) for b in scen.b_r)
+    mass = 0.0
+    for blk in blocks:
+        lo, hi = coordinate_box(blk)
+        mass += float(np.max(np.abs(blk.A) @ np.maximum(np.abs(lo),
+                                                        np.abs(hi))))
+    return 2.0 * (b_max + mass)
 
 
 def enumerate_vertices(G, g, tol: float = 1e-7):
@@ -140,7 +174,7 @@ def hull_lp(block: LocalBlock, c=None):
     hi[B * n:] = 1.0
     # scaled copies need box bounds per copy or the scaled rows alone can
     # leave w_b unbounded when lambda_b = 0; bound via the block's box
-    blo, bhi = block.coordinate_box()
+    blo, bhi = coordinate_box(block)
     for b in range(B):
         lam = B * n + b
         for j in range(n):

@@ -25,6 +25,7 @@ from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
                              solve_milp)
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage,
                                  build_recourse_cost)
+from oracles.centralized import assemble_per_agent_eta
 from oracles.hull import hull_block, relaxation_equals_hull
 
 REPO = Path(__file__).resolve().parents[1]
@@ -174,8 +175,7 @@ def test_criterion_04_integral_block_count():
         blocks, scen, cost = _random_small_instance(rng)
         hulls = [hull_block(blk) if np.any(blk.integrality) else blk
                  for blk in blocks]
-        lp, layout = assemble_two_stage(hulls, scen, cost,
-                                        per_agent_eta=True)
+        lp, layout = assemble_per_agent_eta(hulls, scen, cost)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         fractional = 0
@@ -200,8 +200,7 @@ def test_box_relaxation_can_exceed_count_bound():
     exceeded = 0
     for _ in range(50):
         blocks, scen, cost = _random_small_instance(rng)
-        lp, layout = assemble_two_stage(blocks, scen, cost,
-                                        per_agent_eta=True)
+        lp, layout = assemble_per_agent_eta(blocks, scen, cost)
         sol = solve_lp(lp)
         fractional = 0
         for i, blk in enumerate(blocks):

@@ -6,15 +6,16 @@ reads."""
 import dataclasses
 import importlib
 import importlib.util
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from mgridopt import experiment
+from mgridopt import experiment, model
 from mgridopt.config import ExperimentConfig, build_problem
-from mgridopt.dialgo import RunTrace
+from mgridopt.dialgo import RunTrace, recourse_cap, run
 from mgridopt.solver import OPTIMAL, LinearProgram, solve_milp
 from mgridopt.stochastic import lift_block
 
@@ -104,3 +105,19 @@ def test_gate_rejects_a_point_past_a_native_bound():
     # at delta in {0, 1}, so no integral point meets them past a bound
     assert "grid" in tried
     assert set(rejected) == {"storage", "generator", "controllable_load"}
+
+
+def test_recourse_cap_after_a_run_solves_no_lp(monkeypatch):
+    # the benchmark recomputes recourse_cap(blocks, scen) after each
+    # dialgo.run to count cap doublings; the run's own call must have
+    # left the coupling masses cached on the blocks
+    p = build_problem(
+        ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
+    res = run(p.blocks, p.scen, p.cost, p.graph, p.schedule, T_f=0)
+
+    def no_lp(*args):
+        raise AssertionError("recourse_cap solved an LP after the run")
+
+    monkeypatch.setattr(model, "solve_lp", no_lp)
+    doublings = math.log2(res.eta_cap / recourse_cap(p.blocks, p.scen))
+    assert doublings == int(doublings) >= 0

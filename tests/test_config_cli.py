@@ -173,6 +173,25 @@ MALFORMED_DESK = {
     "cost_segments_bool": (
         lambda raw: raw["units"]["generators"][0].update(cost_segments=True),
         "units.generators[0]: cost_segments must be an int >= 1, got True"),
+    "storage_loss_empties_block": (
+        lambda raw: raw["units"]["storages"][0].update(
+            loss_kwh_per_step=20.0),
+        "units.storages[0]: storage block polyhedron is empty"),
+    "power_max_inf": (
+        lambda raw: raw["units"]["generators"][0].update(
+            power_max_kw=float("inf")),
+        "units.generators[0].power_max_kw: must be a finite number, "
+        "got inf"),
+    "startup_cost_inf": (
+        lambda raw: raw["units"]["generators"][1].update(
+            startup_cost_eur=float("inf")),
+        "units.generators[1].startup_cost_eur: must be a finite number, "
+        "got inf"),
+    "price_nan": (
+        lambda raw: raw["profiles"]["price_buy"]["literal_eur_per_kwh"]
+        .__setitem__(2, float("nan")),
+        "profiles.price_buy.literal_eur_per_kwh[2]: must be a finite "
+        "number, got nan"),
 }
 
 
@@ -374,6 +393,23 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["build", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert "units.grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["storage_loss_empties_block",
+                                  "power_max_inf"])
+def test_cli_run_reports_an_empty_or_infinite_unit_on_one_line(
+        tmp_path, capsys, case):
+    # both configs used to pass validation and crash inside recourse_cap
+    break_field, path = MALFORMED_DESK[case]
+    raw = yaml.safe_load(DESK.read_text())
+    break_field(raw)
+    assert validate_config(raw) == [path]
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_montecarlo(tmp_path, capsys):

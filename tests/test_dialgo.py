@@ -2,14 +2,19 @@
 feasibility, and convergence of the relaxation toward the centralized
 optimum."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mgridopt import model
+from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
                              CommGraph, GraphError,
                              StepSizeSchedule, exchange_and_update,
                              finalize_mixed_integer, generate_graph,
-                             init_allocations, local_multiplier_step, run)
+                             init_allocations, local_multiplier_step,
+                             recourse_cap, run)
 from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
                             build_grid_block, build_storage_block,
@@ -17,6 +22,9 @@ from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
 from mgridopt.solver import OPTIMAL, solve_lp
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost, lift_block)
+from oracles.hull import box_recourse_cap
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
 
 def toy_agent(A, G=None, g=None, c=None, integrality=None, R=1, d=None,
@@ -355,3 +363,35 @@ def test_mismatched_graph_size_rejected():
     with pytest.raises(Exception, match="nodes"):
         run(blocks, scen, cost, generate_graph(3, "path"),
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=1)
+
+
+# --------------------------------------------------------------- recourse cap
+
+
+def test_desk_build_and_cap_solve_only_coupled_column_lps(monkeypatch):
+    # each built block costs one zero-cost phase-1 LP, and recourse_cap
+    # two LPs per column its A touches; the uncoupled columns need none
+    cfg = ExperimentConfig.from_yaml(DESK)
+    nonzeros = []
+    solve = model.solve_lp
+
+    def counting(lp, *args):
+        nonzeros.append(np.count_nonzero(lp.c))
+        return solve(lp, *args)
+
+    monkeypatch.setattr(model, "solve_lp", counting)
+    problem = build_problem(cfg)
+    recourse_cap(problem.blocks, problem.scen)
+    built = sum(blk.n > 0 for blk in problem.blocks)
+    coupled = sum(np.count_nonzero(blk.A.any(axis=0))
+                  for blk in problem.blocks)
+    assert (built, coupled) == (9, 54)
+    assert nonzeros.count(0) == built
+    assert nonzeros.count(1) == 2 * coupled
+    assert len(nonzeros) == 117
+
+
+def test_desk_recourse_cap_equals_the_full_box_formula():
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    assert recourse_cap(problem.blocks, problem.scen) == \
+        box_recourse_cap(problem.blocks, problem.scen)

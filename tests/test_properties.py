@@ -5,20 +5,24 @@ random connected graph, run for at most 20 rounds: the allocations keep
 summing to the band at every round, every logged mixed-integer point
 meets the lifted coupling, and every finalized point lies in its block.
 On rosters whose relaxations are their hulls the certificate holds.
+Every built block is compact, and the recourse cap computed from the
+coupled columns alone equals the one from the full coordinate boxes.
 """
 
 import numpy as np
 import pytest
 
 from mgridopt.analysis import violation_certificate
-from mgridopt.dialgo import StepSizeSchedule, generate_graph, run
+from mgridopt.dialgo import (StepSizeSchedule, generate_graph, recourse_cap,
+                             run)
 from mgridopt.model import (ControllableLoadParams, GeneratorParams,
                             GridParams, LocalBlock, StorageParams,
                             build_controllable_load_block,
                             build_generator_block, build_grid_block,
                             build_storage_block, power_balance_rhs)
 from mgridopt.stochastic import ScenarioSet, build_recourse_cost
-from oracles.hull import relaxation_equals_hull
+from oracles.hull import (box_recourse_cap, coordinate_box,
+                          relaxation_equals_hull)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -119,3 +123,18 @@ def test_certificate_holds_where_relaxations_are_hulls(instance):
     blocks, cost, res = run_instance(instance)
     assert all(relaxation_equals_hull(blk) for blk in blocks)
     assert violation_certificate(res, cost).holds
+
+
+@PROPERTY
+@given(instances())
+def test_every_built_block_has_a_finite_coordinate_box(instance):
+    for blk in instance[0]:
+        lo, hi = coordinate_box(blk)
+        assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)), blk.kind
+
+
+@PROPERTY
+@given(instances())
+def test_recourse_cap_equals_the_full_box_formula(instance):
+    blocks, scen = instance[:2]
+    assert recourse_cap(blocks, scen) == box_recourse_cap(blocks, scen)

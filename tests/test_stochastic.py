@@ -11,8 +11,8 @@ from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
 from mgridopt.solver import OPTIMAL, LinearProgram, solve_lp, solve_milp
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost, lift_block)
-from oracles.centralized import (expected_recourse, recourse_from_residuals,
-                                 recourse_phi)
+from oracles.centralized import (assemble_per_agent_eta, expected_recourse,
+                                 recourse_from_residuals, recourse_phi)
 
 
 def toy_block(A):
@@ -167,8 +167,7 @@ def test_band_pooled_and_per_agent_forms_agree():
     band = solve_milp(band_form_milp(blocks, scen, cost))
     pooled, _ = assemble_two_stage(blocks, scen, cost)
     pooled_sol = solve_milp(pooled)
-    per_agent, layout = assemble_two_stage(blocks, scen, cost,
-                                           per_agent_eta=True)
+    per_agent, layout = assemble_per_agent_eta(blocks, scen, cost)
     per_sol = solve_milp(per_agent)
     assert band.status == pooled_sol.status == per_sol.status == OPTIMAL
     assert pooled_sol.value == pytest.approx(band.value, abs=1e-8)
@@ -176,7 +175,7 @@ def test_band_pooled_and_per_agent_forms_agree():
     # reconstruct the pooled recourse from per-agent shares
     dim = layout["eta_dim"]
     eta_sum = np.zeros(dim)
-    for i in range(layout["n_agents"]):
+    for i in range(len(blocks)):
         off = layout["eta_offset"] + i * dim
         eta_sum += per_sol.x[off:off + dim]
     h = build_h(scen)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionError
-from .solver import OPTIMAL, LinearProgram, Tolerances, solve_lp, solve_milp
+from .solver import (OPTIMAL, LinearProgram, NodeLimitError, Tolerances,
+                     solve_lp, solve_milp)
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet, build_h,
                          lift_block)
 
@@ -219,12 +220,17 @@ class LocalProblem:
         doubled while the solve is infeasible or eta reaches the cap, at
         most MAX_CAP_DOUBLINGS times; a zero cap steps to 1 first, since
         doubling it could never lift it.  Returns (solution, cap used).
+        A branch-and-bound that hits its node limit raises an
+        AgentSolveError too.
         """
         lp, n = self.lp, self.n
         lp.g[self.m0:] = y
         for _ in range(MAX_CAP_DOUBLINGS + 1):
             lp.hi[n:] = cap
-            sol = solver(lp, tol)
+            try:
+                sol = solver(lp, tol)
+            except NodeLimitError as e:
+                raise AgentSolveError(self.index, str(e), stage) from e
             if (sol.status == OPTIMAL
                     and np.max(sol.x[n:], initial=0.0) < cap * (1 - 1e-9)):
                 return sol, cap

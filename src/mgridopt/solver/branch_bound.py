@@ -1,9 +1,12 @@
 """Branch-and-bound on top of the bounded-variable simplex.
 
 Best-bound node selection, branching on the most fractional
-integer-flagged coordinate (ties to the lowest column index).  All
-choices are deterministic, so identical inputs give identical
-solutions and node counts.
+integer-flagged coordinate (ties to the lowest column index).  The root
+LP is solved cold; every child differs from its parent by one bound and
+starts from the parent's optimal basis (`LpSolution.basis`), which the
+dual simplex re-optimizes in a few pivots.  All choices are
+deterministic, so identical inputs give identical solutions and node
+counts.
 """
 
 from __future__ import annotations
@@ -15,6 +18,16 @@ import numpy as np
 
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                       Tolerances, solve_lp)
+
+MAX_BNB_NODES = 200_000  # node LP solves of one tree
+
+
+class NodeLimitError(RuntimeError):
+    """Raised when a tree would solve more than MAX_BNB_NODES node LPs."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"node limit {limit} reached")
 
 
 @dataclass
@@ -30,7 +43,8 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> MipSolution
 
     `lp.integrality` flags the integer-constrained coordinates.  The
     continuous relaxation must be bounded (all problems built here live
-    on compact polyhedra).
+    on compact polyhedra).  Raises NodeLimitError rather than solve
+    more than MAX_BNB_NODES node LPs.
     """
     mask = lp.integrality
     if mask is None or not np.any(mask):
@@ -43,8 +57,8 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> MipSolution
     best_val = np.inf
     nodes = 0
     counter = 0
-    # heap entries: (lp bound, insertion counter, lo, hi)
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
+    # heap entries: (lp bound, insertion counter, lo, hi, parent basis)
+    heap: list[tuple] = []
 
     root = solve_lp(lp, tol)
     nodes += 1
@@ -58,10 +72,13 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> MipSolution
         if state:
             sol, lo, hi = state.pop()
         else:
-            bound, _, lo, hi = heapq.heappop(heap)
+            bound, _, lo, hi, start = heapq.heappop(heap)
             if bound >= best_val - 1e-9:
                 continue
-            sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi), tol)
+            if nodes >= MAX_BNB_NODES:
+                raise NodeLimitError(MAX_BNB_NODES)
+            sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi), tol,
+                           start=start)
             nodes += 1
             if sol.status != OPTIMAL:
                 continue
@@ -82,12 +99,14 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> MipSolution
         lo_up = lo.copy()
         lo_up[j] = np.ceil(pivot)
         if lo_up[j] <= hi[j] + 1e-12:
-            heapq.heappush(heap, (sol.value, counter, lo_up, hi.copy()))
+            heapq.heappush(heap, (sol.value, counter, lo_up, hi.copy(),
+                                  sol.basis))
         counter += 1
         hi_dn = hi.copy()
         hi_dn[j] = np.floor(pivot)
         if lo[j] <= hi_dn[j] + 1e-12:
-            heapq.heappush(heap, (sol.value, counter, lo.copy(), hi_dn))
+            heapq.heappush(heap, (sol.value, counter, lo.copy(), hi_dn,
+                                  sol.basis))
 
     if best_x is None:
         return MipSolution(status=INFEASIBLE, node_count=nodes)

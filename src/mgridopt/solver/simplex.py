@@ -1,14 +1,24 @@
-"""Dense bounded-variable primal simplex with exact basis duals.
+"""Dense bounded-variable simplex with exact basis duals.
 
 Solves   min c'x   s.t.  G x <= g,  lo <= x <= hi
-with a two-phase revised simplex over the slack-augmented system
+with a revised simplex over the slack-augmented system
 [G | I] [x; s] = g, 0 <= s.  Solutions are basic feasible points
 (vertices), which downstream integrality-counting arguments rely on;
 interior-point methods would not do.
 
-Pivoting is deterministic: most-negative reduced cost with
-lowest-index tie-breaking, switching to Bland's rule after
-10 * (row count) degenerate steps so termination is guaranteed.
+A solve starts cold, with a two-phase primal simplex from the slack
+basis, or warm, from the basis of an earlier solve of the same c, G
+and g under other bounds (a branch-and-bound parent): that basis stays
+dual feasible when only bounds move, so a bounded dual simplex
+restores primal feasibility in a few pivots, and one primal pass then
+clears any roundoff-level dual infeasibility (Koberstein 2005; Bixby
+2002).  A start the dual loop cannot use falls back to the cold solve.
+
+Pivoting is deterministic: the primal prices by most-negative reduced
+cost with lowest-index tie-breaking, switching to Bland's rule after
+10 * (row count) degenerate steps so termination is guaranteed; the
+dual leaves on the largest bound violation (lowest position on ties)
+and enters by a Harris ratio test, ties to the largest pivot element.
 Identical inputs therefore produce bitwise-identical outputs.
 """
 
@@ -31,6 +41,7 @@ _FIXED = 4
 
 PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
 REFACTOR_EVERY = 60   # pivots between fresh basis inversions
+DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
 
 
 class SolverError(Exception):
@@ -102,22 +113,40 @@ class LpSolution:
     duals: np.ndarray | None = None          # >= 0, one per row of G
     reduced_costs: np.ndarray | None = None  # structural columns only
     pivots: int = 0
+    # (basic columns, statuses of the [x | s] columns): a `start`
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> LpSolution:
+def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
+             start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
     The returned multipliers satisfy mu >= 0 and complementary
     slackness; -mu is a subgradient of the optimal value with respect
     to g (used by the allocation update).
+
+    `start` is the `basis` of an earlier solution of an LP with the
+    same c, G and g; the solve then begins from it by dual simplex.
+    It goes cold instead when the start holds an artificial column,
+    its basis is singular, a nonbasic column rests on an infinite
+    bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots; the
+    returned pivot count includes the abandoned warm pivots.
     """
-    s = _Simplex(lp, tol)
-    return s.run()
+    if start is not None:
+        warm = _Simplex(lp, tol)
+        sol = warm.run_warm(*start)
+        if sol is not None:
+            return sol
+        sol = _Simplex(lp, tol).run()
+        sol.pivots += warm.pivots
+        return sol
+    return _Simplex(lp, tol).run()
 
 
 class _Simplex:
-    """One-shot engine; build, call run() once."""
+    """Engine for one solve: build, then call run() (cold two-phase)
+    or run_warm() (dual start) once."""
 
     def __init__(self, lp: LinearProgram, tol: Tolerances):
         self.lp = lp
@@ -216,6 +245,76 @@ class _Simplex:
             self.bland = False
 
         unbounded = self._iterate(self.c_phase2, phase_one=False)
+        if unbounded:
+            return LpSolution(status=UNBOUNDED, pivots=self.pivots)
+        return self._extract()
+
+    def run_warm(self, basis: np.ndarray,
+                 status: np.ndarray) -> LpSolution | None:
+        """Bounded dual simplex from a start basis; None means go cold.
+
+        Each pivot takes the basic column farthest outside its bounds
+        to the violated bound and enters the nonbasic column of the
+        Harris ratio test on that row.  A row no column can move proves
+        the LP infeasible.
+        """
+        if np.any(basis >= self.n + self.m):
+            return None
+        status = status.copy()
+        status[(status != _BASIC) & (self.lo == self.hi)] = _FIXED
+        xn = np.where(status == _AT_HI, self.hi, self.lo)
+        xn[basis] = 0.0
+        if (np.any(status == _FREE) or not np.all(np.isfinite(xn))
+                or np.any((status == _FIXED) & (self.lo != self.hi))):
+            return None
+        self.basis = basis.copy()
+        self.status = status
+        self.xn = xn
+        self.rhs = self.lp.g.copy()
+        c, feas, rc_tol = self.c_phase2, self.tol.feasibility, \
+            self.tol.reduced_cost
+        try:
+            self._refactor()
+            for _ in range(DUAL_PIVOT_LIMIT):
+                lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+                below, above = lo_b - self.xb, self.xb - hi_b
+                viol = np.maximum(below, above)
+                if not np.any(viol > feas):
+                    break
+                r = int(np.argmax(viol))
+                to_hi = bool(above[r] > below[r])
+                # row r moves by -alpha_j per unit step of column j
+                alpha = self.Binv[r] @ self.A
+                sa = alpha if to_hi else -alpha
+                st = self.status
+                right = (((st == _AT_LO) & (sa > 0.0))
+                         | ((st == _AT_HI) & (sa < 0.0)))
+                elig = right & (np.abs(alpha) > PIVOT_TOL)
+                if not np.any(elig):
+                    # the pivot-sized columns cannot move row r; the
+                    # proof holds unless the tiny ones could close it
+                    reach = np.abs(alpha[right]) @ (self.hi - self.lo)[right]
+                    if reach >= viol[r] - feas:
+                        return None
+                    return LpSolution(status=INFEASIBLE, pivots=self.pivots)
+                cand = np.flatnonzero(elig)
+                y = c[self.basis] @ self.Binv
+                d = c[cand] - y @ self.A[:, cand]
+                d = np.maximum(np.where(st[cand] == _AT_LO, d, -d), 0.0)
+                a = np.abs(alpha[cand])
+                # Harris: ratios within rc_tol of the smallest tie, and
+                # the largest pivot element among them enters
+                near = d / a <= np.min((d + rc_tol) / a)
+                j = int(cand[near][np.argmax(a[near])])
+                w = self.Binv @ self.A[:, j]
+                theta = (self.xb[r] - (hi_b[r] if to_hi else lo_b[r])) / w[r]
+                self._pivot(j, 1.0 if theta >= 0.0 else -1.0, w, abs(theta),
+                            r, to_hi)
+            else:
+                return None
+        except SolverError:
+            return None
+        unbounded = self._iterate(c, phase_one=False)
         if unbounded:
             return LpSolution(status=UNBOUNDED, pivots=self.pivots)
         return self._extract()
@@ -374,5 +473,6 @@ class _Simplex:
             duals=duals,
             reduced_costs=d_struct,
             pivots=self.pivots,
+            basis=(self.basis, self.status[:n + m].copy()),
         )
 

@@ -61,8 +61,8 @@ def test_traced_run_fires_every_solver_span(tmp_path):
     finally:
         tracer.restore()
     spans = tracer.spans
-    assert {"simplex.box", "simplex.alloc", "bnb.finalize", "simplex.cert",
-            "bnb.cert_aux"} <= {s.name for s in spans}
+    assert {"simplex.box", "simplex.alloc", "bnb.finalize", "simplex.node",
+            "simplex.cert", "bnb.cert_aux"} <= {s.name for s in spans}
     # a solve reached through the wrong module's name lands under the
     # wrong span, where the reduction to metrics fails or miscounts it
     root = next(i for i, s in enumerate(spans) if s.name == tracing.UNIT_SPAN)

@@ -1,11 +1,12 @@
 """LP engine checks: hand-worked KKT examples, strong duality on random
-instances, vertex structure, subgradient property, determinism."""
+instances, vertex structure, subgradient property, determinism, and
+warm starts against cold solves."""
 
 import numpy as np
 import pytest
 
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             Tolerances, solve_lp)
+                             Tolerances, simplex, solve_lp)
 
 
 def box_lp(c, G, g, lo, hi):
@@ -208,6 +209,68 @@ def test_determinism_bitwise():
     assert a.x.tobytes() == b.x.tobytes()
     assert a.duals.tobytes() == b.duals.tobytes()
     assert a.value == b.value and a.pivots == b.pivots
+
+
+def test_warm_start_matches_cold_solve(monkeypatch):
+    """A B&B child: tighten one basic column to the floor or ceiling of
+    its value and re-solve from the parent's basis.  The warm solve
+    must agree with a cold solve of the child, and a start holding an
+    artificial column must give the cold result bitwise.  The parent's
+    basis is dual feasible and the dual loop keeps it so: the primal
+    clean-up pass after it makes no pivot."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    iterate = simplex._Simplex._iterate
+    clean_up = []
+
+    def recording(self, c, phase_one):
+        before = self.pivots
+        unbounded = iterate(self, c, phase_one)
+        clean_up.append(self.pivots - before)
+        return unbounded
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  database=None)
+    @hyp.given(st.integers(0, 2**32 - 1), st.integers(0, 15), st.booleans())
+    def check(seed, pick, up):
+        lp = random_bounded_lp(np.random.default_rng(seed))
+        parent = solve_lp(lp)
+        assert parent.status == OPTIMAL
+        basic = parent.basis[0][parent.basis[0] < lp.n]
+        hyp.assume(basic.size > 0)
+        j = int(basic[pick % basic.size])
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        if up:
+            lo[j] = np.ceil(parent.x[j])
+        else:
+            hi[j] = np.floor(parent.x[j])
+        hyp.assume(lo[j] <= hi[j])
+        child = LinearProgram(lp.c, lp.G, lp.g, lo, hi)
+        cold = solve_lp(child)
+        clean_up.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex._Simplex, "_iterate", recording)
+            warm = solve_lp(child, start=parent.basis)
+        assert warm.status == cold.status
+        assert clean_up == ([] if warm.status == INFEASIBLE else [0])
+        if cold.status == OPTIMAL:
+            assert abs(warm.value - cold.value) <= 1e-9 * (1 + abs(cold.value))
+            assert np.all((lo <= warm.x) & (warm.x <= hi))
+            assert np.all(lp.G @ warm.x <= lp.g + 1e-7)
+        # an artificial in the start basis sends the solve cold
+        basis = parent.basis[0].copy()
+        basis[0] = lp.n + lp.m
+        art = solve_lp(child, start=(basis, parent.basis[1]))
+        assert art.status == cold.status and art.pivots == cold.pivots
+        if cold.status == OPTIMAL:
+            assert art.value == cold.value
+            for field in ("x", "duals", "reduced_costs"):
+                assert getattr(art, field).tobytes() == \
+                    getattr(cold, field).tobytes()
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(art.basis, cold.basis))
+
+    check()
 
 
 def test_subgradient_of_subproblem_value():

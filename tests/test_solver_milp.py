@@ -1,5 +1,6 @@
 """Branch-and-bound checks against exhaustive enumeration and, on the
-desk agents' finalize MILPs, against HiGHS."""
+desk agents' finalize and certificate MILPs and allocation LPs, against
+HiGHS; the node budget and the warm-started node LPs."""
 
 import itertools
 from pathlib import Path
@@ -7,10 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mgridopt import analysis
+from mgridopt.analysis import violation_certificate
 from mgridopt.config import ExperimentConfig, build_problem
-from mgridopt.dialgo import init_allocations, make_agents, recourse_cap
-from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
-                             solve_milp)
+from mgridopt.dialgo import (AgentSolveError, init_allocations, make_agents,
+                             recourse_cap, run)
+from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram,
+                             NodeLimitError, solve_lp, solve_milp)
+from mgridopt.solver import branch_bound
 from mgridopt.stochastic import build_h
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
@@ -127,25 +132,124 @@ def test_determinism():
     assert a.x.tobytes() == b.x.tobytes()
 
 
+def desk_at_equal_split():
+    """The desk problem, its starting recourse cap and one agent per
+    block holding the equal split."""
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    scen = problem.scen
+    agents = make_agents(problem.blocks, scen, problem.cost,
+                         init_allocations(build_h(scen), len(problem.blocks)))
+    return problem, recourse_cap(problem.blocks, scen), agents
+
+
+def assert_matches_highs(scipy_opt, lp, sol, label):
+    ref = scipy_opt.milp(
+        lp.c, integrality=lp.integrality.astype(int),
+        bounds=scipy_opt.Bounds(lp.lo, lp.hi),
+        constraints=scipy_opt.LinearConstraint(lp.G, -np.inf, lp.g),
+        options={"mip_rel_gap": 1e-9})
+    assert sol.status == OPTIMAL and ref.success, label
+    assert abs(sol.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun)), \
+        (label, sol.value, ref.fun)
+
+
 def test_desk_finalize_milps_match_highs():
     """Every desk agent's finalize MILP at the equal split and the run's
     starting recourse cap: branch-and-bound on the agent's own
     LocalProblem reaches the optimum HiGHS certifies."""
     scipy_opt = pytest.importorskip("scipy.optimize")
-    problem = build_problem(ExperimentConfig.from_yaml(DESK))
-    scen, tol = problem.scen, problem.tolerances
-    cap = recourse_cap(problem.blocks, scen)
-    agents = make_agents(problem.blocks, scen, problem.cost,
-                         init_allocations(build_h(scen), len(problem.blocks)))
+    problem, cap, agents = desk_at_equal_split()
     for a in agents:
         # solve() leaves y and the cap it ended with in the agent's LP
-        sol, _ = a.problem.solve(solve_milp, a.y, cap, tol, "recovery MILP")
+        sol, _ = a.problem.solve(solve_milp, a.y, cap, problem.tolerances,
+                                 "recovery MILP")
+        assert_matches_highs(scipy_opt, a.problem.lp, sol, a.index)
+
+
+def test_desk_allocation_lps_match_highs():
+    """Every desk agent's allocation LP at the equal split and the run's
+    starting recourse cap reaches the optimum HiGHS certifies."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    problem, cap, agents = desk_at_equal_split()
+    for a in agents:
+        sol, _ = a.problem.solve(solve_lp, a.y, cap, problem.tolerances,
+                                 "allocation LP")
         lp = a.problem.lp
-        ref = scipy_opt.milp(
-            lp.c, integrality=lp.integrality.astype(int),
-            bounds=scipy_opt.Bounds(lp.lo, lp.hi),
-            constraints=scipy_opt.LinearConstraint(lp.G, -np.inf, lp.g),
-            options={"mip_rel_gap": 1e-9})
-        assert sol.status == OPTIMAL and ref.success, a.index
-        assert abs(sol.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun)), \
+        ref = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.g,
+                                bounds=list(zip(lp.lo, lp.hi)),
+                                method="highs")
+        assert sol.status == OPTIMAL and ref.status == 0, a.index
+        assert abs(sol.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun)), \
             (a.index, sol.value, ref.fun)
+
+
+def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
+    """After one desk round four agents are non-integral; each one's
+    auxiliary MILP at the floored allocation reaches the optimum HiGHS
+    certifies."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    res = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+              problem.schedule, T_f=1, tol=problem.tolerances)
+    solved = []
+
+    def recording(lp, tol):
+        sol = solve_milp(lp, tol)
+        # the agent's LP is reused in place: keep the arrays of this solve
+        solved.append((LinearProgram(lp.c, lp.G, lp.g.copy(), lp.lo,
+                                     lp.hi.copy(), lp.integrality), sol))
+        return sol
+
+    monkeypatch.setattr(analysis, "solve_milp", recording)
+    cert = violation_certificate(res, problem.cost, problem.tolerances)
+    assert len(solved) == sum(not f for f in cert.in_integral_set) == 4
+    for k, (lp, sol) in enumerate(solved):
+        assert_matches_highs(scipy_opt, lp, sol, k)
+
+
+def test_node_limit_names_the_agent_round_and_stage(monkeypatch):
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    args = (problem.blocks, problem.scen, problem.cost, problem.graph,
+            problem.schedule)
+    res = run(*args, T_f=1, tol=problem.tolerances)
+    monkeypatch.setattr(branch_bound, "MAX_BNB_NODES", 2)
+    # agent 0, a storage, needs 23 nodes at the equal split
+    assert problem.blocks[0].kind == "storage"
+    with pytest.raises(AgentSolveError) as err:
+        run(*args, T_f=0, tol=problem.tolerances)
+    assert (err.value.agent, err.value.stage) == (0, "round 0 recovery MILP")
+    assert str(err.value) == \
+        "agent 0: round 0 recovery MILP solve ended node limit 2 reached"
+    assert isinstance(err.value.__cause__.__cause__, NodeLimitError)
+    with pytest.raises(AgentSolveError) as err:
+        violation_certificate(res, problem.cost, problem.tolerances)
+    assert err.value.stage == "certificate auxiliary MILP"
+
+
+def test_node_lps_start_from_their_parents_basis(monkeypatch):
+    """The desk finalize MILPs at the equal split take at most a quarter
+    of the pivots their node LPs take solved cold, so a warm start that
+    silently goes cold fails here; the node counts and optima agree."""
+    problem, cap, agents = desk_at_equal_split()
+    real = branch_bound.solve_lp
+
+    def finalize_all(start_from_parent):
+        pivots = 0
+
+        def counting(lp, tol, start=None):
+            nonlocal pivots
+            sol = real(lp, tol, start=start if start_from_parent else None)
+            pivots += sol.pivots
+            return sol
+
+        monkeypatch.setattr(branch_bound, "solve_lp", counting)
+        sols = [a.problem.solve(solve_milp, a.y, cap, problem.tolerances,
+                                "recovery MILP")[0] for a in agents]
+        return pivots, sols
+
+    warm, warm_sols = finalize_all(True)
+    cold, cold_sols = finalize_all(False)
+    assert 4 * warm <= cold, (warm, cold)
+    for w, c in zip(warm_sols, cold_sols):
+        assert w.node_count == c.node_count
+        assert abs(w.value - c.value) <= 1e-9 * (1.0 + abs(c.value))

@@ -10,7 +10,7 @@ worst-case power-balance violation bound.
 
 from .analysis import (ViolationCertificate, consensus_bound,
                        distributed_certificate, violation_certificate)
-from .config import ExperimentConfig, build_problem, validate_config
+from .config import ExperimentConfig, build_problem
 from .dialgo import (AgentState, CommGraph, RunResult, RunTrace,
                      StepSizeSchedule, generate_graph, run)
 from .experiment import run_experiment, run_montecarlo

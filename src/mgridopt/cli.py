@@ -18,7 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from .analysis import CertificateError
 from .config import ConfigError, ExperimentConfig, build_problem
+from .dialgo import AgentSolveError
 from .experiment import (output_root, recertify, regenerate_reports,
                          run_experiment, run_montecarlo)
 from .solver import write_lp_format
@@ -113,7 +115,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, AgentSolveError,
+            CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

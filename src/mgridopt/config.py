@@ -5,10 +5,11 @@ confusion is the dominant failure mode in energy models.  A config
 fully determines an experiment given its three seeds: `problem` drives
 forecast sampling, `scenario` the renewable draws, `graph` the topology.
 
-Validation is the build: one walk over the mapping builds each section
-with the constructor that owns its rules (parameter records, profile
-models, step-size schedule, graph) and records each failure under its
-field path, e.g. `units.grid.max_exchange_kw: missing`.  Checked here
+Validation is the build: `build_problem` walks the mapping once,
+builds each section with the constructor that owns its rules (parameter
+records, profile models, step-size schedule, graph) and records each
+failure under its field path, e.g. `units.grid.max_exchange_kw:
+missing`; parsing a config checks only its YAML syntax.  Checked here
 are only the rules no record states: finite numbers, the shape of the
 mapping, the counts, the recourse penalties, the tolerances and the
 step-size kind.  Each unit builder also rejects a block whose
@@ -78,19 +79,29 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config mapping, not yet validated: `build_problem`
+    validates it while building, once per verb."""
+
     raw: dict
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-        return cls.from_dict(raw)
+        """Parse `path`; a YAML syntax error is a ConfigError naming the
+        file, line and column."""
+        with open(path, "rb") as fh:  # undecodable bytes are a YAMLError
+            try:
+                raw = yaml.load(fh, Loader=_YAML_LOADER)
+            except yaml.YAMLError as e:
+                mark = getattr(e, "problem_mark", None)
+                where = "" if mark is None else \
+                    f" line {mark.line + 1}, column {mark.column + 1}:"
+                problem = getattr(e, "problem", None) or \
+                    " ".join(str(e).split())
+                raise ConfigError(f"{path}:{where} {problem}") from None
+        return cls(raw=raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        errors = validate_config(raw)
-        if errors:
-            raise ConfigError("; ".join(errors))
         return cls(raw=raw)
 
     @property
@@ -410,14 +421,10 @@ def _build(raw):
         tolerances=tolerances), []
 
 
-def validate_config(raw) -> list:
-    """Every error of building `raw`, each with its field path."""
-    return _build(raw)[1]
-
-
 def build_problem(cfg: ExperimentConfig) -> Problem:
     """Blocks, scenario set, recourse cost, graph and schedule from config;
-    raises ConfigError listing every invalid field."""
+    the one validation of a config: raises ConfigError listing every
+    invalid field."""
     problem, errors = _build(cfg.raw)
     if errors:
         raise ConfigError("; ".join(errors))

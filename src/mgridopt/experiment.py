@@ -28,9 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import distributed_certificate, violation_certificate
+from .analysis import (CertificateError, distributed_certificate,
+                       violation_certificate)
 from .config import ConfigError, ExperimentConfig, Problem, build_problem
-from .dialgo import RunResult, run
+from .dialgo import AgentSolveError, RunResult, run
 
 OUTPUT_ROOT_ENV = "MGRIDOPT_OUT"
 TRACE_HEADER = ("iter,incumbent_cost,max_coupling_violation_pos,"
@@ -198,10 +199,13 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
     config.yaml records, so `recertify` works on a trial directory;
     unit parameters and topology stay fixed.  Writes trial_XXX/
     artifact sets plus aggregate.csv with per-iteration mean/std of the
-    incumbent cost and the extreme coupling values across trials.
+    incumbent cost and the extreme coupling values across trials.  A
+    trial's solve or certificate failure is re-raised naming the trial
+    and its scenario seed.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    build_problem(cfg)  # a bad config fails before any directory exists
     out = Path(out_dir) if out_dir is not None else \
         output_root() / (cfg.raw.get("output_dir", "out") + "_mc")
     out.mkdir(parents=True, exist_ok=True)
@@ -214,9 +218,13 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
         try:
             res = run_experiment(trial, out_dir=out / f"trial_{t:03d}",
                                  consensus_rounds=consensus_rounds)
-        except Exception as e:
-            raise RuntimeError(
-                f"trial {t} (scenario seed {seed}) failed: {e}") from e
+        except AgentSolveError as e:
+            raise AgentSolveError(
+                e.agent, e.status,
+                f"trial {t} (scenario seed {seed}) {e.stage}") from e
+        except CertificateError as e:
+            raise CertificateError(
+                f"trial {t} (scenario seed {seed}): {e}") from e
         traces.append(res.trace)
     aggregate = []
     for rows in zip(*(tr.rows() for tr in traces)):  # one logged round

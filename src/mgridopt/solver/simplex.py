@@ -110,8 +110,7 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     value: float = np.nan
-    duals: np.ndarray | None = None          # >= 0, one per row of G
-    reduced_costs: np.ndarray | None = None  # structural columns only
+    duals: np.ndarray | None = None  # >= 0, one per row of G
     pivots: int = 0
     # (basic columns, statuses of the [x | s] columns): a `start`
     basis: tuple[np.ndarray, np.ndarray] | None = None
@@ -464,14 +463,12 @@ class _Simplex:
         np.clip(x, self.lp.lo, self.lp.hi, out=x)
         y = self.c_phase2[self.basis] @ self.Binv
         duals = np.maximum(-y, 0.0)
-        d_struct = (self.c_phase2 - y @ self.A)[:n] if n else np.zeros(0)
         value = float(self.lp.c @ x) if n else 0.0
         return LpSolution(
             status=OPTIMAL,
             x=x,
             value=value,
             duals=duals,
-            reduced_costs=d_struct,
             pivots=self.pivots,
             basis=(self.basis, self.status[:n + m].copy()),
         )

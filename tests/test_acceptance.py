@@ -296,7 +296,7 @@ def test_criterion_07_lp_duality_and_subgradient():
         lp = LinearProgram(rng.normal(size=n), G, g, lo, hi)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
-        r = sol.reduced_costs
+        r = lp.c + lp.G.T @ sol.duals  # reduced costs from the duals
         dual_val = (-lp.g @ sol.duals + lp.lo @ np.maximum(r, 0.0)
                     - lp.hi @ np.maximum(-r, 0.0))
         gap = abs(sol.value - dual_val) / (1.0 + abs(sol.value))

@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 import yaml
 
+from mgridopt import analysis, config, model
+from mgridopt.analysis import CertificateError
 from mgridopt.cli import main
-from mgridopt.config import (ConfigError, ExperimentConfig, build_problem,
-                             validate_config)
+from mgridopt.config import (ConfigError, ExperimentConfig, _build,
+                             build_problem)
 from mgridopt.experiment import (recertify, regenerate_reports,
                                  run_experiment, run_montecarlo)
+from mgridopt.solver import INFEASIBLE, LpSolution, branch_bound
 from oracles.artifacts import read_csv, read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -64,7 +67,7 @@ def minimal_config(K=4, T_f=0, R=1, out="out/minimal"):
 
 def test_desk_config_validates():
     raw = yaml.safe_load(DESK.read_text())
-    assert validate_config(raw) == []
+    assert _build(raw)[1] == []
 
 
 def test_yaml_parse_matches_safe_load():
@@ -75,7 +78,7 @@ def test_yaml_parse_matches_safe_load():
 def test_missing_grid_is_reported():
     raw = minimal_config()
     del raw["units"]["grid"]
-    errors = validate_config(raw)
+    errors = _build(raw)[1]
     assert any("units.grid" in e for e in errors)
 
 
@@ -86,14 +89,14 @@ def test_bad_storage_bounds_carry_field_path():
         "energy_min_kwh": 10.0, "energy_max_kwh": 1.0,
         "power_limit_kw": 3.0, "initial_energy_kwh": 5.0,
     }]
-    errors = validate_config(raw)
+    errors = _build(raw)[1]
     assert any("units.storages[0]" in e and "x_min" in e for e in errors)
 
 
 def test_unknown_profile_reference():
     raw = minimal_config()
     raw["units"]["controllable_loads"][0]["demand_profile"] = "nope"
-    errors = validate_config(raw)
+    errors = _build(raw)[1]
     assert any("nope" in e for e in errors)
 
 
@@ -102,12 +105,12 @@ def test_zero_recourse_penalty_rejected_up_front():
                 "shortage_penalty_eur_per_kwh"):
         raw = minimal_config()
         raw["scenarios"][key] = 0.0
-        errors = validate_config(raw)
+        errors = _build(raw)[1]
         assert any(f"scenarios.{key}" in e and "> 0" in e for e in errors)
 
 
 def test_valid_minimal_config_ok():
-    assert validate_config(minimal_config()) == []
+    assert _build(minimal_config())[1] == []
 
 
 def test_tolerance_overrides_flow_through():
@@ -121,7 +124,7 @@ def test_tolerance_overrides_flow_through():
     assert problem.tolerances.reduced_cost == 1e-9  # default kept
     for key in ("pivot_style", "objective"):
         raw["algorithm"]["tolerances"] = {key: 1e-5}
-        errors = validate_config(raw)
+        errors = _build(raw)[1]
         assert any("unknown tolerance" in e for e in errors)
 
 
@@ -201,7 +204,7 @@ def test_malformed_desk_config_rejected_with_field_path(tmp_path, capsys,
     break_field, path = MALFORMED_DESK[case]
     raw = yaml.safe_load(DESK.read_text())
     break_field(raw)
-    errors = validate_config(raw)
+    errors = _build(raw)[1]
     assert any(e.startswith(path) for e in errors), errors
     with pytest.raises(ConfigError, match=re.escape(path)):
         build_problem(ExperimentConfig(raw=raw))
@@ -216,7 +219,7 @@ def test_unknown_graph_kind_rejected_for_two_agents():
     # minimal_config has two agents, the size generate_graph shortcuts
     raw = minimal_config()
     raw["algorithm"]["graph"]["kind"] = "bogus"
-    assert validate_config(raw) == [
+    assert _build(raw)[1] == [
         "algorithm.graph: unknown graph kind 'bogus'"]
 
 
@@ -395,6 +398,87 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "units.grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,where", [
+    (b"horizon_steps: [1, 2\n", "line 2, column 1: did not find"),
+    (b"horizon_steps: \xff\n", "unacceptable character")])
+def test_cli_reports_a_yaml_syntax_error_on_one_line(tmp_path, capsys, text,
+                                                     where):
+    cfg_path = tmp_path / "broken.yaml"
+    cfg_path.write_bytes(text)
+    with pytest.raises(ConfigError, match=re.escape(f"broken.yaml: {where}")):
+        ExperimentConfig.from_yaml(cfg_path)
+    assert main(["build", str(cfg_path), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def desk_cut_to_one_round(tmp_path):
+    raw = yaml.safe_load(DESK.read_text())
+    raw["algorithm"]["iterations"] = 0
+    cfg_path = tmp_path / "desk1.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    return cfg_path
+
+
+def test_each_verb_builds_the_problem_once(tmp_path, monkeypatch):
+    """Parsing builds nothing and every verb builds once; on desk a build
+    solves 9 phase-1 LPs and a run's recourse cap 108 more."""
+    calls = {"builds": 0, "lps": 0}
+    build, solve = config._build, model.solve_lp
+
+    def counting_build(raw):
+        calls["builds"] += 1
+        return build(raw)
+
+    def counting_solve(*args):
+        calls["lps"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(config, "_build", counting_build)
+    monkeypatch.setattr(model, "solve_lp", counting_solve)
+    cfg_path = desk_cut_to_one_round(tmp_path)
+    ExperimentConfig.from_yaml(cfg_path)
+    assert calls == {"builds": 0, "lps": 0}
+    run_dir = str(tmp_path / "r")
+    for argv, builds, lps in [
+            (["build", str(cfg_path), "--out", str(tmp_path / "b")], 1, 9),
+            (["run", str(cfg_path), "--out", run_dir], 1, 117),
+            (["certify", run_dir], 1, 9),
+            (["report", run_dir], 1, 9),
+            (["montecarlo", str(cfg_path), "--trials", "2",
+              "--out", str(tmp_path / "mc")], 3, 243)]:
+        calls.update(builds=0, lps=0)
+        assert main(argv) == 0
+        assert calls == {"builds": builds, "lps": lps}, argv[0]
+
+
+@pytest.mark.parametrize("verb,stage", [
+    ("run", "round 0 recovery MILP"),
+    ("montecarlo", "trial 0 (scenario seed [2025, 0]) round 0 recovery MILP")])
+def test_cli_reports_a_solve_failure_on_one_line(tmp_path, monkeypatch,
+                                                 capsys, verb, stage):
+    # agent 0, a storage, needs 23 nodes at the equal split
+    monkeypatch.setattr(branch_bound, "MAX_BNB_NODES", 2)
+    argv = [verb, str(desk_cut_to_one_round(tmp_path)),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + (["--trials", "2"] if verb == "montecarlo" else [])) \
+        == 1
+    assert capsys.readouterr().err == \
+        f"error: agent 0: {stage} solve ended node limit 2 reached\n"
+
+
+def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(analysis, "solve_lp",
+                        lambda *args: LpSolution(INFEASIBLE))
+    with pytest.raises(CertificateError, match=re.escape(
+            "trial 0 (scenario seed [2, 0]): lower-bound LP for component 0 "
+            "ended infeasible")):
+        run_montecarlo(ExperimentConfig.from_dict(minimal_config()),
+                       trials=2, out_dir=tmp_path / "mc")
+
+
 @pytest.mark.parametrize("case", ["storage_loss_empties_block",
                                   "power_max_inf"])
 def test_cli_run_reports_an_empty_or_infinite_unit_on_one_line(
@@ -403,7 +487,7 @@ def test_cli_run_reports_an_empty_or_infinite_unit_on_one_line(
     break_field, path = MALFORMED_DESK[case]
     raw = yaml.safe_load(DESK.read_text())
     break_field(raw)
-    assert validate_config(raw) == [path]
+    assert _build(raw)[1] == [path]
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) == 1

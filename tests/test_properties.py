@@ -7,14 +7,22 @@ meets the lifted coupling, and every finalized point lies in its block.
 On rosters whose relaxations are their hulls the certificate holds.
 Every built block is compact, and the recourse cap computed from the
 coupled columns alone equals the one from the full coordinate boxes.
+Small configs run to their artifacts, and `recertify` reproduces the
+stored certificate exactly.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mgridopt.analysis import violation_certificate
+from mgridopt.config import ExperimentConfig
 from mgridopt.dialgo import (StepSizeSchedule, generate_graph, recourse_cap,
                              run)
+from mgridopt.experiment import recertify, run_experiment
 from mgridopt.model import (ControllableLoadParams, GeneratorParams,
                             GridParams, LocalBlock, StorageParams,
                             build_controllable_load_block,
@@ -23,6 +31,7 @@ from mgridopt.model import (ControllableLoadParams, GeneratorParams,
 from mgridopt.stochastic import ScenarioSet, build_recourse_cost
 from oracles.hull import (box_recourse_cap, coordinate_box,
                           relaxation_equals_hull)
+from test_config_cli import minimal_config
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -30,6 +39,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=80, derandomize=True, deadline=None,
                     database=None)
+DESK_UNITS = yaml.safe_load(
+    (Path(__file__).resolve().parents[1] / "configs" / "desk.yaml")
+    .read_text())["units"]
 ALL_KINDS = ("storage", "generator", "controllable_load", "critical_load",
              "grid")
 
@@ -138,3 +150,30 @@ def test_every_built_block_has_a_finite_coordinate_box(instance):
 def test_recourse_cap_equals_the_full_box_formula(instance):
     blocks, scen = instance[:2]
     assert recourse_cap(blocks, scen) == box_recourse_cap(blocks, scen)
+
+
+@st.composite
+def small_configs(draw):
+    """`minimal_config` with 2-3 steps, 1-2 scenarios, 0-3 rounds, a
+    random scenario seed, and with or without one desk storage and one
+    desk generator."""
+    raw = minimal_config(K=draw(st.integers(2, 3)),
+                         T_f=draw(st.integers(0, 3)),
+                         R=draw(st.integers(1, 2)))
+    raw["seeds"]["scenario"] = draw(st.integers(0, 2 ** 31 - 1))
+    for key in ("storages", "generators"):
+        if draw(st.booleans()):
+            raw["units"][key] = DESK_UNITS[key][:1]
+    return raw
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(small_configs())
+def test_recertify_reproduces_the_stored_certificate(tmp_path_factory, raw):
+    out = run_experiment(ExperimentConfig.from_dict(raw),
+                         out_dir=tmp_path_factory.mktemp("run")).out_dir
+    stored = json.loads((out / "certificate.json").read_text())
+    payload = recertify(out, consensus_rounds=20)
+    assert payload["matches_stored_bound"]
+    assert payload["bound"] == stored["bound"]
+    assert payload["measured"] == stored["measured"]

@@ -58,8 +58,8 @@ import numpy as np
 import yaml
 
 from .dialgo import DEFAULT_FINALIZE_EVERY, StepSizeSchedule, generate_graph
-from .model import (DEFAULT_EPSILON, ControllableLoadParams, GeneratorParams,
-                    GridParams, LocalBlock, StorageParams,
+from .model import (ControllableLoadParams, GeneratorParams, GridParams,
+                    LocalBlock, StorageParams,
                     build_controllable_load_block, build_generator_block,
                     build_grid_block, build_storage_block,
                     quadratic_cost_segments)
@@ -160,6 +160,12 @@ def _positive(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
 def _non_finite(value, path: str) -> list:
     """An error for every inf or nan float in `value`, with its path."""
     if isinstance(value, float):
@@ -203,20 +209,15 @@ def _storage_params(s: dict) -> StorageParams:
         C=float(s["power_limit_kw"]),
         zeta=float(s.get("om_cost_eur_per_kwh", 0.0)),
         x0=float(s["initial_energy_kwh"]),
-        epsilon=float(s.get("epsilon", DEFAULT_EPSILON)),
     )
 
 
 def _generator_params(g: dict, K: int) -> GeneratorParams:
-    segs = g.get("cost_segments", 3)
-    if isinstance(segs, list):
-        segments = tuple((float(S), float(s)) for S, s in segs)
-    else:
-        segments = quadratic_cost_segments(
-            float(g.get("fuel_cost_quadratic_eur_per_kw2", 0.0)),
-            float(g.get("fuel_cost_linear_eur_per_kwh", 0.0)),
-            float(g["power_min_kw"]), float(g["power_max_kw"]),
-            n_segments=_count("cost_segments", segs))
+    segments = quadratic_cost_segments(
+        float(g.get("fuel_cost_quadratic_eur_per_kw2", 0.0)),
+        float(g.get("fuel_cost_linear_eur_per_kwh", 0.0)),
+        float(g["power_min_kw"]), float(g["power_max_kw"]),
+        n_segments=_count("cost_segments", g.get("cost_segments", 3)))
     return GeneratorParams(
         T_up=_count("min_up_steps", g["min_up_steps"]),
         T_down=_count("min_down_steps", g["min_down_steps"]),
@@ -307,6 +308,7 @@ def _build(raw):
     scen_cfg = field(raw, "config", "scenarios", _mapping)
     algo = field(raw, "config", "algorithm", _mapping)
     units = field(raw, "config", "units", _mapping)
+    field(raw, "config", "output_dir", _string, "out")  # read by the verbs
 
     if scen_cfg is not None:
         R = field(scen_cfg, "scenarios", "count", _int_at_least(1))
@@ -381,8 +383,7 @@ def _build(raw):
     blocks.append(None if phi_p is None or phi_s is None else build(
         "units.grid", lambda: build_grid_block(GridParams(
             P_max=float(grid_cfg["max_exchange_kw"]),
-            phi_p=tuple(phi_p), phi_s=tuple(phi_s),
-            epsilon=float(grid_cfg.get("epsilon", DEFAULT_EPSILON))), K)))
+            phi_p=tuple(phi_p), phi_s=tuple(phi_s)), K)))
     names.append("grid")
 
     renewables = []

@@ -381,7 +381,8 @@ def recourse_cap(blocks, scen: ScenarioSet) -> float:
     """Crude certified overestimate of any useful recourse magnitude.
 
     Twice (max |b_r(k)| + total coupling mass), where each block's
-    `coupling_mass` bounds |A_i x_i| over its relaxation.  Large on
+    `coupling_mass` bounds |A_i x_i| over its relaxation from the
+    native bounds of its coupled columns; no LP is solved.  Large on
     purpose: the cap must never bind at an optimum.
     """
     b_max = max(float(np.max(np.abs(b))) for b in scen.b_r)

@@ -46,6 +46,16 @@ def output_root() -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
 
 
+def _read_json(path: Path):
+    """The JSON document at `path`; a syntax error is a ConfigError
+    naming the file, line and column."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+
+
 @dataclass
 class ExperimentResult:
     out_dir: Path
@@ -247,14 +257,14 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     """
     run_dir = Path(run_dir)
     cfg = ExperimentConfig.from_yaml(run_dir / "config.yaml")
-    saved = json.loads((run_dir / "solution.json").read_text())
+    saved = _read_json(run_dir / "solution.json")
+    stored = _read_json(run_dir / "certificate.json")
     problem = build_problem(cfg)
     result = run(problem.blocks, problem.scen, problem.cost, problem.graph,
                  problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"],
                  tol=problem.tolerances)
     result.converged_label = saved["label"]
     _, payload = _certify(problem, result, consensus_rounds)
-    stored = json.loads((run_dir / "certificate.json").read_text())
     payload["matches_stored_bound"] = all(
         np.allclose(np.array(payload[key]), np.array(stored[key]), atol=1e-9)
         for key in ("bound", "measured"))
@@ -267,7 +277,7 @@ def regenerate_reports(run_dir) -> Path:
     """Re-emit the figure-data CSVs of a saved run from solution.json."""
     run_dir = Path(run_dir)
     cfg = ExperimentConfig.from_yaml(run_dir / "config.yaml")
-    saved = json.loads((run_dir / "solution.json").read_text())
+    saved = _read_json(run_dir / "solution.json")
     problem = build_problem(cfg)
     xs = [np.array(v, dtype=float) for v in saved["x"]]
     write_reports(run_dir, problem, xs)

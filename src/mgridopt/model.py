@@ -4,12 +4,14 @@ Each microgrid unit (storage, generator, controllable load, grid
 connection) is translated into a LocalBlock: a compact polyhedron
 G x <= g, lo <= x <= hi with an integrality mask, a linear cost c, and
 a K-row coupling matrix A whose k-th row evaluates the unit's signed
-power injection at step k.  Boxes (state of charge, power limits,
+power injection at step k.  Boxes (state of charge, every unit's
+power limits, the generator's 0 <= u <= u_max among them, and
 0 <= delta <= 1) are variable bounds, and any row a builder writes with
 a single nonzero tightens them as it is added, so G holds only rows
-touching two or more variables.  Logical switches
-(charge/discharge, on/off, import/export) are encoded with big-M
-inequalities driven by a strict positivity constant epsilon.
+touching two or more variables.  Every column A touches has finite
+bounds, which the recourse cap reads without solving an LP.  Logical
+switches (charge/discharge, on/off, import/export) are encoded with
+big-M inequalities driven by the strict positivity constant EPSILON.
 
 Sign conventions: storage power u >= 0 while charging (it consumes),
 generator and grid power enter the balance negated (they supply),
@@ -19,13 +21,14 @@ curtailment removes -beta*D of demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from .solver import OPTIMAL, LinearProgram, solve_lp
 
-DEFAULT_EPSILON = 1e-6  # machine epsilon would make the big-M rows tie-prone
+# strict-positivity constant of the storage and grid switches; machine
+# epsilon would make the big-M rows tie-prone
+EPSILON = 1e-6
 
 
 class ParameterError(ValueError):
@@ -51,8 +54,7 @@ class StorageParams:
     """Battery-style storage unit.
 
     Energies in kWh, powers in kW, costs in EUR/kW; `x_pl` is the
-    physiological loss per step and `epsilon` the strict-positivity
-    constant of the charge/discharge switch.
+    physiological loss per step.
     """
 
     eta_c: float
@@ -63,7 +65,6 @@ class StorageParams:
     C: float
     zeta: float
     x0: float
-    epsilon: float = DEFAULT_EPSILON
 
     def validate(self):
         # 1.0 is admitted so ideal lossless storage stays expressible
@@ -78,7 +79,6 @@ class StorageParams:
         _require(self.zeta >= 0.0, f"zeta must be >= 0, got {self.zeta}")
         _require(self.x_min <= self.x0 <= self.x_max,
                  f"x0 must lie in [x_min, x_max], got {self.x0}")
-        _require(self.epsilon > 0.0, f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,11 @@ class GridParams:
     P_max: float
     phi_p: tuple  # purchase price per step, EUR/kWh
     phi_s: tuple  # sell price per step, EUR/kWh
-    epsilon: float = DEFAULT_EPSILON
 
     def validate(self, K: int | None = None):
         _require(self.P_max >= 0.0, f"P_max must be >= 0, got {self.P_max}")
         _require(all(p >= 0 for p in self.phi_p), "purchase prices must be >= 0")
         _require(all(p >= 0 for p in self.phi_s), "sell prices must be >= 0")
-        _require(self.epsilon > 0.0, f"epsilon must be > 0, got {self.epsilon}")
         if K is not None:
             _require(len(self.phi_p) >= K and len(self.phi_s) >= K,
                      "price profiles shorter than horizon")
@@ -174,9 +172,9 @@ class LocalBlock:
     """One agent's share of the coupled problem: min c'x over
     G x <= g, lo <= x <= hi with x[integrality] integer.
 
-    `lo`/`hi` default to the unbounded box.  `var_index` maps names
-    like "u(3)" to column positions, which keeps tests and reports
-    readable.
+    `lo`/`hi` default to the unbounded box; the columns A touches need
+    finite bounds (see `coupling_mass`).  `var_index` maps names like
+    "u(3)" to column positions, which keeps tests and reports readable.
     """
 
     c: np.ndarray
@@ -218,32 +216,23 @@ class LocalBlock:
         """min c'x over the relaxed block."""
         return LinearProgram(c, self.G, self.g, self.lo, self.hi)
 
-    @cached_property
+    @property
     def coupling_mass(self) -> float:
-        """max_k sum_j |A_kj| r_j, where r_j = max(|lo_j|, |hi_j|) is the
-        range of x_j over the relaxed block: a bound on |A x| there.
-
-        Two LPs per column that A touches; the other columns carry no
-        mass.  Raises DimensionError when the polyhedron is empty or a
-        coupled coordinate is unbounded.
+        """max_k sum_j |A_kj| max(|lo_j|, |hi_j|) over the columns A
+        touches: a bound on |A x| over the relaxed block, read off the
+        native bounds.  Raises DimensionError when the bounds cross or a
+        coupled column has an infinite bound.
         """
         if np.any(self.lo > self.hi):
-            # crossed bounds: no LP can even be built
             raise DimensionError(f"{self.kind} block polyhedron is empty")
         weight = np.abs(self.A)
-        radius = np.zeros(self.n)
-        for j in np.flatnonzero(weight.any(axis=0)):
-            e = np.zeros(self.n)
-            e[j] = 1.0
-            smin = solve_lp(self.relaxation_lp(e))
-            smax = solve_lp(self.relaxation_lp(-e))
-            if smin.status == INFEASIBLE or smax.status == INFEASIBLE:
-                raise DimensionError(f"{self.kind} block polyhedron is empty")
-            if smin.status != OPTIMAL or smax.status != OPTIMAL:
-                raise DimensionError(
-                    f"{self.kind} block coordinate {j} is unbounded")
-            radius[j] = max(abs(smin.value), abs(smax.value))
-        return float(np.max(weight @ radius))
+        coupled = weight.any(axis=0)
+        radius = np.maximum(np.abs(self.lo), np.abs(self.hi))
+        unbounded = np.flatnonzero(coupled & np.isinf(radius))
+        if unbounded.size:
+            raise DimensionError(f"{self.kind} block column {unbounded[0]} "
+                                 "has an infinite bound")
+        return float(np.max(weight @ np.where(coupled, radius, 0.0)))
 
     @classmethod
     def empty(cls, K: int, kind: str = "exogenous") -> "LocalBlock":
@@ -314,10 +303,10 @@ def storage_e_matrices(C: float, epsilon: float):
 def grid_e_matrices(p: GridParams, k: int, K: int):
     """Six-row switch coefficients tying (delta, phi) to u at step k."""
     M = p.big_m(K)
-    E1 = np.array([p.P_max, -(p.P_max + p.epsilon), M, M, -M, -M])
+    E1 = np.array([p.P_max, -(p.P_max + EPSILON), M, M, -M, -M])
     E2 = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
     E3 = np.array([1.0, -1.0, p.phi_p[k], -p.phi_p[k], p.phi_s[k], -p.phi_s[k]])
-    E4 = np.array([p.P_max, -p.epsilon, M, M, 0.0, 0.0])
+    E4 = np.array([p.P_max, -EPSILON, M, M, 0.0, 0.0])
     return E1, E2, E3, E4
 
 
@@ -357,7 +346,7 @@ def build_storage_block(p: StorageParams, K: int) -> LocalBlock:
             pos += 1
     n = pos
     b = _RowBuilder(n)
-    E1, E2, E3, E4 = storage_e_matrices(p.C, p.epsilon)
+    E1, E2, E3, E4 = storage_e_matrices(p.C, EPSILON)
     slope_z = p.eta_c - 1.0 / p.eta_d
     slope_u = 1.0 / p.eta_d
     for k in range(K):
@@ -427,6 +416,7 @@ def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
         uk = idx[f"u({k})"]
         b.add({idx[f"delta({k})"]: p.u_min, uk: -1.0}, 0.0)  # power floor
         b.add({uk: 1.0, idx[f"delta({k})"]: -p.u_max}, 0.0)  # power cap
+        b.bound(uk, 0.0, p.u_max)  # implied by the rows and 0 <= delta <= 1
         if k == 0:
             b.add({uk: 1.0, d(0): -p.r_max}, p.u_init)
             b.add({uk: -1.0, d(0): -p.r_max}, -p.u_init)

@@ -59,10 +59,9 @@ class ScenarioSet:
 
 @dataclass
 class RecourseCost:
-    """Penalty prices of a-posteriori imbalance and the induced d vector."""
+    """The price vector d of a-posteriori imbalance: d'eta is the
+    expected recourse expense (see `build_recourse_cost`)."""
 
-    q_plus: float
-    q_minus: float
     d: np.ndarray
 
     @property
@@ -114,8 +113,7 @@ def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> RecourseCo
     for p in pi:
         parts.append(np.full(K, p * q_plus))
         parts.append(np.full(K, p * q_minus))
-    return RecourseCost(q_plus=q_plus, q_minus=q_minus,
-                        d=np.concatenate(parts))
+    return RecourseCost(d=np.concatenate(parts))
 
 
 def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost):

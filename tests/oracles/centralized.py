@@ -2,13 +2,15 @@
 
 `assemble_centralized` stacks the blocks under the deterministic
 balance; `assemble_per_agent_eta` gives each agent its own recourse
-vector; the recourse formulas price imbalance directly from residuals,
-in the row ordering of `mgridopt.stochastic`.
+vector; `solve_centralized` solves the pooled two-stage problem and its
+relaxation with HiGHS; the recourse formulas price imbalance directly
+from residuals, in the row ordering of `mgridopt.stochastic`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from mgridopt.model import DimensionError
 from mgridopt.solver import LinearProgram
@@ -72,6 +74,26 @@ def assemble_per_agent_eta(blocks, scen: ScenarioSet, cost: RecourseCost):
     return LinearProgram(per_agent(lp.c), per_agent(lp.G), lp.g,
                          per_agent(lp.lo), per_agent(lp.hi),
                          integrality=per_agent(lp.integrality)), layout
+
+
+def solve_centralized(blocks, scen: ScenarioSet, cost: RecourseCost):
+    """(MILP optimum, LP relaxation optimum) of `assemble_two_stage`,
+    both solved by HiGHS (Huangfu & Hall 2018); skips the calling test
+    without scipy."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    lp, _ = assemble_two_stage(blocks, scen, cost)
+    mixed = scipy_opt.milp(
+        lp.c, integrality=lp.integrality.astype(int),
+        bounds=scipy_opt.Bounds(lp.lo, lp.hi),
+        constraints=scipy_opt.LinearConstraint(lp.G, -np.inf, lp.g),
+        options={"mip_rel_gap": 1e-9})
+    relaxed = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.g,
+                                bounds=list(zip(lp.lo, lp.hi)),
+                                method="highs")
+    if not (mixed.success and relaxed.success):
+        raise RuntimeError(f"HiGHS ended {mixed.message!r} (MILP), "
+                           f"{relaxed.message!r} (LP)")
+    return float(mixed.fun), float(relaxed.fun)
 
 
 def expected_recourse(cost: RecourseCost, eta) -> float:

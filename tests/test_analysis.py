@@ -198,7 +198,7 @@ def test_certificate_scalar_plugin_example():
     res.h = np.zeros(2)
     res.eta_cap = 8.0
     res.converged_label = "empirical"
-    cost = RecourseCost(q_plus=0.5, q_minus=1.0, d=np.array([0.5, 1.0]))
+    cost = RecourseCost(d=np.array([0.5, 1.0]))
     cert = violation_certificate(res, cost)
     assert cert.in_integral_set == [False]
     # H = 0 so the auxiliary optimum has eta_L = max(0, -ell) = cap each,

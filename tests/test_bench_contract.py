@@ -109,8 +109,8 @@ def test_gate_rejects_a_point_past_a_native_bound():
 
 def test_recourse_cap_after_a_run_solves_no_lp(monkeypatch):
     # the benchmark recomputes recourse_cap(blocks, scen) after each
-    # dialgo.run to count cap doublings; the run's own call must have
-    # left the coupling masses cached on the blocks
+    # dialgo.run to count cap doublings; the coupling masses are read
+    # off the blocks' bounds, so that call solves no LP
     p = build_problem(
         ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
     res = run(p.blocks, p.scen, p.cost, p.graph, p.schedule, T_f=0)

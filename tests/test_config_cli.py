@@ -413,6 +413,37 @@ def test_cli_reports_a_yaml_syntax_error_on_one_line(tmp_path, capsys, text,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["build", "run", "montecarlo"])
+def test_cli_rejects_a_non_string_output_dir_before_any_directory(
+        tmp_path, monkeypatch, capsys, verb):
+    raw = minimal_config()
+    raw["output_dir"] = 5
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    monkeypatch.setenv("MGRIDOPT_OUT", str(tmp_path / "root"))
+    assert main([verb, str(cfg_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: config.output_dir: must be a string, got 5\n"
+    assert not (tmp_path / "root").exists()
+
+
+@pytest.mark.parametrize("damaged", ["solution.json", "certificate.json"])
+def test_cli_reports_a_damaged_run_artifact_on_one_line(tmp_path, capsys,
+                                                        damaged):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(minimal_config()))
+    run_dir = tmp_path / "r"
+    assert main(["run", str(cfg_path), "--out", str(run_dir)]) == 0
+    (run_dir / damaged).write_text("{not json")
+    capsys.readouterr()
+    verbs = ["certify"] + (["report"] if damaged == "solution.json" else [])
+    for verb in verbs:
+        assert main([verb, str(run_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {run_dir / damaged}: line 1, column 2: " \
+            "Expecting property name enclosed in double quotes\n"
+
+
 def desk_cut_to_one_round(tmp_path):
     raw = yaml.safe_load(DESK.read_text())
     raw["algorithm"]["iterations"] = 0
@@ -423,7 +454,7 @@ def desk_cut_to_one_round(tmp_path):
 
 def test_each_verb_builds_the_problem_once(tmp_path, monkeypatch):
     """Parsing builds nothing and every verb builds once; on desk a build
-    solves 9 phase-1 LPs and a run's recourse cap 108 more."""
+    solves 9 phase-1 LPs and a run's recourse cap none."""
     calls = {"builds": 0, "lps": 0}
     build, solve = config._build, model.solve_lp
 
@@ -443,11 +474,11 @@ def test_each_verb_builds_the_problem_once(tmp_path, monkeypatch):
     run_dir = str(tmp_path / "r")
     for argv, builds, lps in [
             (["build", str(cfg_path), "--out", str(tmp_path / "b")], 1, 9),
-            (["run", str(cfg_path), "--out", run_dir], 1, 117),
+            (["run", str(cfg_path), "--out", run_dir], 1, 9),
             (["certify", run_dir], 1, 9),
             (["report", run_dir], 1, 9),
             (["montecarlo", str(cfg_path), "--trials", "2",
-              "--out", str(tmp_path / "mc")], 3, 243)]:
+              "--out", str(tmp_path / "mc")], 3, 27)]:
         calls.update(builds=0, lps=0)
         assert main(argv) == 0
         assert calls == {"builds": builds, "lps": lps}, argv[0]

@@ -339,9 +339,10 @@ def test_run_doubles_a_cap_too_small_for_feasibility():
 def test_recovery_infeasible_for_every_cap_names_its_round():
     # one binary confined to [0.3, 0.7]: the relaxation is feasible, the
     # mixed-integer problem is not, whatever the cap
-    blk = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
-                     g=np.array([0.7, -0.3]), integrality=np.array([True]),
-                     A=np.array([[1.0]]), var_index={}, K=1)
+    blk = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
+                     integrality=np.array([True]), A=np.array([[1.0]]),
+                     var_index={}, K=1, lo=np.array([0.3]),
+                     hi=np.array([0.7]))
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
     cost = build_recourse_cost(scen.pi, 3.0, 3.0, 1)
     with pytest.raises(AgentSolveError, match="round 0 recovery MILP") as e:
@@ -368,9 +369,9 @@ def test_mismatched_graph_size_rejected():
 # --------------------------------------------------------------- recourse cap
 
 
-def test_desk_build_and_cap_solve_only_coupled_column_lps(monkeypatch):
-    # each built block costs one zero-cost phase-1 LP, and recourse_cap
-    # two LPs per column its A touches; the uncoupled columns need none
+def test_desk_build_solves_only_phase_one_lps_and_the_cap_none(monkeypatch):
+    # each built block costs one zero-cost phase-1 LP; recourse_cap reads
+    # the coupled columns' native bounds and solves none
     cfg = ExperimentConfig.from_yaml(DESK)
     nonzeros = []
     solve = model.solve_lp
@@ -381,14 +382,11 @@ def test_desk_build_and_cap_solve_only_coupled_column_lps(monkeypatch):
 
     monkeypatch.setattr(model, "solve_lp", counting)
     problem = build_problem(cfg)
-    recourse_cap(problem.blocks, problem.scen)
     built = sum(blk.n > 0 for blk in problem.blocks)
-    coupled = sum(np.count_nonzero(blk.A.any(axis=0))
-                  for blk in problem.blocks)
-    assert (built, coupled) == (9, 54)
-    assert nonzeros.count(0) == built
-    assert nonzeros.count(1) == 2 * coupled
-    assert len(nonzeros) == 117
+    assert built == 9
+    assert nonzeros == [0] * built
+    recourse_cap(problem.blocks, problem.scen)
+    assert len(nonzeros) == built
 
 
 def test_desk_recourse_cap_equals_the_full_box_formula():

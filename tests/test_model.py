@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mgridopt.model import (ControllableLoadParams, DimensionError,
+from mgridopt.model import (EPSILON, ControllableLoadParams, DimensionError,
                             GeneratorParams, GridParams, LocalBlock,
                             ParameterError, StorageParams,
                             build_controllable_load_block,
@@ -283,7 +283,7 @@ def test_grid_switch_dense_scan():
             price = p.phi_p[0] if delta else p.phi_s[0]
             for phi in list(phis) + [price * u]:
                 ok = np.all(E1 * delta + E2 * phi - E3 * u <= E4 + 1e-12)
-                expected = (delta == float(u >= p.epsilon)
+                expected = (delta == float(u >= EPSILON)
                             and abs(phi - price * u) < 1e-12)
                 assert ok == expected, (u, delta, phi)
 
@@ -333,17 +333,20 @@ def test_blocks_compact_and_binaries_boxed(maker):
 
 
 def test_crossed_one_variable_rows_make_an_empty_block():
-    # x <= 0 and -x <= -1, as rows and as the bounds 1 <= x <= 0
+    # x <= 0 and -x <= -1, as the bounds 1 <= x <= 0 and as rows; the
+    # coupling mass reads bounds only, so the rows leave x unbounded
+    as_bounds = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
+                           integrality=np.zeros(1, bool), A=np.ones((1, 1)),
+                           var_index={}, K=1, lo=np.ones(1), hi=np.zeros(1))
     as_rows = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
                          g=np.array([0.0, -1.0]),
                          integrality=np.zeros(1, bool), A=np.ones((1, 1)),
                          var_index={}, K=1)
-    as_bounds = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
-                           integrality=np.zeros(1, bool), A=np.ones((1, 1)),
-                           var_index={}, K=1, lo=np.ones(1), hi=np.zeros(1))
-    for blk in (as_rows, as_bounds):
-        with pytest.raises(DimensionError, match="empty"):
-            blk.coupling_mass
+    with pytest.raises(DimensionError, match="empty"):
+        as_bounds.coupling_mass
+    with pytest.raises(DimensionError,
+                       match="column 0 has an infinite bound"):
+        as_rows.coupling_mass
 
 
 def test_coupling_matches_named_power_expressions():
@@ -458,7 +461,7 @@ def test_assembly_matches_direct_transcription():
         le(coeffs, r)
         le({nm: -v for nm, v in coeffs.items()}, -r)
 
-    sE1, sE2, sE3, sE4 = storage_e_matrices(sp.C, sp.epsilon)
+    sE1, sE2, sE3, sE4 = storage_e_matrices(sp.C, EPSILON)
     for k in range(K):
         eq({f"x{k + 1}": 1.0, f"x{k}": -1.0,
             f"z{k}": -(sp.eta_c - 1 / sp.eta_d), f"us{k}": -1 / sp.eta_d},

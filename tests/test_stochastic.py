@@ -104,6 +104,9 @@ def test_expected_recourse_matches_phi_sum():
 # ------------------------------------------------------- form equivalences
 
 
+TOY_PENALTIES = (3.0, 3.5)  # (q_plus, q_minus) of three_agent_toy
+
+
 def three_agent_toy(R=2, K=2, seed=5):
     rng = np.random.default_rng(seed)
     storage = build_storage_block(
@@ -117,11 +120,11 @@ def three_agent_toy(R=2, K=2, seed=5):
     b_r = [power_balance_rhs([rng.uniform(0, 6, size=K)], [(5.0, 6.0)[:K]],
                              [np.full(K, 1.5)]) for _ in range(R)]
     scen = ScenarioSet(pi=np.full(R, 1.0 / R), b_r=b_r)
-    cost = build_recourse_cost(scen.pi, 3.0, 3.5, K)
+    cost = build_recourse_cost(scen.pi, *TOY_PENALTIES, K)
     return blocks, scen, cost
 
 
-def band_form_milp(blocks, scen, cost):
+def band_form_milp(blocks, scen, q_plus, q_minus):
     """Direct transcription with explicit eta_+ / eta_- per scenario."""
     R, K = scen.R, scen.K
     n_x = sum(b.n for b in blocks)
@@ -152,8 +155,8 @@ def band_form_milp(blocks, scen, cost):
         for k in range(K):
             G[row + k, plus_off + r * K + k] = -1.0
             G[row + K + k, minus_off + r * K + k] = -1.0
-            c[plus_off + r * K + k] = scen.pi[r] * cost.q_plus
-            c[minus_off + r * K + k] = scen.pi[r] * cost.q_minus
+            c[plus_off + r * K + k] = scen.pi[r] * q_plus
+            c[minus_off + r * K + k] = scen.pi[r] * q_minus
         g[row:row + K] = scen.b_r[r]
         g[row + K:row + 2 * K] = -scen.b_r[r]
         row += 2 * K
@@ -164,7 +167,7 @@ def band_form_milp(blocks, scen, cost):
 
 def test_band_pooled_and_per_agent_forms_agree():
     blocks, scen, cost = three_agent_toy()
-    band = solve_milp(band_form_milp(blocks, scen, cost))
+    band = solve_milp(band_form_milp(blocks, scen, *TOY_PENALTIES))
     pooled, _ = assemble_two_stage(blocks, scen, cost)
     pooled_sol = solve_milp(pooled)
     per_agent, layout = assemble_per_agent_eta(blocks, scen, cost)

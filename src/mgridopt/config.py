@@ -46,7 +46,7 @@ Schema sketch (see configs/desk.yaml for a complete example):
       critical_loads: [...]
       solar: [...]
       wind: [...]
-      grid: {...}          # exactly one connection
+      grid: {...}          # exactly one; sell price <= purchase price
 """
 
 from __future__ import annotations
@@ -410,7 +410,7 @@ def _build(raw):
         critical_demands=lo_demands, seed=seeds.get("scenario", 0)))
     if errors:
         return None, errors
-    top_price = float(max(phi_p.max(), phi_s.max()))
+    top_price = float(phi_p.max())  # no sell price is higher
     # recourse is a penalty of last resort: default 10x the top price
     q_plus = 10.0 * top_price if q_plus is None else q_plus
     q_minus = 10.0 * top_price if q_minus is None else q_minus

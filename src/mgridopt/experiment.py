@@ -30,7 +30,8 @@ import numpy as np
 
 from .analysis import (CertificateError, distributed_certificate,
                        violation_certificate)
-from .config import ConfigError, ExperimentConfig, Problem, build_problem
+from .config import (ConfigError, ExperimentConfig, Problem, _positive,
+                     _string, build_problem)
 from .dialgo import AgentSolveError, RunResult, run
 
 OUTPUT_ROOT_ENV = "MGRIDOPT_OUT"
@@ -46,14 +47,40 @@ def output_root() -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
 
 
-def _read_json(path: Path):
-    """The JSON document at `path`; a syntax error is a ConfigError
-    naming the file, line and column."""
+def _read_fields(path: Path, **readers) -> dict:
+    """The named fields of the JSON mapping at `path`, each through its
+    reader; bytes that are not UTF-8, a syntax error, a missing key or a
+    value its reader rejects is a ConfigError naming the file, and the
+    line and column or the key."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: byte {e.start}: not UTF-8") from None
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    fields = {}
+    for key, read in readers.items():
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"{path}: {key}: missing")
+        try:
+            fields[key] = read(doc[key])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: {key}: {e}") from None
+    return fields
+
+
+def _floats(value, size: int) -> np.ndarray:
+    v = np.array(value, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"must be a list of {size} numbers")
+    return v
+
+
+def _lists(value, sizes) -> list:
+    if not isinstance(value, list) or len(value) != len(sizes):
+        raise ValueError(f"must be a list of {len(sizes)} lists")
+    return [_floats(v, n) for v, n in zip(value, sizes)]
 
 
 @dataclass
@@ -79,8 +106,8 @@ def write_trace_csv(path, trace):
     _write_csv(path, TRACE_HEADER, trace.rows())
 
 
-def solution_reports(problem: Problem, xs: list) -> dict:
-    """Figure-data series from a solved instance.
+def write_reports(out: Path, problem: Problem, xs: list):
+    """Figure-data CSVs from a solved instance.
 
     consumed = critical + uncurtailed controllable demand; curtailed is
     the shed part; power fractions split the supply side between
@@ -122,33 +149,14 @@ def solution_reports(problem: Problem, xs: list) -> dict:
     with np.errstate(invalid="ignore", divide="ignore"):
         fractions = np.where(totals > 0, supply / np.where(totals > 0,
                                                            totals, 1.0), 0.0)
-    return {
-        "consumed_kw": consumed,
-        "curtailed_kw": curtailed,
-        "storage_exchange_kw": storage_u,
-        "storage_level_kwh": storage_level,
-        "grid_exchange_kw": grid_u,
-        "fraction_generators": fractions[0],
-        "fraction_renewables": fractions[1],
-        "fraction_grid": fractions[2],
-    }
-
-
-def write_reports(out: Path, problem: Problem, xs: list):
-    rep = solution_reports(problem, xs)
-    K = problem.scen.K
+    steps = range(K)
     _write_csv(out / "report_consumption.csv", "step,consumed_kw,curtailed_kw",
-               [(k, rep["consumed_kw"][k], rep["curtailed_kw"][k])
-                for k in range(K)])
+               zip(steps, consumed, curtailed))
     _write_csv(out / "report_storage.csv", "step,exchange_kw,level_kwh",
-               [(k, rep["storage_exchange_kw"][k], rep["storage_level_kwh"][k])
-                for k in range(K)])
-    _write_csv(out / "report_grid.csv", "step,exchange_kw",
-               [(k, rep["grid_exchange_kw"][k]) for k in range(K)])
+               zip(steps, storage_u, storage_level))
+    _write_csv(out / "report_grid.csv", "step,exchange_kw", zip(steps, grid_u))
     _write_csv(out / "report_power_fraction.csv",
-               "step,generators,renewables,grid",
-               [(k, rep["fraction_generators"][k], rep["fraction_renewables"][k],
-                 rep["fraction_grid"][k]) for k in range(K)])
+               "step,generators,renewables,grid", zip(steps, *fractions))
 
 
 def write_solution(path, problem: Problem, result: RunResult):
@@ -256,17 +264,22 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     violation against the stored certificate.
     """
     run_dir = Path(run_dir)
-    cfg = ExperimentConfig.from_yaml(run_dir / "config.yaml")
-    saved = _read_json(run_dir / "solution.json")
-    stored = _read_json(run_dir / "certificate.json")
-    problem = build_problem(cfg)
+    problem = build_problem(
+        ExperimentConfig.from_yaml(run_dir / "config.yaml"))
+    dim = 2 * problem.scen.R * problem.scen.K
+    saved = _read_fields(run_dir / "solution.json",
+                         y=lambda v: _lists(v, [dim] * len(problem.blocks)),
+                         eta_cap=_positive, label=_string)
+    stored = _read_fields(run_dir / "certificate.json",
+                          bound=lambda v: _floats(v, dim),
+                          measured=lambda v: _floats(v, dim))
     result = run(problem.blocks, problem.scen, problem.cost, problem.graph,
                  problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"],
                  tol=problem.tolerances)
     result.converged_label = saved["label"]
     _, payload = _certify(problem, result, consensus_rounds)
     payload["matches_stored_bound"] = all(
-        np.allclose(np.array(payload[key]), np.array(stored[key]), atol=1e-9)
+        np.allclose(np.array(payload[key]), stored[key], atol=1e-9)
         for key in ("bound", "measured"))
     (run_dir / "certificate_recomputed.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -276,9 +289,9 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
 def regenerate_reports(run_dir) -> Path:
     """Re-emit the figure-data CSVs of a saved run from solution.json."""
     run_dir = Path(run_dir)
-    cfg = ExperimentConfig.from_yaml(run_dir / "config.yaml")
-    saved = _read_json(run_dir / "solution.json")
-    problem = build_problem(cfg)
-    xs = [np.array(v, dtype=float) for v in saved["x"]]
+    problem = build_problem(
+        ExperimentConfig.from_yaml(run_dir / "config.yaml"))
+    xs = _read_fields(run_dir / "solution.json", x=lambda v: _lists(
+        v, [blk.n for blk in problem.blocks]))["x"]
     write_reports(run_dir, problem, xs)
     return run_dir

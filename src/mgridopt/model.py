@@ -9,9 +9,10 @@ power limits, the generator's 0 <= u <= u_max among them, and
 0 <= delta <= 1) are variable bounds, and any row a builder writes with
 a single nonzero tightens them as it is added, so G holds only rows
 touching two or more variables.  Every column A touches has finite
-bounds, which the recourse cap reads without solving an LP.  Logical
-switches (charge/discharge, on/off, import/export) are encoded with
-big-M inequalities driven by the strict positivity constant EPSILON.
+bounds, which the recourse cap reads without solving an LP.  Only the
+storage (charge/discharge) and the generator (on/off) have binaries, in
+big-M switch rows driven by the strict positivity constant EPSILON; the
+grid's expense max(phi_p u, phi_s u) is convex and needs no switch.
 
 Sign conventions: storage power u >= 0 while charging (it consumes),
 generator and grid power enter the balance negated (they supply),
@@ -26,8 +27,8 @@ import numpy as np
 
 from .solver import OPTIMAL, LinearProgram, solve_lp
 
-# strict-positivity constant of the storage and grid switches; machine
-# epsilon would make the big-M rows tie-prone
+# strict-positivity constant of the storage switch; machine epsilon
+# would make the big-M rows tie-prone
 EPSILON = 1e-6
 
 
@@ -143,23 +144,23 @@ class ControllableLoadParams:
 
 @dataclass(frozen=True)
 class GridParams:
-    """Single connection to the utility grid with asymmetric prices."""
+    """Single connection to the utility grid with asymmetric prices; the
+    sell price never exceeds the purchase price."""
 
     P_max: float
     phi_p: tuple  # purchase price per step, EUR/kWh
-    phi_s: tuple  # sell price per step, EUR/kWh
+    phi_s: tuple  # sell price per step, EUR/kWh, <= phi_p
 
     def validate(self, K: int | None = None):
         _require(self.P_max >= 0.0, f"P_max must be >= 0, got {self.P_max}")
         _require(all(p >= 0 for p in self.phi_p), "purchase prices must be >= 0")
         _require(all(p >= 0 for p in self.phi_s), "sell prices must be >= 0")
+        for k, (buy, sell) in enumerate(zip(self.phi_p, self.phi_s)):
+            _require(sell <= buy,
+                     f"sell price exceeds purchase price at step {k}")
         if K is not None:
             _require(len(self.phi_p) >= K and len(self.phi_s) >= K,
                      "price profiles shorter than horizon")
-
-    def big_m(self, K: int) -> float:
-        prices = [max(self.phi_p[k], self.phi_s[k]) for k in range(K)]
-        return self.P_max * max(prices)
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +288,7 @@ class _RowBuilder:
 
 
 # --------------------------------------------------------------------------
-# the E matrices of the logical switches
+# builders
 # --------------------------------------------------------------------------
 
 
@@ -298,21 +299,6 @@ def storage_e_matrices(C: float, epsilon: float):
     E3 = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0])
     E4 = np.array([C, -epsilon, C, C, 0.0, 0.0])
     return E1, E2, E3, E4
-
-
-def grid_e_matrices(p: GridParams, k: int, K: int):
-    """Six-row switch coefficients tying (delta, phi) to u at step k."""
-    M = p.big_m(K)
-    E1 = np.array([p.P_max, -(p.P_max + EPSILON), M, M, -M, -M])
-    E2 = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
-    E3 = np.array([1.0, -1.0, p.phi_p[k], -p.phi_p[k], p.phi_s[k], -p.phi_s[k]])
-    E4 = np.array([p.P_max, -EPSILON, M, M, 0.0, 0.0])
-    return E1, E2, E3, E4
-
-
-# --------------------------------------------------------------------------
-# builders
-# --------------------------------------------------------------------------
 
 
 def _check_horizon(K):
@@ -497,37 +483,28 @@ def build_controllable_load_block(p: ControllableLoadParams, K: int) -> LocalBlo
 
 
 def build_grid_block(p: GridParams, K: int) -> LocalBlock:
-    """Grid connection: import/export switch with price-dependent expense."""
+    """Grid connection, no integer columns: exchanged power u(k) = x[k]
+    (> 0 imports) and its expense phi(k) = x[K + k], held above
+    phi_p[k] u and phi_s[k] u by two rows and pushed down onto their
+    maximum by its cost; |u| <= P_max, -phi_s P_max <= phi <= phi_p P_max.
+    """
     _check_horizon(K)
     p.validate(K)
-    idx = {}
-    pos = 0
-    for name in ("u", "phi", "delta"):
-        for k in range(K):
-            idx[f"{name}({k})"] = pos
-            pos += 1
-    n = pos
-    M = p.big_m(K)
-    b = _RowBuilder(n)
+    idx = {f"{name}({k})": j * K + k
+           for j, name in enumerate(("u", "phi")) for k in range(K)}
+    b = _RowBuilder(2 * K)
+    A = np.zeros((K, 2 * K))
     for k in range(K):
-        uk, fk, dk = idx[f"u({k})"], idx[f"phi({k})"], idx[f"delta({k})"]
-        E1, E2, E3, E4 = grid_e_matrices(p, k, K)
-        for r in range(6):
-            b.add({dk: E1[r], fk: E2[r], uk: -E3[r]}, E4[r])
-        b.bound(uk, -p.P_max, p.P_max)
-        b.bound(fk, -M, M)
-        b.bound(dk, 0.0, 1.0)
+        b.add({k: p.phi_p[k], K + k: -1.0}, 0.0)
+        b.add({k: p.phi_s[k], K + k: -1.0}, 0.0)
+        b.bound(k, -p.P_max, p.P_max)
+        b.bound(K + k, -p.phi_s[k] * p.P_max, p.phi_p[k] * p.P_max)
+        A[k, k] = -1.0
     G, g, lo, hi = b.matrices()
-    c = np.zeros(n)
-    A = np.zeros((K, n))
-    mask = np.zeros(n, dtype=bool)
-    for k in range(K):
-        c[idx[f"phi({k})"]] = 1.0
-        A[k, idx[f"u({k})"]] = -1.0
-        mask[idx[f"delta({k})"]] = True
-    return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
-                                var_index=idx, K=K, kind="grid", lo=lo,
-                                hi=hi))
+    return _nonempty(LocalBlock(
+        c=np.repeat([0.0, 1.0], K), G=G, g=g,
+        integrality=np.zeros(2 * K, dtype=bool), A=A, var_index=idx, K=K,
+        kind="grid", lo=lo, hi=hi))
 
 
 # --------------------------------------------------------------------------

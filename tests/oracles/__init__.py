@@ -1,6 +1,7 @@
 """Oracles the tests check the package against.
 
-Exact hulls, the centralized assembly, closed-form recourse and CSV
-readers: independent transcriptions that no run, CLI verb or benchmark
-reaches, so they live beside the tests and not in `mgridopt`.
+Exact hulls, the centralized assembly, closed-form recourse, CSV
+readers and the big-M grid block the convex one replaced: independent
+transcriptions that no run, CLI verb or benchmark reaches, so they live
+beside the tests and not in `mgridopt`.
 """

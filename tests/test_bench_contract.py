@@ -101,10 +101,8 @@ def test_gate_rejects_a_point_past_a_native_bound():
                 break
             if base.kind in rejected:
                 break
-    # the grid's switch rows already imply |u| <= P_max and |phi| <= M
-    # at delta in {0, 1}, so no integral point meets them past a bound
-    assert "grid" in tried
-    assert set(rejected) == {"storage", "generator", "controllable_load"}
+    assert set(rejected) == tried == {"storage", "generator",
+                                      "controllable_load", "grid"}
 
 
 def test_recourse_cap_after_a_run_solves_no_lp(monkeypatch):

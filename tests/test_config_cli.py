@@ -190,6 +190,10 @@ MALFORMED_DESK = {
             startup_cost_eur=float("inf")),
         "units.generators[1].startup_cost_eur: must be a finite number, "
         "got inf"),
+    "sell_above_purchase": (
+        lambda raw: raw["profiles"]["price_sell"]["literal_eur_per_kwh"]
+        .__setitem__(2, 0.35),
+        "units.grid: sell price exceeds purchase price at step 2"),
     "price_nan": (
         lambda raw: raw["profiles"]["price_buy"]["literal_eur_per_kwh"]
         .__setitem__(2, float("nan")),
@@ -213,6 +217,7 @@ def test_malformed_desk_config_rejected_with_field_path(tmp_path, capsys,
     assert main(["build", str(cfg_path), "--out", str(tmp_path / "b")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_graph_kind_rejected_for_two_agents():
@@ -336,8 +341,16 @@ def test_recertify_montecarlo_trial(tmp_path):
     assert payload["measured"] == pytest.approx(stored["measured"], abs=1e-9)
 
 
+def with_desk_storage(raw):
+    """`raw` with desk.yaml's first storage, whose switch leaves the
+    relaxed solve fractional; the grid and the loads are LPs."""
+    raw["units"]["storages"] = \
+        yaml.safe_load(DESK.read_text())["units"]["storages"][:1]
+    return raw
+
+
 def test_configured_integrality_reaches_certificate(tmp_path):
-    raw = minimal_config(T_f=0)
+    raw = with_desk_storage(minimal_config(T_f=0))
     default = run_experiment(ExperimentConfig.from_dict(raw),
                              out_dir=tmp_path / "default")
     assert not all(default.certificate.in_integral_set)
@@ -374,12 +387,13 @@ def test_cli_build_and_run(tmp_path, capsys):
 
 
 def test_cli_build_writes_bounds_and_binaries(tmp_path, capsys):
-    # block boxes are column bounds, not rows; the 30 switches are binary
+    # block boxes are column bounds, not rows; the 24 switches of the
+    # storages and generators are binary, the grid has none
     assert main(["build", str(DESK), "--out", str(tmp_path)]) == 0
-    assert "(30 binary), 276 rows" in capsys.readouterr().out
+    assert "170 variables (24 binary), 252 rows" in capsys.readouterr().out
     text = (tmp_path / "centralized_problem.lp").read_text()
     rows = text.split("Subject To\n")[1].split("Bounds\n")[0]
-    assert len(rows.splitlines()) == 252 + 24  # block rows + band rows
+    assert len(rows.splitlines()) == 228 + 24  # block rows + band rows
     assert "Generals" not in text
     binaries = text.split("Binaries\n")[1].split("\n")[0].split()
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
@@ -444,6 +458,58 @@ def test_cli_reports_a_damaged_run_artifact_on_one_line(tmp_path, capsys,
             "Expecting property name enclosed in double quotes\n"
 
 
+def edited(**changes):
+    """The artifact with `changes` applied, a None value dropping its key."""
+    def edit(doc):
+        doc.update(changes)
+        return json.dumps({k: v for k, v in doc.items()
+                           if v is not None}).encode()
+    return edit
+
+
+# minimal_config runs two agents (a load and the grid) over 4 steps and
+# one scenario, so every allocation and bound has 2 R K = 8 entries
+MALFORMED_ARTIFACT = {
+    "solution_empty": ("certify", "solution.json", lambda doc: b"{}",
+                       "y: missing"),
+    "solution_not_utf8": ("report", "solution.json", lambda doc: b"\xff\xfe{",
+                          "byte 0: not UTF-8"),
+    "solution_a_list": ("report", "solution.json", lambda doc: b"[]",
+                        "x: missing"),
+    "y_one_agent": ("certify", "solution.json", edited(y=[[0.0] * 8]),
+                    "y: must be a list of 2 lists"),
+    "y_short": ("certify", "solution.json", edited(y=[[0.0], [0.0]]),
+                "y: must be a list of 8 numbers"),
+    "x_text": ("report", "solution.json", edited(x=[["a"], ["b"]]),
+               "x: could not convert string to float: 'a'"),
+    "eta_cap_missing": ("certify", "solution.json", edited(eta_cap=None),
+                        "eta_cap: missing"),
+    "eta_cap_negative": ("certify", "solution.json", edited(eta_cap=-1.0),
+                         "eta_cap: must be a number > 0, got -1.0"),
+    "label_number": ("certify", "solution.json", edited(label=3),
+                     "label: must be a string, got 3"),
+    "bound_missing": ("certify", "certificate.json", edited(bound=None),
+                      "bound: missing"),
+    "measured_scalar": ("certify", "certificate.json", edited(measured=1.0),
+                        "measured: must be a list of 8 numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACT))
+def test_cli_reports_a_malformed_run_artifact_on_one_line(tmp_path, capsys,
+                                                          case):
+    verb, name, damage, message = MALFORMED_ARTIFACT[case]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(minimal_config()))
+    run_dir = tmp_path / "r"
+    assert main(["run", str(cfg_path), "--out", str(run_dir)]) == 0
+    path = run_dir / name
+    path.write_bytes(damage(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert main([verb, str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def desk_cut_to_one_round(tmp_path):
     raw = yaml.safe_load(DESK.read_text())
     raw["algorithm"]["iterations"] = 0
@@ -506,8 +572,9 @@ def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,
     with pytest.raises(CertificateError, match=re.escape(
             "trial 0 (scenario seed [2, 0]): lower-bound LP for component 0 "
             "ended infeasible")):
-        run_montecarlo(ExperimentConfig.from_dict(minimal_config()),
-                       trials=2, out_dir=tmp_path / "mc")
+        run_montecarlo(
+            ExperimentConfig.from_dict(with_desk_storage(minimal_config())),
+            trials=2, out_dir=tmp_path / "mc")
 
 
 @pytest.mark.parametrize("case", ["storage_loss_empties_block",

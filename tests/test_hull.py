@@ -32,10 +32,19 @@ def test_pure_box_block_equals_hull():
     assert relaxation_equals_hull(blk)
 
 
-def test_grid_block_relaxation_strictly_larger():
-    blk = build_grid_block(GridParams(P_max=10.0, phi_p=(0.3,),
-                                      phi_s=(0.15,)), 1)
-    assert not relaxation_equals_hull(blk)
+def test_grid_block_relaxation_equals_its_hull():
+    """The grid has no integer column; its relaxation is the polytope
+    spanned by its own vertices, at every cost."""
+    rng = np.random.default_rng(7)
+    blk = build_grid_block(GridParams(P_max=10.0, phi_p=(0.3, 0.25),
+                                      phi_s=(0.15, 0.25)), 2)
+    assert not blk.integrality.any()
+    assert relaxation_equals_hull(blk)
+    hb = hull_block(blk)
+    for _ in range(8):
+        c = rng.normal(size=blk.n)
+        assert solve_lp(blk.relaxation_lp(c)).value == pytest.approx(
+            solve_lp(hb.relaxation_lp(c)).value, abs=1e-9)
 
 
 def test_storage_block_relaxation_strictly_larger():
@@ -77,8 +86,9 @@ def test_hull_optimum_matches_assignment_enumeration():
     """The lifted hull formulation reproduces min over explicit binary
     fixings, and sits at or above the plain relaxation value (the gap)."""
     rng = np.random.default_rng(19)
-    blk = build_grid_block(GridParams(P_max=10.0, phi_p=(0.3,),
-                                      phi_s=(0.15,)), 1)
+    blk = build_storage_block(
+        StorageParams(eta_c=0.9, eta_d=0.85, x_min=1.0, x_max=8.0, x_pl=0.0,
+                      C=4.0, zeta=0.1, x0=4.0), 1)
     idx, assigns = feasible_binary_assignments(blk)
     assert len(assigns) == 2
     gaps = []

@@ -1,22 +1,27 @@
-"""Block builders: switch-row scans, dynamics arithmetic, coupling signs,
-compactness, and equivalence of the assembled coupled form with a direct
-transcription of the one-big-problem formulation."""
+"""Block builders: the storage switch-row scan, the grid expense scan,
+dynamics arithmetic, coupling signs, compactness, equivalence of the
+convex grid with the big-M grid it replaced, and equivalence of the
+assembled coupled form with a direct transcription of the
+one-big-problem formulation."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from mgridopt.dialgo import LocalProblem
 from mgridopt.model import (EPSILON, ControllableLoadParams, DimensionError,
                             GeneratorParams, GridParams, LocalBlock,
                             ParameterError, StorageParams,
                             build_controllable_load_block,
                             build_generator_block, build_grid_block,
-                            build_storage_block, grid_e_matrices,
-                            power_balance_rhs, quadratic_cost_segments,
-                            storage_e_matrices)
-from mgridopt.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_milp
+                            build_storage_block, power_balance_rhs,
+                            quadratic_cost_segments, storage_e_matrices)
+from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, Tolerances,
+                             solve_lp, solve_milp)
+from mgridopt.stochastic import build_recourse_cost, lift_block
 from oracles.centralized import assemble_centralized
+from oracles.grid import big_m_grid_block
 from oracles.hull import coordinate_box
 
 
@@ -96,15 +101,6 @@ def test_storage_e_matrices_printed_values():
     assert E2 == pytest.approx([0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
     assert E3 == pytest.approx([1.0, -1.0, 1.0, -1.0, 0.0, 0.0])
     assert E4 == pytest.approx([10.0, -1e-6, 10.0, 10.0, 0.0, 0.0])
-
-
-def test_grid_big_m_value():
-    p = grid_params()
-    assert p.big_m(2) == pytest.approx(10.0)  # 50 * max(0.2, 0.1)
-    E1, _, E3, E4 = grid_e_matrices(p, 0, 2)
-    assert E1 == pytest.approx([50.0, -50.0 - 1e-6, 10.0, 10.0, -10.0, -10.0])
-    assert E3 == pytest.approx([1.0, -1.0, 0.2, -0.2, 0.1, -0.1])
-    assert E4 == pytest.approx([50.0, -1e-6, 10.0, 10.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- storage
@@ -256,36 +252,64 @@ def test_load_coupling_and_cost_values():
     assert blk.c @ x == pytest.approx(0.25 * 2.0 * 8.0)
 
 
-def test_grid_switch_scan():
-    """Feasible expenditure phi is pinned to the price-switched product."""
-    K = 1
-    p = GridParams(P_max=50.0, phi_p=(0.2,), phi_s=(0.1,))
-    blk = build_grid_block(p, K)
-    for u, delta, want in ((20.0, 1.0, 4.0), (-20.0, 0.0, -2.0)):
-        sol = pinned_milp(blk, {"u(0)": u, "delta(0)": delta},
-                          c=np.zeros(blk.n))
-        assert sol.status == OPTIMAL
-        assert blk.value_of(sol.x, "phi(0)") == pytest.approx(want, abs=1e-6)
-        # and the opposite switch position is not allowed
-        bad = pinned_milp(blk, {"u(0)": u, "delta(0)": 1.0 - delta},
-                          c=np.zeros(blk.n))
-        assert bad.status == INFEASIBLE
-
-
-def test_grid_switch_dense_scan():
-    K = 1
+def test_grid_expense_scan():
+    """At its cheapest, phi is the expense max(phi_p u, phi_s u) of every
+    exchange u, importing, exporting or idle."""
     p = GridParams(P_max=10.0, phi_p=(0.3,), phi_s=(0.15,))
-    E1, E2, E3, E4 = grid_e_matrices(p, 0, K)
-    M = p.big_m(K)
-    phis = np.linspace(-M, M, 41)
-    for u in (-10.0, -4.0, 2.0, 10.0):
-        for delta in (0.0, 1.0):
-            price = p.phi_p[0] if delta else p.phi_s[0]
-            for phi in list(phis) + [price * u]:
-                ok = np.all(E1 * delta + E2 * phi - E3 * u <= E4 + 1e-12)
-                expected = (delta == float(u >= EPSILON)
-                            and abs(phi - price * u) < 1e-12)
-                assert ok == expected, (u, delta, phi)
+    blk = build_grid_block(p, 1)
+    assert not blk.integrality.any()
+    for u in np.linspace(-p.P_max, p.P_max, 21):
+        sol = pinned_milp(blk, {"u(0)": u})
+        assert sol.status == OPTIMAL
+        assert blk.value_of(sol.x, "phi(0)") == pytest.approx(
+            max(0.3 * u, 0.15 * u), abs=1e-12), u
+
+
+def test_grid_rejects_a_sell_price_above_the_purchase_price():
+    with pytest.raises(ParameterError,
+                       match="sell price exceeds purchase price at step 1"):
+        build_grid_block(GridParams(P_max=10.0, phi_p=(0.3, 0.1, 0.2),
+                                    phi_s=(0.3, 0.2, 0.0)), 3)
+
+
+def test_convex_grid_matches_the_big_m_grid():
+    """Under ordered prices the grid's LocalProblem, solved as an LP, has
+    the optimum of the big-M grid's, solved as a MILP (and by HiGHS), at
+    random recourse prices and allocations."""
+    try:
+        from scipy import optimize as scipy_opt
+    except ImportError:
+        scipy_opt = None
+    rng = np.random.default_rng(2014)
+    tol = Tolerances()
+    for trial in range(30):
+        K, R = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        phi_p = rng.uniform(0.05, 0.5, K)
+        # equal prices and a zero sell price are the edge cases
+        share = {0: np.ones(K), 1: np.zeros(K)}.get(trial % 10,
+                                                   rng.uniform(0.0, 1.0, K))
+        p = GridParams(P_max=float(rng.uniform(0.5, 20.0)),
+                       phi_p=tuple(phi_p), phi_s=tuple(phi_p * share))
+        d = build_recourse_cost(np.full(R, 1.0 / R), rng.uniform(0.5, 5.0),
+                                rng.uniform(0.5, 5.0), K).d
+        y = rng.normal(scale=p.P_max, size=2 * R * K)
+        # eta never exceeds |H x| + |y| <= P_max + |y|: the cap cannot bind
+        cap = 2.0 * (p.P_max + np.max(np.abs(y)))
+        convex = LocalProblem(lift_block(build_grid_block(p, K), R), d)
+        big_m = LocalProblem(lift_block(big_m_grid_block(p, K), R), d)
+        lp_sol, _ = convex.solve(solve_lp, y, cap, tol, "convex grid")
+        mi_sol, _ = big_m.solve(solve_milp, y, cap, tol, "big-M grid")
+        assert lp_sol.status == mi_sol.status == OPTIMAL
+        assert lp_sol.value == pytest.approx(mi_sol.value, abs=1e-6), trial
+        if scipy_opt is not None:
+            lp = big_m.lp
+            ref = scipy_opt.milp(
+                lp.c, integrality=lp.integrality.astype(int),
+                bounds=scipy_opt.Bounds(lp.lo, lp.hi),
+                constraints=scipy_opt.LinearConstraint(lp.G, -np.inf, lp.g),
+                options={"mip_rel_gap": 1e-9})
+            assert ref.success
+            assert lp_sol.value == pytest.approx(ref.fun, abs=1e-6), trial
 
 
 # ------------------------------------------------------------- balance rhs
@@ -439,12 +463,12 @@ def test_assembly_matches_direct_transcription():
     assert assembled.status == OPTIMAL
 
     # longhand: columns [x(0..2), u_s(0..1), z(0..1), ds(0..1),
-    #                    u_g(0..1), phi(0..1), dg(0..1), beta(0..1)]
-    nx = (K + 1) + 3 * K + 3 * K + K
+    #                    u_g(0..1), phi(0..1), beta(0..1)]
+    nx = (K + 1) + 3 * K + 2 * K + K
     cols = {}
     pos = 0
     for name, count in (("x", K + 1), ("us", K), ("z", K), ("ds", K),
-                        ("ug", K), ("phi", K), ("dg", K), ("beta", K)):
+                        ("ug", K), ("phi", K), ("beta", K)):
         for k in range(count):
             cols[f"{name}{k}"] = pos
             pos += 1
@@ -474,20 +498,17 @@ def test_assembly_matches_direct_transcription():
         le({f"us{k}": -1.0}, sp.C)
         le({f"z{k}": 1.0}, sp.C)
         le({f"z{k}": -1.0}, sp.C)
-        gE1, gE2, gE3, gE4 = grid_e_matrices(gp, k, K)
-        for r in range(6):
-            le({f"dg{k}": gE1[r], f"phi{k}": gE2[r], f"ug{k}": -gE3[r]},
-               gE4[r])
+        # the grid's expense: phi >= phi_p u and phi >= phi_s u
+        le({f"ug{k}": gp.phi_p[k], f"phi{k}": -1.0}, 0.0)
+        le({f"ug{k}": gp.phi_s[k], f"phi{k}": -1.0}, 0.0)
         le({f"ug{k}": 1.0}, gp.P_max)
         le({f"ug{k}": -1.0}, gp.P_max)
-        M = gp.big_m(K)
-        le({f"phi{k}": 1.0}, M)
-        le({f"phi{k}": -1.0}, M)
+        le({f"phi{k}": 1.0}, gp.phi_p[k] * gp.P_max)
+        le({f"phi{k}": -1.0}, gp.phi_s[k] * gp.P_max)
         le({f"beta{k}": 1.0}, clp.beta_max)
         le({f"beta{k}": -1.0}, -clp.beta_min)
-        for nm in (f"ds{k}", f"dg{k}"):
-            le({nm: 1.0}, 1.0)
-            le({nm: -1.0}, 0.0)
+        le({f"ds{k}": 1.0}, 1.0)
+        le({f"ds{k}": -1.0}, 0.0)
         # power balance: u_grid = u_storage + (1 - beta) D_cl + D_lo
         eq({f"ug{k}": 1.0, f"us{k}": -1.0, f"beta{k}": clp.D[k]},
            clp.D[k] + d_lo[k])
@@ -500,7 +521,6 @@ def test_assembly_matches_direct_transcription():
         c[cols[f"phi{k}"]] = 1.0
         c[cols[f"beta{k}"]] = clp.varphi * clp.D[k]
         mask[cols[f"ds{k}"]] = True
-        mask[cols[f"dg{k}"]] = True
     direct = solve_milp(LinearProgram(c, np.array(rows), np.array(rhs),
                                       np.full(nx, -np.inf), np.full(nx, np.inf),
                                       integrality=mask))

@@ -99,9 +99,13 @@ def instances(draw, kinds=ALL_KINDS):
             critical.append(profile(draw, K, 0.0, 4.0))
             blocks.append(LocalBlock.empty(K, kind="critical_load"))
         else:
+            # the sell price is a share of the purchase price: a grid
+            # with phi_s > phi_p at some step is rejected
+            phi_p = profile(draw, K, 0.1, 0.4)
+            share = profile(draw, K, 0.0, 1.0)
             blocks.append(build_grid_block(GridParams(
-                P_max=draw(unit(0.0, 15.0)), phi_p=profile(draw, K, 0.1, 0.4),
-                phi_s=profile(draw, K, 0.0, 0.2)), K))
+                P_max=draw(unit(0.0, 15.0)), phi_p=phi_p,
+                phi_s=tuple(p * f for p, f in zip(phi_p, share))), K))
     scen = ScenarioSet(pi=np.full(R, 1.0 / R), b_r=[
         power_balance_rhs([profile(draw, K, 0.0, 10.0)], cl_demands,
                           critical) for _ in range(R)])
@@ -134,7 +138,7 @@ def test_conservation_anytime_feasibility_and_block_membership(instance):
 
 
 @PROPERTY
-@given(instances(kinds=("controllable_load", "critical_load")))
+@given(instances(kinds=("controllable_load", "critical_load", "grid")))
 def test_certificate_holds_where_relaxations_are_hulls(instance):
     blocks, cost, res = run_instance(instance)
     assert all(relaxation_equals_hull(blk) for blk in blocks)

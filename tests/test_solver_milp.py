@@ -184,7 +184,7 @@ def test_desk_allocation_lps_match_highs():
 
 
 def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
-    """After one desk round four agents are non-integral; each one's
+    """After one desk round three agents are non-integral; each one's
     auxiliary MILP at the floored allocation reaches the optimum HiGHS
     certifies."""
     scipy_opt = pytest.importorskip("scipy.optimize")
@@ -202,7 +202,7 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
 
     monkeypatch.setattr(analysis, "solve_milp", recording)
     cert = violation_certificate(res, problem.cost, problem.tolerances)
-    assert len(solved) == sum(not f for f in cert.in_integral_set) == 4
+    assert len(solved) == sum(not f for f in cert.in_integral_set) == 3
     for k, (lp, sol) in enumerate(solved):
         assert_matches_highs(scipy_opt, lp, sol, k)
 

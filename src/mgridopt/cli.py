@@ -115,8 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, AgentSolveError,
-            CertificateError) as e:
+    except (ConfigError, OSError, AgentSolveError, CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

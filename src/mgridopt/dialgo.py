@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionError
-from .solver import (OPTIMAL, LinearProgram, NodeLimitError, Tolerances,
-                     solve_lp, solve_milp)
+from .solver import (OPTIMAL, LinearProgram, LpSolution, NodeLimitError,
+                     Tolerances, solve_lp, solve_milp)
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet, build_h,
                          lift_block)
 
@@ -213,28 +213,30 @@ class LocalProblem:
                                         np.zeros(dim, dtype=bool)]))
 
     def solve(self, solver, y: np.ndarray, cap: float, tol: Tolerances,
-              stage: str):
+              stage: str, root: LpSolution | None = None):
         """Solve at allocation y with `solver` (solve_lp or solve_milp).
 
         The recourse cap is a safety net that must not bind: it is
         doubled while the solve is infeasible or eta reaches the cap, at
         most MAX_CAP_DOUBLINGS times; a zero cap steps to 1 first, since
-        doubling it could never lift it.  Returns (solution, cap used).
-        A branch-and-bound that hits its node limit raises an
-        AgentSolveError too.
+        doubling it could never lift it.  `root` (solve_lp's solution at
+        y and `cap`) is solve_milp's root until the cap doubles.  Returns
+        (solution, cap used); a tree past its node limit raises too.
         """
         lp, n = self.lp, self.n
         lp.g[self.m0:] = y
         for _ in range(MAX_CAP_DOUBLINGS + 1):
             lp.hi[n:] = cap
             try:
-                sol = solver(lp, tol)
+                sol = (solver(lp, tol) if root is None
+                       else solver(lp, tol, root=root))
             except NodeLimitError as e:
                 raise AgentSolveError(self.index, str(e), stage) from e
             if (sol.status == OPTIMAL
                     and np.max(sol.x[n:], initial=0.0) < cap * (1 - 1e-9)):
                 return sol, cap
             cap = 2.0 * cap if cap > 0.0 else 1.0
+            root = None
         raise AgentSolveError(
             self.index, f"{sol.status} after {MAX_CAP_DOUBLINGS} cap doublings",
             stage)
@@ -249,6 +251,7 @@ class AgentState:
     d: np.ndarray
     y: np.ndarray
     mu: np.ndarray | None = None
+    relaxed: LpSolution | None = None    # the round's relaxed solve
     z: np.ndarray | None = None          # relaxed primal block
     eta_relax: np.ndarray | None = None
     x_mi: np.ndarray | None = None       # last mixed-integer finalize
@@ -272,12 +275,13 @@ def local_multiplier_step(agent: AgentState, eta_cap: float,
     """Solve the relaxed local problem at the current allocation.
 
     Returns the multiplier of the allocation rows (duals of
-    H z - eta <= y); records the relaxed primal pair for diagnostics
-    and integrality detection.
+    H z - eta <= y); keeps the solution, the root of the round's
+    finalize, and the relaxed primal pair for integrality detection.
     """
     p = agent.problem
     sol, agent.eta_cap = p.solve(solve_lp, agent.y, eta_cap, tol,
                                  "allocation LP")
+    agent.relaxed = sol
     agent.mu = sol.duals[p.m0:].copy()
     agent.z = sol.x[:p.n].copy()
     agent.eta_relax = sol.x[p.n:].copy()
@@ -286,10 +290,12 @@ def local_multiplier_step(agent: AgentState, eta_cap: float,
 
 def finalize_mixed_integer(agent: AgentState, eta_cap: float,
                            tol: Tolerances = Tolerances()):
-    """Mixed-integer recovery at the current allocation."""
+    """Mixed-integer recovery at the round's allocation, rooted at its
+    relaxed solve while the cap is still the one that solve ran at."""
     p = agent.problem
+    root = agent.relaxed if agent.eta_cap == eta_cap else None
     sol, agent.eta_cap = p.solve(solve_milp, agent.y, eta_cap, tol,
-                                 "recovery MILP")
+                                 "recovery MILP", root=root)
     agent.x_mi = sol.x[:p.n].copy()
     agent.eta_mi = sol.x[p.n:].copy()
     return agent.x_mi, agent.eta_mi
@@ -442,17 +448,12 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
         trace.relax_cost_all.append(float(sum(
             a.lifted.base.c @ a.z + a.d @ a.eta_relax for a in agents)))
         if t in log_set:
-            coupling = result.total_coupling()
-            injection = np.zeros(scen.K)
-            eta_sum = np.zeros(h.size)
-            for a in agents:
-                eta_sum += a.eta_mi
-                injection += a.lifted.base.A @ a.x_mi
-            trace.balance_injection.append(injection)
-            trace.eta_total.append(eta_sum)
+            trace.balance_injection.append(
+                sum(a.lifted.base.A @ a.x_mi for a in agents))
+            trace.eta_total.append(sum(a.eta_mi for a in agents))
             trace.iters.append(t)
             trace.incumbent_cost.append(result.incumbent_cost())
-            trace.coupling_vectors.append(coupling)
+            trace.coupling_vectors.append(result.total_coupling())
             y_snapshot = np.concatenate([a.y for a in agents])
             if prev_logged_y is not None and t == T_f:
                 moved = float(np.max(np.abs(y_snapshot - prev_logged_y)))

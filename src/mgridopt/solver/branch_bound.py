@@ -2,11 +2,11 @@
 
 Best-bound node selection, branching on the most fractional
 integer-flagged coordinate (ties to the lowest column index).  The root
-LP is solved cold; every child differs from its parent by one bound and
-starts from the parent's optimal basis (`LpSolution.basis`), which the
-dual simplex re-optimizes in a few pivots.  All choices are
-deterministic, so identical inputs give identical solutions and node
-counts.
+LP is solved cold unless the caller already holds it; every child
+differs from its parent by one bound and starts from the parent's
+optimal basis (`LpSolution.basis`), which the dual simplex re-optimizes
+in a few pivots.  All choices are deterministic, so identical inputs
+give identical solutions and node counts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
+from .simplex import (INFEASIBLE, OPTIMAL, LinearProgram, LpSolution,
                       Tolerances, solve_lp)
 
 MAX_BNB_NODES = 200_000  # node LP solves of one tree
@@ -38,34 +38,31 @@ class MipSolution:
     node_count: int = 0
 
 
-def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances()) -> MipSolution:
+def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
+               root: LpSolution | None = None) -> MipSolution:
     """Globally minimize the mixed-integer program described by `lp`.
 
     `lp.integrality` flags the integer-constrained coordinates.  The
     continuous relaxation must be bounded (all problems built here live
-    on compact polyhedra).  Raises NodeLimitError rather than solve
-    more than MAX_BNB_NODES node LPs.
+    on compact polyhedra).  `root`, if given, is `solve_lp(lp, tol)`,
+    the tree's first node; it is the answer when not optimal or when no
+    column is integer.  Raises NodeLimitError rather than solve more
+    than MAX_BNB_NODES node LPs.
     """
+    if root is None:
+        root = solve_lp(lp, tol)
     mask = lp.integrality
-    if mask is None or not np.any(mask):
-        sol = solve_lp(lp, tol)
-        return MipSolution(status=sol.status, x=sol.x, value=sol.value,
+    if root.status != OPTIMAL or mask is None or not np.any(mask):
+        return MipSolution(status=root.status, x=root.x, value=root.value,
                            node_count=1)
     int_idx = np.flatnonzero(mask)
 
     best_x = None
     best_val = np.inf
-    nodes = 0
+    nodes = 1
     counter = 0
     # heap entries: (lp bound, insertion counter, lo, hi, parent basis)
     heap: list[tuple] = []
-
-    root = solve_lp(lp, tol)
-    nodes += 1
-    if root.status == INFEASIBLE:
-        return MipSolution(status=INFEASIBLE, node_count=nodes)
-    if root.status == UNBOUNDED:
-        return MipSolution(status=UNBOUNDED, node_count=nodes)
     state = [(root, lp.lo, lp.hi)]
 
     while state or heap:

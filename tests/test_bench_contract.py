@@ -6,11 +6,14 @@ reads."""
 import dataclasses
 import importlib
 import importlib.util
+import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from mgridopt import experiment, model
@@ -26,6 +29,21 @@ PERFBENCH = ROOT / "perfbench"
 def load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_runner(monkeypatch):
+    """perfbench/run.py as a module.  Loading it imports `tracing` by
+    its bare name, pins the BLAS thread counts and puts src/ on
+    sys.path; `monkeypatch` undoes all three after the test."""
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", PERFBENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -70,6 +88,34 @@ def test_traced_run_fires_every_solver_span(tmp_path):
     assert m["bnb.cert_aux.solves"] == \
         m["analysis.certificate.nonintegral_agents"] >= 1
     assert m["bnb.cert_aux.infeasible"] == 0
+
+
+@pytest.mark.parametrize("workload", ["desk", "montecarlo"])
+def test_traced_workload_yields_every_per_layer_metric(tmp_path, monkeypatch,
+                                                       workload):
+    # run.py reads values[name] for every per-layer metric of
+    # BENCHMARK.json, so a traced repetition in which a span never fires
+    # raises KeyError and the traced benchmark exits 1
+    runner = load_runner(monkeypatch)
+    raw = runner.workload_config(
+        yaml.safe_load((ROOT / "configs" / "desk.yaml").read_text()),
+        workload, runner.DEFAULT_SEED)
+    cfg = ExperimentConfig(raw=raw)
+    tracer = runner.Tracer()
+    tracer.install()
+    try:
+        if workload == "montecarlo":
+            experiment.run_montecarlo(cfg, runner.MC_TRIALS, out_dir=tmp_path)
+        else:
+            experiment.run_experiment(cfg, out_dir=tmp_path)
+    finally:
+        tracer.restore()
+    yielded = runner._rep_layers(tracer.spans, 0)
+    wanted = {m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    missing = {name for name in wanted - set(yielded)
+               if not name.startswith("trace.")}
+    assert not missing, f"{workload}: no span yields {sorted(missing)}"
 
 
 def test_gate_rejects_a_point_past_a_native_bound():

@@ -1,6 +1,7 @@
 """Config validation, experiment artifacts, determinism, CLI verbs."""
 
 import ast
+import errno
 import json
 import os
 import re
@@ -456,6 +457,30 @@ def test_cli_reports_a_damaged_run_artifact_on_one_line(tmp_path, capsys,
         assert capsys.readouterr().err == \
             f"error: {run_dir / damaged}: line 1, column 2: " \
             "Expecting property name enclosed in double quotes\n"
+
+
+@pytest.mark.parametrize("argv,errno_", [
+    (["run", "{dir}"], errno.EISDIR),
+    (["build", "{dir}"], errno.EISDIR),
+    (["certify", "{file}"], errno.ENOTDIR),
+    (["report", "{file}"], errno.ENOTDIR),
+    (["run", "{cfg}", "--out", "{file}"], errno.EEXIST),
+    (["build", "{cfg}", "--out", "{file}"], errno.EEXIST),
+    (["montecarlo", "{cfg}", "--out", "{file}"], errno.EEXIST)],
+    ids=["run_a_directory", "build_a_directory", "certify_a_file",
+         "report_a_file", "run_out_a_file", "build_out_a_file",
+         "montecarlo_out_a_file"])
+def test_cli_reports_a_path_of_the_wrong_kind_on_one_line(tmp_path, capsys,
+                                                         argv, errno_):
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
+             "cfg": tmp_path / "cfg.yaml"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    paths["cfg"].write_text(yaml.safe_dump(minimal_config()))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.strerror(errno_) in err
 
 
 def edited(**changes):

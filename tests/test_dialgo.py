@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgridopt import model
+from mgridopt import dialgo, model
 from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
                              CommGraph, GraphError,
@@ -19,7 +19,7 @@ from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
                             build_grid_block, build_storage_block,
                             power_balance_rhs)
-from mgridopt.solver import OPTIMAL, solve_lp
+from mgridopt.solver import OPTIMAL, Tolerances, branch_bound, solve_lp
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost, lift_block)
 from oracles.hull import box_recourse_cap
@@ -229,6 +229,110 @@ def test_finalize_matches_enumeration_two_binaries():
                 best = min(best, c @ xx + d @ ee)
         got = c @ x + d @ eta
         assert got == pytest.approx(best, abs=1e-8)
+
+
+# ------------------------------------------- finalize from the round's root
+
+
+def spy_finalizes(monkeypatch):
+    """Wrap the run's finalize.  Each call appends a record: the agent,
+    whether its relaxed solve ran at the cap finalize starts from, the
+    allocation and node LPs it solved, the node counts of its trees, its
+    point and the cap it ended at, and a cold solve_milp of its
+    LocalProblem at the same y and starting cap with the cap that solve
+    ended at."""
+    lps = {"alloc": 0, "node": 0}
+    trees, records = [], []
+    milp, finalize = dialgo.solve_milp, dialgo.finalize_mixed_integer
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            lps[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def tree(*args, **kwargs):
+        sol = milp(*args, **kwargs)
+        trees.append(sol.node_count)
+        return sol
+
+    def spied(agent, eta_cap, tol=Tolerances()):
+        reused = agent.eta_cap == eta_cap
+        before = dict(lps)
+        trees.clear()
+        x, eta = finalize(agent, eta_cap, tol)
+        spent = {key: lps[key] - before[key] for key in lps}
+        cold, cap = agent.problem.solve(milp, agent.y, eta_cap, tol, "cold")
+        records.append(dict(agent=agent, reused=reused, spent=spent,
+                            trees=list(trees), x=x, eta=eta,
+                            used=agent.eta_cap, cold=cold, cold_cap=cap))
+        return x, eta
+
+    monkeypatch.setattr(dialgo, "solve_lp", counted(dialgo.solve_lp, "alloc"))
+    monkeypatch.setattr(branch_bound, "solve_lp",
+                        counted(branch_bound.solve_lp, "node"))
+    monkeypatch.setattr(dialgo, "solve_milp", tree)
+    monkeypatch.setattr(dialgo, "finalize_mixed_integer", spied)
+    return records
+
+
+def assert_finalized_as_cold(records):
+    for r in records:
+        a = r["agent"]
+        n = a.problem.n
+        assert r["x"].tobytes() == r["cold"].x[:n].tobytes()
+        assert r["eta"].tobytes() == r["cold"].x[n:].tobytes()
+        assert r["cold_cap"] == r["used"]
+        assert r["spent"]["alloc"] == 0
+        # a reused root is the first tree's first node, solved by no one
+        assert r["spent"]["node"] == sum(r["trees"]) - r["reused"]
+
+
+def test_desk_finalize_starts_from_the_round_relaxed_solve(monkeypatch):
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    records = spy_finalizes(monkeypatch)
+    run(problem.blocks, problem.scen, problem.cost, problem.graph,
+        problem.schedule, T_f=2, finalize_every=1, tol=problem.tolerances)
+    assert len(records) == 3 * len(problem.blocks)
+    assert_finalized_as_cold(records)
+    binary_free = 0
+    for r in records:
+        # desk never doubles its cap, so every finalize reuses its root
+        assert r["reused"] and len(r["trees"]) == 1
+        assert r["trees"] == [r["cold"].node_count]
+        if not r["agent"].lifted.base.integrality.any():
+            binary_free += 1
+            assert r["spent"]["node"] == 0
+    assert binary_free == 3 * 7
+
+
+def test_finalize_after_a_later_agent_doubled_the_cap_solves_cold(
+        monkeypatch):
+    # as in test_run_doubles_a_cap_too_small_for_feasibility: round 0's
+    # relaxed solve of the first agent ran below the cap a later agent
+    # doubled to, so its root is not the finalize's root
+    blocks, scen, cost = two_agent_instance()
+    records = spy_finalizes(monkeypatch)
+    run(blocks, scen, cost, generate_graph(2, "path"),
+        StepSizeSchedule.diminishing(2.0, 5.0), T_f=20, finalize_every=10,
+        eta_cap=1e-3)
+    assert_finalized_as_cold(records)
+    stale = [r for r in records if not r["reused"]]
+    assert stale and all(r["spent"]["node"] == 1 for r in stale)
+
+
+def test_finalize_drops_the_root_once_its_own_solve_doubles_the_cap(
+        monkeypatch):
+    # one binary at relaxed value 0.5: the relaxation needs no recourse,
+    # the mixed-integer point 0.5, which a cap of 0.3 cannot hold
+    a = toy_agent([[1.0]], integrality=np.array([True]), y=[0.5, -0.5])
+    records = spy_finalizes(monkeypatch)
+    local_multiplier_step(a, eta_cap=0.3)
+    assert a.eta_cap == 0.3
+    dialgo.finalize_mixed_integer(a, 0.3)
+    assert_finalized_as_cold(records)
+    [r] = records
+    assert r["reused"] and r["used"] == 0.6 and len(r["trees"]) == 2
 
 
 # --------------------------------------------------------------- full runs

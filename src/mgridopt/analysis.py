@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dialgo import AgentSolveError, LocalProblem
-from .solver import OPTIMAL, Tolerances, solve_lp, solve_milp
+from .dialgo import LocalProblem
+from .solver import OPTIMAL, SolverError, Tolerances, solve_lp, solve_milp
 from .stochastic import RecourseCost
 
 
@@ -32,7 +32,8 @@ class CertificateError(RuntimeError):
 
 def compute_lower_bound(lifted, cap: float,
                         tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Componentwise floor of H x - eta over the relaxed block.
+    """Componentwise floor of H x - eta over the relaxed block and
+    0 <= eta <= cap, `cap` being a number no recourse of the run reached.
 
     One LP per distinct component; the eta part separates and
     contributes -cap exactly, so each LP only minimizes the coupling row
@@ -41,7 +42,11 @@ def compute_lower_bound(lifted, cap: float,
     """
     floor = np.empty(lifted.eta_dim // lifted.R)
     for j in range(floor.size):
-        sol = solve_lp(lifted.base.relaxation_lp(lifted.H[j]), tol)
+        try:
+            sol = solve_lp(lifted.base.relaxation_lp(lifted.H[j]), tol)
+        except SolverError as e:
+            raise CertificateError(
+                f"lower-bound LP for component {j} failed: {e}") from e
         if sol.status != OPTIMAL:
             raise CertificateError(
                 f"lower-bound LP for component {j} ended {sol.status}")
@@ -49,19 +54,12 @@ def compute_lower_bound(lifted, cap: float,
     return np.tile(floor, lifted.R)
 
 
-def compute_auxiliary(problem: LocalProblem, ell: np.ndarray, cap: float,
+def compute_auxiliary(problem: LocalProblem, ell: np.ndarray,
                       tol: Tolerances = Tolerances()):
-    """Mixed-integer optimum of the agent's local problem at the floored
-    allocation y = ell; returns (x, eta, cap used).
-
-    The solve starts at 2 * cap.  At ell = floor - cap, row j reads
-    eta_j >= cap + (H_j z - floor_j) >= cap, so a solve at `cap` ends
-    infeasible or with eta at the cap, and `LocalProblem.solve` would
-    double it to this same LP.
-    """
-    sol, used = problem.solve(solve_milp, ell, 2.0 * cap, tol,
-                              "auxiliary MILP")
-    return sol.x[:problem.n], sol.x[problem.n:], used
+    """Mixed-integer optimum (x, eta) of the agent's local problem at
+    the floored allocation y = ell."""
+    sol = problem.solve(solve_milp, ell, tol, "certificate auxiliary MILP")
+    return sol.x[:problem.n], sol.x[problem.n:]
 
 
 def is_integral(block, z: np.ndarray,
@@ -119,7 +117,7 @@ def violation_certificate(result, cost: RecourseCost,
     contributions = []
     flags = []
     measured = -result.h.copy()
-    for i, a in enumerate(agents):
+    for a in agents:
         measured += a.lifted.H @ a.x_mi
         integral = is_integral(a.lifted.base, a.z, tol.integrality)
         flags.append(integral)
@@ -127,12 +125,7 @@ def violation_certificate(result, cost: RecourseCost,
             contrib = a.eta_relax.copy()
         else:
             ell = compute_lower_bound(a.lifted, result.eta_cap, tol)
-            try:
-                x_l, eta_l, _ = compute_auxiliary(a.problem, ell,
-                                                  result.eta_cap, tol)
-            except AgentSolveError as e:
-                raise AgentSolveError(i, e.status, "certificate " + e.stage) \
-                    from e
+            x_l, eta_l = compute_auxiliary(a.problem, ell, tol)
             blk = a.lifted.base
             scalar = (blk.c @ (x_l - a.x_mi) + cost.d @ eta_l) / cost.d_min
             contrib = np.full(dim, scalar)

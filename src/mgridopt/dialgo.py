@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import DimensionError
 from .solver import (OPTIMAL, LinearProgram, LpSolution, NodeLimitError,
-                     Tolerances, solve_lp, solve_milp)
+                     SolverError, Tolerances, solve_lp, solve_milp)
 from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet, build_h,
                          lift_block)
 
@@ -120,6 +120,8 @@ def generate_graph(N: int, kind: str = "random", seed=None,
         raise GraphError(f"unknown graph kind {kind!r}")
     if N < 1:
         raise GraphError(f"need at least one node, got {N}")
+    if not 0.0 <= p <= 1.0:
+        raise GraphError(f"edge probability must lie in [0, 1], got {p}")
     if N == 1:
         return CommGraph(1, [])
     path = [(i, i + 1) for i in range(N - 1)]
@@ -190,7 +192,7 @@ DEFAULT_FINALIZE_EVERY = 10
 
 class LocalProblem:
     """One agent's program min c'z + d'eta over its block
-    (`LocalBlock.relaxation_lp`) and H z - eta <= y, 0 <= eta <= cap.
+    (`LocalBlock.relaxation_lp`) and H z - eta <= y, eta >= 0 (d > 0).
 
     The rounds solve it relaxed for the multiplier of the allocation
     rows and mixed-integer to recover a feasible point; the certificate
@@ -212,34 +214,22 @@ class LocalProblem:
             integrality=np.concatenate([blk.integrality,
                                         np.zeros(dim, dtype=bool)]))
 
-    def solve(self, solver, y: np.ndarray, cap: float, tol: Tolerances,
-              stage: str, root: LpSolution | None = None):
-        """Solve at allocation y with `solver` (solve_lp or solve_milp).
-
-        The recourse cap is a safety net that must not bind: it is
-        doubled while the solve is infeasible or eta reaches the cap, at
-        most MAX_CAP_DOUBLINGS times; a zero cap steps to 1 first, since
-        doubling it could never lift it.  `root` (solve_lp's solution at
-        y and `cap`) is solve_milp's root until the cap doubles.  Returns
-        (solution, cap used); a tree past its node limit raises too.
+    def solve(self, solver, y: np.ndarray, tol: Tolerances, stage: str,
+              root: LpSolution | None = None):
+        """Solve once at allocation y with `solver` (solve_lp or
+        solve_milp; `root`, solve_lp's solution at y, is solve_milp's
+        root).  A status other than optimal, a simplex failure or a tree
+        past its node limit raises an AgentSolveError naming `stage`.
         """
-        lp, n = self.lp, self.n
-        lp.g[self.m0:] = y
-        for _ in range(MAX_CAP_DOUBLINGS + 1):
-            lp.hi[n:] = cap
-            try:
-                sol = (solver(lp, tol) if root is None
-                       else solver(lp, tol, root=root))
-            except NodeLimitError as e:
-                raise AgentSolveError(self.index, str(e), stage) from e
-            if (sol.status == OPTIMAL
-                    and np.max(sol.x[n:], initial=0.0) < cap * (1 - 1e-9)):
-                return sol, cap
-            cap = 2.0 * cap if cap > 0.0 else 1.0
-            root = None
-        raise AgentSolveError(
-            self.index, f"{sol.status} after {MAX_CAP_DOUBLINGS} cap doublings",
-            stage)
+        self.lp.g[self.m0:] = y
+        try:
+            sol = (solver(self.lp, tol) if root is None
+                   else solver(self.lp, tol, root=root))
+        except (NodeLimitError, SolverError) as e:
+            raise AgentSolveError(self.index, str(e), stage) from e
+        if sol.status != OPTIMAL:
+            raise AgentSolveError(self.index, sol.status, stage)
+        return sol
 
 
 @dataclass
@@ -256,7 +246,6 @@ class AgentState:
     eta_relax: np.ndarray | None = None
     x_mi: np.ndarray | None = None       # last mixed-integer finalize
     eta_mi: np.ndarray | None = None
-    eta_cap: float | None = None         # cap of the last local solve
     problem: LocalProblem = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -270,7 +259,7 @@ def make_agents(blocks, scen: ScenarioSet, cost: RecourseCost, ys) -> list:
             for i, blk in enumerate(blocks)]
 
 
-def local_multiplier_step(agent: AgentState, eta_cap: float,
+def local_multiplier_step(agent: AgentState,
                           tol: Tolerances = Tolerances()) -> np.ndarray:
     """Solve the relaxed local problem at the current allocation.
 
@@ -279,8 +268,7 @@ def local_multiplier_step(agent: AgentState, eta_cap: float,
     finalize, and the relaxed primal pair for integrality detection.
     """
     p = agent.problem
-    sol, agent.eta_cap = p.solve(solve_lp, agent.y, eta_cap, tol,
-                                 "allocation LP")
+    sol = p.solve(solve_lp, agent.y, tol, "allocation LP")
     agent.relaxed = sol
     agent.mu = sol.duals[p.m0:].copy()
     agent.z = sol.x[:p.n].copy()
@@ -288,17 +276,29 @@ def local_multiplier_step(agent: AgentState, eta_cap: float,
     return agent.mu
 
 
-def finalize_mixed_integer(agent: AgentState, eta_cap: float,
+def finalize_mixed_integer(agent: AgentState,
                            tol: Tolerances = Tolerances()):
     """Mixed-integer recovery at the round's allocation, rooted at its
-    relaxed solve while the cap is still the one that solve ran at."""
+    relaxed solve (the local problem depends on nothing else)."""
     p = agent.problem
-    root = agent.relaxed if agent.eta_cap == eta_cap else None
-    sol, agent.eta_cap = p.solve(solve_milp, agent.y, eta_cap, tol,
-                                 "recovery MILP", root=root)
+    sol = p.solve(solve_milp, agent.y, tol, "recovery MILP",
+                  root=agent.relaxed)
     agent.x_mi = sol.x[:p.n].copy()
     agent.eta_mi = sol.x[p.n:].copy()
     return agent.x_mi, agent.eta_mi
+
+
+def cover_recourse(cap: float, eta, agent: int, stage: str) -> float:
+    """`cap` doubled (a zero cap stepped to 1) until it exceeds every
+    entry of `eta`, else, past MAX_CAP_DOUBLINGS doublings (a nan or inf
+    recourse), an AgentSolveError naming `agent` and `stage`."""
+    top = np.max(eta, initial=0.0)
+    for _ in range(MAX_CAP_DOUBLINGS + 1):
+        if top < cap * (1 - 1e-9):
+            return cap
+        cap = 2.0 * cap if cap > 0.0 else 1.0
+    raise AgentSolveError(agent, f"recourse {top} beyond "
+                          f"{MAX_CAP_DOUBLINGS} cap doublings", stage)
 
 
 def init_allocations(h: np.ndarray, N: int) -> list:
@@ -384,12 +384,13 @@ class RunResult:
 
 
 def recourse_cap(blocks, scen: ScenarioSet) -> float:
-    """Crude certified overestimate of any useful recourse magnitude.
+    """The cap a run starts from: a crude overestimate of any useful
+    recourse magnitude.
 
     Twice (max |b_r(k)| + total coupling mass), where each block's
     `coupling_mass` bounds |A_i x_i| over its relaxation from the
     native bounds of its coupled columns; no LP is solved.  Large on
-    purpose: the cap must never bind at an optimum.
+    purpose, so that `run` rarely has to double it.
     """
     b_max = max(float(np.max(np.abs(b))) for b in scen.b_r)
     return 2.0 * (b_max + sum(blk.coupling_mass for blk in blocks))
@@ -406,10 +407,10 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
     the stacked band h; default the equal split of `init_allocations`).
     Logged iterations are {0, 1, multiples of finalize_every, T_f}; the
     allocation conservation residual is recorded at every round.  The
-    recourse cap (default `recourse_cap`) is run-wide: a local solve
-    doubles it while it ends infeasible or its recourse reaches the cap,
-    at most MAX_CAP_DOUBLINGS times, else raises an AgentSolveError
-    naming the agent, the round and the stage; later solves keep it.
+    recourse cap, which no local solve reads, starts at `eta_cap`
+    (default `recourse_cap`) and is doubled past every recourse a solve
+    returns (`cover_recourse`).  A failed solve raises an AgentSolveError
+    naming the agent, the round and the stage.
     """
     if T_f < 0:
         raise ValueError("T_f must be >= 0")
@@ -436,12 +437,14 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
         trace.alloc_residual_all.append(residual)
         try:
             for a in agents:
-                local_multiplier_step(a, eta_cap, tol)
-                eta_cap = a.eta_cap
+                local_multiplier_step(a, tol)
+                eta_cap = cover_recourse(eta_cap, a.eta_relax, a.index,
+                                         "allocation LP")
             if t in log_set:
                 for a in agents:
-                    finalize_mixed_integer(a, eta_cap, tol)
-                    eta_cap = a.eta_cap
+                    finalize_mixed_integer(a, tol)
+                    eta_cap = cover_recourse(eta_cap, a.eta_mi, a.index,
+                                             "recovery MILP")
         except AgentSolveError as e:
             raise AgentSolveError(e.agent, e.status,
                                   f"round {t} {e.stage}") from e

@@ -259,10 +259,12 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     """Recompute the certificate of a saved run from its artifacts.
 
     Rebuilds the problem from the stored config, replays round 0 from
-    the final allocations at the stored recourse cap (the local solves
+    the final allocations with the stored recourse cap (the local solves
     are deterministic), and compares the bound and the measured
     violation against the stored certificate.
     """
+    if consensus_rounds < 0:
+        raise ConfigError(f"rounds must be >= 0, got {consensus_rounds}")
     run_dir = Path(run_dir)
     problem = build_problem(
         ExperimentConfig.from_yaml(run_dir / "config.yaml"))

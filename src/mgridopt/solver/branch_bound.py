@@ -43,11 +43,11 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
     """Globally minimize the mixed-integer program described by `lp`.
 
     `lp.integrality` flags the integer-constrained coordinates.  The
-    continuous relaxation must be bounded (all problems built here live
-    on compact polyhedra).  `root`, if given, is `solve_lp(lp, tol)`,
-    the tree's first node; it is the answer when not optimal or when no
-    column is integer.  Raises NodeLimitError rather than solve more
-    than MAX_BNB_NODES node LPs.
+    relaxation must have a finite optimum (local problems are unbounded
+    only in eta, which d > 0 prices).  `root`, if given, is
+    `solve_lp(lp, tol)`, the tree's first node; it is the answer when
+    not optimal or when no column is integer.  Raises NodeLimitError
+    rather than solve more than MAX_BNB_NODES node LPs.
     """
     if root is None:
         root = solve_lp(lp, tol)

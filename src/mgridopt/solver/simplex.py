@@ -63,9 +63,9 @@ class Tolerances:
 class LinearProgram:
     """min c'x s.t. G x <= g, lo <= x <= hi.
 
-    Bounds may be +-inf, but a bounded feasible set is expected
-    (problems here come from compact polyhedra, so unboundedness is
-    reported only defensively).
+    Bounds may be +-inf, but a finite optimum is expected (a local
+    problem's feasible set is unbounded only in eta, which its cost
+    d > 0 prices, so unboundedness is reported only defensively).
     """
 
     c: np.ndarray

@@ -72,12 +72,10 @@ def test_auxiliary_singleton_block():
     lifted = lift_block(blk, 1)
     cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
     ell = compute_lower_bound(lifted, cap=4.0)
-    x_l, eta_l, used = compute_auxiliary(LocalProblem(lifted, cost.d), ell,
-                                         cap=4.0)
+    x_l, eta_l = compute_auxiliary(LocalProblem(lifted, cost.d), ell)
     assert x_l[0] == pytest.approx(1.5, abs=1e-9)
     assert eta_l == pytest.approx(np.maximum(lifted.H @ x_l - ell, 0.0),
                                   abs=1e-8)
-    assert used >= 4.0
 
 
 def test_auxiliary_slack_floor_gives_zero_eta():
@@ -85,8 +83,7 @@ def test_auxiliary_slack_floor_gives_zero_eta():
     lifted = lift_block(blk, 1)
     cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
     ell = np.array([10.0, 10.0])  # far above anything the block can emit
-    x_l, eta_l, _ = compute_auxiliary(LocalProblem(lifted, cost.d), ell,
-                                      cap=4.0)
+    x_l, eta_l = compute_auxiliary(LocalProblem(lifted, cost.d), ell)
     assert eta_l == pytest.approx([0.0, 0.0], abs=1e-9)
     assert x_l[0] == pytest.approx(0.0, abs=1e-9)  # unconstrained optimum
 
@@ -101,15 +98,13 @@ def test_auxiliary_matches_enumeration_two_binaries():
         cost = build_recourse_cost([1.0], 1.3, 0.7, 1)
         cap = 6.0
         ell = compute_lower_bound(lifted, cap)
-        x_l, eta_l, used = compute_auxiliary(LocalProblem(lifted, cost.d),
-                                             ell, cap)
+        x_l, eta_l = compute_auxiliary(LocalProblem(lifted, cost.d), ell)
         best = np.inf
         for x1 in (0.0, 1.0):
             for x2 in (0.0, 1.0):
                 x = np.array([x1, x2])
                 eta = np.maximum(lifted.H @ x - ell, 0.0)
-                if np.all(eta <= used + 1e-9):
-                    best = min(best, blk.c @ x + cost.d @ eta)
+                best = min(best, blk.c @ x + cost.d @ eta)
         assert blk.c @ x_l + cost.d @ eta_l == pytest.approx(best, abs=1e-8)
 
 
@@ -204,7 +199,7 @@ def test_certificate_scalar_plugin_example():
     # H = 0 so the auxiliary optimum has eta_L = max(0, -ell) = cap each,
     # d'eta_L = 1.5 * cap ... verify against the direct formula instead
     ell = compute_lower_bound(agent.lifted, res.eta_cap)
-    x_l, eta_l, _ = compute_auxiliary(agent.problem, ell, res.eta_cap)
+    x_l, eta_l = compute_auxiliary(agent.problem, ell)
     want = (blk.c @ (x_l - agent.x_mi) + cost.d @ eta_l) / cost.d_min
     assert cert.bound == pytest.approx(np.full(2, want))
 
@@ -231,7 +226,7 @@ def test_optimality_transfer_and_componentwise_eta_bound():
         val_inf = blk.c @ a.x_mi + cost.d @ a.eta_mi
         ell = compute_lower_bound(lifted, res.eta_cap)
         assert np.all(ell <= a.y + 1e-7)  # floor below any admissible share
-        x_l, eta_l, _ = compute_auxiliary(a.problem, ell, res.eta_cap)
+        x_l, eta_l = compute_auxiliary(a.problem, ell)
         val_l = blk.c @ x_l + cost.d @ eta_l
         assert val_inf <= val_l + 1e-7
         assert np.all(a.eta_mi <= (cost.d @ a.eta_mi) / cost.d_min + 1e-7)

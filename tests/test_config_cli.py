@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 import yaml
 
-from mgridopt import analysis, config, model
+from mgridopt import analysis, config, dialgo, model
 from mgridopt.analysis import CertificateError
 from mgridopt.cli import main
 from mgridopt.config import (ConfigError, ExperimentConfig, _build,
                              build_problem)
 from mgridopt.experiment import (recertify, regenerate_reports,
                                  run_experiment, run_montecarlo)
-from mgridopt.solver import INFEASIBLE, LpSolution, branch_bound
+from mgridopt.solver import INFEASIBLE, LpSolution, SolverError, branch_bound
 from oracles.artifacts import read_csv, read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -143,6 +143,12 @@ MALFORMED_DESK = {
     "edge_probability_text": (
         lambda raw: raw["algorithm"]["graph"].update(edge_probability="x"),
         "algorithm.graph: could not convert"),
+    "edge_probability_negative": (
+        lambda raw: raw["algorithm"]["graph"].update(edge_probability=-0.5),
+        "algorithm.graph: edge probability must lie in [0, 1], got -0.5"),
+    "edge_probability_above_one": (
+        lambda raw: raw["algorithm"]["graph"].update(edge_probability=1.5),
+        "algorithm.graph: edge probability must lie in [0, 1], got 1.5"),
     "step_size_text": (
         lambda raw: raw["algorithm"]["step_size"].update(a="x"),
         "algorithm.step_size: could not convert"),
@@ -459,28 +465,38 @@ def test_cli_reports_a_damaged_run_artifact_on_one_line(tmp_path, capsys,
             "Expecting property name enclosed in double quotes\n"
 
 
-@pytest.mark.parametrize("argv,errno_", [
-    (["run", "{dir}"], errno.EISDIR),
-    (["build", "{dir}"], errno.EISDIR),
-    (["certify", "{file}"], errno.ENOTDIR),
-    (["report", "{file}"], errno.ENOTDIR),
-    (["run", "{cfg}", "--out", "{file}"], errno.EEXIST),
-    (["build", "{cfg}", "--out", "{file}"], errno.EEXIST),
-    (["montecarlo", "{cfg}", "--out", "{file}"], errno.EEXIST)],
+@pytest.mark.parametrize("argv,reason", [
+    (["run", "{dir}"], os.strerror(errno.EISDIR)),
+    (["build", "{dir}"], os.strerror(errno.EISDIR)),
+    (["certify", "{file}"], os.strerror(errno.ENOTDIR)),
+    (["report", "{file}"], os.strerror(errno.ENOTDIR)),
+    (["run", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST)),
+    (["build", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST)),
+    (["montecarlo", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST)),
+    (["certify", "{run}", "--rounds", "-3"],
+     "rounds must be >= 0, got -3")],
     ids=["run_a_directory", "build_a_directory", "certify_a_file",
          "report_a_file", "run_out_a_file", "build_out_a_file",
-         "montecarlo_out_a_file"])
+         "montecarlo_out_a_file", "certify_negative_rounds"])
 def test_cli_reports_a_path_of_the_wrong_kind_on_one_line(tmp_path, capsys,
-                                                         argv, errno_):
+                                                         argv, reason):
+    # also a negative consensus round count, rejected before certify
+    # writes anything into the run directory
     paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
-             "cfg": tmp_path / "cfg.yaml"}
+             "cfg": tmp_path / "cfg.yaml", "run": tmp_path / "r"}
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["cfg"].write_text(yaml.safe_dump(minimal_config()))
+    if "{run}" in argv:
+        assert main(["run", str(paths["cfg"]), "--out",
+                     str(paths["run"])]) == 0
+        capsys.readouterr()
+    written = sorted(tmp_path.rglob("*"))
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert os.strerror(errno_) in err
+    assert reason in err
+    assert sorted(tmp_path.rglob("*")) == written
 
 
 def edited(**changes):
@@ -588,6 +604,22 @@ def test_cli_reports_a_solve_failure_on_one_line(tmp_path, monkeypatch,
         == 1
     assert capsys.readouterr().err == \
         f"error: agent 0: {stage} solve ended node limit 2 reached\n"
+
+
+@pytest.mark.parametrize("module,message", [
+    (dialgo, "agent 0: round 0 allocation LP solve ended singular basis"),
+    (analysis, "lower-bound LP for component 0 failed: singular basis")],
+    ids=["dialgo", "analysis"])
+def test_cli_reports_a_simplex_failure_on_one_line(tmp_path, monkeypatch,
+                                                   capsys, module, message):
+    def failing(*args, **kwargs):
+        raise SolverError("singular basis")
+
+    monkeypatch.setattr(module, "solve_lp", failing)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(with_desk_storage(minimal_config())))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,

@@ -164,7 +164,7 @@ def test_exchange_conserves_total_exactly():
 def test_slack_allocation_gives_zero_multiplier():
     a = toy_agent([[1.0]], G=[[1.0], [-1.0]], g=[2.0, 0.0],
                   y=[100.0, 100.0])
-    mu = local_multiplier_step(a, eta_cap=1e3)
+    mu = local_multiplier_step(a)
     assert mu == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
@@ -172,7 +172,7 @@ def test_one_dimensional_binding_multiplier():
     # min -z + 2 eta, z - eta1 <= 5 binding: mu = (1, 0)
     a = toy_agent([[1.0]], G=[[1.0], [-1.0]], g=[10.0, 0.0], c=[-1.0],
                   y=[5.0, 50.0])
-    mu = local_multiplier_step(a, eta_cap=1e3)
+    mu = local_multiplier_step(a)
     assert mu == pytest.approx([1.0, 0.0], abs=1e-9)
     assert a.z[0] == pytest.approx(5.0, abs=1e-8)
 
@@ -187,7 +187,7 @@ def test_multiplier_bounded_by_recourse_prices():
         d = rng.uniform(0.5, 3.0, size=2 * K)
         a = toy_agent(A, G=G, g=g, c=rng.normal(size=n), d=d,
                       y=rng.normal(size=2 * K))
-        mu = local_multiplier_step(a, eta_cap=1e4)
+        mu = local_multiplier_step(a)
         assert np.all(mu >= -1e-9)
         assert np.all(mu <= d + 1e-7)
 
@@ -196,7 +196,7 @@ def test_finalize_singleton_block():
     # X = {x = 1.5}: eta = max(0, Hx - y) componentwise at the optimum
     a = toy_agent([[2.0]], G=[[1.0], [-1.0]], g=[1.5, -1.5],
                   y=[1.0, -4.0])
-    x, eta = finalize_mixed_integer(a, eta_cap=1e3)
+    x, eta = finalize_mixed_integer(a)
     assert x[0] == pytest.approx(1.5, abs=1e-9)
     # H x = (3, -3); y = (1, -4) -> eta = (2, 1)
     assert eta == pytest.approx([2.0, 1.0], abs=1e-8)
@@ -204,7 +204,7 @@ def test_finalize_singleton_block():
 
 def test_finalize_slack_allocation_zero_eta():
     a = toy_agent([[1.0]], G=[[1.0], [-1.0]], g=[2.0, 0.0], y=[50.0, 50.0])
-    _, eta = finalize_mixed_integer(a, eta_cap=1e3)
+    _, eta = finalize_mixed_integer(a)
     assert eta == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
@@ -219,7 +219,7 @@ def test_finalize_matches_enumeration_two_binaries():
         d = np.array([1.5, 2.5])
         a = toy_agent(A, G=G, g=g, c=c,
                       integrality=np.array([True, True]), d=d, y=y)
-        x, eta = finalize_mixed_integer(a, eta_cap=1e3)
+        x, eta = finalize_mixed_integer(a)
         best = np.inf
         H = a.lifted.H
         for x1 in (0.0, 1.0):
@@ -236,11 +236,8 @@ def test_finalize_matches_enumeration_two_binaries():
 
 def spy_finalizes(monkeypatch):
     """Wrap the run's finalize.  Each call appends a record: the agent,
-    whether its relaxed solve ran at the cap finalize starts from, the
-    allocation and node LPs it solved, the node counts of its trees, its
-    point and the cap it ended at, and a cold solve_milp of its
-    LocalProblem at the same y and starting cap with the cap that solve
-    ended at."""
+    the allocation and node LPs it solved, the node counts of its trees,
+    its point, and a cold solve_milp of its LocalProblem at the same y."""
     lps = {"alloc": 0, "node": 0}
     trees, records = [], []
     milp, finalize = dialgo.solve_milp, dialgo.finalize_mixed_integer
@@ -256,16 +253,14 @@ def spy_finalizes(monkeypatch):
         trees.append(sol.node_count)
         return sol
 
-    def spied(agent, eta_cap, tol=Tolerances()):
-        reused = agent.eta_cap == eta_cap
+    def spied(agent, tol=Tolerances()):
         before = dict(lps)
         trees.clear()
-        x, eta = finalize(agent, eta_cap, tol)
+        x, eta = finalize(agent, tol)
         spent = {key: lps[key] - before[key] for key in lps}
-        cold, cap = agent.problem.solve(milp, agent.y, eta_cap, tol, "cold")
-        records.append(dict(agent=agent, reused=reused, spent=spent,
-                            trees=list(trees), x=x, eta=eta,
-                            used=agent.eta_cap, cold=cold, cold_cap=cap))
+        cold = agent.problem.solve(milp, agent.y, tol, "cold")
+        records.append(dict(agent=agent, spent=spent, trees=list(trees),
+                            x=x, eta=eta, cold=cold))
         return x, eta
 
     monkeypatch.setattr(dialgo, "solve_lp", counted(dialgo.solve_lp, "alloc"))
@@ -282,10 +277,10 @@ def assert_finalized_as_cold(records):
         n = a.problem.n
         assert r["x"].tobytes() == r["cold"].x[:n].tobytes()
         assert r["eta"].tobytes() == r["cold"].x[n:].tobytes()
-        assert r["cold_cap"] == r["used"]
+        assert r["trees"] == [r["cold"].node_count]
         assert r["spent"]["alloc"] == 0
-        # a reused root is the first tree's first node, solved by no one
-        assert r["spent"]["node"] == sum(r["trees"]) - r["reused"]
+        # the reused root is the tree's first node, solved by no one
+        assert r["spent"]["node"] == r["trees"][0] - 1
 
 
 def test_desk_finalize_starts_from_the_round_relaxed_solve(monkeypatch):
@@ -297,42 +292,44 @@ def test_desk_finalize_starts_from_the_round_relaxed_solve(monkeypatch):
     assert_finalized_as_cold(records)
     binary_free = 0
     for r in records:
-        # desk never doubles its cap, so every finalize reuses its root
-        assert r["reused"] and len(r["trees"]) == 1
-        assert r["trees"] == [r["cold"].node_count]
         if not r["agent"].lifted.base.integrality.any():
             binary_free += 1
             assert r["spent"]["node"] == 0
     assert binary_free == 3 * 7
 
 
-def test_finalize_after_a_later_agent_doubled_the_cap_solves_cold(
-        monkeypatch):
-    # as in test_run_doubles_a_cap_too_small_for_feasibility: round 0's
-    # relaxed solve of the first agent ran below the cap a later agent
-    # doubled to, so its root is not the finalize's root
+def test_finalize_after_a_cap_doubling_keeps_its_root(monkeypatch):
+    # the recourse outgrows a cap of 1e-3, which the run doubles; the
+    # local problems do not read the cap, so every finalize still starts
+    # from its round's relaxed solve
     blocks, scen, cost = two_agent_instance()
     records = spy_finalizes(monkeypatch)
-    run(blocks, scen, cost, generate_graph(2, "path"),
-        StepSizeSchedule.diminishing(2.0, 5.0), T_f=20, finalize_every=10,
-        eta_cap=1e-3)
+    res = run(blocks, scen, cost, generate_graph(2, "path"),
+              StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
+              finalize_every=10, eta_cap=1e-3)
+    assert res.eta_cap > 1e-3
+    assert len(records) == len(res.trace.iters) * len(blocks)
     assert_finalized_as_cold(records)
-    stale = [r for r in records if not r["reused"]]
-    assert stale and all(r["spent"]["node"] == 1 for r in stale)
 
 
-def test_finalize_drops_the_root_once_its_own_solve_doubles_the_cap(
+def test_finalize_keeps_its_root_when_its_own_recourse_doubles_the_cap(
         monkeypatch):
     # one binary at relaxed value 0.5: the relaxation needs no recourse,
-    # the mixed-integer point 0.5, which a cap of 0.3 cannot hold
-    a = toy_agent([[1.0]], integrality=np.array([True]), y=[0.5, -0.5])
+    # the mixed-integer point needs 0.5, past the starting cap of 0.3
+    blk = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
+                     integrality=np.array([True]), A=np.array([[1.0]]),
+                     var_index={}, K=1, lo=np.zeros(1), hi=np.ones(1))
+    scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
+    cost = build_recourse_cost(scen.pi, 2.0, 2.0, 1)
     records = spy_finalizes(monkeypatch)
-    local_multiplier_step(a, eta_cap=0.3)
-    assert a.eta_cap == 0.3
-    dialgo.finalize_mixed_integer(a, 0.3)
-    assert_finalized_as_cold(records)
+    res = run([blk], scen, cost, generate_graph(1, "path"),
+              StepSizeSchedule.diminishing(1.0, 1.0), T_f=0, eta_cap=0.3)
+    assert res.eta_cap == 0.6
     [r] = records
-    assert r["reused"] and r["used"] == 0.6 and len(r["trees"]) == 2
+    assert r["agent"].relaxed.x[0] == 0.5
+    assert np.max(r["eta"]) == 0.5
+    assert_finalized_as_cold(records)
+    assert r["trees"][0] > 1
 
 
 # --------------------------------------------------------------- full runs
@@ -427,8 +424,8 @@ def test_run_grows_a_zero_cap():
 
 
 def test_run_doubles_a_cap_too_small_for_feasibility():
-    # a cap of 1e-3 leaves the allocation LPs infeasible; the run
-    # doubles it until they solve instead of stopping at round 0
+    # the recourse passes a cap of 1e-3 at round 0; the run doubles the
+    # cap past it instead of stopping there
     blocks, scen, cost = two_agent_instance()
     res = run(blocks, scen, cost, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
@@ -440,7 +437,53 @@ def test_run_doubles_a_cap_too_small_for_feasibility():
         assert np.all(coupling <= 1e-6)
 
 
-def test_recovery_infeasible_for_every_cap_names_its_round():
+def counting(monkeypatch, module, name, calls, edit=None):
+    """Count the calls of `module.name` in `calls[name]`; `edit`, if
+    given, may change each solution before it is returned."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        sol = fn(*args, **kwargs)
+        return sol if edit is None else edit(sol)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_a_cap_doubling_solves_no_local_problem_again(monkeypatch):
+    blocks, scen, cost = two_agent_instance()
+    calls = {}
+    counting(monkeypatch, dialgo, "solve_lp", calls)
+    counting(monkeypatch, dialgo, "solve_milp", calls)
+    res = run(blocks, scen, cost, generate_graph(2, "path"),
+              StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
+              finalize_every=10, eta_cap=1e-3)
+    assert res.eta_cap > 1e-3
+    N = len(blocks)
+    assert calls == {"solve_lp": 21 * N,
+                     "solve_milp": len(res.trace.iters) * N}
+
+
+def test_a_nan_recourse_names_its_agent_after_one_solve(monkeypatch):
+    blocks, scen, cost = two_agent_instance()
+    n = blocks[0].n
+
+    def nan_recourse(sol):
+        sol.x[n:] = np.nan
+        return sol
+
+    calls = {}
+    counting(monkeypatch, dialgo, "solve_lp", calls, edit=nan_recourse)
+    with pytest.raises(AgentSolveError) as e:
+        run(blocks, scen, cost, generate_graph(2, "path"),
+            StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
+    assert (e.value.agent, e.value.stage) == (0, "round 0 allocation LP")
+    assert e.value.status == \
+        f"recourse nan beyond {MAX_CAP_DOUBLINGS} cap doublings"
+    assert calls == {"solve_lp": 1}
+
+
+def test_recovery_infeasible_for_every_cap_names_its_round(monkeypatch):
     # one binary confined to [0.3, 0.7]: the relaxation is feasible, the
     # mixed-integer problem is not, whatever the cap
     blk = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
@@ -449,11 +492,14 @@ def test_recovery_infeasible_for_every_cap_names_its_round():
                      hi=np.array([0.7]))
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
     cost = build_recourse_cost(scen.pi, 3.0, 3.0, 1)
+    calls = {}
+    counting(monkeypatch, dialgo, "solve_milp", calls)
     with pytest.raises(AgentSolveError, match="round 0 recovery MILP") as e:
         run([blk], scen, cost, generate_graph(1, "path"),
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
     assert e.value.agent == 0
-    assert f"after {MAX_CAP_DOUBLINGS} cap doublings" in e.value.status
+    assert e.value.status == "infeasible"
+    assert calls == {"solve_milp": 1}
 
 
 def test_run_rejects_finalize_every_below_one():

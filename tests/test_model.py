@@ -293,12 +293,10 @@ def test_convex_grid_matches_the_big_m_grid():
         d = build_recourse_cost(np.full(R, 1.0 / R), rng.uniform(0.5, 5.0),
                                 rng.uniform(0.5, 5.0), K).d
         y = rng.normal(scale=p.P_max, size=2 * R * K)
-        # eta never exceeds |H x| + |y| <= P_max + |y|: the cap cannot bind
-        cap = 2.0 * (p.P_max + np.max(np.abs(y)))
         convex = LocalProblem(lift_block(build_grid_block(p, K), R), d)
         big_m = LocalProblem(lift_block(big_m_grid_block(p, K), R), d)
-        lp_sol, _ = convex.solve(solve_lp, y, cap, tol, "convex grid")
-        mi_sol, _ = big_m.solve(solve_milp, y, cap, tol, "big-M grid")
+        lp_sol = convex.solve(solve_lp, y, tol, "convex grid")
+        mi_sol = big_m.solve(solve_milp, y, tol, "big-M grid")
         assert lp_sol.status == mi_sol.status == OPTIMAL
         assert lp_sol.value == pytest.approx(mi_sol.value, abs=1e-6), trial
         if scipy_opt is not None:

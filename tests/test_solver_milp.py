@@ -11,8 +11,7 @@ import pytest
 from mgridopt import analysis
 from mgridopt.analysis import violation_certificate
 from mgridopt.config import ExperimentConfig, build_problem
-from mgridopt.dialgo import (AgentSolveError, init_allocations, make_agents,
-                             recourse_cap, run)
+from mgridopt.dialgo import AgentSolveError, init_allocations, make_agents, run
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram,
                              NodeLimitError, solve_lp, solve_milp)
 from mgridopt.solver import branch_bound
@@ -133,13 +132,13 @@ def test_determinism():
 
 
 def desk_at_equal_split():
-    """The desk problem, its starting recourse cap and one agent per
-    block holding the equal split."""
+    """The desk problem and one agent per block holding the equal
+    split."""
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     scen = problem.scen
     agents = make_agents(problem.blocks, scen, problem.cost,
                          init_allocations(build_h(scen), len(problem.blocks)))
-    return problem, recourse_cap(problem.blocks, scen), agents
+    return problem, agents
 
 
 def assert_matches_highs(scipy_opt, lp, sol, label):
@@ -154,26 +153,26 @@ def assert_matches_highs(scipy_opt, lp, sol, label):
 
 
 def test_desk_finalize_milps_match_highs():
-    """Every desk agent's finalize MILP at the equal split and the run's
-    starting recourse cap: branch-and-bound on the agent's own
-    LocalProblem reaches the optimum HiGHS certifies."""
+    """Every desk agent's finalize MILP at the equal split:
+    branch-and-bound on the agent's own LocalProblem reaches the
+    optimum HiGHS certifies."""
     scipy_opt = pytest.importorskip("scipy.optimize")
-    problem, cap, agents = desk_at_equal_split()
+    problem, agents = desk_at_equal_split()
     for a in agents:
-        # solve() leaves y and the cap it ended with in the agent's LP
-        sol, _ = a.problem.solve(solve_milp, a.y, cap, problem.tolerances,
-                                 "recovery MILP")
+        # solve() leaves y in the agent's LP
+        sol = a.problem.solve(solve_milp, a.y, problem.tolerances,
+                              "recovery MILP")
         assert_matches_highs(scipy_opt, a.problem.lp, sol, a.index)
 
 
 def test_desk_allocation_lps_match_highs():
-    """Every desk agent's allocation LP at the equal split and the run's
-    starting recourse cap reaches the optimum HiGHS certifies."""
+    """Every desk agent's allocation LP at the equal split reaches the
+    optimum HiGHS certifies."""
     scipy_opt = pytest.importorskip("scipy.optimize")
-    problem, cap, agents = desk_at_equal_split()
+    problem, agents = desk_at_equal_split()
     for a in agents:
-        sol, _ = a.problem.solve(solve_lp, a.y, cap, problem.tolerances,
-                                 "allocation LP")
+        sol = a.problem.solve(solve_lp, a.y, problem.tolerances,
+                              "allocation LP")
         lp = a.problem.lp
         ref = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.g,
                                 bounds=list(zip(lp.lo, lp.hi)),
@@ -230,7 +229,7 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     """The desk finalize MILPs at the equal split take at most a quarter
     of the pivots their node LPs take solved cold, so a warm start that
     silently goes cold fails here; the node counts and optima agree."""
-    problem, cap, agents = desk_at_equal_split()
+    problem, agents = desk_at_equal_split()
     real = branch_bound.solve_lp
 
     def finalize_all(start_from_parent):
@@ -243,8 +242,8 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
             return sol
 
         monkeypatch.setattr(branch_bound, "solve_lp", counting)
-        sols = [a.problem.solve(solve_milp, a.y, cap, problem.tolerances,
-                                "recovery MILP")[0] for a in agents]
+        sols = [a.problem.solve(solve_milp, a.y, problem.tolerances,
+                                "recovery MILP") for a in agents]
         return pivots, sols
 
     warm, warm_sols = finalize_all(True)

@@ -1,0 +1,103 @@
+"""The desk run the benchmark's `desk` workload makes, pinned byte for
+byte and count for count.
+
+`configs/desk.yaml` cut to its first 10 rounds (finalized at rounds 0,
+1 and 10) runs once through `run_experiment`.  The sha256 of each of
+its 8 artifacts is fixed below, and so is the work every solver layer
+does, counted by wrappers around the `solve_lp`/`solve_milp` names each
+calling module looks up (the names the traced benchmark wraps).
+
+The digests hold on the numpy and OpenBLAS build they were taken with:
+another BLAS, or another numpy, may sum a product in another order and
+move a last bit.  A change that alters an artifact on purpose updates
+the digests here and names each changed file in CHANGES.md.
+"""
+
+import copy
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mgridopt import analysis, dialgo, experiment, model
+from mgridopt.config import ExperimentConfig
+from mgridopt.solver import branch_bound
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
+ROUNDS = 10
+
+ARTIFACT_SHA256 = {
+    "certificate.json":
+        "a6484da013fb6012aad1bfb831867e32b6b6d3c8f743e7c9a5aa67ab6603b70e",
+    "config.yaml":
+        "a1f7b2df04d7851cb5db08b1f613034cf386115f214dc5461397f51b7485aa4f",
+    "report_consumption.csv":
+        "baa0cf6c425afd601405ff9dc48f6771e44dcb238f2e4a852b6cb57248958eaa",
+    "report_grid.csv":
+        "0040de484c6243afebeff88eca5271026da353fd9623859c602d83cddb776bc8",
+    "report_power_fraction.csv":
+        "63b2bfa34a1d0df5e5de754449889d0e375674d97b7c11f28db7b7d2413e34d5",
+    "report_storage.csv":
+        "b3a38029b9c564d0826ff3a1ab93c5895865c1b5936a315a02aed62075613481",
+    "solution.json":
+        "2394beb5b912448ff73ec0af0c9a3c0f1d6f2ec07fe6e7dc2063a5bc4c08e894",
+    "trace.csv":
+        "c82a4057b827303381f73ceec6b5edbdcc166c3396f3f0ae5c23685fbda31244",
+}
+
+# (module, name, layer, work field of the solution): the call sites the
+# traced benchmark wraps
+CALL_SITES = [
+    (dialgo, "solve_lp", "alloc", "pivots"),
+    (branch_bound, "solve_lp", "node", "pivots"),
+    (analysis, "solve_lp", "cert", "pivots"),
+    (model, "solve_lp", "box", "pivots"),
+    (dialgo, "solve_milp", "finalize", "node_count"),
+    (analysis, "solve_milp", "cert_aux", "node_count"),
+]
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """(artifact directory, {layer: [solves, pivots or nodes]})."""
+    raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
+    raw["algorithm"]["iterations"] = ROUNDS
+    work = {layer: [0, 0] for _, _, layer, _ in CALL_SITES}
+
+    def counting(fn, layer, field):
+        def wrapper(*args, **kwargs):
+            sol = fn(*args, **kwargs)
+            work[layer][0] += 1
+            work[layer][1] += getattr(sol, field)
+            return sol
+        return wrapper
+
+    out = tmp_path_factory.mktemp("desk")
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, layer, field in CALL_SITES:
+            patch.setattr(module, name,
+                          counting(getattr(module, name), layer, field))
+        experiment.run_experiment(ExperimentConfig.from_dict(raw),
+                                  out_dir=out)
+    return out, work
+
+
+def test_desk_artifacts_match_their_digests(desk_run):
+    out, _ = desk_run
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert written == ARTIFACT_SHA256
+
+
+def test_desk_work_counters(desk_run):
+    # [solves, pivots] of each LP layer, [solves, B&B nodes] of each
+    # MILP layer; the box LPs are the builders' phase-1 solves, and a
+    # finalize's root is the round's relaxed solve, so its node LPs and
+    # the certificate's auxiliary trees give 557 - 33 + 255 node LPs
+    _, work = desk_run
+    assert work["alloc"] == [121, 3929]
+    assert work["node"] == [779, 2688]
+    assert work["cert"] == [36, 713]
+    assert work["box"] == [9, 53]
+    assert work["finalize"] == [33, 557]
+    assert work["cert_aux"] == [3, 255]

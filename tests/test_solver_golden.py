@@ -1,0 +1,190 @@
+"""Solver paths the desk run never reaches, pinned bit for bit.
+
+Each test solves a fixed, seeded set of LPs or MILPs and folds every
+solution's status, x, duals, value, pivot count and basis (and a
+MILP's node count) into one sha256.  The digests hold on the numpy and
+OpenBLAS build they were taken with; a change to the simplex that
+keeps its pivots and its arithmetic keeps them too.  A change that
+moves a solve on purpose updates the digest and says why in
+CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+
+from mgridopt.solver import (LinearProgram, branch_bound, simplex, solve_lp,
+                             solve_milp)
+from test_solver_lp import box_lp, random_bounded_lp
+from test_solver_milp import random_mip
+
+
+def fold(h, sol):
+    """Fold one LpSolution or MipSolution into the hash `h`."""
+    h.update(sol.status.encode())
+    h.update(np.float64(sol.value).tobytes())
+    for field in ("x", "duals"):
+        arr = getattr(sol, field, None)
+        h.update(b"-" if arr is None else arr.tobytes())
+    if hasattr(sol, "pivots"):
+        h.update(str(sol.pivots).encode())
+        for arr in sol.basis or ():
+            h.update(arr.dtype.str.encode() + arr.tobytes())
+    else:
+        h.update(str(sol.node_count).encode())
+
+
+def child_of(lp, parent, k):
+    """The B&B child that floors (k even) or ceils a basic structural
+    column of `parent`, or None when none is basic."""
+    basic = parent.basis[0][parent.basis[0] < lp.n]
+    if basic.size == 0:
+        return None
+    j = int(basic[k % basic.size])
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    if k % 2:
+        lo[j] = min(np.ceil(parent.x[j]), hi[j])
+    else:
+        hi[j] = max(np.floor(parent.x[j]), lo[j])
+    return LinearProgram(lp.c, lp.G, lp.g, lo, hi)
+
+
+def test_random_lps_and_their_warm_children():
+    # 190 small instances and 10 past REFACTOR_EVERY pivots, each solved
+    # cold and one child of each solved warm from its basis
+    rng = np.random.default_rng(16)
+    h = hashlib.sha256()
+    for k in range(200):
+        if k % 20 == 19:
+            lp = random_bounded_lp(rng, n=int(rng.integers(40, 80)),
+                                   m=int(rng.integers(60, 140)))
+        else:
+            lp = random_bounded_lp(rng)
+        parent = solve_lp(lp)
+        fold(h, parent)
+        child = child_of(lp, parent, k)
+        if child is not None:
+            fold(h, solve_lp(child, start=parent.basis))
+    assert h.hexdigest() == \
+        "60857eb1dd571724b8d442dc3419b791836798f8217f187824e7c64a761a0d1e"
+
+
+def special_lps():
+    inf = np.inf
+    # Beale's, Kuhn's and Hall and McKinnon's examples cycle under
+    # most-negative pricing: the Bland switch must end them
+    beale = box_lp([-0.75, 150.0, -0.02, 6.0],
+                   [[0.25, -60.0, -1.0 / 25.0, 9.0],
+                    [0.5, -90.0, -1.0 / 50.0, 3.0],
+                    [0.0, 0.0, 1.0, 0.0]],
+                   [0.0, 0.0, 1.0], [0.0] * 4, [inf] * 4)
+    kuhn = box_lp([-2.0, -3.0, 1.0, 12.0],
+                  [[-2.0, -9.0, 1.0, 9.0],
+                   [1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0],
+                   [2.0, 3.0, -1.0, -12.0]],
+                  [0.0, 0.0, 2.0], [0.0] * 4, [inf] * 4)
+    hall_mckinnon = box_lp([-2.3, -2.15, 13.55, 0.4],
+                           [[0.4, 0.2, -1.4, -0.2],
+                            [-7.8, -1.4, 7.8, 0.4],
+                            [1.0, 1.0, 1.0, 1.0]],
+                           [0.0, 0.0, 1.0], [0.0] * 4, [inf] * 4)
+    # a free column, and one that starts at its upper bound
+    free = box_lp([1.0, -1.0], [[-1.0, 0.0], [1.0, 1.0]], [3.0, 4.0],
+                  [-inf, -inf], [inf, 2.0])
+    fixed = box_lp([-1.0, -2.0, 1.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                   [4.0, 1.0], [0.0, 1.5, -1.0], [3.0, 1.5, 2.0])
+    # x reaches its upper bound before any row binds
+    flip = box_lp([-1.0, -0.5], [[1.0, 2.0]], [10.0], [0.0, 0.0],
+                  [1.0, inf])
+    # a row with negative slack starts in phase 1
+    phase_one = box_lp([1.0, 1.0], [[-1.0, -1.0], [1.0, -2.0]],
+                       [-2.0, 1.0], [0.0, 0.0], [5.0, 5.0])
+    unbounded = box_lp([-1.0, 0.0], [[0.0, 1.0]], [1.0], [0.0, 0.0],
+                       [inf, 2.0])
+    infeasible = box_lp([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]],
+                        [1.0, -2.0], [0.0, 0.0], [5.0, 5.0])
+    empty = LinearProgram(np.zeros(0), np.zeros((2, 0)),
+                          np.array([1.0, 0.0]), np.zeros(0), np.zeros(0))
+    return {"beale": beale, "kuhn": kuhn, "hall_mckinnon": hall_mckinnon,
+            "free": free, "fixed": fixed, "flip": flip,
+            "phase_one": phase_one, "unbounded": unbounded,
+            "infeasible": infeasible, "empty": empty}
+
+
+def test_special_lps():
+    h = hashlib.sha256()
+    statuses = []
+    for lp in special_lps().values():
+        sol = solve_lp(lp)
+        statuses.append(sol.status)
+        fold(h, sol)
+    assert statuses == ["optimal"] * 7 + ["unbounded", "infeasible",
+                                          "optimal"]
+    assert h.hexdigest() == \
+        "7fb975afbba390ae5ce0eed3b25af0325383a35cab65e0f4c34a739fe8b78867"
+
+
+def slack_start(lp):
+    """The slack basis with every structural column at its lower bound."""
+    basis = np.arange(lp.n, lp.n + lp.m)
+    status = np.zeros(lp.n + lp.m, dtype=np.int8)
+    status[basis] = simplex._BASIC
+    return basis, status
+
+
+def test_warm_starts_that_go_cold():
+    # each start below is refused by the dual loop, which hands the
+    # solve to a cold one; the last one runs the dual loop into
+    # DUAL_PIVOT_LIMIT, and those pivots count too
+    lps = special_lps()
+    free, boxed, unbounded = lps["free"], lps["phase_one"], lps["unbounded"]
+    # a nonbasic column on an infinite bound
+    infinite = slack_start(free)
+    basis, status = slack_start(boxed)
+    singular = basis.copy()
+    singular[1] = singular[0]
+    artificial = basis.copy()
+    artificial[0] = boxed.n + boxed.m
+    # only a column below PIVOT_TOL could close the row
+    tiny = box_lp([1.0], [[-1e-11]], [-1e-3], [0.0], [1e12])
+    n = 110
+    chain = box_lp(np.linspace(1.0, 2.0, n),
+                   -(np.eye(n) + np.diag(np.full(n - 1, 0.5), 1)),
+                   np.full(n, -0.5), np.zeros(n), np.ones(n))
+    runs = [(free, infinite), (boxed, (singular, status)),
+            (boxed, (artificial, status)), (tiny, slack_start(tiny)),
+            (unbounded, slack_start(unbounded)), (chain, slack_start(chain))]
+    h = hashlib.sha256()
+    statuses = []
+    for lp, start in runs:
+        sol = solve_lp(lp, start=start)
+        statuses.append(sol.status)
+        fold(h, sol)
+    assert statuses == ["optimal"] * 3 + ["infeasible", "unbounded",
+                                          "optimal"]
+    assert h.hexdigest() == \
+        "8cc367d8f28d68ff3d270e9cf387bc21a62a7729484db3140d75528a402be675"
+
+
+def test_enumeration_milps_and_their_node_lps(monkeypatch):
+    # the instances of test_matches_enumeration_on_200_instances: every
+    # node LP of every tree, warm-started from its parent's basis
+    h = hashlib.sha256()
+    real = branch_bound.solve_lp
+
+    def folding(lp, tol, start=None):
+        sol = real(lp, tol, start=start)
+        fold(h, sol)
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp", folding)
+    rng = np.random.default_rng(424242)
+    for checked in range(200):
+        if checked % 25 == 24:
+            n_bin = 12
+        else:
+            n_bin = int(rng.integers(1, 8))
+        lp = random_mip(rng, n_bin, int(rng.integers(0, 4)))
+        fold(h, solve_milp(lp))
+    assert h.hexdigest() == \
+        "2893066c8112285e0e9919ea74470e2db7723b415096c0c0eedb80248123929e"

@@ -20,6 +20,22 @@ cost with lowest-index tie-breaking, switching to Bland's rule after
 dual leaves on the largest bound violation (lowest position on ties)
 and enters by a Harris ratio test, ties to the largest pivot element.
 Identical inputs therefore produce bitwise-identical outputs.
+
+The kernel's floating-point invariant: the pivot sequence, and every
+bit of a solution, depend on each float being computed the same way.
+Elementwise expressions (a negation, a product with +-1 or 0 from a
+status-indexed sign table, a masked choice between two elementwise
+results, a comparison, an elementwise maximum) give the same bits
+however they are arranged, so they are free to restructure; the only
+difference they may make is the sign of a zero that a comparison
+cannot see.  Products and reductions are not: BLAS may change its
+summation order with an operand's shape, stride or contiguity, so
+every matmul (`c[basis] @ Binv`, `y @ A`, `Binv @ A[:, j]`, the
+strided column included, `Binv[r] @ A`, the offset of the nonbasic
+columns) keeps its operands, shapes and order, and so do the sums and
+the `np.linalg.inv` refactors.  The one basis inverse built by hand,
+the diag(+-1) of a cold start, is written with the negative zeros that
+`np.linalg.inv` returns for it.
 """
 
 from __future__ import annotations
@@ -42,6 +58,12 @@ _FIXED = 4
 PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
 REFACTOR_EVERY = 60   # pivots between fresh basis inversions
 DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
+
+# per status, indexed by it: the direction a nonbasic column can step
+# off its bound (0 where it cannot: basic, fixed, and free, which steps
+# either way), and the negation the primal prices with
+_MOVE = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
+_PRICE = -_MOVE
 
 
 class SolverError(Exception):
@@ -158,23 +180,20 @@ class _Simplex:
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.full(m, np.inf)])
         self.c_phase2 = np.concatenate([lp.c, np.zeros(m)])
-        self.status = np.empty(n + m, dtype=np.int8)
+        # a structural column rests on its finite bound, a fixed one on
+        # its value, a free one at zero; slacks rest at zero until basic
+        fixed, fin_lo, fin_hi = lp.lo == lp.hi, np.isfinite(lp.lo), \
+            np.isfinite(lp.hi)
+        self.status = np.full(n + m, _AT_LO, dtype=np.int8)
+        self.status[:n] = np.where(
+            fixed, _FIXED,
+            np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_HI, _FREE)))
         self.xn = np.zeros(n + m)  # values of nonbasic columns
-        for j in range(n):
-            if lp.lo[j] == lp.hi[j]:
-                self.status[j] = _FIXED
-                self.xn[j] = lp.lo[j]
-            elif np.isfinite(lp.lo[j]):
-                self.status[j] = _AT_LO
-                self.xn[j] = lp.lo[j]
-            elif np.isfinite(lp.hi[j]):
-                self.status[j] = _AT_HI
-                self.xn[j] = lp.hi[j]
-            else:
-                self.status[j] = _FREE
-                self.xn[j] = 0.0
-        self.status[n:] = _AT_LO  # slacks rest at zero until made basic
-        self.xn[n:] = 0.0
+        self.xn[:n] = np.where(fixed | fin_lo, lp.lo,
+                               np.where(fin_hi, lp.hi, 0.0))
+        # a free column never leaves the basis once it enters (its ratio
+        # is infinite), so no column becomes free during a solve
+        self.any_free = not np.all(fin_lo | fin_hi)
         self.pivots = 0
         self.degenerate_run = 0
         self.bland = False
@@ -212,8 +231,7 @@ class _Simplex:
         self.n_art = bad.size
         if self.n_art:
             art_cols = np.zeros((m, self.n_art))
-            for t, i in enumerate(bad):
-                art_cols[i, t] = -1.0
+            art_cols[bad, np.arange(self.n_art)] = -1.0
             self.A = np.hstack([self.A, art_cols])
             self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
             self.hi = np.concatenate([self.hi, np.full(self.n_art, np.inf)])
@@ -223,7 +241,13 @@ class _Simplex:
             self.xn = np.concatenate([self.xn, np.zeros(self.n_art)])
             self.basis[bad] = n + m + np.arange(self.n_art)
         self.status[self.basis] = _BASIC
-        self._refactor()
+        # the start basis is diag(+-1): its inverse is itself, with the
+        # zeros of a -1 row negative, exactly as np.linalg.inv returns it
+        sign = np.ones(m)
+        sign[bad] = -1.0
+        self.Binv = np.eye(m) * sign[:, None]
+        self.xb = self.Binv @ resid
+        self.since_refactor = 0
 
         if self.n_art:
             c1 = np.zeros(self.A.shape[1])
@@ -278,20 +302,21 @@ class _Simplex:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 below, above = lo_b - self.xb, self.xb - hi_b
                 viol = np.maximum(below, above)
-                if not np.any(viol > feas):
+                r = int(viol.argmax())
+                if not viol[r] > feas:
                     break
-                r = int(np.argmax(viol))
                 to_hi = bool(above[r] > below[r])
-                # row r moves by -alpha_j per unit step of column j
+                # row r moves by -alpha_j per unit step of column j; mov
+                # is |alpha_j| where column j moves the row toward its
+                # violated bound, and <= 0 elsewhere
                 alpha = self.Binv[r] @ self.A
-                sa = alpha if to_hi else -alpha
                 st = self.status
-                right = (((st == _AT_LO) & (sa > 0.0))
-                         | ((st == _AT_HI) & (sa < 0.0)))
-                elig = right & (np.abs(alpha) > PIVOT_TOL)
-                if not np.any(elig):
+                mov = alpha * (_MOVE if to_hi else _PRICE)[st]
+                elig = mov > PIVOT_TOL
+                if not elig.any():
                     # the pivot-sized columns cannot move row r; the
                     # proof holds unless the tiny ones could close it
+                    right = mov > 0.0
                     reach = np.abs(alpha[right]) @ (self.hi - self.lo)[right]
                     if reach >= viol[r] - feas:
                         return None
@@ -299,12 +324,12 @@ class _Simplex:
                 cand = np.flatnonzero(elig)
                 y = c[self.basis] @ self.Binv
                 d = c[cand] - y @ self.A[:, cand]
-                d = np.maximum(np.where(st[cand] == _AT_LO, d, -d), 0.0)
-                a = np.abs(alpha[cand])
+                d = np.maximum(d * _MOVE[st[cand]], 0.0)
+                a = mov[cand]
                 # Harris: ratios within rc_tol of the smallest tie, and
                 # the largest pivot element among them enters
-                near = d / a <= np.min((d + rc_tol) / a)
-                j = int(cand[near][np.argmax(a[near])])
+                near = d / a <= ((d + rc_tol) / a).min()
+                j = int(cand[near][a[near].argmax()])
                 w = self.Binv @ self.A[:, j]
                 theta = (self.xb[r] - (hi_b[r] if to_hi else lo_b[r])) / w[r]
                 self._pivot(j, 1.0 if theta >= 0.0 else -1.0, w, abs(theta),
@@ -322,46 +347,48 @@ class _Simplex:
         """Pivot until optimal for cost c. Returns True if unbounded."""
         limit = 200 * (self.m + self.n) + 2000
         rc_tol = self.tol.reduced_cost
-        for _ in range(limit):
-            y = c[self.basis] @ self.Binv
-            d = c - y @ self.A
-            d[self.basis] = 0.0
-            j = self._entering(d, rc_tol)
-            if j < 0:
-                return False
-            sigma = 1.0 if (self.status[j] == _AT_LO
-                            or (self.status[j] == _FREE and d[j] < 0)) else -1.0
-            w = self.Binv @ self.A[:, j]
-            t, leave_pos, leave_to_hi = self._ratio(j, sigma, w)
-            if t is None:
-                if phase_one:
-                    raise SolverError("phase-1 subproblem unbounded")
-                return True
-            if t <= PIVOT_TOL:
-                self.degenerate_run += 1
-                if not self.bland and self.degenerate_run > 10 * max(self.m, 1):
-                    self.bland = True
-            else:
-                self.degenerate_run = 0
-            self._pivot(j, sigma, w, t, leave_pos, leave_to_hi)
+        # the ratio test divides every row, eligible or not, and keeps
+        # only the quotients of the eligible ones
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(limit):
+                y = c[self.basis] @ self.Binv
+                d = c - y @ self.A
+                j = self._entering(d, rc_tol)
+                if j < 0:
+                    return False
+                st = self.status[j]
+                sigma = 1.0 if (st == _AT_LO
+                                or (st == _FREE and d[j] < 0)) else -1.0
+                w = self.Binv @ self.A[:, j]
+                t, leave_pos, leave_to_hi = self._ratio(j, sigma, w)
+                if t is None:
+                    if phase_one:
+                        raise SolverError("phase-1 subproblem unbounded")
+                    return True
+                if t <= PIVOT_TOL:
+                    self.degenerate_run += 1
+                    if (not self.bland
+                            and self.degenerate_run > 10 * max(self.m, 1)):
+                        self.bland = True
+                else:
+                    self.degenerate_run = 0
+                self._pivot(j, sigma, w, t, leave_pos, leave_to_hi)
         raise SolverError(f"pivot limit exceeded ({limit} iterations)")
 
     def _entering(self, d: np.ndarray, rc_tol: float) -> int:
-        st = self.status
-        viol = np.zeros_like(d)
-        at_lo = st == _AT_LO
-        at_hi = st == _AT_HI
-        free = st == _FREE
-        viol[at_lo] = np.maximum(-d[at_lo], 0.0)
-        viol[at_hi] = np.maximum(d[at_hi], 0.0)
-        viol[free] = np.abs(d[free])
-        eligible = viol > rc_tol
-        if not np.any(eligible):
+        # the objective's decrease per unit step off the column's bound;
+        # basic and fixed columns cannot step, so their reduced cost
+        # (roundoff for a basic one) prices to zero
+        viol = np.maximum(d * _PRICE[self.status], 0.0)
+        if self.any_free:
+            free = self.status == _FREE
+            viol[free] = np.abs(d[free])
+        best = viol.max()
+        if not best > rc_tol:
             return -1
         if self.bland:
-            return int(np.flatnonzero(eligible)[0])
-        best = np.max(viol)
-        return int(np.flatnonzero(viol >= best - 1e-15 * max(1.0, best))[0])
+            return int((viol > rc_tol).argmax())
+        return int((viol >= best - 1e-15 * max(1.0, best)).argmax())
 
     def _ratio(self, j: int, sigma: float, w: np.ndarray):
         """Min-ratio step for entering column j moving by +sigma.
@@ -371,16 +398,13 @@ class _Simplex:
         """
         den = sigma * w
         xb, basis = self.xb, self.basis
-        lo_b = self.lo[basis]
-        hi_b = self.hi[basis]
-        steps = np.full(self.m, np.inf)
-        dec = den > PIVOT_TOL
-        inc = den < -PIVOT_TOL
-        with np.errstate(invalid="ignore"):
-            if np.any(dec):
-                steps[dec] = (xb[dec] - lo_b[dec]) / den[dec]
-            if np.any(inc):
-                steps[inc] = (hi_b[inc] - xb[inc]) / (-den[inc])
+        # a row whose pivot element is below PIVOT_TOL (or nan) never
+        # limits the step; the others move toward the bound den points at
+        pivot = np.abs(den)
+        steps = np.where(pivot > PIVOT_TOL,
+                         np.where(den > 0.0, xb - self.lo[basis],
+                                  self.hi[basis] - xb) / pivot,
+                         np.inf)
         np.maximum(steps, 0.0, out=steps)  # degenerate roundoff clamp
         t_row = float(steps.min()) if self.m else np.inf
         flip = self.hi[j] - self.lo[j]
@@ -391,15 +415,16 @@ class _Simplex:
         # ties at the minimum ratio: largest pivot element for stability,
         # lowest basis position to break residual ties; under Bland the
         # lowest variable index, which guarantees finite termination
-        near = np.flatnonzero(steps <= t_row * (1.0 + 1e-14) + 1e-15)
+        near = steps <= t_row * (1.0 + 1e-14) + 1e-15
         if self.bland:
-            pos = int(near[np.argmin(basis[near])])
+            tied = np.flatnonzero(near)
+            pos = int(tied[basis[tied].argmin()])
         else:
-            pos = int(near[np.argmax(np.abs(w[near]))])
+            pos = int(np.where(near, pivot, -1.0).argmax())
         return float(steps[pos]), pos, bool(den[pos] < 0)
 
     def _pivot(self, j, sigma, w, t, pos, to_hi):
-        self.xb = self.xb - (sigma * t) * w
+        self.xb -= (sigma * t) * w
         if pos < 0:
             # bound flip, basis unchanged
             self.status[j] = _AT_HI if self.status[j] == _AT_LO else _AT_LO
@@ -423,7 +448,7 @@ class _Simplex:
             if abs(wr) < PIVOT_TOL:
                 raise SolverError("vanishing pivot element")
             row = self.Binv[pos] / wr
-            self.Binv -= np.outer(w, row)
+            self.Binv -= w[:, None] * row
             self.Binv[pos] = row
             self.xb[pos] = enter_val
         self.pivots += 1

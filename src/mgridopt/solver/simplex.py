@@ -40,6 +40,7 @@ the diag(+-1) of a cold start, is written with the negative zeros that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,10 @@ PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
 REFACTOR_EVERY = 60   # pivots between fresh basis inversions
 DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
 
-# per status, indexed by it: the direction a nonbasic column can step
-# off its bound (0 where it cannot: basic, fixed, and free, which steps
-# either way), and the negation the primal prices with
+# indexed by status: the direction a nonbasic column steps off its
+# bound, and its negation, which the primal prices with; 0 for basic and
+# fixed columns, which do not step, and for free ones, which step either
+# way and are priced apart
 _MOVE = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
 _PRICE = -_MOVE
 
@@ -176,7 +178,7 @@ class _Simplex:
         self.n = n
         self.m = m
         # columns: [structural | slack | artificial...]
-        self.A = np.hstack([lp.G, np.eye(m)]) if n else np.eye(m)
+        self.A = np.concatenate([lp.G, np.eye(m)], axis=1) if n else np.eye(m)
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.full(m, np.inf)])
         self.c_phase2 = np.concatenate([lp.c, np.zeros(m)])
@@ -193,7 +195,7 @@ class _Simplex:
                                np.where(fin_hi, lp.hi, 0.0))
         # a free column never leaves the basis once it enters (its ratio
         # is infinite), so no column becomes free during a solve
-        self.any_free = not np.all(fin_lo | fin_hi)
+        self.any_free = not (fin_lo | fin_hi).all()
         self.pivots = 0
         self.degenerate_run = 0
         self.bland = False
@@ -211,10 +213,10 @@ class _Simplex:
         self.since_refactor = 0
 
     def _nonbasic_offset(self) -> np.ndarray:
-        nb = np.flatnonzero(self.status != _BASIC)
+        nb = (self.status != _BASIC).nonzero()[0]
         nbv = self.xn[nb]
         nz = nbv != 0.0
-        if not np.any(nz):
+        if not nz.any():
             return np.zeros(self.m)
         return self.A[:, nb[nz]] @ nbv[nz]
 
@@ -227,12 +229,12 @@ class _Simplex:
         # slacks host the initial basis; rows with negative residual get
         # an artificial column (coefficient -1) so the start is feasible
         self.basis = np.arange(n, n + m)
-        bad = np.flatnonzero(resid < 0.0)
+        bad = (resid < 0.0).nonzero()[0]
         self.n_art = bad.size
         if self.n_art:
             art_cols = np.zeros((m, self.n_art))
             art_cols[bad, np.arange(self.n_art)] = -1.0
-            self.A = np.hstack([self.A, art_cols])
+            self.A = np.concatenate([self.A, art_cols], axis=1)
             self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
             self.hi = np.concatenate([self.hi, np.full(self.n_art, np.inf)])
             self.c_phase2 = np.concatenate([self.c_phase2, np.zeros(self.n_art)])
@@ -281,14 +283,14 @@ class _Simplex:
         Harris ratio test on that row.  A row no column can move proves
         the LP infeasible.
         """
-        if np.any(basis >= self.n + self.m):
+        if (basis >= self.n + self.m).any():
             return None
         status = status.copy()
         status[(status != _BASIC) & (self.lo == self.hi)] = _FIXED
         xn = np.where(status == _AT_HI, self.hi, self.lo)
         xn[basis] = 0.0
-        if (np.any(status == _FREE) or not np.all(np.isfinite(xn))
-                or np.any((status == _FIXED) & (self.lo != self.hi))):
+        if ((status == _FREE).any() or not np.isfinite(xn).all()
+                or ((status == _FIXED) & (self.lo != self.hi)).any()):
             return None
         self.basis = basis.copy()
         self.status = status
@@ -321,7 +323,7 @@ class _Simplex:
                     if reach >= viol[r] - feas:
                         return None
                     return LpSolution(status=INFEASIBLE, pivots=self.pivots)
-                cand = np.flatnonzero(elig)
+                cand = elig.nonzero()[0]
                 y = c[self.basis] @ self.Binv
                 d = c[cand] - y @ self.A[:, cand]
                 d = np.maximum(d * _MOVE[st[cand]], 0.0)
@@ -408,16 +410,16 @@ class _Simplex:
         np.maximum(steps, 0.0, out=steps)  # degenerate roundoff clamp
         t_row = float(steps.min()) if self.m else np.inf
         flip = self.hi[j] - self.lo[j]
-        if np.isfinite(flip) and flip < t_row:
+        if math.isfinite(flip) and flip < t_row:
             return flip, -1, False
-        if not np.isfinite(t_row):
+        if not math.isfinite(t_row):
             return None, -1, False
         # ties at the minimum ratio: largest pivot element for stability,
         # lowest basis position to break residual ties; under Bland the
         # lowest variable index, which guarantees finite termination
         near = steps <= t_row * (1.0 + 1e-14) + 1e-15
         if self.bland:
-            tied = np.flatnonzero(near)
+            tied = near.nonzero()[0]
             pos = int(tied[basis[tied].argmin()])
         else:
             pos = int(np.where(near, pivot, -1.0).argmax())

@@ -15,6 +15,13 @@ the round's published allocations before any allocation moves.  The
 per-agent solves inside a round are independent (separate solver
 instances) and could run in parallel; they are executed sequentially
 here.
+
+Between logged rounds only an agent's allocation, the right-hand side
+of its relaxed LP, moves, so each agent re-solves from its previous
+round's basis by dual simplex.  Logged rounds solve cold: what they
+produce (the finalize, the certificate, and `recertify`'s replay of
+the last round) depends only on the allocation, not on the rounds
+before it.
 """
 
 from __future__ import annotations
@@ -215,16 +222,16 @@ class LocalProblem:
                                         np.zeros(dim, dtype=bool)]))
 
     def solve(self, solver, y: np.ndarray, tol: Tolerances, stage: str,
-              root: LpSolution | None = None):
+              **options):
         """Solve once at allocation y with `solver` (solve_lp or
-        solve_milp; `root`, solve_lp's solution at y, is solve_milp's
-        root).  A status other than optimal, a simplex failure or a tree
-        past its node limit raises an AgentSolveError naming `stage`.
+        solve_milp) and its keyword `options` (solve_lp's warm start,
+        solve_milp's root).  A status other than optimal, a simplex
+        failure or a tree past its node limit raises an AgentSolveError
+        naming `stage`.
         """
         self.lp.g[self.m0:] = y
         try:
-            sol = (solver(self.lp, tol) if root is None
-                   else solver(self.lp, tol, root=root))
+            sol = solver(self.lp, tol, **options)
         except (NodeLimitError, SolverError) as e:
             raise AgentSolveError(self.index, str(e), stage) from e
         if sol.status != OPTIMAL:
@@ -241,7 +248,8 @@ class AgentState:
     d: np.ndarray
     y: np.ndarray
     mu: np.ndarray | None = None
-    relaxed: LpSolution | None = None    # the round's relaxed solve
+    relaxed: LpSolution | None = None    # the round's relaxed solve,
+                                         # with its basis inverse in a run
     z: np.ndarray | None = None          # relaxed primal block
     eta_relax: np.ndarray | None = None
     x_mi: np.ndarray | None = None       # last mixed-integer finalize
@@ -259,16 +267,24 @@ def make_agents(blocks, scen: ScenarioSet, cost: RecourseCost, ys) -> list:
             for i, blk in enumerate(blocks)]
 
 
-def local_multiplier_step(agent: AgentState,
-                          tol: Tolerances = Tolerances()) -> np.ndarray:
+def local_multiplier_step(agent: AgentState, tol: Tolerances = Tolerances(),
+                          warm: bool = False) -> np.ndarray:
     """Solve the relaxed local problem at the current allocation.
 
     Returns the multiplier of the allocation rows (duals of
     H z - eta <= y); keeps the solution, the root of the round's
     finalize, and the relaxed primal pair for integrality detection.
+    The solve is cold unless `warm`, which starts it from the kept
+    solution's basis and inverse (`solve_lp`'s start rule may still
+    send it cold); a warm solve may end on another optimal vertex than
+    a cold one, with the same value to roundoff.
     """
     p = agent.problem
-    sol = p.solve(solve_lp, agent.y, tol, "allocation LP")
+    prev = agent.relaxed if warm else None
+    sol = p.solve(solve_lp, agent.y, tol, "allocation LP",
+                  start=None if prev is None else prev.basis,
+                  inverse=None if prev is None else prev.inverse,
+                  keep_inverse=True)
     agent.relaxed = sol
     agent.mu = sol.duals[p.m0:].copy()
     agent.z = sol.x[:p.n].copy()
@@ -406,7 +422,9 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
     Round 0 starts from the allocations `ys` (one per block, summing to
     the stacked band h; default the equal split of `init_allocations`).
     Logged iterations are {0, 1, multiples of finalize_every, T_f}; the
-    allocation conservation residual is recorded at every round.  The
+    allocation LPs of a logged round solve cold, those of the rounds
+    between warm from the agent's previous round.  The allocation
+    conservation residual is recorded at every round.  The
     recourse cap, which no local solve reads, starts at `eta_cap`
     (default `recourse_cap`) and is doubled past every recourse a solve
     returns (`cover_recourse`).  A failed solve raises an AgentSolveError
@@ -437,7 +455,7 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
         trace.alloc_residual_all.append(residual)
         try:
             for a in agents:
-                local_multiplier_step(a, tol)
+                local_multiplier_step(a, tol, warm=t not in log_set)
                 eta_cap = cover_recourse(eta_cap, a.eta_relax, a.index,
                                          "allocation LP")
             if t in log_set:
@@ -467,4 +485,8 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
             exchange_and_update(agents, graph, schedule(t))
 
     result.eta_cap = eta_cap
+    # a kept inverse serves only the next warm round: results held after
+    # the run stay small
+    for a in agents:
+        a.relaxed.inverse = None
     return result

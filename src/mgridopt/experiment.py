@@ -259,9 +259,11 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     """Recompute the certificate of a saved run from its artifacts.
 
     Rebuilds the problem from the stored config, replays round 0 from
-    the final allocations with the stored recourse cap (the local solves
-    are deterministic), and compares the bound and the measured
-    violation against the stored certificate.
+    the final allocations with the stored recourse cap, and compares the
+    bound and the measured violation against the stored certificate.
+    The replay reproduces the run's last round bit for bit: both are
+    logged rounds, whose local solves start cold and so depend on the
+    allocation alone.
     """
     if consensus_rounds < 0:
         raise ConfigError(f"rounds must be >= 0, got {consensus_rounds}")

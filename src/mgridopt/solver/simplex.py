@@ -7,12 +7,19 @@ with a revised simplex over the slack-augmented system
 interior-point methods would not do.
 
 A solve starts cold, with a two-phase primal simplex from the slack
-basis, or warm, from the basis of an earlier solve of the same c, G
-and g under other bounds (a branch-and-bound parent): that basis stays
-dual feasible when only bounds move, so a bounded dual simplex
-restores primal feasibility in a few pivots, and one primal pass then
-clears any roundoff-level dual infeasibility (Koberstein 2005; Bixby
-2002).  A start the dual loop cannot use falls back to the cold solve.
+basis, or warm, from the basis of an earlier solve of the same c and G
+under other bounds (a branch-and-bound parent) or another g (the
+previous round of an allocation LP): that basis stays dual feasible
+when only bounds or g move, so a bounded dual simplex restores primal
+feasibility in a few pivots, and one primal pass then clears any
+roundoff-level dual infeasibility (Koberstein 2005; Bixby 2002).  A
+start the dual loop cannot use falls back to the cold solve.  A start
+under another g comes with the basis inverse its solve ended on
+(`keep_inverse`), which replaces its refactorization, and goes cold
+before any dual pivot when it has more primal-infeasible basic rows
+than the cold start has artificials: after a long allocation step such
+a start tends to take more dual pivots than the cold solve takes in
+all.
 
 Pivoting is deterministic: the primal prices by most-negative reduced
 cost with lowest-index tie-breaking, switching to Bland's rule after
@@ -35,13 +42,14 @@ strided column included, `Binv[r] @ A`, the offset of the nonbasic
 columns) keeps its operands, shapes and order, and so do the sums and
 the `np.linalg.inv` refactors.  The one basis inverse built by hand,
 the diag(+-1) of a cold start, is written with the negative zeros that
-`np.linalg.inv` returns for it.
+`np.linalg.inv` returns for it; a kept inverse is the `np.linalg.inv`
+of the same basis matrix, so adopting it gives a refactor's bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,10 +146,14 @@ class LpSolution:
     pivots: int = 0
     # (basic columns, statuses of the [x | s] columns): a `start`
     basis: tuple[np.ndarray, np.ndarray] | None = None
+    # inverse of the basis matrix of `basis`, only under `keep_inverse`
+    inverse: np.ndarray | None = field(default=None, repr=False)
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
-             start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
+             start: tuple[np.ndarray, np.ndarray] | None = None,
+             inverse: np.ndarray | None = None,
+             keep_inverse: bool = False) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
@@ -150,21 +162,31 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
     to g (used by the allocation update).
 
     `start` is the `basis` of an earlier solution of an LP with the
-    same c, G and g; the solve then begins from it by dual simplex.
-    It goes cold instead when the start holds an artificial column,
-    its basis is singular, a nonbasic column rests on an infinite
-    bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots; the
-    returned pivot count includes the abandoned warm pivots.
+    same c and G; the solve then begins from it by dual simplex.  The
+    earlier LP may have other bounds, or another g when `inverse` is
+    that solution's `inverse` (kept by `keep_inverse`): the start then
+    skips its refactorization and goes cold, before any dual pivot, when
+    more of its basic rows are primal infeasible than the cold start
+    has artificials.  Any start goes cold when it holds an artificial
+    column, its basis is singular, a nonbasic column rests on an
+    infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
+    the returned pivot count includes the abandoned warm pivots.
+
+    Raises SolverError when the pivot loop fails, and when phase 1
+    stops short of feasibility but columns whose reduced costs lie
+    within the tolerance could still close the gap.
     """
-    if start is not None:
-        warm = _Simplex(lp, tol)
-        sol = warm.run_warm(*start)
-        if sol is not None:
-            return sol
+    if start is None:
         sol = _Simplex(lp, tol).run()
-        sol.pivots += warm.pivots
-        return sol
-    return _Simplex(lp, tol).run()
+    else:
+        warm = _Simplex(lp, tol)
+        sol = warm.run_warm(*start, inverse)
+        if sol is None:
+            sol = _Simplex(lp, tol).run()
+            sol.pivots += warm.pivots
+    if not keep_inverse:
+        sol.inverse = None
+    return sol
 
 
 class _Simplex:
@@ -203,12 +225,16 @@ class _Simplex:
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def _refactor(self):
-        B = self.A[:, self.basis]
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as e:
-            raise SolverError(f"singular basis at pivot {self.pivots}") from e
+    def _refactor(self, Binv: np.ndarray | None = None):
+        """Invert the basis matrix, or adopt its known inverse `Binv`,
+        and solve for the basic values."""
+        if Binv is None:
+            try:
+                Binv = np.linalg.inv(self.A[:, self.basis])
+            except np.linalg.LinAlgError as e:
+                raise SolverError(
+                    f"singular basis at pivot {self.pivots}") from e
+        self.Binv = Binv
         self.xb = self.Binv @ (self.rhs - self._nonbasic_offset())
         self.since_refactor = 0
 
@@ -258,6 +284,7 @@ class _Simplex:
             art_basic = self.basis >= n + m
             infeas = float(self.xb[art_basic].sum()) if np.any(art_basic) else 0.0
             if infeas > self.tol.feasibility:
+                self._prove_infeasible(c1, infeas)
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
             self._expel_artificials(c1)
             # artificials may never re-enter
@@ -274,17 +301,24 @@ class _Simplex:
             return LpSolution(status=UNBOUNDED, pivots=self.pivots)
         return self._extract()
 
-    def run_warm(self, basis: np.ndarray,
-                 status: np.ndarray) -> LpSolution | None:
+    def run_warm(self, basis: np.ndarray, status: np.ndarray,
+                 inverse: np.ndarray | None = None) -> LpSolution | None:
         """Bounded dual simplex from a start basis; None means go cold.
 
         Each pivot takes the basic column farthest outside its bounds
         to the violated bound and enters the nonbasic column of the
         Harris ratio test on that row.  A row no column can move proves
-        the LP infeasible.
+        the LP infeasible.  `inverse`, the basis inverse of an earlier
+        solve of the same [G | I] under another g, stands in for the
+        refactorization, and the start must then have no more
+        primal-infeasible basic rows than the cold start has artificials.
         """
         if (basis >= self.n + self.m).any():
             return None
+        if inverse is not None:
+            # the cold start's offset, before the start's statuses
+            # replace it: the artificials run() would add
+            n_art = int((self.lp.g - self._nonbasic_offset() < 0.0).sum())
         status = status.copy()
         status[(status != _BASIC) & (self.lo == self.hi)] = _FIXED
         xn = np.where(status == _AT_HI, self.hi, self.lo)
@@ -299,7 +333,12 @@ class _Simplex:
         c, feas, rc_tol = self.c_phase2, self.tol.feasibility, \
             self.tol.reduced_cost
         try:
-            self._refactor()
+            self._refactor(None if inverse is None else inverse.copy())
+            if inverse is not None:
+                lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+                off = np.maximum(lo_b - self.xb, self.xb - hi_b) > feas
+                if int(off.sum()) > n_art:
+                    return None
             for _ in range(DUAL_PIVOT_LIMIT):
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 below, above = lo_b - self.xb, self.xb - hi_b
@@ -377,7 +416,7 @@ class _Simplex:
                 self._pivot(j, sigma, w, t, leave_pos, leave_to_hi)
         raise SolverError(f"pivot limit exceeded ({limit} iterations)")
 
-    def _entering(self, d: np.ndarray, rc_tol: float) -> int:
+    def _gains(self, d: np.ndarray) -> np.ndarray:
         # the objective's decrease per unit step off the column's bound;
         # basic and fixed columns cannot step, so their reduced cost
         # (roundoff for a basic one) prices to zero
@@ -385,6 +424,10 @@ class _Simplex:
         if self.any_free:
             free = self.status == _FREE
             viol[free] = np.abs(d[free])
+        return viol
+
+    def _entering(self, d: np.ndarray, rc_tol: float) -> int:
+        viol = self._gains(d)
         best = viol.max()
         if not best > rc_tol:
             return -1
@@ -458,6 +501,27 @@ class _Simplex:
         if self.since_refactor >= REFACTOR_EVERY:
             self._refactor()
 
+    def _prove_infeasible(self, c1: np.ndarray, infeas: float):
+        """Raise SolverError unless phase 1's end, `infeas` short of
+        feasible, proves the LP infeasible.
+
+        Phase 1 stops when no reduced cost passes the tolerance, but a
+        column of a smaller one still lowers the infeasibility by its
+        gain times its range; the artificials are 0 at any feasible
+        point, so only the real columns count.  As in the dual loop, the
+        proof holds unless those columns together could close the gap.
+        """
+        real = self.n + self.m
+        y = c1[self.basis] @ self.Binv
+        gain = self._gains(c1 - y @ self.A)[:real]
+        right = gain > 0.0
+        reach = gain[right] @ (self.hi[:real] - self.lo[:real])[right]
+        if reach >= infeas - self.tol.feasibility:
+            raise SolverError(
+                f"phase 1 stopped {infeas:.3g} short of feasible, but "
+                f"columns with reduced costs within "
+                f"{self.tol.reduced_cost:g} could close it")
+
     def _expel_artificials(self, c1: np.ndarray):
         """Pivot zero-valued basic artificials out where a real column allows."""
         n_real = self.n + self.m
@@ -498,5 +562,6 @@ class _Simplex:
             duals=duals,
             pivots=self.pivots,
             basis=(self.basis, self.status[:n + m].copy()),
+            inverse=self.Binv,
         )
 

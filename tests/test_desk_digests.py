@@ -28,21 +28,21 @@ ROUNDS = 10
 
 ARTIFACT_SHA256 = {
     "certificate.json":
-        "a6484da013fb6012aad1bfb831867e32b6b6d3c8f743e7c9a5aa67ab6603b70e",
+        "686fd92dd70d3238b7ecf60dcb435a3bbf217bf5f7cc4d6953dbe8f5e138b1fc",
     "config.yaml":
         "a1f7b2df04d7851cb5db08b1f613034cf386115f214dc5461397f51b7485aa4f",
     "report_consumption.csv":
-        "baa0cf6c425afd601405ff9dc48f6771e44dcb238f2e4a852b6cb57248958eaa",
+        "91545aa8c7a19d3fb3cebc06ca457b062980cf79247cd79f30449308a521c462",
     "report_grid.csv":
         "0040de484c6243afebeff88eca5271026da353fd9623859c602d83cddb776bc8",
     "report_power_fraction.csv":
         "63b2bfa34a1d0df5e5de754449889d0e375674d97b7c11f28db7b7d2413e34d5",
     "report_storage.csv":
-        "b3a38029b9c564d0826ff3a1ab93c5895865c1b5936a315a02aed62075613481",
+        "5e15c13c381a917039bdf22db162e9601deccf9af34ec17d2d957ffac722ae5e",
     "solution.json":
-        "2394beb5b912448ff73ec0af0c9a3c0f1d6f2ec07fe6e7dc2063a5bc4c08e894",
+        "acd8aedd3a0265258a72ef75112c9692781edb2db8fa2b6ec5b44fd3aab4bbb4",
     "trace.csv":
-        "c82a4057b827303381f73ceec6b5edbdcc166c3396f3f0ae5c23685fbda31244",
+        "98e5d9ca2031874e260aeb32339426c213c8275b5e00a1a1ff7bff18a8c66dda",
 }
 
 # (module, name, layer, work field of the solution): the call sites the
@@ -91,11 +91,12 @@ def test_desk_artifacts_match_their_digests(desk_run):
 
 def test_desk_work_counters(desk_run):
     # [solves, pivots] of each LP layer, [solves, B&B nodes] of each
-    # MILP layer; the box LPs are the builders' phase-1 solves, and a
+    # MILP layer; rounds 2 to 9 start their allocation LPs from the
+    # round before, the box LPs are the builders' phase-1 solves, and a
     # finalize's root is the round's relaxed solve, so its node LPs and
     # the certificate's auxiliary trees give 557 - 33 + 255 node LPs
     _, work = desk_run
-    assert work["alloc"] == [121, 3929]
+    assert work["alloc"] == [121, 2790]
     assert work["node"] == [779, 2688]
     assert work["cert"] == [36, 713]
     assert work["box"] == [9, 53]

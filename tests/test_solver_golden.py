@@ -12,9 +12,10 @@ CHANGES.md.
 import hashlib
 
 import numpy as np
+import pytest
 
-from mgridopt.solver import (LinearProgram, branch_bound, simplex, solve_lp,
-                             solve_milp)
+from mgridopt.solver import (LinearProgram, SolverError, branch_bound, simplex,
+                             solve_lp, solve_milp)
 from test_solver_lp import box_lp, random_bounded_lp
 from test_solver_milp import random_mip
 
@@ -145,14 +146,12 @@ def test_warm_starts_that_go_cold():
     singular[1] = singular[0]
     artificial = basis.copy()
     artificial[0] = boxed.n + boxed.m
-    # only a column below PIVOT_TOL could close the row
-    tiny = box_lp([1.0], [[-1e-11]], [-1e-3], [0.0], [1e12])
     n = 110
     chain = box_lp(np.linspace(1.0, 2.0, n),
                    -(np.eye(n) + np.diag(np.full(n - 1, 0.5), 1)),
                    np.full(n, -0.5), np.zeros(n), np.ones(n))
     runs = [(free, infinite), (boxed, (singular, status)),
-            (boxed, (artificial, status)), (tiny, slack_start(tiny)),
+            (boxed, (artificial, status)),
             (unbounded, slack_start(unbounded)), (chain, slack_start(chain))]
     h = hashlib.sha256()
     statuses = []
@@ -160,10 +159,28 @@ def test_warm_starts_that_go_cold():
         sol = solve_lp(lp, start=start)
         statuses.append(sol.status)
         fold(h, sol)
-    assert statuses == ["optimal"] * 3 + ["infeasible", "unbounded",
-                                          "optimal"]
+    assert statuses == ["optimal"] * 3 + ["unbounded", "optimal"]
     assert h.hexdigest() == \
-        "8cc367d8f28d68ff3d270e9cf387bc21a62a7729484db3140d75528a402be675"
+        "649d86299716eca706a474006ae6b7f3afc13d89d89260d55b459ba2524fadb0"
+
+
+def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
+    # x = 1e3 / |coef| is feasible, but the row's coefficient lies
+    # within the reduced-cost tolerance, where phase 1 stops short, or
+    # also below PIVOT_TOL, where the dual loop's reach proof refuses
+    # and hands the solve to the cold path; the cold path's reach proof
+    # refuses to call the row infeasible too
+    tiny = box_lp([1.0], [[-1e-11]], [-1e-3], [0.0], [1e12])
+    small = box_lp([1.0], [[-1e-9]], [-1e-3], [0.0], [1e12])
+    for lp, start in ((tiny, None), (tiny, slack_start(tiny)),
+                      (small, None)):
+        with pytest.raises(SolverError, match="phase 1 stopped 0.001 "
+                           "short of feasible"):
+            solve_lp(lp, start=start)
+    # a pivot element of 1e-9 passes PIVOT_TOL: the dual loop solves it
+    sol = solve_lp(small, start=slack_start(small))
+    assert sol.status == "optimal"
+    assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
 
 
 def test_enumeration_milps_and_their_node_lps(monkeypatch):

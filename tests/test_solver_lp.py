@@ -274,6 +274,87 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     check()
 
 
+def assert_same_solve(a, b):
+    """a and b agree bit for bit, pivot count and basis included."""
+    assert a.status == b.status and a.pivots == b.pivots
+    assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+    for field in ("x", "duals"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u is v is None) or u.tobytes() == v.tobytes()
+    assert all(u.tobytes() == v.tobytes()
+               for u, v in zip(a.basis or (), b.basis or ()))
+
+
+def test_resolve_under_another_g_matches_cold_solve():
+    """An allocation round: the same c, G and bounds under a moved g,
+    started from the earlier solve's basis and the inverse it kept.  The
+    kept inverse is the refactorization's, bit for bit, and the warm
+    solve agrees with a cold one in status and value."""
+    rng = np.random.default_rng(17)
+    took_warm = 0
+    for _ in range(300):
+        lp = random_bounded_lp(rng)
+        prev = solve_lp(lp, keep_inverse=True)
+        assert solve_lp(lp).inverse is None
+        B = np.concatenate([lp.G, np.eye(lp.m)], axis=1)[:, prev.basis[0]]
+        assert prev.inverse.tobytes() == np.linalg.inv(B).tobytes()
+        g = lp.g + rng.normal(scale=0.3, size=lp.m)
+        moved = LinearProgram(lp.c, lp.G, g, lp.lo, lp.hi)
+        cold = solve_lp(moved)
+        warm = solve_lp(moved, start=prev.basis, inverse=prev.inverse,
+                        keep_inverse=True)
+        assert warm.status == cold.status
+        if cold.status != OPTIMAL:
+            continue
+        took_warm += warm.pivots < cold.pivots
+        assert abs(warm.value - cold.value) <= 1e-9 * (1 + abs(cold.value))
+        assert np.all((lp.lo <= warm.x) & (warm.x <= lp.hi))
+        assert np.all(lp.G @ warm.x <= g + 1e-7)
+        assert np.all(warm.duals >= 0.0)
+        assert abs(warm.value - dual_objective(moved, warm)) <= \
+            1e-7 * (1 + abs(warm.value))
+        # the start's inverse is left as it was
+        assert prev.inverse.tobytes() == np.linalg.inv(B).tobytes()
+    assert took_warm > 100
+
+
+def farther_than_cold(lp, prev):
+    """Whether the start `prev` leaves more basic rows of `lp` outside
+    their bounds than the cold start of `lp` (every column at its
+    finite lower bound) needs artificials."""
+    basis, status = prev.basis
+    A = np.concatenate([lp.G, np.eye(lp.m)], axis=1)
+    lo = np.concatenate([lp.lo, np.zeros(lp.m)])
+    hi = np.concatenate([lp.hi, np.full(lp.m, np.inf)])
+    xn = np.where(status == simplex._AT_HI, hi, lo)
+    xn[basis] = 0.0
+    xb = prev.inverse @ (lp.g - A @ xn)
+    off = (lo[basis] - xb > 1e-7) | (xb - hi[basis] > 1e-7)
+    return int(off.sum()) > int((lp.g - lp.G @ lp.lo < 0.0).sum())
+
+
+def test_a_resolve_start_farther_from_feasible_than_cold_goes_cold():
+    # such a start returns the cold solve bit for bit: it spends no dual
+    # pivot, while the same start without its inverse (a B&B child's,
+    # which never meets the rule) runs the dual loop
+    rng = np.random.default_rng(23)
+    refused = differs = 0
+    for _ in range(300):
+        lp = random_bounded_lp(rng)
+        prev = solve_lp(lp, keep_inverse=True)
+        moved = LinearProgram(lp.c, lp.G,
+                              lp.g + rng.normal(scale=1.0, size=lp.m),
+                              lp.lo, lp.hi)
+        if not farther_than_cold(moved, prev):
+            continue
+        refused += 1
+        cold = solve_lp(moved)
+        assert_same_solve(
+            solve_lp(moved, start=prev.basis, inverse=prev.inverse), cold)
+        differs += solve_lp(moved, start=prev.basis).pivots != cold.pivots
+    assert refused > 20 and differs > 10
+
+
 def test_subgradient_of_subproblem_value():
     # p(y) = min c'x s.t. A x <= y over a box; -mu must support p at y
     rng = np.random.default_rng(11)

@@ -252,3 +252,30 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     for w, c in zip(warm_sols, cold_sols):
         assert w.node_count == c.node_count
         assert abs(w.value - c.value) <= 1e-9 * (1.0 + abs(c.value))
+
+
+def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
+    """A root solved with its basis inverse kept (an allocation round's
+    relaxed solve) hands its children only its basis: no node LP gets
+    an inverse or keeps one, and the tree is the one a root without its
+    inverse grows, bit for bit."""
+    real = branch_bound.solve_lp
+    inverses = []
+
+    def spying(lp, tol, start=None, **kwargs):
+        sol = real(lp, tol, start=start, **kwargs)
+        inverses.append((kwargs.get("inverse"), sol.inverse))
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp", spying)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        lp = random_mip(rng, int(rng.integers(2, 7)), int(rng.integers(0, 3)))
+        kept = solve_milp(lp, root=solve_lp(lp, keep_inverse=True))
+        plain = solve_milp(lp, root=solve_lp(lp))
+        assert kept.status == plain.status
+        assert kept.node_count == plain.node_count
+        if kept.status == OPTIMAL:
+            assert kept.x.tobytes() == plain.x.tobytes()
+    assert len(inverses) > 100
+    assert all(given is None and kept is None for given, kept in inverses)

@@ -5,8 +5,10 @@ already lands in the mixed-integer set) or not.  The certificate bounds
 the asymptotic violation of the lifted balance band componentwise:
 integral agents contribute their relaxed recourse vector, the others a
 scalar built from an auxiliary problem at the componentwise resource
-lower bound.  The bound is a sum of per-agent terms, so agents can also
-average it over the communication graph and everyone ends up with the
+lower bound.  Both read the agent's `LocalProblem`: the floors its
+block and coupling H, the auxiliary its two-stage program at y = ell.
+The bound is a sum of per-agent terms, so agents can also average it
+over the communication graph and everyone ends up with the
 network-wide certificate without a collector.
 """
 
@@ -30,7 +32,7 @@ class CertificateError(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-def compute_lower_bound(lifted, cap: float,
+def compute_lower_bound(problem: LocalProblem, cap: float,
                         tol: Tolerances = Tolerances()) -> np.ndarray:
     """Componentwise floor of H x - eta over the relaxed block and
     0 <= eta <= cap, `cap` being a number no recourse of the run reached.
@@ -40,10 +42,10 @@ def compute_lower_bound(lifted, cap: float,
     over the block.  H = 1_R kron (A; -A) repeats its first 2K rows in
     every scenario, so those floors are solved once and tiled R times.
     """
-    floor = np.empty(lifted.eta_dim // lifted.R)
+    floor = np.empty(problem.eta_dim // problem.R)
     for j in range(floor.size):
         try:
-            sol = solve_lp(lifted.base.relaxation_lp(lifted.H[j]), tol)
+            sol = solve_lp(problem.base.relaxation_lp(problem.H[j]), tol)
         except SolverError as e:
             raise CertificateError(
                 f"lower-bound LP for component {j} failed: {e}") from e
@@ -51,7 +53,7 @@ def compute_lower_bound(lifted, cap: float,
             raise CertificateError(
                 f"lower-bound LP for component {j} ended {sol.status}")
         floor[j] = sol.value - cap
-    return np.tile(floor, lifted.R)
+    return np.tile(floor, problem.R)
 
 
 def compute_auxiliary(problem: LocalProblem, ell: np.ndarray,
@@ -59,7 +61,7 @@ def compute_auxiliary(problem: LocalProblem, ell: np.ndarray,
     """Mixed-integer optimum (x, eta) of the agent's local problem at
     the floored allocation y = ell."""
     sol = problem.solve(solve_milp, ell, tol, "certificate auxiliary MILP")
-    return sol.x[:problem.n], sol.x[problem.n:]
+    return problem.split(sol.x)
 
 
 def is_integral(block, z: np.ndarray,
@@ -125,7 +127,7 @@ def violation_certificate(result, cost: RecourseCost,
             contrib = a.eta_relax.copy()
         else:
             ell = compute_lower_bound(a.lifted, result.eta_cap, tol)
-            x_l, eta_l = compute_auxiliary(a.problem, ell, tol)
+            x_l, eta_l = compute_auxiliary(a.lifted, ell, tol)
             blk = a.lifted.base
             scalar = (blk.c @ (x_l - a.x_mi) + cost.d @ eta_l) / cost.d_min
             contrib = np.full(dim, scalar)

@@ -8,7 +8,10 @@ along each edge proportionally to their multiplier disagreement.
 Stopping at any round and re-solving the local problems with
 integrality restored yields a mixed-integer point that satisfies the
 lifted coupling by construction, so intermediate solutions are always
-feasible for the two-stage problem.
+feasible for the two-stage problem.  An agent's local problem is a
+`LocalProblem`: the two-stage program of `stochastic.two_stage_lp`
+over its own block, with its allocation as the coupling right-hand
+side.
 
 One round is a synchronous barrier: all multipliers are computed from
 the round's published allocations before any allocation moves.  The
@@ -30,11 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DimensionError
-from .solver import (OPTIMAL, LinearProgram, LpSolution, NodeLimitError,
-                     SolverError, Tolerances, solve_lp, solve_milp)
-from .stochastic import (LiftedBlock, RecourseCost, ScenarioSet, build_h,
-                         lift_block)
+from .model import DimensionError, LocalBlock
+from .solver import (OPTIMAL, LpSolution, NodeLimitError, SolverError,
+                     Tolerances, solve_lp, solve_milp)
+from .stochastic import RecourseCost, ScenarioSet, build_h, two_stage_lp
 
 
 class AgentSolveError(RuntimeError):
@@ -198,28 +200,33 @@ DEFAULT_FINALIZE_EVERY = 10
 
 
 class LocalProblem:
-    """One agent's program min c'z + d'eta over its block
-    (`LocalBlock.relaxation_lp`) and H z - eta <= y, eta >= 0 (d > 0).
+    """One agent's two-stage program (`two_stage_lp` of its block):
+    min c'z + d'eta over the block and H z - eta <= y, eta >= 0 (d > 0),
+    with H = `lift_coupling(base.A, R)`.
 
     The rounds solve it relaxed for the multiplier of the allocation
     rows and mixed-integer to recover a feasible point; the certificate
     solves it once more at the resource floor y = ell.
     """
 
-    def __init__(self, lifted: LiftedBlock, d: np.ndarray, index: int = 0):
-        blk = lifted.base
-        base = blk.relaxation_lp(blk.c)
-        n, m0, dim = base.n, base.m, lifted.eta_dim
-        self.index, self.n, self.m0 = index, n, m0
-        self.lp = LinearProgram(
-            np.concatenate([base.c, d]),
-            np.block([[base.G, np.zeros((m0, dim))],
-                      [lifted.H, -np.eye(dim)]]),
-            np.concatenate([base.g, np.zeros(dim)]),
-            np.concatenate([base.lo, np.zeros(dim)]),
-            np.concatenate([base.hi, np.full(dim, np.inf)]),
-            integrality=np.concatenate([blk.integrality,
-                                        np.zeros(dim, dtype=bool)]))
+    def __init__(self, base: LocalBlock, R: int, d: np.ndarray,
+                 index: int = 0):
+        self.base, self.R, self.d, self.index = base, R, d, index
+        self.lp = two_stage_lp([base], R, d)
+        self.n, self.m0 = base.n, base.G.shape[0]
+        self.H = np.ascontiguousarray(self.lp.G[self.m0:, :self.n])
+
+    @property
+    def eta_dim(self) -> int:
+        return self.d.size
+
+    def split(self, x: np.ndarray):
+        """(z, eta): copies of the block and recourse parts of x."""
+        return x[:self.n].copy(), x[self.n:].copy()
+
+    def multiplier(self, sol: LpSolution) -> np.ndarray:
+        """mu: a copy of the duals of the allocation rows."""
+        return sol.duals[self.m0:].copy()
 
     def solve(self, solver, y: np.ndarray, tol: Tolerances, stage: str,
               **options):
@@ -244,8 +251,7 @@ class AgentState:
     """Everything one agent carries between rounds."""
 
     index: int
-    lifted: LiftedBlock
-    d: np.ndarray
+    lifted: LocalProblem
     y: np.ndarray
     mu: np.ndarray | None = None
     relaxed: LpSolution | None = None    # the round's relaxed solve,
@@ -254,16 +260,13 @@ class AgentState:
     eta_relax: np.ndarray | None = None
     x_mi: np.ndarray | None = None       # last mixed-integer finalize
     eta_mi: np.ndarray | None = None
-    problem: LocalProblem = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.problem = LocalProblem(self.lifted, self.d, self.index)
 
 
 def make_agents(blocks, scen: ScenarioSet, cost: RecourseCost, ys) -> list:
     """One agent per block, agent i holding allocation ys[i]."""
-    return [AgentState(index=i, lifted=lift_block(blk, scen.R),
-                       d=cost.d.copy(), y=ys[i])
+    return [AgentState(index=i,
+                       lifted=LocalProblem(blk, scen.R, cost.d.copy(), i),
+                       y=ys[i])
             for i, blk in enumerate(blocks)]
 
 
@@ -279,16 +282,14 @@ def local_multiplier_step(agent: AgentState, tol: Tolerances = Tolerances(),
     send it cold); a warm solve may end on another optimal vertex than
     a cold one, with the same value to roundoff.
     """
-    p = agent.problem
     prev = agent.relaxed if warm else None
-    sol = p.solve(solve_lp, agent.y, tol, "allocation LP",
-                  start=None if prev is None else prev.basis,
-                  inverse=None if prev is None else prev.inverse,
-                  keep_inverse=True)
+    sol = agent.lifted.solve(
+        solve_lp, agent.y, tol, "allocation LP",
+        start=None if prev is None else prev.basis,
+        inverse=None if prev is None else prev.inverse)
     agent.relaxed = sol
-    agent.mu = sol.duals[p.m0:].copy()
-    agent.z = sol.x[:p.n].copy()
-    agent.eta_relax = sol.x[p.n:].copy()
+    agent.mu = agent.lifted.multiplier(sol)
+    agent.z, agent.eta_relax = agent.lifted.split(sol.x)
     return agent.mu
 
 
@@ -296,11 +297,9 @@ def finalize_mixed_integer(agent: AgentState,
                            tol: Tolerances = Tolerances()):
     """Mixed-integer recovery at the round's allocation, rooted at its
     relaxed solve (the local problem depends on nothing else)."""
-    p = agent.problem
-    sol = p.solve(solve_milp, agent.y, tol, "recovery MILP",
-                  root=agent.relaxed)
-    agent.x_mi = sol.x[:p.n].copy()
-    agent.eta_mi = sol.x[p.n:].copy()
+    sol = agent.lifted.solve(solve_milp, agent.y, tol, "recovery MILP",
+                             root=agent.relaxed)
+    agent.x_mi, agent.eta_mi = agent.lifted.split(sol.x)
     return agent.x_mi, agent.eta_mi
 
 
@@ -389,7 +388,7 @@ class RunResult:
     T_f: int
 
     def incumbent_cost(self) -> float:
-        return float(sum(a.lifted.base.c @ a.x_mi + a.d @ a.eta_mi
+        return float(sum(a.lifted.base.c @ a.x_mi + a.lifted.d @ a.eta_mi
                          for a in self.agents))
 
     def total_coupling(self) -> np.ndarray:
@@ -467,7 +466,7 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
             raise AgentSolveError(e.agent, e.status,
                                   f"round {t} {e.stage}") from e
         trace.relax_cost_all.append(float(sum(
-            a.lifted.base.c @ a.z + a.d @ a.eta_relax for a in agents)))
+            a.lifted.base.c @ a.z + a.lifted.d @ a.eta_relax for a in agents)))
         if t in log_set:
             trace.balance_injection.append(
                 sum(a.lifted.base.A @ a.x_mi for a in agents))

@@ -199,9 +199,6 @@ class LocalBlock:
     def n(self) -> int:
         return self.c.size
 
-    def col(self, name: str) -> int:
-        return self.var_index[name]
-
     def value_of(self, x: np.ndarray, name: str) -> float:
         return float(x[self.var_index[name]])
 

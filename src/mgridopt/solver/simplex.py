@@ -15,7 +15,7 @@ feasibility in a few pivots, and one primal pass then clears any
 roundoff-level dual infeasibility (Koberstein 2005; Bixby 2002).  A
 start the dual loop cannot use falls back to the cold solve.  A start
 under another g comes with the basis inverse its solve ended on
-(`keep_inverse`), which replaces its refactorization, and goes cold
+(`LpSolution.inverse`), which replaces its refactorization, and goes cold
 before any dual pivot when it has more primal-infeasible basic rows
 than the cold start has artificials: after a long allocation step such
 a start tends to take more dual pivots than the cold solve takes in
@@ -146,14 +146,13 @@ class LpSolution:
     pivots: int = 0
     # (basic columns, statuses of the [x | s] columns): a `start`
     basis: tuple[np.ndarray, np.ndarray] | None = None
-    # inverse of the basis matrix of `basis`, only under `keep_inverse`
+    # inverse of the basis matrix of `basis`
     inverse: np.ndarray | None = field(default=None, repr=False)
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
              start: tuple[np.ndarray, np.ndarray] | None = None,
-             inverse: np.ndarray | None = None,
-             keep_inverse: bool = False) -> LpSolution:
+             inverse: np.ndarray | None = None) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
@@ -164,13 +163,13 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
     `start` is the `basis` of an earlier solution of an LP with the
     same c and G; the solve then begins from it by dual simplex.  The
     earlier LP may have other bounds, or another g when `inverse` is
-    that solution's `inverse` (kept by `keep_inverse`): the start then
-    skips its refactorization and goes cold, before any dual pivot, when
-    more of its basic rows are primal infeasible than the cold start
-    has artificials.  Any start goes cold when it holds an artificial
-    column, its basis is singular, a nonbasic column rests on an
-    infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
-    the returned pivot count includes the abandoned warm pivots.
+    that solution's `inverse`: the start then skips its refactorization
+    and goes cold, before any dual pivot, when more of its basic rows
+    are primal infeasible than the cold start has artificials.  Any
+    start goes cold when it holds an artificial column, its basis is
+    singular, a nonbasic column rests on an infinite bound, or the dual
+    loop passes DUAL_PIVOT_LIMIT pivots; the returned pivot count
+    includes the abandoned warm pivots.
 
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
@@ -184,8 +183,6 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
         if sol is None:
             sol = _Simplex(lp, tol).run()
             sol.pivots += warm.pivots
-    if not keep_inverse:
-        sol.inverse = None
     return sol
 
 

@@ -8,6 +8,11 @@ right-hand side h, the recourse cost vector d and every recourse
 variable, so index arithmetic is consistent package-wide:
 
     row(r, k, +) = 2*K*r + k          row(r, k, -) = 2*K*r + K + k
+
+`two_stage_lp` is the one assembly of the two-stage program: each
+agent's local program is it over the agent's own block, with the
+agent's allocation as the coupling right-hand side, and
+`assemble_two_stage` is it over all blocks with the band h.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DimensionError, LocalBlock
+from .model import DimensionError
 from .solver import LinearProgram
 
 
@@ -69,30 +74,12 @@ class RecourseCost:
         return float(self.d.min())
 
 
-@dataclass
-class LiftedBlock:
-    """A LocalBlock together with its scenario-replicated coupling."""
-
-    base: LocalBlock
-    H: np.ndarray  # 2RK x n
-    R: int
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def eta_dim(self) -> int:
-        return self.H.shape[0]
-
-
-def lift_block(block: LocalBlock, R: int) -> LiftedBlock:
-    """Replicate the coupling rows over R scenarios: H = ones(R) kron (A; -A)."""
+def lift_coupling(A: np.ndarray, R: int) -> np.ndarray:
+    """H = ones(R) kron (A; -A): the K coupling rows of A replicated over
+    R scenarios in the module's row ordering."""
     if R < 1:
         raise DimensionError(f"scenario count must be >= 1, got {R}")
-    stacked = np.vstack([block.A, -block.A])
-    H = np.kron(np.ones((R, 1)), stacked)
-    return LiftedBlock(base=block, H=H, R=R)
+    return np.kron(np.ones((R, 1)), np.vstack([A, -A]))
 
 
 def build_h(scen: ScenarioSet) -> np.ndarray:
@@ -116,43 +103,47 @@ def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> RecourseCo
     return RecourseCost(d=np.concatenate(parts))
 
 
-def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost):
-    """Centralized two-stage program over all blocks (`mgridopt build`).
+def two_stage_lp(blocks, R: int, d: np.ndarray) -> LinearProgram:
+    """min c'x + d'eta over the blocks' rows and H x - eta <= rhs,
+    eta >= 0, with H = [H_1 .. H_N] (`lift_coupling` of each A).
 
-    Columns are [x_1 .. x_N | eta] with one pooled recourse vector.
+    Columns are [x_1 .. x_N | eta]; rows are every block's G rows, then
+    the 2RK coupling rows, whose right-hand side (zero here) the caller
+    writes: an agent its allocation y, the centralized problem the band
+    h.  The integrality mask flags the blocks' integer columns.
+    """
+    dim = d.size
+    n_x = sum(blk.n for blk in blocks)
+    m_blocks = sum(blk.G.shape[0] for blk in blocks)
+    G = np.zeros((m_blocks + dim, n_x + dim))
+    row = col = 0
+    for blk in blocks:
+        mb = blk.G.shape[0]
+        G[row:row + mb, col:col + blk.n] = blk.G
+        G[m_blocks:, col:col + blk.n] = lift_coupling(blk.A, R)
+        row += mb
+        col += blk.n
+    G[m_blocks:, n_x:] = -np.eye(dim)
+    return LinearProgram(
+        np.concatenate([blk.c for blk in blocks] + [d]), G,
+        np.concatenate([blk.g for blk in blocks] + [np.zeros(dim)]),
+        np.concatenate([blk.lo for blk in blocks] + [np.zeros(dim)]),
+        np.concatenate([blk.hi for blk in blocks] + [np.full(dim, np.inf)]),
+        integrality=np.concatenate([blk.integrality for blk in blocks]
+                                   + [np.zeros(dim, dtype=bool)]))
+
+
+def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost):
+    """Centralized two-stage program over all blocks (`mgridopt build`):
+    `two_stage_lp` with the band h as the coupling right-hand side.
+
     `solve_lp` ignores the integrality mask, so the same program serves
     as its own relaxation.  Returns the program plus a layout dict with
     column offsets.
     """
-    R, K = scen.R, scen.K
-    dim = 2 * R * K
-    lifted = [lift_block(blk, R) for blk in blocks]
-    h = build_h(scen)
-    n_x = sum(blk.n for blk in blocks)
-    n = n_x + dim
-    m_blocks = sum(blk.G.shape[0] for blk in blocks)
-    G = np.zeros((m_blocks + dim, n))
-    g = np.zeros(m_blocks + dim)
-    c = np.zeros(n)
-    mask = np.zeros(n, dtype=bool)
-    offsets = []
-    row = col = 0
-    for blk in blocks:
-        offsets.append(col)
-        mb = blk.G.shape[0]
-        G[row:row + mb, col:col + blk.n] = blk.G
-        g[row:row + mb] = blk.g
-        c[col:col + blk.n] = blk.c
-        mask[col:col + blk.n] = blk.integrality
-        row += mb
-        col += blk.n
-    for i, lb in enumerate(lifted):
-        G[row:row + dim, offsets[i]:offsets[i] + lb.n] = lb.H
-    G[row:row + dim, n_x:] = -np.eye(dim)
-    c[n_x:] = cost.d
-    g[row:row + dim] = h
-    lo = np.concatenate([blk.lo for blk in blocks] + [np.zeros(dim)])
-    hi = np.concatenate([blk.hi for blk in blocks] + [np.full(dim, np.inf)])
-    lp = LinearProgram(c, G, g, lo, hi, integrality=mask)
-    layout = {"offsets": offsets, "eta_offset": n_x, "eta_dim": dim}
+    lp = two_stage_lp(blocks, scen.R, cost.d)
+    dim = cost.d.size
+    lp.g[-dim:] = build_h(scen)
+    offsets = [sum(blk.n for blk in blocks[:i]) for i in range(len(blocks))]
+    layout = {"offsets": offsets, "eta_offset": lp.n - dim, "eta_dim": dim}
     return lp, layout

@@ -309,11 +309,14 @@ def hull_block(block: LocalBlock) -> LocalBlock:
 
     Vertices of the cloned polyhedron are integer-feasible points, so
     LP vertices over assemblies of such blocks enjoy the integral-block
-    counting property the certificate analysis assumes.
+    counting property the certificate analysis assumes.  The native
+    bounds stay valid for the hull and are kept, so the clone's coupled
+    columns have the finite bounds the recourse cap reads.
     """
     V = integer_vertices(block)
     G, g = facets_from_vertices(V)
     return LocalBlock(c=block.c.copy(), G=G, g=g,
                       integrality=block.integrality.copy(),
                       A=block.A.copy(), var_index=dict(block.var_index),
-                      K=block.K, kind=block.kind + "_hull")
+                      K=block.K, kind=block.kind + "_hull",
+                      lo=block.lo.copy(), hi=block.hi.copy())

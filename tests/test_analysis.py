@@ -14,7 +14,7 @@ from mgridopt.model import (ControllableLoadParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
                             build_storage_block, power_balance_rhs)
 from mgridopt.stochastic import (RecourseCost, ScenarioSet,
-                                 build_recourse_cost, lift_block)
+                                 build_recourse_cost)
 from oracles.hull import relaxation_equals_hull
 
 
@@ -32,13 +32,18 @@ def box_block(lo, hi, A, c=None, integrality=None):
                       A=A, var_index={}, K=A.shape[0])
 
 
+def local_problem(blk, R, d=None):
+    """blk's two-stage program over R scenarios; the floors read no
+    recourse price, so d defaults to ones."""
+    return LocalProblem(blk, R, np.ones(2 * R * blk.K) if d is None else d)
+
+
 # ----------------------------------------------------------- lower bounds
 
 
 def test_lower_bound_zero_coupling():
     blk = box_block([0.0], [2.0], [[0.0]])
-    lifted = lift_block(blk, 1)
-    ell = compute_lower_bound(lifted, cap=5.0)
+    ell = compute_lower_bound(local_problem(blk, 1), cap=5.0)
     assert ell == pytest.approx([-5.0, -5.0])
 
 
@@ -46,15 +51,14 @@ def test_lower_bound_one_dimensional():
     # H row (+u) over u in [0, 2] with cap 5: floor 0 - 5 = -5; the -u
     # row floors at -2 - 5 = -7
     blk = box_block([0.0], [2.0], [[1.0]])
-    lifted = lift_block(blk, 1)
-    ell = compute_lower_bound(lifted, cap=5.0)
+    ell = compute_lower_bound(local_problem(blk, 1), cap=5.0)
     assert ell == pytest.approx([-5.0, -7.0])
 
 
 def test_lower_bound_sampling_admissibility():
     rng = np.random.default_rng(23)
     blk = box_block([-1.0, 0.0], [1.5, 2.0], rng.normal(size=(2, 2)))
-    lifted = lift_block(blk, 2)
+    lifted = local_problem(blk, 2)
     cap = 4.0
     ell = compute_lower_bound(lifted, cap)
     for _ in range(1000):
@@ -69,10 +73,10 @@ def test_lower_bound_sampling_admissibility():
 def test_auxiliary_singleton_block():
     # X = {1.5}: eta pinned to the clamp of Hx - ell
     blk = box_block([1.5], [1.5], [[2.0]])
-    lifted = lift_block(blk, 1)
     cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
+    lifted = local_problem(blk, 1, cost.d)
     ell = compute_lower_bound(lifted, cap=4.0)
-    x_l, eta_l = compute_auxiliary(LocalProblem(lifted, cost.d), ell)
+    x_l, eta_l = compute_auxiliary(lifted, ell)
     assert x_l[0] == pytest.approx(1.5, abs=1e-9)
     assert eta_l == pytest.approx(np.maximum(lifted.H @ x_l - ell, 0.0),
                                   abs=1e-8)
@@ -80,10 +84,9 @@ def test_auxiliary_singleton_block():
 
 def test_auxiliary_slack_floor_gives_zero_eta():
     blk = box_block([0.0], [1.0], [[1.0]], c=[2.0])
-    lifted = lift_block(blk, 1)
     cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
     ell = np.array([10.0, 10.0])  # far above anything the block can emit
-    x_l, eta_l = compute_auxiliary(LocalProblem(lifted, cost.d), ell)
+    x_l, eta_l = compute_auxiliary(local_problem(blk, 1, cost.d), ell)
     assert eta_l == pytest.approx([0.0, 0.0], abs=1e-9)
     assert x_l[0] == pytest.approx(0.0, abs=1e-9)  # unconstrained optimum
 
@@ -94,11 +97,11 @@ def test_auxiliary_matches_enumeration_two_binaries():
         A = rng.normal(size=(1, 2))
         blk = box_block([0.0, 0.0], [1.0, 1.0], A, c=rng.normal(size=2),
                         integrality=np.array([True, True]))
-        lifted = lift_block(blk, 1)
         cost = build_recourse_cost([1.0], 1.3, 0.7, 1)
+        lifted = local_problem(blk, 1, cost.d)
         cap = 6.0
         ell = compute_lower_bound(lifted, cap)
-        x_l, eta_l = compute_auxiliary(LocalProblem(lifted, cost.d), ell)
+        x_l, eta_l = compute_auxiliary(lifted, ell)
         best = np.inf
         for x1 in (0.0, 1.0):
             for x2 in (0.0, 1.0):
@@ -182,8 +185,9 @@ def test_certificate_scalar_plugin_example():
 
     blk = box_block([0.0, 0.0], [1.0, 1.0], np.zeros((1, 2)),
                     c=np.zeros(2), integrality=np.array([True, True]))
-    agent = AgentState(index=0, lifted=lift_block(blk, 1),
-                       d=np.array([0.5, 1.0]), y=np.zeros(2))
+    agent = AgentState(index=0,
+                       lifted=local_problem(blk, 1, np.array([0.5, 1.0])),
+                       y=np.zeros(2))
     agent.z = np.array([0.5, 0.5])      # fractional -> not integral
     agent.x_mi = np.array([0.0, 0.0])
     agent.eta_mi = np.zeros(2)
@@ -199,7 +203,7 @@ def test_certificate_scalar_plugin_example():
     # H = 0 so the auxiliary optimum has eta_L = max(0, -ell) = cap each,
     # d'eta_L = 1.5 * cap ... verify against the direct formula instead
     ell = compute_lower_bound(agent.lifted, res.eta_cap)
-    x_l, eta_l = compute_auxiliary(agent.problem, ell)
+    x_l, eta_l = compute_auxiliary(agent.lifted, ell)
     want = (blk.c @ (x_l - agent.x_mi) + cost.d @ eta_l) / cost.d_min
     assert cert.bound == pytest.approx(np.full(2, want))
 
@@ -226,7 +230,7 @@ def test_optimality_transfer_and_componentwise_eta_bound():
         val_inf = blk.c @ a.x_mi + cost.d @ a.eta_mi
         ell = compute_lower_bound(lifted, res.eta_cap)
         assert np.all(ell <= a.y + 1e-7)  # floor below any admissible share
-        x_l, eta_l = compute_auxiliary(a.problem, ell)
+        x_l, eta_l = compute_auxiliary(lifted, ell)
         val_l = blk.c @ x_l + cost.d @ eta_l
         assert val_inf <= val_l + 1e-7
         assert np.all(a.eta_mi <= (cost.d @ a.eta_mi) / cost.d_min + 1e-7)

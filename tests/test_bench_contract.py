@@ -20,7 +20,6 @@ from mgridopt import experiment, model
 from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import RunTrace, recourse_cap, run
 from mgridopt.solver import OPTIMAL, LinearProgram, solve_milp
-from mgridopt.stochastic import lift_block
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -120,13 +119,17 @@ def test_traced_workload_yields_every_per_layer_metric(tmp_path, monkeypatch,
 
 def test_gate_rejects_a_point_past_a_native_bound():
     # the benchmark's gate checks every finalized point with
-    # lifted.base.contains; a block's boxes are bounds, not rows of G,
-    # so a point meeting every row but past one bound must fail it
-    problem = build_problem(
+    # agent.lifted.base.contains, and its tracing reads the agent's kind
+    # there; a block's boxes are bounds, not rows of G, so a point
+    # meeting every row but past one bound must fail it
+    p = build_problem(
         ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
+    res = run(p.blocks, p.scen, p.cost, p.graph, p.schedule, T_f=0)
     tried, rejected = set(), {}
-    for blk in problem.blocks:
-        base = lift_block(blk, problem.scen.R).base
+    for agent, blk in zip(res.agents, p.blocks, strict=True):
+        base = agent.lifted.base
+        assert base is blk
+        assert base.contains(agent.x_mi)
         if base.kind in rejected or base.n == 0:
             continue
         tried.add(base.kind)

@@ -6,6 +6,9 @@ byte and count for count.
 its 8 artifacts is fixed below, and so is the work every solver layer
 does, counted by wrappers around the `solve_lp`/`solve_milp` names each
 calling module looks up (the names the traced benchmark wraps).
+`mgridopt build configs/desk.yaml`'s centralized two-stage program,
+the all-blocks side of the assembly each agent's local program shares,
+is pinned by the sha256 of the LP file it writes.
 
 The digests hold on the numpy and OpenBLAS build they were taken with:
 another BLAS, or another numpy, may sum a product in another order and
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from mgridopt import analysis, dialgo, experiment, model
+from mgridopt import analysis, cli, dialgo, experiment, model
 from mgridopt.config import ExperimentConfig
 from mgridopt.solver import branch_bound
 
@@ -44,6 +47,9 @@ ARTIFACT_SHA256 = {
     "trace.csv":
         "98e5d9ca2031874e260aeb32339426c213c8275b5e00a1a1ff7bff18a8c66dda",
 }
+
+BUILD_LP_SHA256 = \
+    "ab9e0582ea1b9ab7348a99ab9a2f5a5886a91f2510dd85e208fc406a5d184413"
 
 # (module, name, layer, work field of the solution): the call sites the
 # traced benchmark wraps
@@ -102,3 +108,9 @@ def test_desk_work_counters(desk_run):
     assert work["box"] == [9, 53]
     assert work["finalize"] == [33, 557]
     assert work["cert_aux"] == [3, 255]
+
+
+def test_desk_build_lp_matches_its_digest(tmp_path, capsys):
+    assert cli.main(["build", str(DESK), "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "centralized_problem.lp").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == BUILD_LP_SHA256

@@ -11,7 +11,7 @@ import pytest
 from mgridopt import dialgo, experiment, model
 from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
-                             CommGraph, GraphError,
+                             CommGraph, GraphError, LocalProblem,
                              StepSizeSchedule, exchange_and_update,
                              finalize_mixed_integer, generate_graph,
                              init_allocations, local_multiplier_step,
@@ -23,7 +23,7 @@ from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
 from mgridopt.solver import (OPTIMAL, SolverError, Tolerances, branch_bound,
                              solve_lp)
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
-                                 build_recourse_cost, lift_block)
+                                 build_recourse_cost)
 from oracles.hull import box_recourse_cap
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
@@ -39,11 +39,10 @@ def toy_agent(A, G=None, g=None, c=None, integrality=None, R=1, d=None,
         g=np.zeros(0) if g is None else np.asarray(g, float),
         integrality=np.zeros(n, bool) if integrality is None else integrality,
         A=A, var_index={}, K=K)
-    lifted = lift_block(blk, R)
-    dim = lifted.eta_dim
+    dim = 2 * R * K
     d = np.full(dim, 2.0) if d is None else np.asarray(d, float)
     y = np.zeros(dim) if y is None else np.asarray(y, float)
-    return AgentState(index=index, lifted=lifted, d=d, y=y)
+    return AgentState(index=index, lifted=LocalProblem(blk, R, d, index), y=y)
 
 
 # --------------------------------------------------------------- graphs
@@ -260,7 +259,7 @@ def spy_finalizes(monkeypatch):
         trees.clear()
         x, eta = finalize(agent, tol)
         spent = {key: lps[key] - before[key] for key in lps}
-        cold = agent.problem.solve(milp, agent.y, tol, "cold")
+        cold = agent.lifted.solve(milp, agent.y, tol, "cold")
         records.append(dict(agent=agent, spent=spent, trees=list(trees),
                             x=x, eta=eta, cold=cold))
         return x, eta
@@ -276,7 +275,7 @@ def spy_finalizes(monkeypatch):
 def assert_finalized_as_cold(records):
     for r in records:
         a = r["agent"]
-        n = a.problem.n
+        n = a.lifted.n
         assert r["x"].tobytes() == r["cold"].x[:n].tobytes()
         assert r["eta"].tobytes() == r["cold"].x[n:].tobytes()
         assert r["trees"] == [r["cold"].node_count]
@@ -397,7 +396,7 @@ def test_run_anytime_feasibility_and_conservation():
     assert max(res.trace.alloc_residual_all) <= 1e-9
     # multipliers stay inside [0, d]
     for a in res.agents:
-        assert np.all(a.mu >= -1e-9) and np.all(a.mu <= a.d + 1e-7)
+        assert np.all(a.mu >= -1e-9) and np.all(a.mu <= a.lifted.d + 1e-7)
 
 
 def test_run_with_empty_block_agent():
@@ -538,7 +537,7 @@ def desk_warm_run(tmp_path_factory):
 
     def spied(agent, tol, **kwargs):
         mu = step(agent, tol, **kwargs)
-        lp, sol = agent.problem.lp, agent.relaxed
+        lp, sol = agent.lifted.lp, agent.relaxed
         records.append(dict(sol=sol, cold=solve_lp(lp, tol),
                             slack=lp.g - lp.G @ sol.x))
         return mu
@@ -622,10 +621,9 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     def pivots(name, start_as):
         total = 0
 
-        def counting(lp, tol, start=None, inverse=None, keep_inverse=False):
+        def counting(lp, tol, start=None, inverse=None):
             nonlocal total
-            sol = real(lp, tol, keep_inverse=keep_inverse,
-                       **start_as(start, inverse))
+            sol = real(lp, tol, **start_as(start, inverse))
             total += sol.pivots
             return sol
 

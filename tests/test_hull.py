@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from mgridopt.analysis import violation_certificate
+from mgridopt.dialgo import (StepSizeSchedule, generate_graph, recourse_cap,
+                             run)
 from mgridopt.model import (ControllableLoadParams, GridParams, StorageParams,
                             build_controllable_load_block, build_grid_block,
                             build_storage_block)
 from mgridopt.solver import LinearProgram, solve_lp, solve_milp
+from mgridopt.stochastic import ScenarioSet, build_recourse_cost
 from oracles.hull import (enumerate_vertices, feasible_binary_assignments,
                           hull_block, hull_optimum, integer_vertices,
                           relaxation_equals_hull)
@@ -106,3 +110,26 @@ def test_hull_optimum_matches_assignment_enumeration():
         assert hull_val >= relax - 1e-8
         gaps.append(hull_val - relax)
     assert max(gaps) > 1e-6  # the switch rows do relax strictly
+
+
+def test_run_starts_from_the_default_cap_on_a_hull_roster():
+    """hull_block keeps the native bounds, which stay valid for the hull,
+    so `run` reads its default recourse cap off a roster of hull blocks
+    and the run certifies."""
+    K = 1
+    storage = build_storage_block(
+        StorageParams(eta_c=0.9, eta_d=0.85, x_min=1.0, x_max=8.0, x_pl=0.0,
+                      C=3.0, zeta=0.1, x0=4.0), K)
+    hull = hull_block(storage)
+    assert hull.lo.tobytes() == storage.lo.tobytes()
+    assert hull.hi.tobytes() == storage.hi.tobytes()
+    blocks = [hull, build_grid_block(
+        GridParams(P_max=10.0, phi_p=(0.3,), phi_s=(0.15,)), K)]
+    scen = ScenarioSet(pi=[0.5, 0.5], b_r=[np.array([0.5]), np.array([-0.5])])
+    cost = build_recourse_cost(scen.pi, 2.0, 2.5, K)
+    assert recourse_cap(blocks, scen) == 27.0
+    res = run(blocks, scen, cost, generate_graph(2, "path"),
+              StepSizeSchedule.diminishing(1.0, 2.0), T_f=20)
+    assert res.eta_cap == 27.0
+    assert all(a.lifted.base.contains(a.x_mi) for a in res.agents)
+    assert violation_certificate(res, cost).holds

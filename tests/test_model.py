@@ -19,7 +19,7 @@ from mgridopt.model import (EPSILON, ControllableLoadParams, DimensionError,
                             quadratic_cost_segments, storage_e_matrices)
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, Tolerances,
                              solve_lp, solve_milp)
-from mgridopt.stochastic import build_recourse_cost, lift_block
+from mgridopt.stochastic import build_recourse_cost
 from oracles.centralized import assemble_centralized
 from oracles.grid import big_m_grid_block
 from oracles.hull import coordinate_box
@@ -51,7 +51,7 @@ def pinned_milp(block, pins, c=None):
     """Solve the block's MILP with named variables pinned to values."""
     lo, hi = block.lo.copy(), block.hi.copy()
     for name, val in pins.items():
-        j = block.col(name)
+        j = block.var_index[name]
         lo[j] = hi[j] = val
     cost = block.c if c is None else c
     lp = LinearProgram(cost, block.G, block.g, lo, hi,
@@ -148,10 +148,10 @@ def test_storage_switch_scan():
 def test_storage_cost_and_coupling_layout():
     p = storage_params(zeta=0.3)
     blk = build_storage_block(p, 2)
-    assert blk.c[blk.col("z(1)")] == pytest.approx(0.6)
-    assert blk.c[blk.col("u(1)")] == pytest.approx(-0.3)
-    assert blk.c[blk.col("x(1)")] == 0.0
-    assert blk.A[1, blk.col("u(1)")] == 1.0
+    assert blk.c[blk.var_index["z(1)"]] == pytest.approx(0.6)
+    assert blk.c[blk.var_index["u(1)"]] == pytest.approx(-0.3)
+    assert blk.c[blk.var_index["x(1)"]] == 0.0
+    assert blk.A[1, blk.var_index["u(1)"]] == 1.0
     assert np.count_nonzero(blk.A[1]) == 1
 
 
@@ -166,7 +166,7 @@ def test_initial_state_pinned():
 
 def delta_rows_only(blk, K):
     """Rows touching only the on/off columns (the commitment logic)."""
-    d_cols = [blk.col(f"delta({k})") for k in range(K)]
+    d_cols = [blk.var_index[f"delta({k})"] for k in range(K)]
     other = [j for j in range(blk.n) if j not in d_cols]
     keep = [i for i in range(blk.G.shape[0])
             if np.any(blk.G[i, d_cols]) and not np.any(blk.G[i, other])]
@@ -227,7 +227,7 @@ def test_startup_cost_binds_at_transition():
 
 def test_generator_coupling_sign():
     blk = build_generator_block(generator_params(2), 2)
-    assert blk.A[0, blk.col("u(0)")] == -1.0
+    assert blk.A[0, blk.var_index["u(0)"]] == -1.0
     assert np.count_nonzero(blk.A[0]) == 1
 
 
@@ -293,8 +293,8 @@ def test_convex_grid_matches_the_big_m_grid():
         d = build_recourse_cost(np.full(R, 1.0 / R), rng.uniform(0.5, 5.0),
                                 rng.uniform(0.5, 5.0), K).d
         y = rng.normal(scale=p.P_max, size=2 * R * K)
-        convex = LocalProblem(lift_block(build_grid_block(p, K), R), d)
-        big_m = LocalProblem(lift_block(big_m_grid_block(p, K), R), d)
+        convex = LocalProblem(build_grid_block(p, K), R, d)
+        big_m = LocalProblem(big_m_grid_block(p, K), R, d)
         lp_sol = convex.solve(solve_lp, y, tol, "convex grid")
         mi_sol = big_m.solve(solve_milp, y, tol, "big-M grid")
         assert lp_sol.status == mi_sol.status == OPTIMAL

@@ -287,22 +287,20 @@ def assert_same_solve(a, b):
 
 def test_resolve_under_another_g_matches_cold_solve():
     """An allocation round: the same c, G and bounds under a moved g,
-    started from the earlier solve's basis and the inverse it kept.  The
-    kept inverse is the refactorization's, bit for bit, and the warm
+    started from the earlier solve's basis and the inverse it returned.
+    That inverse is the refactorization's, bit for bit, and the warm
     solve agrees with a cold one in status and value."""
     rng = np.random.default_rng(17)
     took_warm = 0
     for _ in range(300):
         lp = random_bounded_lp(rng)
-        prev = solve_lp(lp, keep_inverse=True)
-        assert solve_lp(lp).inverse is None
+        prev = solve_lp(lp)
         B = np.concatenate([lp.G, np.eye(lp.m)], axis=1)[:, prev.basis[0]]
         assert prev.inverse.tobytes() == np.linalg.inv(B).tobytes()
         g = lp.g + rng.normal(scale=0.3, size=lp.m)
         moved = LinearProgram(lp.c, lp.G, g, lp.lo, lp.hi)
         cold = solve_lp(moved)
-        warm = solve_lp(moved, start=prev.basis, inverse=prev.inverse,
-                        keep_inverse=True)
+        warm = solve_lp(moved, start=prev.basis, inverse=prev.inverse)
         assert warm.status == cold.status
         if cold.status != OPTIMAL:
             continue
@@ -341,7 +339,7 @@ def test_a_resolve_start_farther_from_feasible_than_cold_goes_cold():
     refused = differs = 0
     for _ in range(300):
         lp = random_bounded_lp(rng)
-        prev = solve_lp(lp, keep_inverse=True)
+        prev = solve_lp(lp)
         moved = LinearProgram(lp.c, lp.G,
                               lp.g + rng.normal(scale=1.0, size=lp.m),
                               lp.lo, lp.hi)

@@ -160,9 +160,9 @@ def test_desk_finalize_milps_match_highs():
     problem, agents = desk_at_equal_split()
     for a in agents:
         # solve() leaves y in the agent's LP
-        sol = a.problem.solve(solve_milp, a.y, problem.tolerances,
+        sol = a.lifted.solve(solve_milp, a.y, problem.tolerances,
                               "recovery MILP")
-        assert_matches_highs(scipy_opt, a.problem.lp, sol, a.index)
+        assert_matches_highs(scipy_opt, a.lifted.lp, sol, a.index)
 
 
 def test_desk_allocation_lps_match_highs():
@@ -171,9 +171,9 @@ def test_desk_allocation_lps_match_highs():
     scipy_opt = pytest.importorskip("scipy.optimize")
     problem, agents = desk_at_equal_split()
     for a in agents:
-        sol = a.problem.solve(solve_lp, a.y, problem.tolerances,
+        sol = a.lifted.solve(solve_lp, a.y, problem.tolerances,
                               "allocation LP")
-        lp = a.problem.lp
+        lp = a.lifted.lp
         ref = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.g,
                                 bounds=list(zip(lp.lo, lp.hi)),
                                 method="highs")
@@ -242,7 +242,7 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
             return sol
 
         monkeypatch.setattr(branch_bound, "solve_lp", counting)
-        sols = [a.problem.solve(solve_milp, a.y, problem.tolerances,
+        sols = [a.lifted.solve(solve_milp, a.y, problem.tolerances,
                                 "recovery MILP") for a in agents]
         return pivots, sols
 
@@ -255,27 +255,29 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
 
 
 def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
-    """A root solved with its basis inverse kept (an allocation round's
+    """A root that carries its basis inverse (an allocation round's
     relaxed solve) hands its children only its basis: no node LP gets
-    an inverse or keeps one, and the tree is the one a root without its
-    inverse grows, bit for bit."""
+    an inverse, and the tree is the one a root without its inverse
+    grows, bit for bit."""
     real = branch_bound.solve_lp
     inverses = []
 
     def spying(lp, tol, start=None, **kwargs):
         sol = real(lp, tol, start=start, **kwargs)
-        inverses.append((kwargs.get("inverse"), sol.inverse))
+        inverses.append(kwargs.get("inverse"))
         return sol
 
     monkeypatch.setattr(branch_bound, "solve_lp", spying)
     rng = np.random.default_rng(31)
     for _ in range(40):
         lp = random_mip(rng, int(rng.integers(2, 7)), int(rng.integers(0, 3)))
-        kept = solve_milp(lp, root=solve_lp(lp, keep_inverse=True))
-        plain = solve_milp(lp, root=solve_lp(lp))
+        root = solve_lp(lp)
+        kept = solve_milp(lp, root=root)
+        root.inverse = None
+        plain = solve_milp(lp, root=root)
         assert kept.status == plain.status
         assert kept.node_count == plain.node_count
         if kept.status == OPTIMAL:
             assert kept.x.tobytes() == plain.x.tobytes()
     assert len(inverses) > 100
-    assert all(given is None and kept is None for given, kept in inverses)
+    assert all(given is None for given in inverses)

@@ -4,49 +4,40 @@ recourse-cost identity, and equivalence of the three problem forms."""
 import numpy as np
 import pytest
 
-from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
+from mgridopt.model import (ControllableLoadParams, GridParams,
                             StorageParams, build_controllable_load_block,
                             build_grid_block, build_storage_block,
                             power_balance_rhs)
 from mgridopt.solver import OPTIMAL, LinearProgram, solve_lp, solve_milp
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
-                                 build_recourse_cost, lift_block)
+                                 build_recourse_cost, lift_coupling)
 from oracles.centralized import (assemble_per_agent_eta, expected_recourse,
                                  recourse_from_residuals, recourse_phi)
-
-
-def toy_block(A):
-    A = np.asarray(A, dtype=float)
-    K, n = A.shape
-    return LocalBlock(c=np.zeros(n), G=np.zeros((0, n)), g=np.zeros(0),
-                      integrality=np.zeros(n, dtype=bool), A=A,
-                      var_index={}, K=K)
 
 
 # ---------------------------------------------------------------- lifting
 
 
 def test_lift_scalar_two_scenarios():
-    lb = lift_block(toy_block([[1.0]]), 2)
-    assert lb.H == pytest.approx(np.array([[1.0], [-1.0], [1.0], [-1.0]]))
+    H = lift_coupling(np.array([[1.0]]), 2)
+    assert H == pytest.approx(np.array([[1.0], [-1.0], [1.0], [-1.0]]))
 
 
 def test_lift_single_scenario_is_plus_minus_stack():
     A = np.array([[2.0, -1.0], [0.5, 3.0]])
-    lb = lift_block(toy_block(A), 1)
-    assert lb.H == pytest.approx(np.vstack([A, -A]))
+    assert lift_coupling(A, 1) == pytest.approx(np.vstack([A, -A]))
 
 
 def test_lift_index_arithmetic_random():
     rng = np.random.default_rng(4)
     K, n, R = 3, 4, 3
     A = rng.normal(size=(K, n))
-    lb = lift_block(toy_block(A), R)
-    assert lb.eta_dim == 2 * R * K
+    H = lift_coupling(A, R)
+    assert H.shape == (2 * R * K, n)
     for r in range(R):
         for k in range(K):
-            assert lb.H[2 * K * r + k] == pytest.approx(A[k])
-            assert lb.H[2 * K * r + K + k] == pytest.approx(-A[k])
+            assert H[2 * K * r + k] == pytest.approx(A[k])
+            assert H[2 * K * r + K + k] == pytest.approx(-A[k])
 
 
 def test_h_stacking():
@@ -185,7 +176,8 @@ def test_band_pooled_and_per_agent_forms_agree():
     lifted_total = np.zeros(dim)
     for i, blk in enumerate(blocks):
         off = layout["offsets"][i]
-        lifted_total += lift_block(blk, scen.R).H @ per_sol.x[off:off + blk.n]
+        H = lift_coupling(blk.A, scen.R)
+        lifted_total += H @ per_sol.x[off:off + blk.n]
     assert np.all(lifted_total - eta_sum <= h + 1e-7)
 
 

@@ -21,7 +21,7 @@ from .model import (ControllableLoadParams, GeneratorParams, GridParams,
 from .scenario import ProfileModel, sample_profile, sample_scenarioset
 from .solver import (LinearProgram, LpSolution, MipSolution, Tolerances,
                      solve_lp, solve_milp)
-from .stochastic import (RecourseCost, ScenarioSet, assemble_two_stage,
-                         build_h, build_recourse_cost, two_stage_lp)
+from .stochastic import (ScenarioSet, assemble_two_stage, build_h,
+                         build_recourse_cost, two_stage_lp)
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dialgo import LocalProblem
 from .solver import OPTIMAL, SolverError, Tolerances, solve_lp, solve_milp
-from .stochastic import RecourseCost
 
 
 class CertificateError(RuntimeError):
@@ -101,7 +100,7 @@ class ViolationCertificate:
         }
 
 
-def violation_certificate(result, cost: RecourseCost,
+def violation_certificate(result,
                           tol: Tolerances = Tolerances()) -> ViolationCertificate:
     """Assemble the certificate from a finished run.
 
@@ -109,11 +108,13 @@ def violation_certificate(result, cost: RecourseCost,
     run labels whether allocations had actually settled); agents whose
     relaxed block solution is integral contribute their relaxed
     recourse, the rest the auxiliary-problem scalar spread over all
-    components.
+    components.  Each agent's `LocalProblem` carries the recourse
+    prices d; the scalar divides by their smallest entry d_min.
     """
-    if cost.d_min <= 0.0:
-        raise CertificateError("certificate needs d > 0 componentwise")
     agents = result.agents
+    d_min = min(float(a.lifted.d.min()) for a in agents)
+    if d_min <= 0.0:
+        raise CertificateError("certificate needs d > 0 componentwise")
     dim = agents[0].lifted.eta_dim
     bound = np.zeros(dim)
     contributions = []
@@ -129,13 +130,13 @@ def violation_certificate(result, cost: RecourseCost,
             ell = compute_lower_bound(a.lifted, result.eta_cap, tol)
             x_l, eta_l = compute_auxiliary(a.lifted, ell, tol)
             blk = a.lifted.base
-            scalar = (blk.c @ (x_l - a.x_mi) + cost.d @ eta_l) / cost.d_min
+            scalar = (blk.c @ (x_l - a.x_mi) + a.lifted.d @ eta_l) / d_min
             contrib = np.full(dim, scalar)
         contributions.append(contrib)
         bound += contrib
     return ViolationCertificate(
         bound=bound, measured=measured, in_integral_set=flags,
-        contributions=contributions, d_min=cost.d_min,
+        contributions=contributions, d_min=d_min,
         label=result.converged_label)
 
 

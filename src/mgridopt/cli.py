@@ -30,7 +30,7 @@ from .stochastic import assemble_two_stage
 def cmd_build(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     problem = build_problem(cfg)
-    lp, _ = assemble_two_stage(problem.blocks, problem.scen, problem.cost)
+    lp = assemble_two_stage(problem.blocks, problem.scen, problem.d)
     out = Path(args.out) if args.out else \
         output_root() / cfg.raw.get("output_dir", "out")
     out.mkdir(parents=True, exist_ok=True)
@@ -47,7 +47,7 @@ def cmd_build(args) -> int:
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     res = run_experiment(cfg, out_dir=args.out)
-    trace = res.trace
+    trace = res.result.trace
     print(f"run finished: {len(trace.iters)} logged iterations "
           f"-> {res.out_dir}")
     print(f"final incumbent cost {trace.incumbent_cost[-1]:.6f}, "

@@ -260,13 +260,12 @@ class Problem:
     blocks: list
     agent_names: list
     scen: ScenarioSet
-    cost: object
+    d: np.ndarray  # recourse prices, `build_recourse_cost`
     graph: object
     schedule: StepSizeSchedule
     T_f: int
     finalize_every: int
-    cl_demands: list  # one per controllable-load block, in roster order
-    lo_demands: list
+    lo_demands: list  # one per critical load, in roster order
     tolerances: Tolerances
 
 
@@ -407,7 +406,7 @@ def _build(raw):
 
     scen = build("seeds.scenario", lambda: sample_scenarioset(
         renewables, R, controllable_demands=cl_demands,
-        critical_demands=lo_demands, seed=seeds.get("scenario", 0)))
+        critical_demands=lo_demands, seed=seeds.get("scenario", 0), K=K))
     if errors:
         return None, errors
     top_price = float(phi_p.max())  # no sell price is higher
@@ -416,10 +415,9 @@ def _build(raw):
     q_minus = 10.0 * top_price if q_minus is None else q_minus
     return Problem(
         blocks=blocks, agent_names=names, scen=scen,
-        cost=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,
+        d=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,
         schedule=schedule, T_f=T_f, finalize_every=finalize_every,
-        cl_demands=cl_demands, lo_demands=lo_demands,
-        tolerances=tolerances), []
+        lo_demands=lo_demands, tolerances=tolerances), []
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:

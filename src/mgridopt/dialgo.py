@@ -36,7 +36,7 @@ import numpy as np
 from .model import DimensionError, LocalBlock
 from .solver import (OPTIMAL, LpSolution, NodeLimitError, SolverError,
                      Tolerances, solve_lp, solve_milp)
-from .stochastic import RecourseCost, ScenarioSet, build_h, two_stage_lp
+from .stochastic import ScenarioSet, build_h, two_stage_lp
 
 
 class AgentSolveError(RuntimeError):
@@ -262,10 +262,10 @@ class AgentState:
     eta_mi: np.ndarray | None = None
 
 
-def make_agents(blocks, scen: ScenarioSet, cost: RecourseCost, ys) -> list:
-    """One agent per block, agent i holding allocation ys[i]."""
-    return [AgentState(index=i,
-                       lifted=LocalProblem(blk, scen.R, cost.d.copy(), i),
+def make_agents(blocks, scen: ScenarioSet, d: np.ndarray, ys) -> list:
+    """One agent per block, agent i holding allocation ys[i] and a copy
+    of the recourse prices d."""
+    return [AgentState(index=i, lifted=LocalProblem(blk, scen.R, d.copy(), i),
                        y=ys[i])
             for i, blk in enumerate(blocks)]
 
@@ -335,7 +335,7 @@ def exchange_and_update(states, graph: CommGraph, alpha: float):
     """One synchronous allocation trade along every edge.
 
     Applied per edge with exactly opposite increments, so the total
-    allocation is conserved to the last bit.
+    allocation is conserved to roundoff.
     """
     mus = [a.mu for a in states]
     for i, j in graph.edges:
@@ -400,18 +400,32 @@ class RunResult:
 
 def recourse_cap(blocks, scen: ScenarioSet) -> float:
     """The cap a run starts from: a crude overestimate of any useful
-    recourse magnitude.
+    recourse magnitude, read off the native bounds without an LP.
 
-    Twice (max |b_r(k)| + total coupling mass), where each block's
-    `coupling_mass` bounds |A_i x_i| over its relaxation from the
-    native bounds of its coupled columns; no LP is solved.  Large on
-    purpose, so that `run` rarely has to double it.
+    Twice (max |b_r(k)| + total coupling mass), where block i's mass
+    max_k sum_j |A_kj| max(|lo_j|, |hi_j|) over the columns A_i touches
+    bounds |A_i x_i| over its relaxation.  No solve reads the cap; its
+    size sets only the certificate's floor (see `compute_lower_bound`).
+    Raises DimensionError when a block's bounds cross or a coupled
+    column has an infinite bound.
     """
     b_max = max(float(np.max(np.abs(b))) for b in scen.b_r)
-    return 2.0 * (b_max + sum(blk.coupling_mass for blk in blocks))
+    mass = 0.0
+    for blk in blocks:
+        if np.any(blk.lo > blk.hi):
+            raise DimensionError(f"{blk.kind} block polyhedron is empty")
+        weight = np.abs(blk.A)
+        coupled = weight.any(axis=0)
+        radius = np.maximum(np.abs(blk.lo), np.abs(blk.hi))
+        unbounded = np.flatnonzero(coupled & np.isinf(radius))
+        if unbounded.size:
+            raise DimensionError(f"{blk.kind} block column {unbounded[0]} "
+                                 "has an infinite bound")
+        mass += float(np.max(weight @ np.where(coupled, radius, 0.0)))
+    return 2.0 * (b_max + mass)
 
 
-def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
+def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
         schedule: StepSizeSchedule, T_f: int,
         finalize_every: int = DEFAULT_FINALIZE_EVERY, ys=None,
         eta_cap: float | None = None,
@@ -441,7 +455,7 @@ def run(blocks, scen: ScenarioSet, cost: RecourseCost, graph: CommGraph,
         eta_cap = recourse_cap(blocks, scen)
     if ys is None:
         ys = init_allocations(h, len(blocks))
-    agents = make_agents(blocks, scen, cost,
+    agents = make_agents(blocks, scen, d,
                          [np.array(y, dtype=float) for y in ys])
     trace = RunTrace()
     result = RunResult(agents=agents, trace=trace, h=h, eta_cap=eta_cap,

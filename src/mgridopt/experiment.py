@@ -90,10 +90,6 @@ class ExperimentResult:
     result: RunResult
     certificate: object
 
-    @property
-    def trace(self):
-        return self.result.trace
-
 
 def _write_csv(path, header, rows):
     lines = [header]
@@ -126,10 +122,9 @@ def write_reports(out: Path, problem: Problem, xs: list):
     storage_u = np.zeros(K)
     storage_level = np.zeros(K)
     gen_u = np.zeros(K)
-    cl_demands = iter(problem.cl_demands)
     for blk, x in zip(problem.blocks, xs):
         if blk.kind == "controllable_load":
-            D = next(cl_demands)
+            D = -blk.A.diagonal()  # A = -diag(D)
             beta = series(blk, x, "beta")
             consumed += (1.0 - beta) * D
             curtailed += beta * D
@@ -178,7 +173,7 @@ def write_solution(path, problem: Problem, result: RunResult):
 
 def _certify(problem: Problem, result: RunResult, consensus_rounds: int):
     """The violation certificate and its payload with the consensus check."""
-    cert = violation_certificate(result, problem.cost, problem.tolerances)
+    cert = violation_certificate(result, problem.tolerances)
     _, deviation = distributed_certificate(cert, problem.graph,
                                            rounds=consensus_rounds)
     payload = cert.to_dict()
@@ -194,7 +189,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     out = Path(out_dir) if out_dir is not None else \
         output_root() / cfg.raw.get("output_dir", "out")
     out.mkdir(parents=True, exist_ok=True)
-    result = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+    result = run(problem.blocks, problem.scen, problem.d, problem.graph,
                  problem.schedule, problem.T_f,
                  finalize_every=problem.finalize_every,
                  tol=problem.tolerances)
@@ -243,7 +238,7 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
         except CertificateError as e:
             raise CertificateError(
                 f"trial {t} (scenario seed {seed}): {e}") from e
-        traces.append(res.trace)
+        traces.append(res.result.trace)
     aggregate = []
     for rows in zip(*(tr.rows() for tr in traces)):  # one logged round
         costs = np.array([row[1] for row in rows])
@@ -277,7 +272,7 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     stored = _read_fields(run_dir / "certificate.json",
                           bound=lambda v: _floats(v, dim),
                           measured=lambda v: _floats(v, dim))
-    result = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+    result = run(problem.blocks, problem.scen, problem.d, problem.graph,
                  problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"],
                  tol=problem.tolerances)
     result.converged_label = saved["label"]

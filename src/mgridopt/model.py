@@ -174,7 +174,7 @@ class LocalBlock:
     G x <= g, lo <= x <= hi with x[integrality] integer.
 
     `lo`/`hi` default to the unbounded box; the columns A touches need
-    finite bounds (see `coupling_mass`).  `var_index` maps names like
+    finite bounds (see `dialgo.recourse_cap`).  `var_index` maps names like
     "u(3)" to column positions, which keeps tests and reports readable.
     """
 
@@ -213,24 +213,6 @@ class LocalBlock:
     def relaxation_lp(self, c: np.ndarray) -> LinearProgram:
         """min c'x over the relaxed block."""
         return LinearProgram(c, self.G, self.g, self.lo, self.hi)
-
-    @property
-    def coupling_mass(self) -> float:
-        """max_k sum_j |A_kj| max(|lo_j|, |hi_j|) over the columns A
-        touches: a bound on |A x| over the relaxed block, read off the
-        native bounds.  Raises DimensionError when the bounds cross or a
-        coupled column has an infinite bound.
-        """
-        if np.any(self.lo > self.hi):
-            raise DimensionError(f"{self.kind} block polyhedron is empty")
-        weight = np.abs(self.A)
-        coupled = weight.any(axis=0)
-        radius = np.maximum(np.abs(self.lo), np.abs(self.hi))
-        unbounded = np.flatnonzero(coupled & np.isinf(radius))
-        if unbounded.size:
-            raise DimensionError(f"{self.kind} block column {unbounded[0]} "
-                                 "has an infinite bound")
-        return float(np.max(weight @ np.where(coupled, radius, 0.0)))
 
     @classmethod
     def empty(cls, K: int, kind: str = "exogenous") -> "LocalBlock":

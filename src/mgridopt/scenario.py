@@ -112,13 +112,15 @@ def sample_profile(model: ProfileModel, seed=None) -> np.ndarray:
 
 
 def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
-                       critical_demands=(), seed=0) -> ScenarioSet:
+                       critical_demands=(), seed=0,
+                       K: int | None = None) -> ScenarioSet:
     """R independent renewable realizations and their balance vectors.
 
     Probabilities are uniform: the sampler has no information to weigh
     draws differently.  Scenario r uses the derived seed (seed, r,
     unit), so sets with equal seeds are identical and scenario streams
-    are independent.
+    are independent.  The horizon K is read off the profiles when not
+    given, so a set without renewables and demands needs it.
     """
     if R < 1:
         raise DimensionError(f"scenario count must be >= 1, got {R}")
@@ -130,7 +132,7 @@ def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
                   for i, m in enumerate(renewable_models)]
         realizations.append(bundle)
         b_r.append(power_balance_rhs(bundle, controllable_demands,
-                                     critical_demands))
+                                     critical_demands, K))
     return ScenarioSet(pi=np.full(R, 1.0 / R), b_r=b_r,
                        realizations=realizations)
 

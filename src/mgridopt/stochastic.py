@@ -62,18 +62,6 @@ class ScenarioSet:
         return self.b_r[0].size
 
 
-@dataclass
-class RecourseCost:
-    """The price vector d of a-posteriori imbalance: d'eta is the
-    expected recourse expense (see `build_recourse_cost`)."""
-
-    d: np.ndarray
-
-    @property
-    def d_min(self) -> float:
-        return float(self.d.min())
-
-
 def lift_coupling(A: np.ndarray, R: int) -> np.ndarray:
     """H = ones(R) kron (A; -A): the K coupling rows of A replicated over
     R scenarios in the module's row ordering."""
@@ -87,8 +75,9 @@ def build_h(scen: ScenarioSet) -> np.ndarray:
     return np.concatenate([np.concatenate([b, -b]) for b in scen.b_r])
 
 
-def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> RecourseCost:
-    """d such that d'eta is the expected recourse expense.
+def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> np.ndarray:
+    """The price vector d of a-posteriori imbalance: d'eta is the
+    expected recourse expense.
 
     Entry for scenario r, step k is pi_r * q_plus on the "+" row and
     pi_r * q_minus on the "-" row.
@@ -100,7 +89,7 @@ def build_recourse_cost(pi, q_plus: float, q_minus: float, K: int) -> RecourseCo
     for p in pi:
         parts.append(np.full(K, p * q_plus))
         parts.append(np.full(K, p * q_minus))
-    return RecourseCost(d=np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 def two_stage_lp(blocks, R: int, d: np.ndarray) -> LinearProgram:
@@ -133,17 +122,14 @@ def two_stage_lp(blocks, R: int, d: np.ndarray) -> LinearProgram:
                                    + [np.zeros(dim, dtype=bool)]))
 
 
-def assemble_two_stage(blocks, scen: ScenarioSet, cost: RecourseCost):
+def assemble_two_stage(blocks, scen: ScenarioSet,
+                       d: np.ndarray) -> LinearProgram:
     """Centralized two-stage program over all blocks (`mgridopt build`):
     `two_stage_lp` with the band h as the coupling right-hand side.
 
     `solve_lp` ignores the integrality mask, so the same program serves
-    as its own relaxation.  Returns the program plus a layout dict with
-    column offsets.
+    as its own relaxation.
     """
-    lp = two_stage_lp(blocks, scen.R, cost.d)
-    dim = cost.d.size
-    lp.g[-dim:] = build_h(scen)
-    offsets = [sum(blk.n for blk in blocks[:i]) for i in range(len(blocks))]
-    layout = {"offsets": offsets, "eta_offset": lp.n - dim, "eta_dim": dim}
-    return lp, layout
+    lp = two_stage_lp(blocks, scen.R, d)
+    lp.g[-d.size:] = build_h(scen)
+    return lp

@@ -2,7 +2,7 @@
 
 `assemble_centralized` stacks the blocks under the deterministic
 balance; `assemble_per_agent_eta` gives each agent its own recourse
-vector; `solve_centralized` solves the pooled two-stage problem and its
+vector and returns the column layout; `solve_centralized` solves the pooled two-stage problem and its
 relaxation with HiGHS; the recourse formulas price imbalance directly
 from residuals, in the row ordering of `mgridopt.stochastic`.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from mgridopt.model import DimensionError
 from mgridopt.solver import LinearProgram
-from mgridopt.stochastic import RecourseCost, ScenarioSet, assemble_two_stage
+from mgridopt.stochastic import ScenarioSet, assemble_two_stage
 
 
 def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
@@ -60,13 +60,17 @@ def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
     return lp, offsets
 
 
-def assemble_per_agent_eta(blocks, scen: ScenarioSet, cost: RecourseCost):
+def assemble_per_agent_eta(blocks, scen: ScenarioSet, d: np.ndarray):
     """`assemble_two_stage` with columns [x_1 .. x_N | eta_1 .. eta_N]:
     the distributed form, whose vertices carry the integral-block
-    counting property.  Same layout dict as the pooled form; agent i's
-    recourse starts at eta_offset + i * eta_dim."""
-    lp, layout = assemble_two_stage(blocks, scen, cost)
-    n_x, N = layout["eta_offset"], len(blocks)
+    counting property.  Returns the program and a layout dict: block i's
+    columns start at offsets[i], agent i's recourse at
+    eta_offset + i * eta_dim."""
+    lp = assemble_two_stage(blocks, scen, d)
+    n_x, N = lp.n - d.size, len(blocks)
+    layout = {"offsets": [sum(blk.n for blk in blocks[:i])
+                          for i in range(N)],
+              "eta_offset": n_x, "eta_dim": d.size}
 
     def per_agent(v):
         return np.concatenate([v[..., :n_x]] + [v[..., n_x:]] * N, axis=-1)
@@ -76,12 +80,12 @@ def assemble_per_agent_eta(blocks, scen: ScenarioSet, cost: RecourseCost):
                          integrality=per_agent(lp.integrality)), layout
 
 
-def solve_centralized(blocks, scen: ScenarioSet, cost: RecourseCost):
+def solve_centralized(blocks, scen: ScenarioSet, d: np.ndarray):
     """(MILP optimum, LP relaxation optimum) of `assemble_two_stage`,
     both solved by HiGHS (Huangfu & Hall 2018); skips the calling test
     without scipy."""
     scipy_opt = pytest.importorskip("scipy.optimize")
-    lp, _ = assemble_two_stage(blocks, scen, cost)
+    lp = assemble_two_stage(blocks, scen, d)
     mixed = scipy_opt.milp(
         lp.c, integrality=lp.integrality.astype(int),
         bounds=scipy_opt.Bounds(lp.lo, lp.hi),
@@ -96,11 +100,11 @@ def solve_centralized(blocks, scen: ScenarioSet, cost: RecourseCost):
     return float(mixed.fun), float(relaxed.fun)
 
 
-def expected_recourse(cost: RecourseCost, eta) -> float:
+def expected_recourse(d: np.ndarray, eta) -> float:
     eta = np.asarray(eta, dtype=float).ravel()
-    if eta.size != cost.d.size:
+    if eta.size != d.size:
         raise DimensionError("recourse vector does not match d")
-    return float(cost.d @ eta)
+    return float(d @ eta)
 
 
 def recourse_phi(z: float, q_plus: float, q_minus: float) -> float:

@@ -37,7 +37,7 @@ def desk_run():
     cfg = ExperimentConfig.from_yaml(DESK)
     problem = build_problem(cfg)
     t0 = time.time()
-    result = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+    result = run(problem.blocks, problem.scen, problem.d, problem.graph,
                  problem.schedule, problem.T_f,
                  finalize_every=problem.finalize_every)
     elapsed = time.time() - t0
@@ -54,7 +54,7 @@ def mc_trials():
         trial = ExperimentConfig(
             raw={**cfg.raw, "seeds": {**cfg.seeds, "scenario": [9000, t]}})
         problem = build_problem(trial)
-        res = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+        res = run(problem.blocks, problem.scen, problem.d, problem.graph,
                   schedule, T_f=150, finalize_every=50)
         trials.append((problem, res))
     return trials
@@ -104,13 +104,13 @@ def test_criterion_03_relaxation_convergence():
     b = power_balance_rhs([np.array([6.0, 2.0, 5.0])],
                           [(5.0, 7.0, 4.0), (3.0, 4.0, 6.0)], [])
     scen = ScenarioSet(pi=[1.0], b_r=[b])
-    cost = build_recourse_cost(scen.pi, 3.0, 3.0, K)
+    d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
     t0 = time.time()
-    res = run(blocks, scen, cost, generate_graph(3, "cycle"),
+    res = run(blocks, scen, d, generate_graph(3, "cycle"),
               StepSizeSchedule.diminishing(0.8, 2.0), T_f=2000,
               finalize_every=1000)
     elapsed = time.time() - t0
-    lp, _ = assemble_two_stage(blocks, scen, cost)
+    lp = assemble_two_stage(blocks, scen, d)
     central = solve_lp(lp)
     assert central.status == OPTIMAL
     gap = abs(res.trace.relax_cost_all[-1] - central.value) / abs(central.value)
@@ -153,8 +153,8 @@ def _random_small_instance(rng):
                 x0=float(rng.uniform(1.5, 3.5))), K))
     b = np.array([rng.uniform(-8.0, 8.0)])
     scen = ScenarioSet(pi=[1.0], b_r=[b])
-    cost = build_recourse_cost(scen.pi, 3.0, 3.0, K)
-    return blocks, scen, cost
+    d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
+    return blocks, scen, d
 
 
 def test_criterion_04_integral_block_count():
@@ -172,10 +172,10 @@ def test_criterion_04_integral_block_count():
     worst = 0
     nonzero = 0
     for _ in range(50):
-        blocks, scen, cost = _random_small_instance(rng)
+        blocks, scen, d = _random_small_instance(rng)
         hulls = [hull_block(blk) if np.any(blk.integrality) else blk
                  for blk in blocks]
-        lp, layout = assemble_per_agent_eta(hulls, scen, cost)
+        lp, layout = assemble_per_agent_eta(hulls, scen, d)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         fractional = 0
@@ -199,8 +199,8 @@ def test_box_relaxation_can_exceed_count_bound():
     rng = np.random.default_rng(1234)
     exceeded = 0
     for _ in range(50):
-        blocks, scen, cost = _random_small_instance(rng)
-        lp, layout = assemble_per_agent_eta(blocks, scen, cost)
+        blocks, scen, d = _random_small_instance(rng)
+        lp, layout = assemble_per_agent_eta(blocks, scen, d)
         sol = solve_lp(lp)
         fractional = 0
         for i, blk in enumerate(blocks):
@@ -211,6 +211,31 @@ def test_box_relaxation_can_exceed_count_bound():
         if fractional > 2:
             exceeded += 1
     assert exceeded >= 1
+
+
+def test_certificate_holds_on_hull_rosters_with_binaries():
+    """Criterion 4's instances with every binary block replaced by its
+    hull, the setting of the violation theorem: agents the run leaves
+    non-integral enter the bound through their floors and auxiliary
+    MILPs, which read the recourse cap.  The bound holds at the run's
+    default cap and in a run started from cap 0."""
+    rng = np.random.default_rng(1234)
+    with_nonintegral = 0
+    for _ in range(20):
+        blocks, scen, d = _random_small_instance(rng)
+        hulls = [hull_block(blk) if np.any(blk.integrality) else blk
+                 for blk in blocks]
+        graph = generate_graph(len(hulls), "cycle")
+        schedule = StepSizeSchedule.diminishing(1.5, 3.0)
+        nonintegral = set()
+        for cap in (None, 0.0):
+            res = run(hulls, scen, d, graph, schedule, T_f=60,
+                      finalize_every=60, eta_cap=cap)
+            cert = violation_certificate(res)
+            assert cert.holds, (cap, cert.measured, cert.bound)
+            nonintegral.add(cert.in_integral_set.count(False))
+        with_nonintegral += max(nonintegral) > 0
+    assert with_nonintegral >= 1  # the non-integral branch is exercised
 
 
 def test_criterion_05_certificate_on_hull_instances():
@@ -232,12 +257,12 @@ def test_criterion_05_certificate_on_hull_instances():
         b_r = [power_balance_rhs([rng.uniform(0.0, 8.0, size=K)], demands,
                                  critical) for _ in range(R)]
         scen = ScenarioSet(pi=np.full(R, 0.5), b_r=b_r)
-        cost = build_recourse_cost(scen.pi, 3.0, 3.5, K)
+        d = build_recourse_cost(scen.pi, 3.0, 3.5, K)
         assert all(relaxation_equals_hull(blk) for blk in blocks)
-        res = run(blocks, scen, cost, generate_graph(len(blocks), "cycle"),
+        res = run(blocks, scen, d, generate_graph(len(blocks), "cycle"),
                   StepSizeSchedule.diminishing(1.5, 3.0), T_f=60,
                   finalize_every=30)
-        cert = violation_certificate(res, cost)
+        cert = violation_certificate(res)
         assert np.all(cert.measured <= cert.bound + 1e-5)
         checked += 1
     print(f"[criterion 5] PASS certificate bound held componentwise on "
@@ -366,7 +391,7 @@ def test_criterion_09_coupling_band(mc_trials):
 
 def test_criterion_10_consensus_certificate(desk_run):
     problem, result, _ = desk_run
-    cert = violation_certificate(result, problem.cost)
+    cert = violation_certificate(result)
     graph = generate_graph(11, "random", seed=42, p=0.35)
     views, deviation = distributed_certificate(cert, graph, rounds=500)
     assert deviation <= 1e-6

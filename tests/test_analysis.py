@@ -13,8 +13,7 @@ from mgridopt.dialgo import (AgentState, LocalProblem, StepSizeSchedule,
 from mgridopt.model import (ControllableLoadParams, LocalBlock,
                             StorageParams, build_controllable_load_block,
                             build_storage_block, power_balance_rhs)
-from mgridopt.stochastic import (RecourseCost, ScenarioSet,
-                                 build_recourse_cost)
+from mgridopt.stochastic import ScenarioSet, build_recourse_cost
 from oracles.hull import relaxation_equals_hull
 
 
@@ -73,8 +72,8 @@ def test_lower_bound_sampling_admissibility():
 def test_auxiliary_singleton_block():
     # X = {1.5}: eta pinned to the clamp of Hx - ell
     blk = box_block([1.5], [1.5], [[2.0]])
-    cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
-    lifted = local_problem(blk, 1, cost.d)
+    d = build_recourse_cost([1.0], 1.0, 1.0, 1)
+    lifted = local_problem(blk, 1, d)
     ell = compute_lower_bound(lifted, cap=4.0)
     x_l, eta_l = compute_auxiliary(lifted, ell)
     assert x_l[0] == pytest.approx(1.5, abs=1e-9)
@@ -84,9 +83,9 @@ def test_auxiliary_singleton_block():
 
 def test_auxiliary_slack_floor_gives_zero_eta():
     blk = box_block([0.0], [1.0], [[1.0]], c=[2.0])
-    cost = build_recourse_cost([1.0], 1.0, 1.0, 1)
+    d = build_recourse_cost([1.0], 1.0, 1.0, 1)
     ell = np.array([10.0, 10.0])  # far above anything the block can emit
-    x_l, eta_l = compute_auxiliary(local_problem(blk, 1, cost.d), ell)
+    x_l, eta_l = compute_auxiliary(local_problem(blk, 1, d), ell)
     assert eta_l == pytest.approx([0.0, 0.0], abs=1e-9)
     assert x_l[0] == pytest.approx(0.0, abs=1e-9)  # unconstrained optimum
 
@@ -97,8 +96,8 @@ def test_auxiliary_matches_enumeration_two_binaries():
         A = rng.normal(size=(1, 2))
         blk = box_block([0.0, 0.0], [1.0, 1.0], A, c=rng.normal(size=2),
                         integrality=np.array([True, True]))
-        cost = build_recourse_cost([1.0], 1.3, 0.7, 1)
-        lifted = local_problem(blk, 1, cost.d)
+        d = build_recourse_cost([1.0], 1.3, 0.7, 1)
+        lifted = local_problem(blk, 1, d)
         cap = 6.0
         ell = compute_lower_bound(lifted, cap)
         x_l, eta_l = compute_auxiliary(lifted, ell)
@@ -107,8 +106,8 @@ def test_auxiliary_matches_enumeration_two_binaries():
             for x2 in (0.0, 1.0):
                 x = np.array([x1, x2])
                 eta = np.maximum(lifted.H @ x - ell, 0.0)
-                best = min(best, blk.c @ x + cost.d @ eta)
-        assert blk.c @ x_l + cost.d @ eta_l == pytest.approx(best, abs=1e-8)
+                best = min(best, blk.c @ x + d @ eta)
+        assert blk.c @ x_l + d @ eta_l == pytest.approx(best, abs=1e-8)
 
 
 # ----------------------------------------------------------- certificates
@@ -131,11 +130,11 @@ def desk_micro_run(T_f=60, with_storage=True):
                              [(5.0, 7.0), (4.0, 3.0)], [np.ones(K)])
            for _ in range(2)]
     scen = ScenarioSet(pi=[0.5, 0.5], b_r=b_r)
-    cost = build_recourse_cost(scen.pi, 3.0, 3.5, K)
+    d = build_recourse_cost(scen.pi, 3.0, 3.5, K)
     graph = generate_graph(len(blocks), "cycle")
-    res = run(blocks, scen, cost, graph, StepSizeSchedule.diminishing(1.5, 3.0),
+    res = run(blocks, scen, d, graph, StepSizeSchedule.diminishing(1.5, 3.0),
               T_f=T_f, finalize_every=20)
-    return blocks, scen, cost, graph, res
+    return blocks, scen, d, graph, res
 
 
 def test_certificate_trivial_case_all_integral_zero_eta():
@@ -147,10 +146,10 @@ def test_certificate_trivial_case_all_integral_zero_eta():
     # b >> 0 means the band is slack on the + side but the - side
     # -sum(Ax) <= -b forces eta; use a balanced b instead
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.0])])
-    cost = build_recourse_cost(scen.pi, 2.0, 2.0, K)
-    res = run([blk], scen, cost, generate_graph(1, "path"),
+    d = build_recourse_cost(scen.pi, 2.0, 2.0, K)
+    res = run([blk], scen, d, generate_graph(1, "path"),
               StepSizeSchedule.diminishing(1.0, 1.0), T_f=3)
-    cert = violation_certificate(res, cost)
+    cert = violation_certificate(res)
     assert all(cert.in_integral_set)
     assert cert.bound == pytest.approx(res.agents[0].eta_relax, abs=1e-12)
     # balanced instance: zero relaxed recourse means an exact-feasibility
@@ -162,8 +161,8 @@ def test_certificate_trivial_case_all_integral_zero_eta():
 
 def test_certificate_noninteger_contribution_formula():
     # hand instance exercising the scalar term: one fractional agent
-    blocks, scen, cost, graph, res = desk_micro_run(T_f=40)
-    cert = violation_certificate(res, cost)
+    blocks, scen, d, graph, res = desk_micro_run(T_f=40)
+    cert = violation_certificate(res)
     dim = res.agents[0].lifted.eta_dim
     for i, a in enumerate(res.agents):
         if cert.in_integral_set[i]:
@@ -173,7 +172,7 @@ def test_certificate_noninteger_contribution_formula():
             # scalar spread over all components
             assert np.ptp(cert.contributions[i]) <= 1e-12
     assert cert.measured.shape == (dim,)
-    assert cert.d_min == pytest.approx(cost.d_min)
+    assert cert.d_min == pytest.approx(d.min())
 
 
 def test_certificate_scalar_plugin_example():
@@ -185,8 +184,8 @@ def test_certificate_scalar_plugin_example():
 
     blk = box_block([0.0, 0.0], [1.0, 1.0], np.zeros((1, 2)),
                     c=np.zeros(2), integrality=np.array([True, True]))
-    agent = AgentState(index=0,
-                       lifted=local_problem(blk, 1, np.array([0.5, 1.0])),
+    d = np.array([0.5, 1.0])
+    agent = AgentState(index=0, lifted=local_problem(blk, 1, d),
                        y=np.zeros(2))
     agent.z = np.array([0.5, 0.5])      # fractional -> not integral
     agent.x_mi = np.array([0.0, 0.0])
@@ -197,25 +196,24 @@ def test_certificate_scalar_plugin_example():
     res.h = np.zeros(2)
     res.eta_cap = 8.0
     res.converged_label = "empirical"
-    cost = RecourseCost(d=np.array([0.5, 1.0]))
-    cert = violation_certificate(res, cost)
+    cert = violation_certificate(res)
     assert cert.in_integral_set == [False]
     # H = 0 so the auxiliary optimum has eta_L = max(0, -ell) = cap each,
     # d'eta_L = 1.5 * cap ... verify against the direct formula instead
     ell = compute_lower_bound(agent.lifted, res.eta_cap)
     x_l, eta_l = compute_auxiliary(agent.lifted, ell)
-    want = (blk.c @ (x_l - agent.x_mi) + cost.d @ eta_l) / cost.d_min
+    want = (blk.c @ (x_l - agent.x_mi) + d @ eta_l) / d.min()
     assert cert.bound == pytest.approx(np.full(2, want))
 
 
 def test_certificate_solves_one_auxiliary_milp_per_nonintegral_agent(
         monkeypatch):
-    blocks, scen, cost, graph, res = desk_micro_run(T_f=40)
+    blocks, scen, d, graph, res = desk_micro_run(T_f=40)
     original = analysis.solve_milp
     calls = []
     monkeypatch.setattr(analysis, "solve_milp",
                         lambda lp, tol: calls.append(lp) or original(lp, tol))
-    cert = violation_certificate(res, cost)
+    cert = violation_certificate(res)
     nonintegral = cert.in_integral_set.count(False)
     assert nonintegral >= 1
     assert len(calls) == nonintegral
@@ -223,24 +221,24 @@ def test_certificate_solves_one_auxiliary_milp_per_nonintegral_agent(
 
 def test_optimality_transfer_and_componentwise_eta_bound():
     """Numeric checks of the two proof-chain inequalities on a real run."""
-    blocks, scen, cost, graph, res = desk_micro_run(T_f=50)
+    blocks, scen, d, graph, res = desk_micro_run(T_f=50)
     for a in res.agents:
         lifted = a.lifted
         blk = lifted.base
-        val_inf = blk.c @ a.x_mi + cost.d @ a.eta_mi
+        val_inf = blk.c @ a.x_mi + d @ a.eta_mi
         ell = compute_lower_bound(lifted, res.eta_cap)
         assert np.all(ell <= a.y + 1e-7)  # floor below any admissible share
         x_l, eta_l = compute_auxiliary(lifted, ell)
-        val_l = blk.c @ x_l + cost.d @ eta_l
+        val_l = blk.c @ x_l + d @ eta_l
         assert val_inf <= val_l + 1e-7
-        assert np.all(a.eta_mi <= (cost.d @ a.eta_mi) / cost.d_min + 1e-7)
+        assert np.all(a.eta_mi <= (d @ a.eta_mi) / d.min() + 1e-7)
 
 
 def test_certificate_holds_on_hull_verified_instance():
-    blocks, scen, cost, graph, res = desk_micro_run(T_f=60,
+    blocks, scen, d, graph, res = desk_micro_run(T_f=60,
                                                     with_storage=False)
     assert all(relaxation_equals_hull(b) for b in blocks)
-    cert = violation_certificate(res, cost)
+    cert = violation_certificate(res)
     assert all(cert.in_integral_set)
     assert cert.holds
     assert cert.to_dict()["bound_holds_componentwise"]
@@ -266,8 +264,8 @@ def test_consensus_two_agent_single_step():
 
 
 def test_consensus_matches_centralized_bound():
-    blocks, scen, cost, graph, res = desk_micro_run(T_f=30)
-    cert = violation_certificate(res, cost)
+    blocks, scen, d, graph, res = desk_micro_run(T_f=30)
+    cert = violation_certificate(res)
     V, dev = distributed_certificate(cert, graph, rounds=500)
     assert dev <= 1e-6
     for row in V:

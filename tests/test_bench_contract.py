@@ -3,8 +3,10 @@ every wrapped call site must still resolve and fire where the benchmark
 counts it, and the run trace must still carry every field the benchmark
 reads."""
 
+import ast
 import dataclasses
 import importlib
+import inspect
 import importlib.util
 import json
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mgridopt import experiment, model
+from mgridopt import dialgo, experiment, model
 from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import RunTrace, recourse_cap, run
 from mgridopt.solver import OPTIMAL, LinearProgram, solve_milp
@@ -54,6 +56,35 @@ def test_every_traced_call_site_resolves_to_a_callable():
         assert callable(fn), f"{module}.{attr} (span {span}) is gone"
 
 
+def test_every_package_name_the_benchmark_reads_resolves():
+    # every `dialgo.x`, `experiment.x` and `ExperimentConfig.x` in
+    # perfbench's code, and every name it imports from the package; the
+    # span names in CALL_SITES are strings, checked by the test above
+    owners = {"dialgo": dialgo, "experiment": experiment,
+              "ExperimentConfig": ExperimentConfig}
+    read, imported = set(), set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in owners:
+                read.add((path.name, node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("mgridopt"):
+                imported |= {(path.name, node.module, alias.name)
+                             for alias in node.names}
+    assert {owner for _, owner, _ in read} == set(owners)
+    missing = [f"{name}: {owner}.{attr}" for name, owner, attr in sorted(read)
+               if not hasattr(owners[owner], attr)]
+    missing += [f"{name}: from {module} import {attr}"
+                for name, module, attr in sorted(imported)
+                if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"perfbench reads names that are gone: {missing}"
+    # tracing recomputes the cap from the first two arguments of a run
+    assert list(inspect.signature(dialgo.run).parameters)[:2] == \
+        ["blocks", "scen"]
+
+
 def test_run_trace_keeps_the_fields_the_benchmark_reads():
     read = set()
     for path in PERFBENCH.glob("*.py"):
@@ -73,7 +104,7 @@ def test_traced_run_fires_every_solver_span(tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        experiment.run_experiment(ExperimentConfig.from_dict(raw),
+        experiment.run_experiment(ExperimentConfig(raw=raw),
                                   out_dir=tmp_path)
     finally:
         tracer.restore()
@@ -124,7 +155,7 @@ def test_gate_rejects_a_point_past_a_native_bound():
     # meeting every row but past one bound must fail it
     p = build_problem(
         ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
-    res = run(p.blocks, p.scen, p.cost, p.graph, p.schedule, T_f=0)
+    res = run(p.blocks, p.scen, p.d, p.graph, p.schedule, T_f=0)
     tried, rejected = set(), {}
     for agent, blk in zip(res.agents, p.blocks, strict=True):
         base = agent.lifted.base
@@ -160,7 +191,7 @@ def test_recourse_cap_after_a_run_solves_no_lp(monkeypatch):
     # off the blocks' bounds, so that call solves no LP
     p = build_problem(
         ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
-    res = run(p.blocks, p.scen, p.cost, p.graph, p.schedule, T_f=0)
+    res = run(p.blocks, p.scen, p.d, p.graph, p.schedule, T_f=0)
 
     def no_lp(*args):
         raise AssertionError("recourse_cap solved an LP after the run")

@@ -101,6 +101,22 @@ def test_unknown_profile_reference():
     assert any("nope" in e for e in errors)
 
 
+def test_a_roster_without_loads_or_renewables_runs_and_certifies(tmp_path):
+    # storages, generators and the grid only: no profile sets the
+    # horizon, so the balance vectors take horizon_steps
+    raw = yaml.safe_load(DESK.read_text())
+    for key in ("controllable_loads", "critical_loads", "solar", "wind"):
+        raw["units"][key] = []
+    raw["algorithm"]["iterations"] = 3
+    cfg = ExperimentConfig(raw=raw)
+    problem = build_problem(cfg)
+    assert [b.tobytes() for b in problem.scen.b_r] == \
+        [np.zeros(cfg.K).tobytes()] * problem.scen.R
+    res = run_experiment(cfg, out_dir=tmp_path / "run")
+    assert res.result.trace.iters == [0, 1, 3]
+    assert res.certificate.holds
+
+
 def test_zero_recourse_penalty_rejected_up_front():
     for key in ("surplus_penalty_eur_per_kwh",
                 "shortage_penalty_eur_per_kwh"):
@@ -118,7 +134,7 @@ def test_tolerance_overrides_flow_through():
     raw = minimal_config()
     raw["algorithm"]["tolerances"] = {"integrality": 1e-5,
                                       "feasibility": 1e-6}
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig(raw=raw)
     problem = build_problem(cfg)
     assert problem.tolerances.integrality == 1e-5
     assert problem.tolerances.feasibility == 1e-6
@@ -245,7 +261,7 @@ EXPECTED_FILES = ["config.yaml", "trace.csv", "certificate.json",
 
 
 def test_minimal_run_writes_all_artifacts(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config())
+    cfg = ExperimentConfig(raw=minimal_config())
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     for name in EXPECTED_FILES:
         assert (res.out_dir / name).exists(), name
@@ -256,7 +272,7 @@ def test_minimal_run_writes_all_artifacts(tmp_path):
 
 
 def test_run_determinism_byte_identical(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=6))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=6))
     a = run_experiment(cfg, out_dir=tmp_path / "a")
     b = run_experiment(cfg, out_dir=tmp_path / "b")
     for name in EXPECTED_FILES:
@@ -265,17 +281,17 @@ def test_run_determinism_byte_identical(tmp_path):
 
 
 def test_trace_csv_round_trip(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=6))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=6))
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     rows = read_trace_csv(res.out_dir / "trace.csv")
-    tr = res.trace
+    tr = res.result.trace
     for row, it, cost in zip(rows, tr.iters, tr.incumbent_cost):
         assert row[0] == it
         assert row[1] == cost  # repr round-trips exactly
 
 
 def test_every_emitted_csv_reparses(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=4))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc",
                          consensus_rounds=10)
@@ -288,7 +304,7 @@ def test_every_emitted_csv_reparses(tmp_path):
 
 
 def test_montecarlo_seed_separation(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=2))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=2))
     out = run_montecarlo(cfg, trials=3, out_dir=tmp_path / "mc",
                          consensus_rounds=50)
     agg = (out / "aggregate.csv").read_text().splitlines()
@@ -304,7 +320,7 @@ def test_montecarlo_seed_separation(tmp_path):
 
 
 def test_montecarlo_single_trial_zero_std(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=2))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=2))
     out = run_montecarlo(cfg, trials=1, out_dir=tmp_path / "mc1",
                          consensus_rounds=10)
     for line in (out / "aggregate.csv").read_text().splitlines()[1:]:
@@ -312,7 +328,7 @@ def test_montecarlo_single_trial_zero_std(tmp_path):
 
 
 def test_montecarlo_aggregate_matches_trial_traces(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=4))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     out = run_montecarlo(cfg, trials=3, out_dir=tmp_path / "mc3",
                          consensus_rounds=10)
     traces = [read_trace_csv(out / f"trial_{t:03d}" / "trace.csv")
@@ -327,7 +343,7 @@ def test_montecarlo_aggregate_matches_trial_traces(tmp_path):
 
 
 def test_recertify_matches(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=4))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     payload = recertify(res.out_dir, consensus_rounds=100)
     assert payload["matches_stored_bound"]
@@ -336,7 +352,7 @@ def test_recertify_matches(tmp_path):
 def test_recertify_montecarlo_trial(tmp_path):
     # each trial records its own scenario seed, so recertify re-solves
     # the trial's scenarios and reproduces the measured violation too
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=4))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc",
                          consensus_rounds=10)
     trial = out / "trial_001"
@@ -358,18 +374,18 @@ def with_desk_storage(raw):
 
 def test_configured_integrality_reaches_certificate(tmp_path):
     raw = with_desk_storage(minimal_config(T_f=0))
-    default = run_experiment(ExperimentConfig.from_dict(raw),
+    default = run_experiment(ExperimentConfig(raw=raw),
                              out_dir=tmp_path / "default")
     assert not all(default.certificate.in_integral_set)
     # every fraction lies within 0.5 of an integer
     raw["algorithm"]["tolerances"] = {"integrality": 0.5}
-    loose = run_experiment(ExperimentConfig.from_dict(raw),
+    loose = run_experiment(ExperimentConfig(raw=raw),
                            out_dir=tmp_path / "loose")
     assert all(loose.certificate.in_integral_set)
 
 
 def test_regenerate_reports_identical(tmp_path):
-    cfg = ExperimentConfig.from_dict(minimal_config(T_f=4))
+    cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     before = (res.out_dir / "report_grid.csv").read_bytes()
     regenerate_reports(res.out_dir)
@@ -630,7 +646,7 @@ def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,
             "trial 0 (scenario seed [2, 0]): lower-bound LP for component 0 "
             "ended infeasible")):
         run_montecarlo(
-            ExperimentConfig.from_dict(with_desk_storage(minimal_config())),
+            ExperimentConfig(raw=with_desk_storage(minimal_config())),
             trials=2, out_dir=tmp_path / "mc")
 
 

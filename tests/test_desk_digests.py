@@ -83,7 +83,7 @@ def desk_run(tmp_path_factory):
         for module, name, layer, field in CALL_SITES:
             patch.setattr(module, name,
                           counting(getattr(module, name), layer, field))
-        experiment.run_experiment(ExperimentConfig.from_dict(raw),
+        experiment.run_experiment(ExperimentConfig(raw=raw),
                                   out_dir=out)
     return out, work
 

@@ -287,7 +287,7 @@ def assert_finalized_as_cold(records):
 def test_desk_finalize_starts_from_the_round_relaxed_solve(monkeypatch):
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     records = spy_finalizes(monkeypatch)
-    run(problem.blocks, problem.scen, problem.cost, problem.graph,
+    run(problem.blocks, problem.scen, problem.d, problem.graph,
         problem.schedule, T_f=2, finalize_every=1, tol=problem.tolerances)
     assert len(records) == 3 * len(problem.blocks)
     assert_finalized_as_cold(records)
@@ -303,9 +303,9 @@ def test_finalize_after_a_cap_doubling_keeps_its_root(monkeypatch):
     # the recourse outgrows a cap of 1e-3, which the run doubles; the
     # local problems do not read the cap, so every finalize still starts
     # from its round's relaxed solve
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     records = spy_finalizes(monkeypatch)
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
               finalize_every=10, eta_cap=1e-3)
     assert res.eta_cap > 1e-3
@@ -321,9 +321,9 @@ def test_finalize_keeps_its_root_when_its_own_recourse_doubles_the_cap(
                      integrality=np.array([True]), A=np.array([[1.0]]),
                      var_index={}, K=1, lo=np.zeros(1), hi=np.ones(1))
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
-    cost = build_recourse_cost(scen.pi, 2.0, 2.0, 1)
+    d = build_recourse_cost(scen.pi, 2.0, 2.0, 1)
     records = spy_finalizes(monkeypatch)
-    res = run([blk], scen, cost, generate_graph(1, "path"),
+    res = run([blk], scen, d, generate_graph(1, "path"),
               StepSizeSchedule.diminishing(1.0, 1.0), T_f=0, eta_cap=0.3)
     assert res.eta_cap == 0.6
     [r] = records
@@ -344,13 +344,13 @@ def two_agent_instance(K=2):
     blocks = [grid, load]
     b = power_balance_rhs([], [(6.0,) * K], [np.full(K, 1.0)])
     scen = ScenarioSet(pi=[1.0], b_r=[b])
-    cost = build_recourse_cost(scen.pi, 3.0, 3.0, K)
-    return blocks, scen, cost
+    d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
+    return blocks, scen, d
 
 
 def test_run_zero_rounds_is_feasible():
-    blocks, scen, cost = two_agent_instance()
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    blocks, scen, d = two_agent_instance()
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
     assert res.trace.iters == [0]
     assert np.all(res.total_coupling() <= 1e-6)
@@ -368,11 +368,11 @@ def test_run_converges_to_centralized_relaxation():
     blocks = [l1, l2]
     b = power_balance_rhs([np.array([4.0, 5.0])], [(5.0, 7.0), (6.0, 4.0)], [])
     scen = ScenarioSet(pi=[1.0], b_r=[b])
-    cost = build_recourse_cost(scen.pi, 3.0, 3.0, K)
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 2.0), T_f=200,
               finalize_every=100)
-    lp, _ = assemble_two_stage(blocks, scen, cost)
+    lp = assemble_two_stage(blocks, scen, d)
     central = solve_lp(lp)
     assert central.status == OPTIMAL
     final_relax = res.trace.relax_cost_all[-1]
@@ -382,12 +382,12 @@ def test_run_converges_to_centralized_relaxation():
 
 
 def test_run_anytime_feasibility_and_conservation():
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     # a seeded zero-sum perturbation of the equal split
     h = build_h(scen)
     rng = np.random.default_rng(4)
     y0 = h / 2 + rng.normal(0.0, 0.1 * (1.0 + np.abs(h) / 2))
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 5.0), T_f=40,
               finalize_every=10, ys=[y0, h - y0])
     h = res.h
@@ -400,9 +400,9 @@ def test_run_anytime_feasibility_and_conservation():
 
 
 def test_run_with_empty_block_agent():
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     blocks = blocks + [LocalBlock.empty(scen.K)]
-    res = run(blocks, scen, cost, generate_graph(3, "cycle"),
+    res = run(blocks, scen, d, generate_graph(3, "cycle"),
               StepSizeSchedule.diminishing(1.0, 5.0), T_f=10,
               finalize_every=5)
     assert np.all(res.total_coupling() <= 1e-6)
@@ -414,8 +414,8 @@ def test_run_grows_a_zero_cap():
     # doubling alone never lifts
     blocks = [LocalBlock.empty(2)]
     scen = ScenarioSet(pi=[1.0], b_r=[np.zeros(2)])
-    cost = build_recourse_cost(scen.pi, 1.0, 1.0, 2)
-    res = run(blocks, scen, cost, generate_graph(1, "path"),
+    d = build_recourse_cost(scen.pi, 1.0, 1.0, 2)
+    res = run(blocks, scen, d, generate_graph(1, "path"),
               StepSizeSchedule.diminishing(1.0, 1.0), T_f=2,
               finalize_every=1)
     assert res.eta_cap == 1.0
@@ -427,8 +427,8 @@ def test_run_grows_a_zero_cap():
 def test_run_doubles_a_cap_too_small_for_feasibility():
     # the recourse passes a cap of 1e-3 at round 0; the run doubles the
     # cap past it instead of stopping there
-    blocks, scen, cost = two_agent_instance()
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    blocks, scen, d = two_agent_instance()
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
               finalize_every=10, eta_cap=1e-3)
     assert res.eta_cap > 1e-3
@@ -452,11 +452,11 @@ def counting(monkeypatch, module, name, calls, edit=None):
 
 
 def test_a_cap_doubling_solves_no_local_problem_again(monkeypatch):
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     calls = {}
     counting(monkeypatch, dialgo, "solve_lp", calls)
     counting(monkeypatch, dialgo, "solve_milp", calls)
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(2.0, 5.0), T_f=20,
               finalize_every=10, eta_cap=1e-3)
     assert res.eta_cap > 1e-3
@@ -466,7 +466,7 @@ def test_a_cap_doubling_solves_no_local_problem_again(monkeypatch):
 
 
 def test_a_nan_recourse_names_its_agent_after_one_solve(monkeypatch):
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     n = blocks[0].n
 
     def nan_recourse(sol):
@@ -476,7 +476,7 @@ def test_a_nan_recourse_names_its_agent_after_one_solve(monkeypatch):
     calls = {}
     counting(monkeypatch, dialgo, "solve_lp", calls, edit=nan_recourse)
     with pytest.raises(AgentSolveError) as e:
-        run(blocks, scen, cost, generate_graph(2, "path"),
+        run(blocks, scen, d, generate_graph(2, "path"),
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
     assert (e.value.agent, e.value.stage) == (0, "round 0 allocation LP")
     assert e.value.status == \
@@ -492,11 +492,11 @@ def test_recovery_infeasible_for_every_cap_names_its_round(monkeypatch):
                      var_index={}, K=1, lo=np.array([0.3]),
                      hi=np.array([0.7]))
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
-    cost = build_recourse_cost(scen.pi, 3.0, 3.0, 1)
+    d = build_recourse_cost(scen.pi, 3.0, 3.0, 1)
     calls = {}
     counting(monkeypatch, dialgo, "solve_milp", calls)
     with pytest.raises(AgentSolveError, match="round 0 recovery MILP") as e:
-        run([blk], scen, cost, generate_graph(1, "path"),
+        run([blk], scen, d, generate_graph(1, "path"),
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
     assert e.value.agent == 0
     assert e.value.status == "infeasible"
@@ -504,16 +504,16 @@ def test_recovery_infeasible_for_every_cap_names_its_round(monkeypatch):
 
 
 def test_run_rejects_finalize_every_below_one():
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     with pytest.raises(ValueError, match="finalize_every"):
-        run(blocks, scen, cost, generate_graph(2, "path"),
+        run(blocks, scen, d, generate_graph(2, "path"),
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=2, finalize_every=0)
 
 
 def test_mismatched_graph_size_rejected():
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
     with pytest.raises(Exception, match="nodes"):
-        run(blocks, scen, cost, generate_graph(3, "path"),
+        run(blocks, scen, d, generate_graph(3, "path"),
             StepSizeSchedule.diminishing(1.0, 1.0), T_f=1)
 
 
@@ -531,7 +531,7 @@ def desk_warm_run(tmp_path_factory):
     raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
     raw["algorithm"]["iterations"] = WARM_ROUNDS
     raw["algorithm"]["finalize_every"] = WARM_EVERY
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig(raw=raw)
     records = []
     step = dialgo.local_multiplier_step
 
@@ -584,7 +584,7 @@ def test_recertify_reproduces_a_run_with_warm_rounds(desk_warm_run):
 
 def test_a_simplex_failure_in_a_warm_round_names_its_agent_and_round(
         monkeypatch):
-    blocks, scen, cost = two_agent_instance()
+    blocks, scen, d = two_agent_instance()
 
     def failing_warm(lp, tol, start=None, **kwargs):
         if start is not None:
@@ -593,7 +593,7 @@ def test_a_simplex_failure_in_a_warm_round_names_its_agent_and_round(
 
     monkeypatch.setattr(dialgo, "solve_lp", failing_warm)
     with pytest.raises(AgentSolveError) as e:
-        run(blocks, scen, cost, generate_graph(2, "path"),
+        run(blocks, scen, d, generate_graph(2, "path"),
             StepSizeSchedule.diminishing(2.0, 5.0), T_f=5, finalize_every=10)
     assert (e.value.agent, e.value.stage, e.value.status) == \
         (0, "round 2 allocation LP", "singular basis")
@@ -615,7 +615,7 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
         step_size={"kind": "piecewise", "initial": 3.0, "factor": 0.5,
                    "period": 50})
     raw["scenarios"]["count"] = 4
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig(raw=raw)
     real = dialgo.solve_lp
 
     def pivots(name, start_as):

@@ -126,10 +126,10 @@ def test_run_starts_from_the_default_cap_on_a_hull_roster():
     blocks = [hull, build_grid_block(
         GridParams(P_max=10.0, phi_p=(0.3,), phi_s=(0.15,)), K)]
     scen = ScenarioSet(pi=[0.5, 0.5], b_r=[np.array([0.5]), np.array([-0.5])])
-    cost = build_recourse_cost(scen.pi, 2.0, 2.5, K)
+    d = build_recourse_cost(scen.pi, 2.0, 2.5, K)
     assert recourse_cap(blocks, scen) == 27.0
-    res = run(blocks, scen, cost, generate_graph(2, "path"),
+    res = run(blocks, scen, d, generate_graph(2, "path"),
               StepSizeSchedule.diminishing(1.0, 2.0), T_f=20)
     assert res.eta_cap == 27.0
     assert all(a.lifted.base.contains(a.x_mi) for a in res.agents)
-    assert violation_certificate(res, cost).holds
+    assert violation_certificate(res).holds

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mgridopt.dialgo import LocalProblem
+from mgridopt.dialgo import LocalProblem, recourse_cap
 from mgridopt.model import (EPSILON, ControllableLoadParams, DimensionError,
                             GeneratorParams, GridParams, LocalBlock,
                             ParameterError, StorageParams,
@@ -19,7 +19,7 @@ from mgridopt.model import (EPSILON, ControllableLoadParams, DimensionError,
                             quadratic_cost_segments, storage_e_matrices)
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, Tolerances,
                              solve_lp, solve_milp)
-from mgridopt.stochastic import build_recourse_cost
+from mgridopt.stochastic import ScenarioSet, build_recourse_cost
 from oracles.centralized import assemble_centralized
 from oracles.grid import big_m_grid_block
 from oracles.hull import coordinate_box
@@ -291,7 +291,7 @@ def test_convex_grid_matches_the_big_m_grid():
         p = GridParams(P_max=float(rng.uniform(0.5, 20.0)),
                        phi_p=tuple(phi_p), phi_s=tuple(phi_p * share))
         d = build_recourse_cost(np.full(R, 1.0 / R), rng.uniform(0.5, 5.0),
-                                rng.uniform(0.5, 5.0), K).d
+                                rng.uniform(0.5, 5.0), K)
         y = rng.normal(scale=p.P_max, size=2 * R * K)
         convex = LocalProblem(build_grid_block(p, K), R, d)
         big_m = LocalProblem(big_m_grid_block(p, K), R, d)
@@ -356,7 +356,7 @@ def test_blocks_compact_and_binaries_boxed(maker):
 
 def test_crossed_one_variable_rows_make_an_empty_block():
     # x <= 0 and -x <= -1, as the bounds 1 <= x <= 0 and as rows; the
-    # coupling mass reads bounds only, so the rows leave x unbounded
+    # recourse cap reads bounds only, so the rows leave x unbounded
     as_bounds = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
                            integrality=np.zeros(1, bool), A=np.ones((1, 1)),
                            var_index={}, K=1, lo=np.ones(1), hi=np.zeros(1))
@@ -364,11 +364,12 @@ def test_crossed_one_variable_rows_make_an_empty_block():
                          g=np.array([0.0, -1.0]),
                          integrality=np.zeros(1, bool), A=np.ones((1, 1)),
                          var_index={}, K=1)
+    scen = ScenarioSet(pi=[1.0], b_r=[np.zeros(1)])
     with pytest.raises(DimensionError, match="empty"):
-        as_bounds.coupling_mass
+        recourse_cap([as_bounds], scen)
     with pytest.raises(DimensionError,
                        match="column 0 has an infinite bound"):
-        as_rows.coupling_mass
+        recourse_cap([as_rows], scen)
 
 
 def test_coupling_matches_named_power_expressions():

@@ -60,7 +60,7 @@ def profile(draw, K, lo, hi):
 
 @st.composite
 def instances(draw, kinds=ALL_KINDS):
-    """(blocks, scenario set, recourse cost, graph, schedule, T_f,
+    """(blocks, scenario set, recourse prices d, graph, schedule, T_f,
     finalize_every) of one small random roster."""
     K = draw(st.integers(1, 3))
     R = draw(st.integers(1, 2))
@@ -109,27 +109,27 @@ def instances(draw, kinds=ALL_KINDS):
     scen = ScenarioSet(pi=np.full(R, 1.0 / R), b_r=[
         power_balance_rhs([profile(draw, K, 0.0, 10.0)], cl_demands,
                           critical) for _ in range(R)])
-    cost = build_recourse_cost(scen.pi, draw(unit(0.5, 5.0)),
+    d = build_recourse_cost(scen.pi, draw(unit(0.5, 5.0)),
                                draw(unit(0.5, 5.0)), K)
     graph = generate_graph(len(blocks), "random",
                            seed=draw(st.integers(0, 2 ** 16)),
                            p=draw(unit(0.2, 0.9)))
     schedule = StepSizeSchedule.diminishing(draw(unit(0.2, 3.0)),
                                             draw(unit(1.0, 5.0)))
-    return (blocks, scen, cost, graph, schedule, draw(st.integers(0, 20)),
+    return (blocks, scen, d, graph, schedule, draw(st.integers(0, 20)),
             draw(st.integers(1, 10)))
 
 
 def run_instance(instance):
-    blocks, scen, cost, graph, schedule, T_f, finalize_every = instance
-    return blocks, cost, run(blocks, scen, cost, graph, schedule, T_f,
-                             finalize_every=finalize_every)
+    blocks, scen, d, graph, schedule, T_f, finalize_every = instance
+    return blocks, run(blocks, scen, d, graph, schedule, T_f,
+                       finalize_every=finalize_every)
 
 
 @PROPERTY
 @given(instances())
 def test_conservation_anytime_feasibility_and_block_membership(instance):
-    blocks, _, res = run_instance(instance)
+    blocks, res = run_instance(instance)
     assert max(res.trace.alloc_residual_all) <= 1e-9
     for coupling in res.trace.coupling_vectors:
         assert np.max(coupling) <= 1e-6
@@ -140,9 +140,9 @@ def test_conservation_anytime_feasibility_and_block_membership(instance):
 @PROPERTY
 @given(instances(kinds=("controllable_load", "critical_load", "grid")))
 def test_certificate_holds_where_relaxations_are_hulls(instance):
-    blocks, cost, res = run_instance(instance)
+    blocks, res = run_instance(instance)
     assert all(relaxation_equals_hull(blk) for blk in blocks)
-    assert violation_certificate(res, cost).holds
+    assert violation_certificate(res).holds
 
 
 @PROPERTY
@@ -173,9 +173,9 @@ def at_least(value, optimum):
 def test_no_incumbent_beats_the_centralized_milp_optimum(instance):
     # every finalized point and its recourse are feasible for the
     # centralized two-stage problem
-    blocks, scen, cost = instance[:3]
-    milp_opt, _ = solve_centralized(blocks, scen, cost)
-    _, _, res = run_instance(instance)
+    blocks, scen, d = instance[:3]
+    milp_opt, _ = solve_centralized(blocks, scen, d)
+    _, res = run_instance(instance)
     for t, value in zip(res.trace.iters, res.trace.incumbent_cost):
         assert at_least(value, milp_opt), (t, value, milp_opt)
 
@@ -185,9 +185,9 @@ def test_no_incumbent_beats_the_centralized_milp_optimum(instance):
 def test_no_relaxed_cost_beats_the_centralized_lp_optimum(instance):
     # the agents' relaxed solutions sum to a feasible point of the
     # pooled relaxation
-    blocks, scen, cost = instance[:3]
-    _, lp_opt = solve_centralized(blocks, scen, cost)
-    _, _, res = run_instance(instance)
+    blocks, scen, d = instance[:3]
+    _, lp_opt = solve_centralized(blocks, scen, d)
+    _, res = run_instance(instance)
     for t, value in enumerate(res.trace.relax_cost_all):
         assert at_least(value, lp_opt), (t, value, lp_opt)
 
@@ -210,7 +210,7 @@ def small_configs(draw):
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)
 @given(small_configs())
 def test_recertify_reproduces_the_stored_certificate(tmp_path_factory, raw):
-    out = run_experiment(ExperimentConfig.from_dict(raw),
+    out = run_experiment(ExperimentConfig(raw=raw),
                          out_dir=tmp_path_factory.mktemp("run")).out_dir
     stored = json.loads((out / "certificate.json").read_text())
     payload = recertify(out, consensus_rounds=20)

@@ -136,7 +136,7 @@ def desk_at_equal_split():
     split."""
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     scen = problem.scen
-    agents = make_agents(problem.blocks, scen, problem.cost,
+    agents = make_agents(problem.blocks, scen, problem.d,
                          init_allocations(build_h(scen), len(problem.blocks)))
     return problem, agents
 
@@ -188,7 +188,7 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
     certifies."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
-    res = run(problem.blocks, problem.scen, problem.cost, problem.graph,
+    res = run(problem.blocks, problem.scen, problem.d, problem.graph,
               problem.schedule, T_f=1, tol=problem.tolerances)
     solved = []
 
@@ -200,7 +200,7 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
         return sol
 
     monkeypatch.setattr(analysis, "solve_milp", recording)
-    cert = violation_certificate(res, problem.cost, problem.tolerances)
+    cert = violation_certificate(res, problem.tolerances)
     assert len(solved) == sum(not f for f in cert.in_integral_set) == 3
     for k, (lp, sol) in enumerate(solved):
         assert_matches_highs(scipy_opt, lp, sol, k)
@@ -208,7 +208,7 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
 
 def test_node_limit_names_the_agent_round_and_stage(monkeypatch):
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
-    args = (problem.blocks, problem.scen, problem.cost, problem.graph,
+    args = (problem.blocks, problem.scen, problem.d, problem.graph,
             problem.schedule)
     res = run(*args, T_f=1, tol=problem.tolerances)
     monkeypatch.setattr(branch_bound, "MAX_BNB_NODES", 2)
@@ -221,7 +221,7 @@ def test_node_limit_names_the_agent_round_and_stage(monkeypatch):
         "agent 0: round 0 recovery MILP solve ended node limit 2 reached"
     assert isinstance(err.value.__cause__.__cause__, NodeLimitError)
     with pytest.raises(AgentSolveError) as err:
-        violation_certificate(res, problem.cost, problem.tolerances)
+        violation_certificate(res, problem.tolerances)
     assert err.value.stage == "certificate auxiliary MILP"
 
 

@@ -60,15 +60,15 @@ def test_scenario_set_validation():
 
 
 def test_recourse_cost_hand_expansion():
-    rc = build_recourse_cost([0.3, 0.7], q_plus=1.0, q_minus=2.0, K=1)
-    assert rc.d == pytest.approx([0.3, 0.6, 0.7, 1.4])
-    assert rc.d_min == pytest.approx(0.3)
+    d = build_recourse_cost([0.3, 0.7], q_plus=1.0, q_minus=2.0, K=1)
+    assert d == pytest.approx([0.3, 0.6, 0.7, 1.4])
+    assert d.min() == pytest.approx(0.3)
 
 
 def test_recourse_cost_degenerate_and_uniform():
-    assert build_recourse_cost([1.0], 0.0, 0.0, 3).d == pytest.approx(np.zeros(6))
-    rc = build_recourse_cost([0.25] * 4, 2.0, 2.0, 2)
-    assert rc.d == pytest.approx(np.full(16, 0.5))  # q / R
+    assert build_recourse_cost([1.0], 0.0, 0.0, 3) == pytest.approx(np.zeros(6))
+    d = build_recourse_cost([0.25] * 4, 2.0, 2.0, 2)
+    assert d == pytest.approx(np.full(16, 0.5))  # q / R
 
 
 def test_phi_branches():
@@ -82,14 +82,14 @@ def test_expected_recourse_matches_phi_sum():
     K, R = 4, 3
     pi = rng.dirichlet(np.ones(R))
     q_plus, q_minus = 1.3, 2.7
-    rc = build_recourse_cost(pi, q_plus, q_minus, K)
+    d = build_recourse_cost(pi, q_plus, q_minus, K)
     scen = ScenarioSet(pi=pi, b_r=[rng.normal(size=K) for _ in range(R)])
     total_Ax = rng.normal(size=K)  # stand-in for sum_i A_i x_i
     residuals = [total_Ax - b for b in scen.b_r]
     eta = recourse_from_residuals(residuals, scen)
     direct = sum(pi[r] * recourse_phi(residuals[r][k], q_plus, q_minus)
                  for r in range(R) for k in range(K))
-    assert expected_recourse(rc, eta) == pytest.approx(direct, abs=1e-12)
+    assert expected_recourse(d, eta) == pytest.approx(direct, abs=1e-12)
 
 
 # ------------------------------------------------------- form equivalences
@@ -111,8 +111,8 @@ def three_agent_toy(R=2, K=2, seed=5):
     b_r = [power_balance_rhs([rng.uniform(0, 6, size=K)], [(5.0, 6.0)[:K]],
                              [np.full(K, 1.5)]) for _ in range(R)]
     scen = ScenarioSet(pi=np.full(R, 1.0 / R), b_r=b_r)
-    cost = build_recourse_cost(scen.pi, *TOY_PENALTIES, K)
-    return blocks, scen, cost
+    d = build_recourse_cost(scen.pi, *TOY_PENALTIES, K)
+    return blocks, scen, d
 
 
 def band_form_milp(blocks, scen, q_plus, q_minus):
@@ -157,11 +157,11 @@ def band_form_milp(blocks, scen, q_plus, q_minus):
 
 
 def test_band_pooled_and_per_agent_forms_agree():
-    blocks, scen, cost = three_agent_toy()
+    blocks, scen, d = three_agent_toy()
     band = solve_milp(band_form_milp(blocks, scen, *TOY_PENALTIES))
-    pooled, _ = assemble_two_stage(blocks, scen, cost)
+    pooled = assemble_two_stage(blocks, scen, d)
     pooled_sol = solve_milp(pooled)
-    per_agent, layout = assemble_per_agent_eta(blocks, scen, cost)
+    per_agent, layout = assemble_per_agent_eta(blocks, scen, d)
     per_sol = solve_milp(per_agent)
     assert band.status == pooled_sol.status == per_sol.status == OPTIMAL
     assert pooled_sol.value == pytest.approx(band.value, abs=1e-8)
@@ -182,11 +182,10 @@ def test_band_pooled_and_per_agent_forms_agree():
 
 
 def test_pooled_relaxation_solver_finite_eta():
-    blocks, scen, cost = three_agent_toy()
-    lp, layout = assemble_two_stage(blocks, scen, cost)
-    sol = solve_lp(lp)
+    blocks, scen, d = three_agent_toy()
+    sol = solve_lp(assemble_two_stage(blocks, scen, d))
     assert sol.status == OPTIMAL
-    eta = sol.x[layout["eta_offset"]:]
+    eta = sol.x[-d.size:]
     assert np.all(np.isfinite(eta)) and np.all(eta >= -1e-9)
 
 
@@ -197,10 +196,10 @@ def test_raising_h_never_hurts():
     tightens the -b_r half of the band, and the optimum can genuinely
     move either way (the band is a two-sided tube around the balance).
     """
-    blocks, scen, cost = three_agent_toy()
-    lp, layout = assemble_two_stage(blocks, scen, cost)
+    blocks, scen, d = three_agent_toy()
+    lp = assemble_two_stage(blocks, scen, d)
     base = solve_lp(lp).value
-    dim = layout["eta_dim"]
+    dim = d.size
     for j in range(dim):
         g2 = lp.g.copy()
         g2[-dim + j] += 1.0
@@ -211,11 +210,11 @@ def test_raising_h_never_hurts():
 def test_b_r_shift_moves_optimum_both_ways():
     # documents why monotonicity is stated in h: surplus scenarios can
     # be costlier than balanced ones, so b_r itself is not monotone
-    blocks, scen, cost = three_agent_toy()
-    lp, _ = assemble_two_stage(blocks, scen, cost)
+    blocks, scen, d = three_agent_toy()
+    lp = assemble_two_stage(blocks, scen, d)
     base = solve_lp(lp).value
     b_up = [b + 4.0 for b in scen.b_r]
     scen_up = ScenarioSet(pi=scen.pi, b_r=b_up)
-    lp_up, _ = assemble_two_stage(blocks, scen_up, cost)
+    lp_up = assemble_two_stage(blocks, scen_up, d)
     up = solve_lp(lp_up).value
     assert up != pytest.approx(base, abs=1e-6)

@@ -137,6 +137,15 @@ def desk_micro_run(T_f=60, with_storage=True):
     return blocks, scen, d, graph, res
 
 
+def test_certificate_rejects_a_recourse_price_of_zero():
+    # each agent holds its own copy of d; one zero entry in any of them
+    # would divide the auxiliary scalars by zero
+    *_, res = desk_micro_run(T_f=0)
+    res.agents[1].lifted.d[0] = 0.0
+    with pytest.raises(analysis.CertificateError, match="d > 0"):
+        violation_certificate(res)
+
+
 def test_certificate_trivial_case_all_integral_zero_eta():
     # slack balance: every agent integral with zero relaxed recourse
     K = 1

@@ -15,16 +15,20 @@ side.
 
 One round is a synchronous barrier: all multipliers are computed from
 the round's published allocations before any allocation moves.  The
-per-agent solves inside a round are independent (separate solver
-instances) and could run in parallel; they are executed sequentially
-here.
+per-agent solves inside a round are independent (each agent's solves
+read and write only its own `AgentState` and `LocalProblem`) and could
+run in parallel; they are executed sequentially here.
 
 Between logged rounds only an agent's allocation, the right-hand side
 of its relaxed LP, moves, so each agent re-solves from its previous
-round's basis by dual simplex.  Logged rounds solve cold: what they
-produce (the finalize, the certificate, and `recertify`'s replay of
-the last round) depends only on the allocation, not on the rounds
-before it.
+round's basis and basis inverse by dual simplex, on the [G | I] its
+LP built once for the run; the inverse is refactored on the simplex's
+pivot budget, which runs across those rounds.  Logged rounds solve
+cold: what they produce (the finalize, the certificate, and
+`recertify`'s replay of the last round) depends only on the
+allocation, not on the rounds before it.  An agent without columns (a
+critical load) has its relaxed optimum in closed form, the bits a cold
+simplex returns, and solves no LP.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .model import DimensionError, LocalBlock
 from .solver import (OPTIMAL, LpSolution, NodeLimitError, SolverError,
-                     Tolerances, solve_lp, solve_milp)
+                     Tolerances, augmented, solve_lp, solve_milp)
 from .stochastic import ScenarioSet, build_h, two_stage_lp
 
 
@@ -215,10 +219,19 @@ class LocalProblem:
         self.lp = two_stage_lp([base], R, d)
         self.n, self.m0 = base.n, base.G.shape[0]
         self.H = np.ascontiguousarray(self.lp.G[self.m0:, :self.n])
+        # [G | I] of lp: built by the first relaxed solve, dropped when
+        # a run returns
+        self.columns: np.ndarray | None = None
 
     @property
     def eta_dim(self) -> int:
         return self.d.size
+
+    @property
+    def closed_form(self) -> bool:
+        """No block columns or rows: min d'eta s.t. -eta <= y, eta >= 0
+        needs no simplex."""
+        return self.n == 0 and self.m0 == 0
 
     def split(self, x: np.ndarray):
         """(z, eta): copies of the block and recourse parts of x."""
@@ -245,6 +258,31 @@ class LocalProblem:
             raise AgentSolveError(self.index, sol.status, stage)
         return sol
 
+    def relax(self, y: np.ndarray, tol: Tolerances,
+              prev: LpSolution | None = None) -> LpSolution:
+        """The relaxed optimum at allocation y: by `solve_lp` on the kept
+        [G | I], cold or warm from `prev`'s basis and factor, or for an
+        agent without columns in closed form.
+
+        The closed form is the cold simplex's vertex, bit for bit: eta
+        = max(0, -y), basic where y < 0 with the dual d there (d > 0)
+        and 0 elsewhere, a tie at y = 0 included; eta and the value are
+        computed by the operations the cold solve reports them with.
+        """
+        if self.closed_form:
+            self.lp.g[:] = y
+            short = self.lp.g < 0.0
+            x = np.where(short, -self.lp.g, 0.0)
+            return LpSolution(status=OPTIMAL, x=x,
+                              value=float(self.lp.c @ x),
+                              duals=np.where(short, self.d, 0.0))
+        if self.columns is None:
+            self.columns = augmented(self.lp)
+        return self.solve(solve_lp, y, tol, "allocation LP",
+                          columns=self.columns,
+                          start=None if prev is None else prev.basis,
+                          factor=None if prev is None else prev.factor)
+
 
 @dataclass
 class AgentState:
@@ -255,7 +293,7 @@ class AgentState:
     y: np.ndarray
     mu: np.ndarray | None = None
     relaxed: LpSolution | None = None    # the round's relaxed solve,
-                                         # with its basis inverse in a run
+                                         # with its factor in a run
     z: np.ndarray | None = None          # relaxed primal block
     eta_relax: np.ndarray | None = None
     x_mi: np.ndarray | None = None       # last mixed-integer finalize
@@ -278,15 +316,11 @@ def local_multiplier_step(agent: AgentState, tol: Tolerances = Tolerances(),
     H z - eta <= y); keeps the solution, the root of the round's
     finalize, and the relaxed primal pair for integrality detection.
     The solve is cold unless `warm`, which starts it from the kept
-    solution's basis and inverse (`solve_lp`'s start rule may still
-    send it cold); a warm solve may end on another optimal vertex than
-    a cold one, with the same value to roundoff.
+    solution's basis and factor (`solve_lp`'s start rule may still send
+    it cold); a warm solve may end on another optimal vertex than a
+    cold one, with the same value to roundoff.
     """
-    prev = agent.relaxed if warm else None
-    sol = agent.lifted.solve(
-        solve_lp, agent.y, tol, "allocation LP",
-        start=None if prev is None else prev.basis,
-        inverse=None if prev is None else prev.inverse)
+    sol = agent.lifted.relax(agent.y, tol, agent.relaxed if warm else None)
     agent.relaxed = sol
     agent.mu = agent.lifted.multiplier(sol)
     agent.z, agent.eta_relax = agent.lifted.split(sol.x)
@@ -498,8 +532,9 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
             exchange_and_update(agents, graph, schedule(t))
 
     result.eta_cap = eta_cap
-    # a kept inverse serves only the next warm round: results held after
-    # the run stay small
+    # a kept factor and [G | I] serve only the next warm round: results
+    # held after the run stay small
     for a in agents:
-        a.relaxed.inverse = None
+        a.relaxed.factor = None
+        a.lifted.columns = None
     return result

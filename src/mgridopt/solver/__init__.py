@@ -1,11 +1,12 @@
 from .branch_bound import MipSolution, NodeLimitError, solve_milp
 from .lpformat import write_lp_format
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                      LpSolution, SolverError, Tolerances, solve_lp)
+                      LpSolution, SolverError, Tolerances, augmented,
+                      solve_lp)
 
 __all__ = [
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED",
     "LinearProgram", "LpSolution", "MipSolution", "NodeLimitError",
     "SolverError", "Tolerances",
-    "solve_lp", "solve_milp", "write_lp_format",
+    "augmented", "solve_lp", "solve_milp", "write_lp_format",
 ]

@@ -15,11 +15,19 @@ feasibility in a few pivots, and one primal pass then clears any
 roundoff-level dual infeasibility (Koberstein 2005; Bixby 2002).  A
 start the dual loop cannot use falls back to the cold solve.  A start
 under another g comes with the basis inverse its solve ended on
-(`LpSolution.inverse`), which replaces its refactorization, and goes cold
+(`LpSolution.factor`), which replaces its refactorization, and goes cold
 before any dual pivot when it has more primal-infeasible basic rows
 than the cold start has artificials: after a long allocation step such
 a start tends to take more dual pivots than the cold solve takes in
-all.
+all.  A caller that solves one LP many times may build its [G | I]
+once (`augmented`) and pass it to every solve.
+
+A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots and,
+unless it adopted a kept inverse, once more before it reports.  A solve
+that adopted one reports the inverse it pivoted to and the pivots taken
+since its last refactorization, and the next solve of the chain
+continues that count: a chain of warm solves refactors on the pivot
+budget, not once per solve (Koberstein 2005).
 
 Pivoting is deterministic: the primal prices by most-negative reduced
 cost with lowest-index tie-breaking, switching to Bland's rule after
@@ -42,8 +50,11 @@ strided column included, `Binv[r] @ A`, the offset of the nonbasic
 columns) keeps its operands, shapes and order, and so do the sums and
 the `np.linalg.inv` refactors.  The one basis inverse built by hand,
 the diag(+-1) of a cold start, is written with the negative zeros that
-`np.linalg.inv` returns for it; a kept inverse is the `np.linalg.inv`
-of the same basis matrix, so adopting it gives a refactor's bits.
+`np.linalg.inv` returns for it.  So a solve that starts cold, or warm
+from a basis alone, reports bits that depend only on its LP and its
+start.  A kept inverse carries the rank-one updates of the solves that
+pivoted it, so a warm chain's bits depend on the chain since its last
+refactorization; they agree with a refactor's to roundoff.
 """
 
 from __future__ import annotations
@@ -137,6 +148,15 @@ class LinearProgram:
         return self.g.size
 
 
+@dataclass(frozen=True)
+class Factor:
+    """A basis inverse and the rank-one updates it has taken since
+    `np.linalg.inv` last computed it (0 for a fresh one)."""
+
+    inverse: np.ndarray
+    updates: int = 0
+
+
 @dataclass
 class LpSolution:
     status: str
@@ -146,13 +166,23 @@ class LpSolution:
     pivots: int = 0
     # (basic columns, statuses of the [x | s] columns): a `start`
     basis: tuple[np.ndarray, np.ndarray] | None = None
-    # inverse of the basis matrix of `basis`
-    inverse: np.ndarray | None = field(default=None, repr=False)
+    # the inverse of the basis matrix of `basis`, with its update count:
+    # a `factor` for a start under another g
+    factor: Factor | None = field(default=None, repr=False)
+
+
+def augmented(lp: LinearProgram) -> np.ndarray:
+    """[G | I], the columns of the slack-augmented system, read-only so
+    that solves of the same LP may share it."""
+    A = np.concatenate([lp.G, np.eye(lp.m)], axis=1) if lp.n else np.eye(lp.m)
+    A.flags.writeable = False
+    return A
 
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
              start: tuple[np.ndarray, np.ndarray] | None = None,
-             inverse: np.ndarray | None = None) -> LpSolution:
+             factor: Factor | None = None,
+             columns: np.ndarray | None = None) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
@@ -162,26 +192,29 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
 
     `start` is the `basis` of an earlier solution of an LP with the
     same c and G; the solve then begins from it by dual simplex.  The
-    earlier LP may have other bounds, or another g when `inverse` is
-    that solution's `inverse`: the start then skips its refactorization
-    and goes cold, before any dual pivot, when more of its basic rows
-    are primal infeasible than the cold start has artificials.  Any
-    start goes cold when it holds an artificial column, its basis is
-    singular, a nonbasic column rests on an infinite bound, or the dual
-    loop passes DUAL_PIVOT_LIMIT pivots; the returned pivot count
-    includes the abandoned warm pivots.
+    earlier LP may have other bounds, or another g when `factor` is
+    that solution's `factor`: the start then adopts its inverse and
+    update count in place of a refactorization, does not refactor
+    before it reports, and goes cold, before any dual pivot, when more
+    of its basic rows are primal infeasible than the cold start has
+    artificials.  Any start goes cold when it holds an artificial
+    column, its basis is singular, a nonbasic column rests on an
+    infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
+    the returned pivot count includes the abandoned warm pivots.
+    `columns`, if given, is `augmented(lp)`, built once by a caller
+    that solves the LP again.
 
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
     within the tolerance could still close the gap.
     """
     if start is None:
-        sol = _Simplex(lp, tol).run()
+        sol = _Simplex(lp, tol, columns).run()
     else:
-        warm = _Simplex(lp, tol)
-        sol = warm.run_warm(*start, inverse)
+        warm = _Simplex(lp, tol, columns)
+        sol = warm.run_warm(*start, factor)
         if sol is None:
-            sol = _Simplex(lp, tol).run()
+            sol = _Simplex(lp, tol, warm.A).run()
             sol.pivots += warm.pivots
     return sol
 
@@ -190,14 +223,15 @@ class _Simplex:
     """Engine for one solve: build, then call run() (cold two-phase)
     or run_warm() (dual start) once."""
 
-    def __init__(self, lp: LinearProgram, tol: Tolerances):
+    def __init__(self, lp: LinearProgram, tol: Tolerances,
+                 columns: np.ndarray | None = None):
         self.lp = lp
         self.tol = tol
         n, m = lp.n, lp.m
         self.n = n
         self.m = m
         # columns: [structural | slack | artificial...]
-        self.A = np.concatenate([lp.G, np.eye(m)], axis=1) if n else np.eye(m)
+        self.A = augmented(lp) if columns is None else columns
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.full(m, np.inf)])
         self.c_phase2 = np.concatenate([lp.c, np.zeros(m)])
@@ -222,18 +256,20 @@ class _Simplex:
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def _refactor(self, Binv: np.ndarray | None = None):
-        """Invert the basis matrix, or adopt its known inverse `Binv`,
-        and solve for the basic values."""
-        if Binv is None:
+    def _refactor(self, kept: Factor | None = None):
+        """Invert the basis matrix, or adopt a copy of its kept inverse
+        and update count, and solve for the basic values."""
+        if kept is None:
             try:
-                Binv = np.linalg.inv(self.A[:, self.basis])
+                self.Binv = np.linalg.inv(self.A[:, self.basis])
             except np.linalg.LinAlgError as e:
                 raise SolverError(
                     f"singular basis at pivot {self.pivots}") from e
-        self.Binv = Binv
+            self.since_refactor = 0
+        else:
+            self.Binv = kept.inverse.copy()
+            self.since_refactor = kept.updates
         self.xb = self.Binv @ (self.rhs - self._nonbasic_offset())
-        self.since_refactor = 0
 
     def _nonbasic_offset(self) -> np.ndarray:
         nb = (self.status != _BASIC).nonzero()[0]
@@ -299,20 +335,21 @@ class _Simplex:
         return self._extract()
 
     def run_warm(self, basis: np.ndarray, status: np.ndarray,
-                 inverse: np.ndarray | None = None) -> LpSolution | None:
+                 factor: Factor | None = None) -> LpSolution | None:
         """Bounded dual simplex from a start basis; None means go cold.
 
         Each pivot takes the basic column farthest outside its bounds
         to the violated bound and enters the nonbasic column of the
         Harris ratio test on that row.  A row no column can move proves
-        the LP infeasible.  `inverse`, the basis inverse of an earlier
+        the LP infeasible.  `factor`, the basis inverse of an earlier
         solve of the same [G | I] under another g, stands in for the
-        refactorization, and the start must then have no more
-        primal-infeasible basic rows than the cold start has artificials.
+        refactorization and for the one before the solve reports, and
+        the start must then have no more primal-infeasible basic rows
+        than the cold start has artificials.
         """
         if (basis >= self.n + self.m).any():
             return None
-        if inverse is not None:
+        if factor is not None:
             # the cold start's offset, before the start's statuses
             # replace it: the artificials run() would add
             n_art = int((self.lp.g - self._nonbasic_offset() < 0.0).sum())
@@ -330,8 +367,8 @@ class _Simplex:
         c, feas, rc_tol = self.c_phase2, self.tol.feasibility, \
             self.tol.reduced_cost
         try:
-            self._refactor(None if inverse is None else inverse.copy())
-            if inverse is not None:
+            self._refactor(factor)
+            if factor is not None:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 off = np.maximum(lo_b - self.xb, self.xb - hi_b) > feas
                 if int(off.sum()) > n_art:
@@ -379,7 +416,7 @@ class _Simplex:
         unbounded = self._iterate(c, phase_one=False)
         if unbounded:
             return LpSolution(status=UNBOUNDED, pivots=self.pivots)
-        return self._extract()
+        return self._extract(refactor=factor is None)
 
     def _iterate(self, c: np.ndarray, phase_one: bool) -> bool:
         """Pivot until optimal for cost c. Returns True if unbounded."""
@@ -541,8 +578,9 @@ class _Simplex:
 
     # -- extraction ----------------------------------------------------------
 
-    def _extract(self) -> LpSolution:
-        self._refactor()  # clean drift before reporting
+    def _extract(self, refactor: bool = True) -> LpSolution:
+        if refactor:
+            self._refactor()  # clean drift before reporting
         n, m = self.n, self.m
         full = self.xn.copy()
         full[self.basis] = self.xb
@@ -559,6 +597,6 @@ class _Simplex:
             duals=duals,
             pivots=self.pivots,
             basis=(self.basis, self.status[:n + m].copy()),
-            inverse=self.Binv,
+            factor=Factor(self.Binv, self.since_refactor),
         )
 

@@ -31,7 +31,7 @@ ROUNDS = 10
 
 ARTIFACT_SHA256 = {
     "certificate.json":
-        "686fd92dd70d3238b7ecf60dcb435a3bbf217bf5f7cc4d6953dbe8f5e138b1fc",
+        "81ec4ff45661faca95a9240b2e4678f9186d61c3e9669026b11fd8166e78e9d4",
     "config.yaml":
         "a1f7b2df04d7851cb5db08b1f613034cf386115f214dc5461397f51b7485aa4f",
     "report_consumption.csv":
@@ -39,13 +39,13 @@ ARTIFACT_SHA256 = {
     "report_grid.csv":
         "0040de484c6243afebeff88eca5271026da353fd9623859c602d83cddb776bc8",
     "report_power_fraction.csv":
-        "63b2bfa34a1d0df5e5de754449889d0e375674d97b7c11f28db7b7d2413e34d5",
+        "cc94e9adfb7221249821f023afdcc3314178047014939e21748b24bbc530458b",
     "report_storage.csv":
-        "5e15c13c381a917039bdf22db162e9601deccf9af34ec17d2d957ffac722ae5e",
+        "4e8edf3bba03b3652b2f603b7e2d743086277bdfb8cd70e3a70b88a0bfb6f395",
     "solution.json":
-        "acd8aedd3a0265258a72ef75112c9692781edb2db8fa2b6ec5b44fd3aab4bbb4",
+        "dd847fc7b8b2cb3aef89723657ab8042f64b7667d904e04ca7e17f48fea76982",
     "trace.csv":
-        "98e5d9ca2031874e260aeb32339426c213c8275b5e00a1a1ff7bff18a8c66dda",
+        "8357585ac88e6a8ee6561d4b3ec1dfa343d56b1d496aef066d61461628fe26b6",
 }
 
 BUILD_LP_SHA256 = \
@@ -97,12 +97,13 @@ def test_desk_artifacts_match_their_digests(desk_run):
 
 def test_desk_work_counters(desk_run):
     # [solves, pivots] of each LP layer, [solves, B&B nodes] of each
-    # MILP layer; rounds 2 to 9 start their allocation LPs from the
-    # round before, the box LPs are the builders' phase-1 solves, and a
-    # finalize's root is the round's relaxed solve, so its node LPs and
-    # the certificate's auxiliary trees give 557 - 33 + 255 node LPs
+    # MILP layer; the 2 critical loads solve no allocation LP and rounds
+    # 2 to 9 start the other 9 agents' from the round before, the box
+    # LPs are the builders' phase-1 solves, and a finalize's root is the
+    # round's relaxed solve, so its node LPs and the certificate's
+    # auxiliary trees give 557 - 33 + 255 node LPs
     _, work = desk_run
-    assert work["alloc"] == [121, 2790]
+    assert work["alloc"] == [99, 2570]
     assert work["node"] == [779, 2688]
     assert work["cert"] == [36, 713]
     assert work["box"] == [9, 53]

@@ -17,11 +17,10 @@ from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
                              init_allocations, local_multiplier_step,
                              recourse_cap, run)
 from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
-                            StorageParams, build_controllable_load_block,
-                            build_grid_block, build_storage_block,
+                            build_controllable_load_block, build_grid_block,
                             power_balance_rhs)
-from mgridopt.solver import (OPTIMAL, SolverError, Tolerances, branch_bound,
-                             solve_lp)
+from mgridopt.solver import (OPTIMAL, SolverError, Tolerances, augmented,
+                             branch_bound, simplex, solve_lp)
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost)
 from oracles.hull import box_recourse_cap
@@ -191,6 +190,35 @@ def test_multiplier_bounded_by_recourse_prices():
         mu = local_multiplier_step(a)
         assert np.all(mu >= -1e-9)
         assert np.all(mu <= d + 1e-7)
+
+
+def test_closed_form_is_the_cold_simplex_bit_for_bit(monkeypatch):
+    """An agent without columns (a critical load) solves no LP: its
+    closed form equals a cold solve_lp of the same program in x, duals
+    and value, bit for bit, at allocations with exact zeros of both
+    signs, where the dual is tied between 0 and d."""
+    rng = np.random.default_rng(41)
+    calls = {}
+    counting(monkeypatch, dialgo, "solve_lp", calls)
+    for _ in range(200):
+        K, R = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        pi = rng.dirichlet(np.ones(R))
+        d = build_recourse_cost(pi, *rng.uniform(0.5, 400.0, 2), K)
+        problem = LocalProblem(LocalBlock.empty(K, "critical_load"), R, d)
+        assert problem.closed_form
+        y = rng.standard_normal(d.size) * 10.0 ** rng.integers(-9, 4)
+        pick = rng.random(d.size)
+        y[pick < 0.2] = 0.0
+        y[(0.2 <= pick) & (pick < 0.4)] = -0.0
+        sol = problem.relax(y, Tolerances())
+        cold = solve_lp(problem.lp)
+        assert cold.status == sol.status == OPTIMAL
+        assert np.float64(sol.value).tobytes() == \
+            np.float64(cold.value).tobytes()
+        for field in ("x", "duals"):
+            assert getattr(sol, field).tobytes() == \
+                getattr(cold, field).tobytes()
+    assert calls == {}
 
 
 def test_finalize_singleton_block():
@@ -527,24 +555,44 @@ def desk_warm_run(tmp_path_factory):
     """desk.yaml cut to 12 rounds and finalized every 10, run through
     `run_experiment`: (artifact directory, agent count, one record per
     allocation step in call order).  A record holds the round's relaxed
-    solve, a cold solve_lp of the same LP and the LP's row slacks."""
+    solve and its factor, the factor it could start from, the basis
+    inversions it made, whether it was a closed form, how far the
+    factor's inverse times its basis matrix is from the identity, a cold
+    solve_lp of the same LP and the LP's row slacks."""
     raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
     raw["algorithm"]["iterations"] = WARM_ROUNDS
     raw["algorithm"]["finalize_every"] = WARM_EVERY
     cfg = ExperimentConfig(raw=raw)
     records = []
-    step = dialgo.local_multiplier_step
+    step, inv = dialgo.local_multiplier_step, np.linalg.inv
+    inversions = 0
+
+    def counted_inv(B):
+        nonlocal inversions
+        inversions += 1
+        return inv(B)
 
     def spied(agent, tol, **kwargs):
+        nonlocal inversions
+        kept = None if agent.relaxed is None else agent.relaxed.factor
+        inversions = 0
         mu = step(agent, tol, **kwargs)
         lp, sol = agent.lifted.lp, agent.relaxed
-        records.append(dict(sol=sol, cold=solve_lp(lp, tol),
+        off = None
+        if sol.factor is not None:
+            B = augmented(lp)[:, sol.basis[0]]
+            off = np.abs(sol.factor.inverse @ B - np.eye(lp.m)).max()
+        records.append(dict(sol=sol, closed=agent.lifted.closed_form,
+                            kept=kept, factor=sol.factor,
+                            inversions=inversions, off_identity=off,
+                            cold=solve_lp(lp, tol),
                             slack=lp.g - lp.G @ sol.x))
         return mu
 
     out = tmp_path_factory.mktemp("desk_warm")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dialgo, "local_multiplier_step", spied)
+        patch.setattr(np.linalg, "inv", counted_inv)
         res = experiment.run_experiment(cfg, out_dir=out)
     return out, len(res.result.agents), records
 
@@ -557,6 +605,13 @@ def test_warm_rounds_match_cold_values_and_logged_rounds_are_cold(
     warm_pivots = cold_pivots = 0
     for k, r in enumerate(records):
         sol, cold = r["sol"], r["cold"]
+        if r["closed"]:
+            # an agent without columns: bitwise the cold solve every round
+            assert sol.value == cold.value
+            for field in ("x", "duals"):
+                assert getattr(sol, field).tobytes() == \
+                    getattr(cold, field).tobytes()
+            continue
         if k // n_agents in logged:
             assert sol.pivots == cold.pivots
             assert sol.value == cold.value
@@ -575,6 +630,35 @@ def test_warm_rounds_match_cold_values_and_logged_rounds_are_cold(
             1e-9 * (1 + abs(cold.value))
     # the warm rounds do start warm
     assert 3 * warm_pivots < 2 * cold_pivots
+
+
+def test_warm_rounds_refactor_on_the_pivot_budget(desk_warm_run):
+    """A warm round adopts its start's inverse and update count and
+    inverts no basis until the count reaches REFACTOR_EVERY; a logged
+    round's cold solve reports a fresh inverse.  Every kept inverse
+    times its basis matrix is the identity to 1e-9."""
+    _, n_agents, records = desk_warm_run
+    logged = {0, 1, WARM_EVERY, WARM_ROUNDS}
+    chained = crossed = 0
+    for k, r in enumerate(records):
+        sol, factor = r["sol"], r["factor"]
+        if r["closed"]:
+            assert r["inversions"] == 0 and factor is None
+            continue
+        assert r["off_identity"] <= 1e-9
+        if k // n_agents in logged:
+            assert factor.updates == 0 and r["inversions"] >= 1
+            continue
+        below = r["kept"].updates + sol.pivots < simplex.REFACTOR_EVERY
+        if factor.updates == r["kept"].updates + sol.pivots:
+            # the start went on without a refactorization
+            assert below and r["inversions"] == 0
+            chained += 1
+        else:
+            # past the budget, or sent cold by the start rule
+            assert r["inversions"] >= 1
+            crossed += not below
+    assert chained >= 40 and crossed >= 1, (chained, crossed)
 
 
 def test_recertify_reproduces_a_run_with_warm_rounds(desk_warm_run):
@@ -606,7 +690,7 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     steps of 3 move each allocation far: the start rule sends almost
     every warm round cold before any dual pivot.  Without the rule (the
     start's basis alone, as a B&B child takes it) the allocation LPs take
-    24% more pivots than with every round cold; with it, 0.3% more: one
+    19% more pivots than with every round cold; with it, 0.3% more: one
     start that passes the rule runs its dual loop into DUAL_PIVOT_LIMIT,
     100 pivots a cold solve does not spend."""
     raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
@@ -621,9 +705,9 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     def pivots(name, start_as):
         total = 0
 
-        def counting(lp, tol, start=None, inverse=None):
+        def counting(lp, tol, start=None, factor=None, columns=None):
             nonlocal total
-            sol = real(lp, tol, **start_as(start, inverse))
+            sol = real(lp, tol, columns=columns, **start_as(start, factor))
             total += sol.pivots
             return sol
 
@@ -631,10 +715,10 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
         experiment.run_montecarlo(cfg, 2, out_dir=tmp_path / name)
         return total
 
-    cold = pivots("cold", lambda start, inverse: {})
-    warm = pivots("warm", lambda start, inverse: dict(start=start,
-                                                      inverse=inverse))
-    no_rule = pivots("no_rule", lambda start, inverse: dict(start=start))
+    cold = pivots("cold", lambda start, factor: {})
+    warm = pivots("warm", lambda start, factor: dict(start=start,
+                                                     factor=factor))
+    no_rule = pivots("no_rule", lambda start, factor: dict(start=start))
     assert warm <= 1.01 * cold
     assert no_rule > 1.1 * cold
 

@@ -287,24 +287,32 @@ def assert_same_solve(a, b):
 
 def test_resolve_under_another_g_matches_cold_solve():
     """An allocation round: the same c, G and bounds under a moved g,
-    started from the earlier solve's basis and the inverse it returned.
-    That inverse is the refactorization's, bit for bit, and the warm
-    solve agrees with a cold one in status and value."""
+    started from the earlier solve's basis and the factor it returned.
+    A cold solve's inverse is the refactorization's, bit for bit, with
+    no update; the warm solve agrees with a cold one in status and
+    value, and reports the inverse it pivoted to, which carries the
+    start's updates plus its pivots and still inverts its basis."""
     rng = np.random.default_rng(17)
     took_warm = 0
     for _ in range(300):
         lp = random_bounded_lp(rng)
         prev = solve_lp(lp)
-        B = np.concatenate([lp.G, np.eye(lp.m)], axis=1)[:, prev.basis[0]]
-        assert prev.inverse.tobytes() == np.linalg.inv(B).tobytes()
+        A = np.concatenate([lp.G, np.eye(lp.m)], axis=1)
+        B = A[:, prev.basis[0]]
+        assert prev.factor.inverse.tobytes() == np.linalg.inv(B).tobytes()
+        assert prev.factor.updates == 0
         g = lp.g + rng.normal(scale=0.3, size=lp.m)
         moved = LinearProgram(lp.c, lp.G, g, lp.lo, lp.hi)
         cold = solve_lp(moved)
-        warm = solve_lp(moved, start=prev.basis, inverse=prev.inverse)
+        warm = solve_lp(moved, start=prev.basis, factor=prev.factor)
         assert warm.status == cold.status
         if cold.status != OPTIMAL:
             continue
         took_warm += warm.pivots < cold.pivots
+        if warm.pivots < cold.pivots:
+            assert warm.factor.updates == warm.pivots
+        assert np.abs(warm.factor.inverse @ A[:, warm.basis[0]]
+                      - np.eye(lp.m)).max() <= 1e-9
         assert abs(warm.value - cold.value) <= 1e-9 * (1 + abs(cold.value))
         assert np.all((lp.lo <= warm.x) & (warm.x <= lp.hi))
         assert np.all(lp.G @ warm.x <= g + 1e-7)
@@ -312,7 +320,7 @@ def test_resolve_under_another_g_matches_cold_solve():
         assert abs(warm.value - dual_objective(moved, warm)) <= \
             1e-7 * (1 + abs(warm.value))
         # the start's inverse is left as it was
-        assert prev.inverse.tobytes() == np.linalg.inv(B).tobytes()
+        assert prev.factor.inverse.tobytes() == np.linalg.inv(B).tobytes()
     assert took_warm > 100
 
 
@@ -326,14 +334,14 @@ def farther_than_cold(lp, prev):
     hi = np.concatenate([lp.hi, np.full(lp.m, np.inf)])
     xn = np.where(status == simplex._AT_HI, hi, lo)
     xn[basis] = 0.0
-    xb = prev.inverse @ (lp.g - A @ xn)
+    xb = prev.factor.inverse @ (lp.g - A @ xn)
     off = (lo[basis] - xb > 1e-7) | (xb - hi[basis] > 1e-7)
     return int(off.sum()) > int((lp.g - lp.G @ lp.lo < 0.0).sum())
 
 
 def test_a_resolve_start_farther_from_feasible_than_cold_goes_cold():
     # such a start returns the cold solve bit for bit: it spends no dual
-    # pivot, while the same start without its inverse (a B&B child's,
+    # pivot, while the same start without its factor (a B&B child's,
     # which never meets the rule) runs the dual loop
     rng = np.random.default_rng(23)
     refused = differs = 0
@@ -348,7 +356,7 @@ def test_a_resolve_start_farther_from_feasible_than_cold_goes_cold():
         refused += 1
         cold = solve_lp(moved)
         assert_same_solve(
-            solve_lp(moved, start=prev.basis, inverse=prev.inverse), cold)
+            solve_lp(moved, start=prev.basis, factor=prev.factor), cold)
         differs += solve_lp(moved, start=prev.basis).pivots != cold.pivots
     assert refused > 20 and differs > 10
 

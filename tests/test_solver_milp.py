@@ -255,16 +255,16 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
 
 
 def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
-    """A root that carries its basis inverse (an allocation round's
-    relaxed solve) hands its children only its basis: no node LP gets
-    an inverse, and the tree is the one a root without its inverse
-    grows, bit for bit."""
+    """A root that carries its factor (an allocation round's relaxed
+    solve) hands its children only its basis: no node LP gets a factor,
+    and the tree is the one a root without its factor grows, bit for
+    bit."""
     real = branch_bound.solve_lp
     inverses = []
 
     def spying(lp, tol, start=None, **kwargs):
         sol = real(lp, tol, start=start, **kwargs)
-        inverses.append(kwargs.get("inverse"))
+        inverses.append(kwargs.get("factor"))
         return sol
 
     monkeypatch.setattr(branch_bound, "solve_lp", spying)
@@ -273,7 +273,7 @@ def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
         lp = random_mip(rng, int(rng.integers(2, 7)), int(rng.integers(0, 3)))
         root = solve_lp(lp)
         kept = solve_milp(lp, root=root)
-        root.inverse = None
+        root.factor = None
         plain = solve_milp(lp, root=root)
         assert kept.status == plain.status
         assert kept.node_count == plain.node_count

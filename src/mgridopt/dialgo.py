@@ -21,9 +21,9 @@ run in parallel; they are executed sequentially here.
 
 Between logged rounds only an agent's allocation, the right-hand side
 of its relaxed LP, moves, so each agent re-solves from its previous
-round's basis and basis inverse by dual simplex, on the [G | I] its
-LP built once for the run; the inverse is refactored on the simplex's
-pivot budget, which runs across those rounds.  Logged rounds solve
+round's basis and basis inverse by dual simplex; the inverse is
+refactored on the simplex's pivot budget, which runs across those
+rounds.  Logged rounds solve
 cold: what they produce (the finalize, the certificate, and
 `recertify`'s replay of the last round) depends only on the
 allocation, not on the rounds before it.  An agent without columns (a
@@ -39,7 +39,7 @@ import numpy as np
 
 from .model import DimensionError, LocalBlock
 from .solver import (OPTIMAL, LpSolution, NodeLimitError, SolverError,
-                     Tolerances, augmented, solve_lp, solve_milp)
+                     Tolerances, solve_lp, solve_milp)
 from .stochastic import ScenarioSet, build_h, two_stage_lp
 
 
@@ -219,9 +219,6 @@ class LocalProblem:
         self.lp = two_stage_lp([base], R, d)
         self.n, self.m0 = base.n, base.G.shape[0]
         self.H = np.ascontiguousarray(self.lp.G[self.m0:, :self.n])
-        # [G | I] of lp: built by the first relaxed solve, dropped when
-        # a run returns
-        self.columns: np.ndarray | None = None
 
     @property
     def eta_dim(self) -> int:
@@ -260,9 +257,9 @@ class LocalProblem:
 
     def relax(self, y: np.ndarray, tol: Tolerances,
               prev: LpSolution | None = None) -> LpSolution:
-        """The relaxed optimum at allocation y: by `solve_lp` on the kept
-        [G | I], cold or warm from `prev`'s basis and factor, or for an
-        agent without columns in closed form.
+        """The relaxed optimum at allocation y: by `solve_lp`, cold or
+        warm from `prev`'s basis and factor, or for an agent without
+        columns in closed form.
 
         The closed form is the cold simplex's vertex, bit for bit: eta
         = max(0, -y), basic where y < 0 with the dual d there (d > 0)
@@ -276,10 +273,7 @@ class LocalProblem:
             return LpSolution(status=OPTIMAL, x=x,
                               value=float(self.lp.c @ x),
                               duals=np.where(short, self.d, 0.0))
-        if self.columns is None:
-            self.columns = augmented(self.lp)
         return self.solve(solve_lp, y, tol, "allocation LP",
-                          columns=self.columns,
                           start=None if prev is None else prev.basis,
                           factor=None if prev is None else prev.factor)
 
@@ -532,9 +526,8 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
             exchange_and_update(agents, graph, schedule(t))
 
     result.eta_cap = eta_cap
-    # a kept factor and [G | I] serve only the next warm round: results
-    # held after the run stay small
+    # a kept factor serves only the next warm round: results held after
+    # the run stay small
     for a in agents:
         a.relaxed.factor = None
-        a.lifted.columns = None
     return result

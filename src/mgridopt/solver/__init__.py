@@ -1,12 +1,11 @@
 from .branch_bound import MipSolution, NodeLimitError, solve_milp
 from .lpformat import write_lp_format
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                      LpSolution, SolverError, Tolerances, augmented,
-                      solve_lp)
+                      LpSolution, SolverError, Tolerances, solve_lp)
 
 __all__ = [
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED",
     "LinearProgram", "LpSolution", "MipSolution", "NodeLimitError",
     "SolverError", "Tolerances",
-    "augmented", "solve_lp", "solve_milp", "write_lp_format",
+    "solve_lp", "solve_milp", "write_lp_format",
 ]

@@ -19,8 +19,7 @@ under another g comes with the basis inverse its solve ended on
 before any dual pivot when it has more primal-infeasible basic rows
 than the cold start has artificials: after a long allocation step such
 a start tends to take more dual pivots than the cold solve takes in
-all.  A caller that solves one LP many times may build its [G | I]
-once (`augmented`) and pass it to every solve.
+all.
 
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots and,
 unless it adopted a kept inverse, once more before it reports.  A solve
@@ -171,18 +170,9 @@ class LpSolution:
     factor: Factor | None = field(default=None, repr=False)
 
 
-def augmented(lp: LinearProgram) -> np.ndarray:
-    """[G | I], the columns of the slack-augmented system, read-only so
-    that solves of the same LP may share it."""
-    A = np.concatenate([lp.G, np.eye(lp.m)], axis=1) if lp.n else np.eye(lp.m)
-    A.flags.writeable = False
-    return A
-
-
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
              start: tuple[np.ndarray, np.ndarray] | None = None,
-             factor: Factor | None = None,
-             columns: np.ndarray | None = None) -> LpSolution:
+             factor: Factor | None = None) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
@@ -201,20 +191,18 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
     column, its basis is singular, a nonbasic column rests on an
     infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
     the returned pivot count includes the abandoned warm pivots.
-    `columns`, if given, is `augmented(lp)`, built once by a caller
-    that solves the LP again.
 
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
     within the tolerance could still close the gap.
     """
     if start is None:
-        sol = _Simplex(lp, tol, columns).run()
+        sol = _Simplex(lp, tol).run()
     else:
-        warm = _Simplex(lp, tol, columns)
+        warm = _Simplex(lp, tol)
         sol = warm.run_warm(*start, factor)
         if sol is None:
-            sol = _Simplex(lp, tol, warm.A).run()
+            sol = _Simplex(lp, tol).run()
             sol.pivots += warm.pivots
     return sol
 
@@ -223,15 +211,14 @@ class _Simplex:
     """Engine for one solve: build, then call run() (cold two-phase)
     or run_warm() (dual start) once."""
 
-    def __init__(self, lp: LinearProgram, tol: Tolerances,
-                 columns: np.ndarray | None = None):
+    def __init__(self, lp: LinearProgram, tol: Tolerances):
         self.lp = lp
         self.tol = tol
         n, m = lp.n, lp.m
         self.n = n
         self.m = m
         # columns: [structural | slack | artificial...]
-        self.A = augmented(lp) if columns is None else columns
+        self.A = np.concatenate([lp.G, np.eye(m)], axis=1) if n else np.eye(m)
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.full(m, np.inf)])
         self.c_phase2 = np.concatenate([lp.c, np.zeros(m)])

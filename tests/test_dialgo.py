@@ -19,8 +19,8 @@ from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
 from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             build_controllable_load_block, build_grid_block,
                             power_balance_rhs)
-from mgridopt.solver import (OPTIMAL, SolverError, Tolerances, augmented,
-                             branch_bound, simplex, solve_lp)
+from mgridopt.solver import (OPTIMAL, SolverError, Tolerances, branch_bound,
+                             simplex, solve_lp)
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost)
 from oracles.hull import box_recourse_cap
@@ -580,7 +580,7 @@ def desk_warm_run(tmp_path_factory):
         lp, sol = agent.lifted.lp, agent.relaxed
         off = None
         if sol.factor is not None:
-            B = augmented(lp)[:, sol.basis[0]]
+            B = np.concatenate([lp.G, np.eye(lp.m)], axis=1)[:, sol.basis[0]]
             off = np.abs(sol.factor.inverse @ B - np.eye(lp.m)).max()
         records.append(dict(sol=sol, closed=agent.lifted.closed_form,
                             kept=kept, factor=sol.factor,
@@ -705,9 +705,9 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     def pivots(name, start_as):
         total = 0
 
-        def counting(lp, tol, start=None, factor=None, columns=None):
+        def counting(lp, tol, start=None, factor=None):
             nonlocal total
-            sol = real(lp, tol, columns=columns, **start_as(start, factor))
+            sol = real(lp, tol, **start_as(start, factor))
             total += sol.pivots
             return sol
 

@@ -40,8 +40,42 @@ def compute_lower_bound(problem: LocalProblem, cap: float,
     contributes -cap exactly, so each LP only minimizes the coupling row
     over the block.  H = 1_R kron (A; -A) repeats its first 2K rows in
     every scenario, so those floors are solved once and tiled R times.
+
+    What the certificate needs from the cap.  The violation theorem of
+    the paper (arXiv 2104.06346) bounds the asymptotic violation of the
+    recovered solution by per-agent terms built at the resource floor,
+    as the primal-decomposition bound of Vujanic et al. (2016,
+    Automatica 67) builds its tightening from each agent's whole local
+    set.  Read that way the floor ranges over the whole relaxed block,
+    recourse included, and the cap would have to bound the recourse
+    there.  For the bound `violation_certificate` reports, at the
+    allocation a finished run stopped at, a cap that no relaxed solve
+    of its last round exceeded is enough:
+
+    1. The agent's last relaxed solve gives z in the relaxed block and
+       0 <= eta <= cap (`run` doubles the cap past every recourse a
+       solve returns) with H z - eta <= y, so ell <= y.
+    2. The auxiliary optimum (x_l, eta_l) at y = ell is then feasible at
+       y, so the recovery MILP's optimum (x, eta_mi) there costs no
+       more, and with eta_mi >= 0 and d >= d_min every entry of eta_mi
+       is at most (c'(x_l - x) + d'eta_l) / d_min, the agent's scalar.
+    3. The allocations sum to h and H x - eta_mi <= y for every agent,
+       so the measured violation sum H x - h is at most sum eta_mi.
+       An integral agent's tree returns its relaxed root, so its eta_mi
+       is its relaxed recourse.
+
+    No hull assumption enters.  A smaller cap gives a higher floor and a
+    smaller bound: on desk after 300 rounds the largest component is
+    9,492.8 kW from the default cap (`recourse_cap`, 127.914) and 427.0
+    kW from a run started at cap 0 (ending at 2.0), with the same
+    allocations and a measured 3.51 kW.  Open: the last step of 3 needs
+    the root integral to the tree's 1e-12, while `LocalBlock.is_integral`
+    admits 1e-6 (`Tolerances.integrality`), and `holds` compares with a
+    1e-5 slack; and whether the paper's asymptotic statement, at the
+    limit of the allocations, holds with the run's own cap is not proved
+    here.
     """
-    floor = np.empty(problem.eta_dim // problem.R)
+    floor = np.empty(problem.d.size // problem.R)
     for j in range(floor.size):
         try:
             sol = solve_lp(problem.base.relaxation_lp(problem.H[j]), tol)
@@ -61,12 +95,6 @@ def compute_auxiliary(problem: LocalProblem, ell: np.ndarray,
     the floored allocation y = ell."""
     sol = problem.solve(solve_milp, ell, tol, "certificate auxiliary MILP")
     return problem.split(sol.x)
-
-
-def is_integral(block, z: np.ndarray,
-                tol: float = Tolerances().integrality) -> bool:
-    ints = z[block.integrality]
-    return bool(np.all(np.abs(ints - np.round(ints)) <= tol))
 
 
 # --------------------------------------------------------------------------
@@ -115,14 +143,14 @@ def violation_certificate(result,
     d_min = min(float(a.lifted.d.min()) for a in agents)
     if d_min <= 0.0:
         raise CertificateError("certificate needs d > 0 componentwise")
-    dim = agents[0].lifted.eta_dim
+    dim = agents[0].lifted.d.size
     bound = np.zeros(dim)
     contributions = []
     flags = []
     measured = -result.h.copy()
     for a in agents:
         measured += a.lifted.H @ a.x_mi
-        integral = is_integral(a.lifted.base, a.z, tol.integrality)
+        integral = a.lifted.base.is_integral(a.z, tol.integrality)
         flags.append(integral)
         if integral:
             contrib = a.eta_relax.copy()

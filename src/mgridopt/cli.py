@@ -21,24 +21,20 @@ from pathlib import Path
 from .analysis import CertificateError
 from .config import ConfigError, ExperimentConfig, build_problem
 from .dialgo import AgentSolveError
-from .experiment import (output_root, recertify, regenerate_reports,
+from .experiment import (output_dir, recertify, regenerate_reports,
                          run_experiment, run_montecarlo)
 from .solver import write_lp_format
 from .stochastic import assemble_two_stage
 
 
 def cmd_build(args) -> int:
-    cfg = ExperimentConfig.from_yaml(args.config)
-    problem = build_problem(cfg)
+    problem = build_problem(ExperimentConfig.from_yaml(args.config))
     lp = assemble_two_stage(problem.blocks, problem.scen, problem.d)
-    out = Path(args.out) if args.out else \
-        output_root() / cfg.raw.get("output_dir", "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "centralized_problem.lp"
+    path = output_dir(problem, args.out) / "centralized_problem.lp"
     write_lp_format(lp, path)
     n_bin = int(lp.integrality.sum()) if lp.integrality is not None else 0
-    print(f"config ok: {len(problem.blocks)} agents, horizon {cfg.K}, "
-          f"{problem.scen.R} scenarios")
+    print(f"config ok: {len(problem.blocks)} agents, "
+          f"horizon {problem.scen.K}, {problem.scen.R} scenarios")
     print(f"centralized problem: {lp.n} variables ({n_bin} binary), "
           f"{lp.m} rows -> {path}")
     return 0

@@ -105,10 +105,6 @@ class ExperimentConfig:
         return cls(raw=raw)
 
     @property
-    def K(self) -> int:
-        return int(self.raw["horizon_steps"])
-
-    @property
     def seeds(self) -> dict:
         return self.raw.get("seeds", {})
 
@@ -267,6 +263,7 @@ class Problem:
     finalize_every: int
     lo_demands: list  # one per critical load, in roster order
     tolerances: Tolerances
+    output_dir: str  # under the output root, unless a verb is given one
 
 
 def _build(raw):
@@ -307,7 +304,7 @@ def _build(raw):
     scen_cfg = field(raw, "config", "scenarios", _mapping)
     algo = field(raw, "config", "algorithm", _mapping)
     units = field(raw, "config", "units", _mapping)
-    field(raw, "config", "output_dir", _string, "out")  # read by the verbs
+    output_dir = field(raw, "config", "output_dir", _string, "out")
 
     if scen_cfg is not None:
         R = field(scen_cfg, "scenarios", "count", _int_at_least(1))
@@ -372,7 +369,7 @@ def _build(raw):
     for i, c in enumerate(roster("critical_loads")):
         lo_demands.append(profile(c, f"units.critical_loads[{i}]",
                                   "demand_profile", seed_tag=200 + i))
-        blocks.append(LocalBlock.empty(K, kind="critical_load"))
+        blocks.append(LocalBlock.empty(K))
         names.append(f"critical_load_{i}")
     grid_cfg = field(units, "units", "grid", _mapping)
     phi_p = phi_s = None
@@ -405,8 +402,8 @@ def _build(raw):
         return None, errors
 
     scen = build("seeds.scenario", lambda: sample_scenarioset(
-        renewables, R, controllable_demands=cl_demands,
-        critical_demands=lo_demands, seed=seeds.get("scenario", 0), K=K))
+        renewables, R, K, controllable_demands=cl_demands,
+        critical_demands=lo_demands, seed=seeds.get("scenario", 0)))
     if errors:
         return None, errors
     top_price = float(phi_p.max())  # no sell price is higher
@@ -417,7 +414,8 @@ def _build(raw):
         blocks=blocks, agent_names=names, scen=scen,
         d=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,
         schedule=schedule, T_f=T_f, finalize_every=finalize_every,
-        lo_demands=lo_demands, tolerances=tolerances), []
+        lo_demands=lo_demands, tolerances=tolerances,
+        output_dir=output_dir), []
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:

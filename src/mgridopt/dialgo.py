@@ -221,10 +221,6 @@ class LocalProblem:
         self.H = np.ascontiguousarray(self.lp.G[self.m0:, :self.n])
 
     @property
-    def eta_dim(self) -> int:
-        return self.d.size
-
-    @property
     def closed_form(self) -> bool:
         """No block columns or rows: min d'eta s.t. -eta <= y, eta >= 0
         needs no simplex."""
@@ -282,7 +278,6 @@ class LocalProblem:
 class AgentState:
     """Everything one agent carries between rounds."""
 
-    index: int
     lifted: LocalProblem
     y: np.ndarray
     mu: np.ndarray | None = None
@@ -297,8 +292,7 @@ class AgentState:
 def make_agents(blocks, scen: ScenarioSet, d: np.ndarray, ys) -> list:
     """One agent per block, agent i holding allocation ys[i] and a copy
     of the recourse prices d."""
-    return [AgentState(index=i, lifted=LocalProblem(blk, scen.R, d.copy(), i),
-                       y=ys[i])
+    return [AgentState(lifted=LocalProblem(blk, scen.R, d.copy(), i), y=ys[i])
             for i, blk in enumerate(blocks)]
 
 
@@ -497,13 +491,13 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
         try:
             for a in agents:
                 local_multiplier_step(a, tol, warm=t not in log_set)
-                eta_cap = cover_recourse(eta_cap, a.eta_relax, a.index,
-                                         "allocation LP")
+                eta_cap = cover_recourse(eta_cap, a.eta_relax,
+                                         a.lifted.index, "allocation LP")
             if t in log_set:
                 for a in agents:
                     finalize_mixed_integer(a, tol)
-                    eta_cap = cover_recourse(eta_cap, a.eta_mi, a.index,
-                                             "recovery MILP")
+                    eta_cap = cover_recourse(eta_cap, a.eta_mi,
+                                             a.lifted.index, "recovery MILP")
         except AgentSolveError as e:
             raise AgentSolveError(e.agent, e.status,
                                   f"round {t} {e.stage}") from e

@@ -43,8 +43,14 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def output_root() -> Path:
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
+def output_dir(problem: Problem, out_dir=None, suffix: str = "") -> Path:
+    """`out_dir`, else the config's `output_dir` plus `suffix` under the
+    output root (MGRIDOPT_OUT, default the working directory); created
+    if missing."""
+    out = Path(out_dir) if out_dir is not None else Path(
+        os.environ.get(OUTPUT_ROOT_ENV, ".")) / (problem.output_dir + suffix)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _read_fields(path: Path, **readers) -> dict:
@@ -86,7 +92,6 @@ def _lists(value, sizes) -> list:
 @dataclass
 class ExperimentResult:
     out_dir: Path
-    problem: Problem
     result: RunResult
     certificate: object
 
@@ -186,9 +191,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                    consensus_rounds: int = 500) -> ExperimentResult:
     """Build, run, certify, and write the artifact set."""
     problem = build_problem(cfg)
-    out = Path(out_dir) if out_dir is not None else \
-        output_root() / cfg.raw.get("output_dir", "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(problem, out_dir)
     result = run(problem.blocks, problem.scen, problem.d, problem.graph,
                  problem.schedule, problem.T_f,
                  finalize_every=problem.finalize_every,
@@ -200,8 +203,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         json.dumps(cert_payload, indent=2, sort_keys=True) + "\n")
     write_solution(out / "solution.json", problem, result)
     write_reports(out, problem, [a.x_mi for a in result.agents])
-    return ExperimentResult(out_dir=out, problem=problem, result=result,
-                            certificate=cert)
+    return ExperimentResult(out_dir=out, result=result, certificate=cert)
 
 
 def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
@@ -218,10 +220,8 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    build_problem(cfg)  # a bad config fails before any directory exists
-    out = Path(out_dir) if out_dir is not None else \
-        output_root() / (cfg.raw.get("output_dir", "out") + "_mc")
-    out.mkdir(parents=True, exist_ok=True)
+    # a bad config fails before any directory exists
+    out = output_dir(build_problem(cfg), out_dir, "_mc")
     base_seed = cfg.seeds.get("scenario", 0)
     traces = []
     for t in range(trials):

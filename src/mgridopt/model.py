@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import OPTIMAL, LinearProgram, solve_lp
+from .solver import OPTIMAL, LinearProgram, Tolerances, solve_lp
 
 # strict-positivity constant of the storage switch; machine epsilon
 # would make the big-M rows tie-prone
@@ -171,7 +171,8 @@ class GridParams:
 @dataclass
 class LocalBlock:
     """One agent's share of the coupled problem: min c'x over
-    G x <= g, lo <= x <= hi with x[integrality] integer.
+    G x <= g, lo <= x <= hi with x[integrality] integer, coupled
+    through the K x n matrix A (K, the horizon, is A.shape[0]).
 
     `lo`/`hi` default to the unbounded box; the columns A touches need
     finite bounds (see `dialgo.recourse_cap`).  `var_index` maps names like
@@ -184,7 +185,6 @@ class LocalBlock:
     integrality: np.ndarray
     A: np.ndarray
     var_index: dict
-    K: int
     kind: str = "generic"
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
@@ -202,24 +202,30 @@ class LocalBlock:
     def value_of(self, x: np.ndarray, name: str) -> float:
         return float(x[self.var_index[name]])
 
-    def contains(self, x: np.ndarray, tol: float = 1e-7) -> bool:
+    def is_integral(self, x: np.ndarray,
+                    tol: float = Tolerances().integrality) -> bool:
+        """Every integer column of x within `tol` of an integer."""
+        ints = x[self.integrality]
+        return bool(np.all(np.abs(ints - np.round(ints)) <= tol))
+
+    def contains(self, x: np.ndarray) -> bool:
+        tol = Tolerances().feasibility
         if np.any(x < self.lo - tol) or np.any(x > self.hi + tol):
             return False
         if self.G.size and np.any(self.G @ x > self.g + tol):
             return False
-        ints = x[self.integrality]
-        return bool(np.all(np.abs(ints - np.round(ints)) <= 1e-6))
+        return self.is_integral(x)
 
     def relaxation_lp(self, c: np.ndarray) -> LinearProgram:
         """min c'x over the relaxed block."""
         return LinearProgram(c, self.G, self.g, self.lo, self.hi)
 
     @classmethod
-    def empty(cls, K: int, kind: str = "exogenous") -> "LocalBlock":
-        """Block of a unit with no decision variables (critical load)."""
+    def empty(cls, K: int) -> "LocalBlock":
+        """Block of a critical load: no decision variables."""
         return cls(c=np.zeros(0), G=np.zeros((0, 0)), g=np.zeros(0),
                    integrality=np.zeros(0, dtype=bool), A=np.zeros((K, 0)),
-                   var_index={}, K=K, kind=kind)
+                   var_index={}, kind="critical_load")
 
 
 class _RowBuilder:
@@ -338,8 +344,7 @@ def build_storage_block(p: StorageParams, K: int) -> LocalBlock:
         A[k, idx[f"u({k})"]] = 1.0
         mask[idx[f"delta({k})"]] = True
     return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
-                                var_index=idx, K=K, kind="storage", lo=lo,
-                                hi=hi))
+                                var_index=idx, kind="storage", lo=lo, hi=hi))
 
 
 def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
@@ -422,8 +427,7 @@ def build_generator_block(p: GeneratorParams, K: int) -> LocalBlock:
         A[k, idx[f"u({k})"]] = -1.0
         mask[idx[f"delta({k})"]] = True
     return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
-                                var_index=idx, K=K, kind="generator", lo=lo,
-                                hi=hi))
+                                var_index=idx, kind="generator", lo=lo, hi=hi))
 
 
 def quadratic_cost_segments(a: float, b: float, u_min: float, u_max: float,
@@ -457,7 +461,7 @@ def build_controllable_load_block(p: ControllableLoadParams, K: int) -> LocalBlo
         A[k, k] = -p.D[k]
     return _nonempty(LocalBlock(c=c, G=G, g=g,
                                 integrality=np.zeros(K, dtype=bool), A=A,
-                                var_index=idx, K=K, kind="controllable_load",
+                                var_index=idx, kind="controllable_load",
                                 lo=lo, hi=hi))
 
 
@@ -482,7 +486,7 @@ def build_grid_block(p: GridParams, K: int) -> LocalBlock:
     G, g, lo, hi = b.matrices()
     return _nonempty(LocalBlock(
         c=np.repeat([0.0, 1.0], K), G=G, g=g,
-        integrality=np.zeros(2 * K, dtype=bool), A=A, var_index=idx, K=K,
+        integrality=np.zeros(2 * K, dtype=bool), A=A, var_index=idx,
         kind="grid", lo=lo, hi=hi))
 
 
@@ -492,20 +496,14 @@ def build_grid_block(p: GridParams, K: int) -> LocalBlock:
 
 
 def power_balance_rhs(renewables, controllable_demands, critical_demands,
-                      K: int | None = None) -> np.ndarray:
-    """Exogenous side of the power balance.
+                      K: int) -> np.ndarray:
+    """Exogenous side of the power balance over K steps.
 
     b(k) = -sum controllable forecasts - sum critical forecasts
            + sum renewable outputs, all at step k.
     """
-    profiles = [np.asarray(v, dtype=float).ravel()
-                for v in (*renewables, *controllable_demands,
-                          *critical_demands)]
-    if K is None:
-        if not profiles:
-            raise DimensionError("cannot infer horizon from empty inputs")
-        K = profiles[0].size
-    for v in profiles:
+    for v in (*renewables, *controllable_demands, *critical_demands):
+        v = np.asarray(v, dtype=float).ravel()
         if v.size != K:
             raise DimensionError(
                 f"profile length {v.size} does not match horizon {K}")
@@ -517,4 +515,3 @@ def power_balance_rhs(renewables, controllable_demands, critical_demands,
     for v in critical_demands:
         b -= np.asarray(v, dtype=float)
     return b
-

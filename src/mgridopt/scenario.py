@@ -111,16 +111,15 @@ def sample_profile(model: ProfileModel, seed=None) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def sample_scenarioset(renewable_models, R: int, controllable_demands=(),
-                       critical_demands=(), seed=0,
-                       K: int | None = None) -> ScenarioSet:
+def sample_scenarioset(renewable_models, R: int, K: int,
+                       controllable_demands=(), critical_demands=(),
+                       seed=0) -> ScenarioSet:
     """R independent renewable realizations and their balance vectors.
 
     Probabilities are uniform: the sampler has no information to weigh
     draws differently.  Scenario r uses the derived seed (seed, r,
     unit), so sets with equal seeds are identical and scenario streams
-    are independent.  The horizon K is read off the profiles when not
-    given, so a set without renewables and demands needs it.
+    are independent.  Every profile spans the K-step horizon.
     """
     if R < 1:
         raise DimensionError(f"scenario count must be >= 1, got {R}")

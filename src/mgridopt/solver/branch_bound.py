@@ -25,10 +25,6 @@ MAX_BNB_NODES = 200_000  # node LP solves of one tree
 class NodeLimitError(RuntimeError):
     """Raised when a tree would solve more than MAX_BNB_NODES node LPs."""
 
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"node limit {limit} reached")
-
 
 @dataclass
 class MipSolution:
@@ -73,7 +69,7 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
             if bound >= best_val - 1e-9:
                 continue
             if nodes >= MAX_BNB_NODES:
-                raise NodeLimitError(MAX_BNB_NODES)
+                raise NodeLimitError(f"node limit {MAX_BNB_NODES} reached")
             sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi), tol,
                            start=start)
             nodes += 1

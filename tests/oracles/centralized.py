@@ -25,11 +25,11 @@ def assemble_centralized(blocks, b) -> tuple[LinearProgram, list]:
     program and the per-block column offsets.
     """
     b = np.asarray(b, dtype=float).ravel()
-    K = blocks[0].K
+    K = blocks[0].A.shape[0]
     if b.size != K:
         raise DimensionError(f"balance vector length {b.size} != horizon {K}")
     for blk in blocks:
-        if blk.K != K:
+        if blk.A.shape[0] != K:
             raise DimensionError("blocks disagree on horizon length")
     n_total = sum(blk.n for blk in blocks)
     m_total = sum(blk.G.shape[0] for blk in blocks) + 2 * K

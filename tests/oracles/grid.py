@@ -61,5 +61,4 @@ def big_m_grid_block(p: GridParams, K: int) -> LocalBlock:
         A[k, idx[f"u({k})"]] = -1.0
         mask[idx[f"delta({k})"]] = True
     return _nonempty(LocalBlock(c=c, G=G, g=g, integrality=mask, A=A,
-                                var_index=idx, K=K, kind="grid", lo=lo,
-                                hi=hi))
+                                var_index=idx, kind="grid", lo=lo, hi=hi))

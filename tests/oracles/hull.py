@@ -318,5 +318,5 @@ def hull_block(block: LocalBlock) -> LocalBlock:
     return LocalBlock(c=block.c.copy(), G=G, g=g,
                       integrality=block.integrality.copy(),
                       A=block.A.copy(), var_index=dict(block.var_index),
-                      K=block.K, kind=block.kind + "_hull",
+                      kind=block.kind + "_hull",
                       lo=block.lo.copy(), hi=block.hi.copy())

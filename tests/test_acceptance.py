@@ -102,7 +102,7 @@ def test_criterion_03_relaxation_convergence():
                           x_pl=0.0, C=4.0, zeta=0.05, x0=5.0), K),
     ]
     b = power_balance_rhs([np.array([6.0, 2.0, 5.0])],
-                          [(5.0, 7.0, 4.0), (3.0, 4.0, 6.0)], [])
+                          [(5.0, 7.0, 4.0), (3.0, 4.0, 6.0)], [], K)
     scen = ScenarioSet(pi=[1.0], b_r=[b])
     d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
     t0 = time.time()
@@ -252,10 +252,10 @@ def test_criterion_05_certificate_on_hull_instances():
             blocks.append(build_controllable_load_block(
                 ControllableLoadParams(0.0, float(rng.uniform(0.3, 0.7)), D,
                                        float(rng.uniform(0.5, 1.5))), K))
-        blocks.append(LocalBlock.empty(K, kind="critical_load"))
+        blocks.append(LocalBlock.empty(K))
         critical = [rng.uniform(0.5, 2.0, size=K)]
         b_r = [power_balance_rhs([rng.uniform(0.0, 8.0, size=K)], demands,
-                                 critical) for _ in range(R)]
+                                 critical, K) for _ in range(R)]
         scen = ScenarioSet(pi=np.full(R, 0.5), b_r=b_r)
         d = build_recourse_cost(scen.pi, 3.0, 3.5, K)
         assert all(relaxation_equals_hull(blk) for blk in blocks)

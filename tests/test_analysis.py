@@ -28,13 +28,14 @@ def box_block(lo, hi, A, c=None, integrality=None):
                       G=G, g=g,
                       integrality=(np.zeros(n, bool) if integrality is None
                                    else integrality),
-                      A=A, var_index={}, K=A.shape[0])
+                      A=A, var_index={})
 
 
 def local_problem(blk, R, d=None):
     """blk's two-stage program over R scenarios; the floors read no
     recourse price, so d defaults to ones."""
-    return LocalProblem(blk, R, np.ones(2 * R * blk.K) if d is None else d)
+    return LocalProblem(blk, R,
+                        np.ones(2 * R * blk.A.shape[0]) if d is None else d)
 
 
 # ----------------------------------------------------------- lower bounds
@@ -62,7 +63,7 @@ def test_lower_bound_sampling_admissibility():
     ell = compute_lower_bound(lifted, cap)
     for _ in range(1000):
         x = rng.uniform([-1.0, 0.0], [1.5, 2.0])
-        eta = rng.uniform(0.0, cap, size=lifted.eta_dim)
+        eta = rng.uniform(0.0, cap, size=lifted.d.size)
         assert np.all(lifted.H @ x - eta >= ell - 1e-9)
 
 
@@ -127,7 +128,7 @@ def desk_micro_run(T_f=60, with_storage=True):
                           x_pl=0.0, C=3.0, zeta=0.1, x0=4.0), K))
     rng = np.random.default_rng(8)
     b_r = [power_balance_rhs([rng.uniform(1.0, 6.0, K)],
-                             [(5.0, 7.0), (4.0, 3.0)], [np.ones(K)])
+                             [(5.0, 7.0), (4.0, 3.0)], [np.ones(K)], K)
            for _ in range(2)]
     scen = ScenarioSet(pi=[0.5, 0.5], b_r=b_r)
     d = build_recourse_cost(scen.pi, 3.0, 3.5, K)
@@ -172,7 +173,7 @@ def test_certificate_noninteger_contribution_formula():
     # hand instance exercising the scalar term: one fractional agent
     blocks, scen, d, graph, res = desk_micro_run(T_f=40)
     cert = violation_certificate(res)
-    dim = res.agents[0].lifted.eta_dim
+    dim = res.agents[0].lifted.d.size
     for i, a in enumerate(res.agents):
         if cert.in_integral_set[i]:
             assert cert.contributions[i] == pytest.approx(a.eta_relax,
@@ -194,8 +195,7 @@ def test_certificate_scalar_plugin_example():
     blk = box_block([0.0, 0.0], [1.0, 1.0], np.zeros((1, 2)),
                     c=np.zeros(2), integrality=np.array([True, True]))
     d = np.array([0.5, 1.0])
-    agent = AgentState(index=0, lifted=local_problem(blk, 1, d),
-                       y=np.zeros(2))
+    agent = AgentState(lifted=local_problem(blk, 1, d), y=np.zeros(2))
     agent.z = np.array([0.5, 0.5])      # fractional -> not integral
     agent.x_mi = np.array([0.0, 0.0])
     agent.eta_mi = np.zeros(2)

@@ -4,6 +4,7 @@ counts it, and the run trace must still carry every field the benchmark
 reads."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
@@ -146,6 +147,27 @@ def test_traced_workload_yields_every_per_layer_metric(tmp_path, monkeypatch,
     missing = {name for name in wanted - set(yielded)
                if not name.startswith("trace.")}
     assert not missing, f"{workload}: no span yields {sorted(missing)}"
+
+
+def test_benchmark_gate_passes_a_run_and_rejects_a_broken_copy(tmp_path,
+                                                              monkeypatch):
+    # every benchmark repetition goes through check_result and
+    # fingerprint, which read the run's trace, agents and certificate
+    runner = load_runner(monkeypatch)
+    raw = yaml.safe_load((ROOT / "configs" / "desk.yaml").read_text())
+    raw["algorithm"]["iterations"] = 1
+    res = experiment.run_experiment(ExperimentConfig(raw=raw),
+                                    out_dir=tmp_path)
+    assert runner.check_result(res) == []
+    incumbent, relaxed, bound = runner.fingerprint(res)
+    assert all(map(math.isfinite, (incumbent, relaxed, *bound))) and bound
+    # the selftest's broken copy
+    broken = copy.deepcopy(res)
+    broken.result.trace.alloc_residual_all[-1] = 1.0
+    broken.result.agents[0].x_mi = broken.result.agents[0].x_mi + 1e3
+    bad = runner.check_result(broken)
+    assert "allocation conservation" in bad
+    assert "finalized point outside its block" in bad
 
 
 def test_gate_rejects_a_point_past_a_native_bound():

@@ -111,7 +111,7 @@ def test_a_roster_without_loads_or_renewables_runs_and_certifies(tmp_path):
     cfg = ExperimentConfig(raw=raw)
     problem = build_problem(cfg)
     assert [b.tobytes() for b in problem.scen.b_r] == \
-        [np.zeros(cfg.K).tobytes()] * problem.scen.R
+        [np.zeros(problem.scen.K).tobytes()] * problem.scen.R
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     assert res.result.trace.iters == [0, 1, 3]
     assert res.certificate.holds
@@ -295,7 +295,7 @@ def test_every_emitted_csv_reparses(tmp_path):
     res = run_experiment(cfg, out_dir=tmp_path / "run")
     out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc",
                          consensus_rounds=10)
-    K = cfg.K
+    K = cfg.raw["horizon_steps"]
     for path in sorted(res.out_dir.glob("*.csv")) + [out / "aggregate.csv"]:
         header, rows = read_csv(path)
         assert len(header) >= 2 and rows, path.name
@@ -701,3 +701,27 @@ def test_every_package_module_is_on_the_run_path():
                 continue
             assert not any(name.split(".")[0] in ("oracles", "tests")
                            for name in names), f"{path.name}: {names}"
+
+
+def test_every_imported_name_is_read():
+    """An imported name its module never reads is dead code, in src/ and
+    in tests/ alike; an __init__.py reads the names of its `__all__`."""
+    unused = []
+    for path in sorted((REPO / "src").rglob("*.py")) + \
+            sorted((REPO / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and \
+                    ast.unparse(node.targets[0]) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                unused += [f"{path.relative_to(REPO)}:{node.lineno} {bound}"
+                           for bound in (alias.asname
+                                         or alias.name.split(".")[0]
+                                         for alias in node.names)
+                           if bound not in read]
+    assert not unused, unused

@@ -37,11 +37,11 @@ def toy_agent(A, G=None, g=None, c=None, integrality=None, R=1, d=None,
         G=np.zeros((0, n)) if G is None else np.asarray(G, float),
         g=np.zeros(0) if g is None else np.asarray(g, float),
         integrality=np.zeros(n, bool) if integrality is None else integrality,
-        A=A, var_index={}, K=K)
+        A=A, var_index={})
     dim = 2 * R * K
     d = np.full(dim, 2.0) if d is None else np.asarray(d, float)
     y = np.zeros(dim) if y is None else np.asarray(y, float)
-    return AgentState(index=index, lifted=LocalProblem(blk, R, d, index), y=y)
+    return AgentState(lifted=LocalProblem(blk, R, d, index), y=y)
 
 
 # --------------------------------------------------------------- graphs
@@ -204,7 +204,7 @@ def test_closed_form_is_the_cold_simplex_bit_for_bit(monkeypatch):
         K, R = int(rng.integers(1, 13)), int(rng.integers(1, 5))
         pi = rng.dirichlet(np.ones(R))
         d = build_recourse_cost(pi, *rng.uniform(0.5, 400.0, 2), K)
-        problem = LocalProblem(LocalBlock.empty(K, "critical_load"), R, d)
+        problem = LocalProblem(LocalBlock.empty(K), R, d)
         assert problem.closed_form
         y = rng.standard_normal(d.size) * 10.0 ** rng.integers(-9, 4)
         pick = rng.random(d.size)
@@ -347,7 +347,7 @@ def test_finalize_keeps_its_root_when_its_own_recourse_doubles_the_cap(
     # the mixed-integer point needs 0.5, past the starting cap of 0.3
     blk = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
                      integrality=np.array([True]), A=np.array([[1.0]]),
-                     var_index={}, K=1, lo=np.zeros(1), hi=np.ones(1))
+                     var_index={}, lo=np.zeros(1), hi=np.ones(1))
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
     d = build_recourse_cost(scen.pi, 2.0, 2.0, 1)
     records = spy_finalizes(monkeypatch)
@@ -370,7 +370,7 @@ def two_agent_instance(K=2):
     load = build_controllable_load_block(
         ControllableLoadParams(0.0, 0.5, (6.0,) * K, 0.9), K)
     blocks = [grid, load]
-    b = power_balance_rhs([], [(6.0,) * K], [np.full(K, 1.0)])
+    b = power_balance_rhs([], [(6.0,) * K], [np.full(K, 1.0)], K)
     scen = ScenarioSet(pi=[1.0], b_r=[b])
     d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
     return blocks, scen, d
@@ -394,7 +394,8 @@ def test_run_converges_to_centralized_relaxation():
     l2 = build_controllable_load_block(
         ControllableLoadParams(0.0, 0.7, (6.0, 4.0), 1.4), K)
     blocks = [l1, l2]
-    b = power_balance_rhs([np.array([4.0, 5.0])], [(5.0, 7.0), (6.0, 4.0)], [])
+    b = power_balance_rhs([np.array([4.0, 5.0])], [(5.0, 7.0), (6.0, 4.0)],
+                          [], K)
     scen = ScenarioSet(pi=[1.0], b_r=[b])
     d = build_recourse_cost(scen.pi, 3.0, 3.0, K)
     res = run(blocks, scen, d, generate_graph(2, "path"),
@@ -517,7 +518,7 @@ def test_recovery_infeasible_for_every_cap_names_its_round(monkeypatch):
     # mixed-integer problem is not, whatever the cap
     blk = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
                      integrality=np.array([True]), A=np.array([[1.0]]),
-                     var_index={}, K=1, lo=np.array([0.3]),
+                     var_index={}, lo=np.array([0.3]),
                      hi=np.array([0.7]))
     scen = ScenarioSet(pi=[1.0], b_r=[np.array([0.5])])
     d = build_recourse_cost(scen.pi, 3.0, 3.0, 1)

@@ -315,12 +315,12 @@ def test_convex_grid_matches_the_big_m_grid():
 
 def test_balance_rhs_cases():
     assert power_balance_rhs([], [], [], K=3) == pytest.approx([0.0] * 3)
-    b = power_balance_rhs([np.full(2, 5.0)], [], [np.full(2, 3.0)])
+    b = power_balance_rhs([np.full(2, 5.0)], [], [np.full(2, 3.0)], 2)
     assert b == pytest.approx([2.0, 2.0])
-    b = power_balance_rhs([], [np.full(2, 4.0)], [np.full(2, 1.0)])
+    b = power_balance_rhs([], [np.full(2, 4.0)], [np.full(2, 1.0)], 2)
     assert b == pytest.approx([-5.0, -5.0])
     with pytest.raises(DimensionError):
-        power_balance_rhs([np.ones(3)], [np.ones(2)], [])
+        power_balance_rhs([np.ones(3)], [np.ones(2)], [], 3)
 
 
 # ------------------------------------------------------------- invariants
@@ -359,11 +359,11 @@ def test_crossed_one_variable_rows_make_an_empty_block():
     # recourse cap reads bounds only, so the rows leave x unbounded
     as_bounds = LocalBlock(c=np.zeros(1), G=np.zeros((0, 1)), g=np.zeros(0),
                            integrality=np.zeros(1, bool), A=np.ones((1, 1)),
-                           var_index={}, K=1, lo=np.ones(1), hi=np.zeros(1))
+                           var_index={}, lo=np.ones(1), hi=np.zeros(1))
     as_rows = LocalBlock(c=np.zeros(1), G=np.array([[1.0], [-1.0]]),
                          g=np.array([0.0, -1.0]),
                          integrality=np.zeros(1, bool), A=np.ones((1, 1)),
-                         var_index={}, K=1)
+                         var_index={})
     scen = ScenarioSet(pi=[1.0], b_r=[np.zeros(1)])
     with pytest.raises(DimensionError, match="empty"):
         recourse_cap([as_bounds], scen)
@@ -424,7 +424,7 @@ def test_two_agent_toy_grid_serves_load():
     gp = grid_params(K)
     grid = build_grid_block(gp, K)
     passive = LocalBlock.empty(K)
-    b = power_balance_rhs([], [], [np.full(K, 3.0)])
+    b = power_balance_rhs([], [], [np.full(K, 3.0)], K)
     lp, offs = assemble_centralized([grid, passive], b)
     sol = solve_milp(lp)
     assert sol.status == OPTIMAL
@@ -438,7 +438,7 @@ def test_two_agent_toy_grid_serves_load():
 def test_overloaded_toy_infeasible():
     K = 1
     grid = build_grid_block(GridParams(P_max=50.0, phi_p=(0.2,), phi_s=(0.1,)), K)
-    b = power_balance_rhs([], [], [np.array([80.0])])
+    b = power_balance_rhs([], [], [np.array([80.0])], K)
     lp, _ = assemble_centralized([grid], b)
     assert solve_milp(lp).status == INFEASIBLE
 
@@ -456,7 +456,7 @@ def test_assembly_matches_direct_transcription():
     storage = build_storage_block(sp, K)
     grid = build_grid_block(gp, K)
     load = build_controllable_load_block(clp, K)
-    b = power_balance_rhs([], [clp.D], [d_lo])
+    b = power_balance_rhs([], [clp.D], [d_lo], K)
     lp, _ = assemble_centralized([storage, grid, load], b)
     assembled = solve_milp(lp)
     assert assembled.status == OPTIMAL

@@ -52,14 +52,18 @@ def test_scenarioset_uniform_probabilities_and_determinism():
     models = [ProfileModel.solar(K=6, peak_kw=4.0, window=(1, 4),
                                  cloud_sigma=0.3),
               ProfileModel.wind(K=6, mean_kw=2.0, rho=0.5, sigma=0.4)]
-    one = sample_scenarioset(models, R=1, critical_demands=[np.ones(6)], seed=9)
+    one = sample_scenarioset(models, R=1, K=6, critical_demands=[np.ones(6)],
+                             seed=9)
     assert one.pi == pytest.approx([1.0])
-    five = sample_scenarioset(models, R=5, critical_demands=[np.ones(6)], seed=9)
+    five = sample_scenarioset(models, R=5, K=6, critical_demands=[np.ones(6)],
+                              seed=9)
     assert five.pi == pytest.approx(np.full(5, 0.2))
-    again = sample_scenarioset(models, R=5, critical_demands=[np.ones(6)], seed=9)
+    again = sample_scenarioset(models, R=5, K=6,
+                               critical_demands=[np.ones(6)], seed=9)
     for a, b in zip(five.b_r, again.b_r):
         assert a.tobytes() == b.tobytes()
-    other = sample_scenarioset(models, R=5, critical_demands=[np.ones(6)], seed=10)
+    other = sample_scenarioset(models, R=5, K=6,
+                               critical_demands=[np.ones(6)], seed=10)
     assert any(a.tobytes() != b.tobytes()
                for a, b in zip(five.b_r, other.b_r))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             Tolerances, simplex, solve_lp)
+                             simplex, solve_lp)
 
 
 def box_lp(c, G, g, lo, hi):

@@ -162,7 +162,7 @@ def test_desk_finalize_milps_match_highs():
         # solve() leaves y in the agent's LP
         sol = a.lifted.solve(solve_milp, a.y, problem.tolerances,
                               "recovery MILP")
-        assert_matches_highs(scipy_opt, a.lifted.lp, sol, a.index)
+        assert_matches_highs(scipy_opt, a.lifted.lp, sol, a.lifted.index)
 
 
 def test_desk_allocation_lps_match_highs():
@@ -177,9 +177,9 @@ def test_desk_allocation_lps_match_highs():
         ref = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.g,
                                 bounds=list(zip(lp.lo, lp.hi)),
                                 method="highs")
-        assert sol.status == OPTIMAL and ref.status == 0, a.index
+        assert sol.status == OPTIMAL and ref.status == 0, a.lifted.index
         assert abs(sol.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun)), \
-            (a.index, sol.value, ref.fun)
+            (a.lifted.index, sol.value, ref.fun)
 
 
 def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):

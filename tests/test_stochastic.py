@@ -109,7 +109,7 @@ def three_agent_toy(R=2, K=2, seed=5):
         ControllableLoadParams(0.0, 0.4, (5.0, 6.0)[:K], 0.6), K)
     blocks = [storage, grid, load]
     b_r = [power_balance_rhs([rng.uniform(0, 6, size=K)], [(5.0, 6.0)[:K]],
-                             [np.full(K, 1.5)]) for _ in range(R)]
+                             [np.full(K, 1.5)], K) for _ in range(R)]
     scen = ScenarioSet(pi=np.full(R, 1.0 / R), b_r=b_r)
     d = build_recourse_cost(scen.pi, *TOY_PENALTIES, K)
     return blocks, scen, d

@@ -5,10 +5,10 @@ already lands in the mixed-integer set) or not.  The certificate bounds
 the asymptotic violation of the lifted balance band componentwise:
 integral agents contribute their relaxed recourse vector, the others a
 scalar built from an auxiliary problem at the componentwise resource
-lower bound.  Both read the agent's `LocalProblem`: the floors its
-block and coupling H, the auxiliary its two-stage program at y = ell.
-The bound is a sum of per-agent terms, so agents can also average it
-over the communication graph and everyone ends up with the
+lower bound.  Both solve through the agent's `LocalProblem`: the
+floors its block and coupling H, the auxiliary its two-stage program
+at y = ell.  The bound is a sum of per-agent terms, so agents can also
+average it over the communication graph and everyone ends up with the
 network-wide certificate without a collector.
 """
 
@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dialgo import LocalProblem
-from .solver import OPTIMAL, SolverError, Tolerances, solve_lp, solve_milp
-
-
-class CertificateError(RuntimeError):
-    pass
+from .solver import solve_lp, solve_milp
 
 
 # --------------------------------------------------------------------------
@@ -31,8 +27,7 @@ class CertificateError(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-def compute_lower_bound(problem: LocalProblem, cap: float,
-                        tol: Tolerances = Tolerances()) -> np.ndarray:
+def compute_lower_bound(problem: LocalProblem, cap: float) -> np.ndarray:
     """Componentwise floor of H x - eta over the relaxed block and
     0 <= eta <= cap, `cap` being a number no recourse of the run reached.
 
@@ -40,6 +35,8 @@ def compute_lower_bound(problem: LocalProblem, cap: float,
     contributes -cap exactly, so each LP only minimizes the coupling row
     over the block.  H = 1_R kron (A; -A) repeats its first 2K rows in
     every scenario, so those floors are solved once and tiled R times.
+    Each goes through the agent's `LocalProblem.solve_program`, so a
+    failure is an AgentSolveError of stage `certificate floor LP j`.
 
     What the certificate needs from the cap.  The violation theorem of
     the paper (arXiv 2104.06346) bounds the asymptotic violation of the
@@ -77,23 +74,17 @@ def compute_lower_bound(problem: LocalProblem, cap: float,
     """
     floor = np.empty(problem.d.size // problem.R)
     for j in range(floor.size):
-        try:
-            sol = solve_lp(problem.base.relaxation_lp(problem.H[j]), tol)
-        except SolverError as e:
-            raise CertificateError(
-                f"lower-bound LP for component {j} failed: {e}") from e
-        if sol.status != OPTIMAL:
-            raise CertificateError(
-                f"lower-bound LP for component {j} ended {sol.status}")
+        sol = problem.solve_program(
+            solve_lp, problem.base.relaxation_lp(problem.H[j]),
+            f"certificate floor LP {j}")
         floor[j] = sol.value - cap
     return np.tile(floor, problem.R)
 
 
-def compute_auxiliary(problem: LocalProblem, ell: np.ndarray,
-                      tol: Tolerances = Tolerances()):
+def compute_auxiliary(problem: LocalProblem, ell: np.ndarray):
     """Mixed-integer optimum (x, eta) of the agent's local problem at
     the floored allocation y = ell."""
-    sol = problem.solve(solve_milp, ell, tol, "certificate auxiliary MILP")
+    sol = problem.solve(solve_milp, ell, "certificate auxiliary MILP")
     return problem.split(sol.x)
 
 
@@ -128,8 +119,7 @@ class ViolationCertificate:
         }
 
 
-def violation_certificate(result,
-                          tol: Tolerances = Tolerances()) -> ViolationCertificate:
+def violation_certificate(result) -> ViolationCertificate:
     """Assemble the certificate from a finished run.
 
     Uses the final allocation as the converged-allocation proxy (the
@@ -137,12 +127,13 @@ def violation_certificate(result,
     relaxed block solution is integral contribute their relaxed
     recourse, the rest the auxiliary-problem scalar spread over all
     components.  Each agent's `LocalProblem` carries the recourse
-    prices d; the scalar divides by their smallest entry d_min.
+    prices d, the scalar dividing by their smallest entry d_min, and
+    the run's tolerances, integrality among them.
     """
     agents = result.agents
     d_min = min(float(a.lifted.d.min()) for a in agents)
     if d_min <= 0.0:
-        raise CertificateError("certificate needs d > 0 componentwise")
+        raise ValueError("certificate needs d > 0 componentwise")
     dim = agents[0].lifted.d.size
     bound = np.zeros(dim)
     contributions = []
@@ -150,13 +141,13 @@ def violation_certificate(result,
     measured = -result.h.copy()
     for a in agents:
         measured += a.lifted.H @ a.x_mi
-        integral = a.lifted.base.is_integral(a.z, tol.integrality)
+        integral = a.lifted.base.is_integral(a.z, a.lifted.tol.integrality)
         flags.append(integral)
         if integral:
             contrib = a.eta_relax.copy()
         else:
-            ell = compute_lower_bound(a.lifted, result.eta_cap, tol)
-            x_l, eta_l = compute_auxiliary(a.lifted, ell, tol)
+            ell = compute_lower_bound(a.lifted, result.eta_cap)
+            x_l, eta_l = compute_auxiliary(a.lifted, ell)
             blk = a.lifted.base
             scalar = (blk.c @ (x_l - a.x_mi) + a.lifted.d @ eta_l) / d_min
             contrib = np.full(dim, scalar)

@@ -18,7 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import CertificateError
 from .config import ConfigError, ExperimentConfig, build_problem
 from .dialgo import AgentSolveError
 from .experiment import (output_dir, recertify, regenerate_reports,
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, AgentSolveError, CertificateError) as e:
+    except (ConfigError, OSError, AgentSolveError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

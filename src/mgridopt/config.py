@@ -22,7 +22,7 @@ Schema sketch (see configs/desk.yaml for a complete example):
     seeds: {problem: 11, scenario: 2025, graph: 3}
     scenarios:
       count: 2
-      surplus_penalty_eur_per_kwh: null   # > 0; null = 10x the top price
+      surplus_penalty_eur_per_kwh: null   # > 0; null = 10x top price (> 0)
       shortage_penalty_eur_per_kwh: null
     algorithm:
       iterations: 300
@@ -35,7 +35,7 @@ Schema sketch (see configs/desk.yaml for a complete example):
                              # zero (YAML reads 1e-7 as a string)
         reduced_cost: 1.0e-9 # simplex: pricing optimality threshold
         integrality: 1.0e-6  # certificate: when a relaxed block
-                             # solution counts as integral
+                             # solution counts as integral; < 0.5
     profiles:
       name: {literal_kw: [...]} | {kind: demand, base_kw: .., peaks: [[c,w,h]],
              sigma_kw: ..} | {literal_eur_per_kwh: [...]}
@@ -153,6 +153,13 @@ def _positive(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not value > 0:
         raise ValueError(f"must be a number > 0, got {value!r}")
+    return float(value)
+
+
+def _below_half(value) -> float:
+    """An integrality tolerance: at 0.5 every point rounds to within it."""
+    if _positive(value) >= 0.5:
+        raise ValueError(f"must be a number < 0.5, got {value!r}")
     return float(value)
 
 
@@ -309,20 +316,20 @@ def _build(raw):
     if scen_cfg is not None:
         R = field(scen_cfg, "scenarios", "count", _int_at_least(1))
         # null is the default; the certificate divides by the penalties
-        q_plus, q_minus = (
-            None if scen_cfg.get(key) is None
-            else field(scen_cfg, "scenarios", key, _positive)
-            for key in ("surplus_penalty_eur_per_kwh",
-                        "shortage_penalty_eur_per_kwh"))
+        penalties = {key: None if scen_cfg.get(key) is None
+                     else field(scen_cfg, "scenarios", key, _positive)
+                     for key in ("surplus_penalty_eur_per_kwh",
+                                 "shortage_penalty_eur_per_kwh")}
     graph_cfg = None
     if algo is not None:
         T_f = field(algo, "algorithm", "iterations", _int_at_least(0))
         finalize_every = field(algo, "algorithm", "finalize_every",
                                _int_at_least(1), DEFAULT_FINALIZE_EVERY)
         tols = field(algo, "algorithm", "tolerances", _tolerance_names, {})
-        tolerances = Tolerances(**{key: field(tols, "algorithm.tolerances",
-                                              key, _positive)
-                                   for key in tols or {}})
+        tolerances = Tolerances(**{key: field(
+            tols, "algorithm.tolerances", key,
+            _below_half if key == "integrality" else _positive)
+            for key in tols or {}})
         schedule = field(algo, "algorithm", "step_size", _schedule)
         graph_cfg = field(algo, "algorithm", "graph", _mapping)
     if None in (K, seeds, profiles, units):
@@ -408,8 +415,13 @@ def _build(raw):
         return None, errors
     top_price = float(phi_p.max())  # no sell price is higher
     # recourse is a penalty of last resort: default 10x the top price
-    q_plus = 10.0 * top_price if q_plus is None else q_plus
-    q_minus = 10.0 * top_price if q_minus is None else q_minus
+    errors = [f"scenarios.{key}: null needs a top purchase price > 0, "
+              f"got {top_price!r}" for key, q in penalties.items()
+              if q is None and top_price <= 0.0]
+    if errors:
+        return None, errors
+    q_plus, q_minus = (10.0 * top_price if q is None else q
+                       for q in penalties.values())
     return Problem(
         blocks=blocks, agent_names=names, scen=scen,
         d=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,

@@ -210,12 +210,14 @@ class LocalProblem:
 
     The rounds solve it relaxed for the multiplier of the allocation
     rows and mixed-integer to recover a feasible point; the certificate
-    solves it once more at the resource floor y = ell.
+    solves the block's floor LPs and the program at y = ell.  Each solve
+    goes through `solve_program`, with the run's tolerances `tol`.
     """
 
     def __init__(self, base: LocalBlock, R: int, d: np.ndarray,
-                 index: int = 0):
+                 index: int = 0, tol: Tolerances = Tolerances()):
         self.base, self.R, self.d, self.index = base, R, d, index
+        self.tol = tol
         self.lp = two_stage_lp([base], R, d)
         self.n, self.m0 = base.n, base.G.shape[0]
         self.H = np.ascontiguousarray(self.lp.G[self.m0:, :self.n])
@@ -234,25 +236,25 @@ class LocalProblem:
         """mu: a copy of the duals of the allocation rows."""
         return sol.duals[self.m0:].copy()
 
-    def solve(self, solver, y: np.ndarray, tol: Tolerances, stage: str,
-              **options):
-        """Solve once at allocation y with `solver` (solve_lp or
-        solve_milp) and its keyword `options` (solve_lp's warm start,
-        solve_milp's root).  A status other than optimal, a simplex
+    def solve_program(self, solver, lp, stage: str, **options):
+        """`solver` (solve_lp or solve_milp) on `lp` with the agent's
+        tolerances and `options`.  A status other than optimal, a simplex
         failure or a tree past its node limit raises an AgentSolveError
-        naming `stage`.
-        """
-        self.lp.g[self.m0:] = y
+        naming the agent and `stage`."""
         try:
-            sol = solver(self.lp, tol, **options)
+            sol = solver(lp, self.tol, **options)
         except (NodeLimitError, SolverError) as e:
             raise AgentSolveError(self.index, str(e), stage) from e
         if sol.status != OPTIMAL:
             raise AgentSolveError(self.index, sol.status, stage)
         return sol
 
-    def relax(self, y: np.ndarray, tol: Tolerances,
-              prev: LpSolution | None = None) -> LpSolution:
+    def solve(self, solver, y: np.ndarray, stage: str, **options):
+        """`solve_program` of the local problem at allocation y."""
+        self.lp.g[self.m0:] = y
+        return self.solve_program(solver, self.lp, stage, **options)
+
+    def relax(self, y: np.ndarray, prev=None) -> LpSolution:
         """The relaxed optimum at allocation y: by `solve_lp`, cold or
         warm from `prev`'s basis and factor, or for an agent without
         columns in closed form.
@@ -269,7 +271,7 @@ class LocalProblem:
             return LpSolution(status=OPTIMAL, x=x,
                               value=float(self.lp.c @ x),
                               duals=np.where(short, self.d, 0.0))
-        return self.solve(solve_lp, y, tol, "allocation LP",
+        return self.solve(solve_lp, y, "allocation LP",
                           start=None if prev is None else prev.basis,
                           factor=None if prev is None else prev.factor)
 
@@ -289,15 +291,15 @@ class AgentState:
     eta_mi: np.ndarray | None = None
 
 
-def make_agents(blocks, scen: ScenarioSet, d: np.ndarray, ys) -> list:
-    """One agent per block, agent i holding allocation ys[i] and a copy
-    of the recourse prices d."""
-    return [AgentState(lifted=LocalProblem(blk, scen.R, d.copy(), i), y=ys[i])
+def make_agents(blocks, scen: ScenarioSet, d: np.ndarray, ys,
+                tol: Tolerances) -> list:
+    """One agent per block, agent i holding allocation ys[i], a copy of
+    the recourse prices d and the tolerances `tol`."""
+    return [AgentState(LocalProblem(blk, scen.R, d.copy(), i, tol), ys[i])
             for i, blk in enumerate(blocks)]
 
 
-def local_multiplier_step(agent: AgentState, tol: Tolerances = Tolerances(),
-                          warm: bool = False) -> np.ndarray:
+def local_multiplier_step(agent: AgentState, warm: bool = False) -> np.ndarray:
     """Solve the relaxed local problem at the current allocation.
 
     Returns the multiplier of the allocation rows (duals of
@@ -308,18 +310,17 @@ def local_multiplier_step(agent: AgentState, tol: Tolerances = Tolerances(),
     it cold); a warm solve may end on another optimal vertex than a
     cold one, with the same value to roundoff.
     """
-    sol = agent.lifted.relax(agent.y, tol, agent.relaxed if warm else None)
+    sol = agent.lifted.relax(agent.y, agent.relaxed if warm else None)
     agent.relaxed = sol
     agent.mu = agent.lifted.multiplier(sol)
     agent.z, agent.eta_relax = agent.lifted.split(sol.x)
     return agent.mu
 
 
-def finalize_mixed_integer(agent: AgentState,
-                           tol: Tolerances = Tolerances()):
+def finalize_mixed_integer(agent: AgentState):
     """Mixed-integer recovery at the round's allocation, rooted at its
     relaxed solve (the local problem depends on nothing else)."""
-    sol = agent.lifted.solve(solve_milp, agent.y, tol, "recovery MILP",
+    sol = agent.lifted.solve(solve_milp, agent.y, "recovery MILP",
                              root=agent.relaxed)
     agent.x_mi, agent.eta_mi = agent.lifted.split(sol.x)
     return agent.x_mi, agent.eta_mi
@@ -478,7 +479,7 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
     if ys is None:
         ys = init_allocations(h, len(blocks))
     agents = make_agents(blocks, scen, d,
-                         [np.array(y, dtype=float) for y in ys])
+                         [np.array(y, dtype=float) for y in ys], tol)
     trace = RunTrace()
     result = RunResult(agents=agents, trace=trace, h=h, eta_cap=eta_cap,
                        converged_label="empirical", T_f=T_f)
@@ -490,12 +491,12 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
         trace.alloc_residual_all.append(residual)
         try:
             for a in agents:
-                local_multiplier_step(a, tol, warm=t not in log_set)
+                local_multiplier_step(a, warm=t not in log_set)
                 eta_cap = cover_recourse(eta_cap, a.eta_relax,
                                          a.lifted.index, "allocation LP")
             if t in log_set:
                 for a in agents:
-                    finalize_mixed_integer(a, tol)
+                    finalize_mixed_integer(a)
                     eta_cap = cover_recourse(eta_cap, a.eta_mi,
                                              a.lifted.index, "recovery MILP")
         except AgentSolveError as e:

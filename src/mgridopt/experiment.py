@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (CertificateError, distributed_certificate,
-                       violation_certificate)
+from .analysis import distributed_certificate, violation_certificate
 from .config import (ConfigError, ExperimentConfig, Problem, _positive,
                      _string, build_problem)
 from .dialgo import AgentSolveError, RunResult, run
@@ -178,7 +177,7 @@ def write_solution(path, problem: Problem, result: RunResult):
 
 def _certify(problem: Problem, result: RunResult, consensus_rounds: int):
     """The violation certificate and its payload with the consensus check."""
-    cert = violation_certificate(result, problem.tolerances)
+    cert = violation_certificate(result)
     _, deviation = distributed_certificate(cert, problem.graph,
                                            rounds=consensus_rounds)
     payload = cert.to_dict()
@@ -235,9 +234,6 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
             raise AgentSolveError(
                 e.agent, e.status,
                 f"trial {t} (scenario seed {seed}) {e.stage}") from e
-        except CertificateError as e:
-            raise CertificateError(
-                f"trial {t} (scenario seed {seed}): {e}") from e
         traces.append(res.result.trace)
     aggregate = []
     for rows in zip(*(tr.rows() for tr in traces)):  # one logged round

@@ -14,7 +14,6 @@ import pytest
 import yaml
 
 from mgridopt import analysis, config, dialgo, model
-from mgridopt.analysis import CertificateError
 from mgridopt.cli import main
 from mgridopt.config import (ConfigError, ExperimentConfig, _build,
                              build_problem)
@@ -126,6 +125,29 @@ def test_zero_recourse_penalty_rejected_up_front():
         assert any(f"scenarios.{key}" in e and "> 0" in e for e in errors)
 
 
+def test_a_null_penalty_needs_a_positive_purchase_price(tmp_path,
+                                                        monkeypatch):
+    """With every purchase price 0 a null penalty, 10x the top price,
+    would be 0 and the certificate divides by it: the build rejects the
+    config before any round solves an LP."""
+    raw = minimal_config()
+    raw["profiles"].update(buy={"literal_eur_per_kwh": [0.0] * 4},
+                           sell={"literal_eur_per_kwh": [0.0] * 4})
+    raw["scenarios"]["surplus_penalty_eur_per_kwh"] = None
+    message = ("scenarios.surplus_penalty_eur_per_kwh: null needs a top "
+               "purchase price > 0, got 0.0")
+    assert _build(raw)[1] == [message]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a round solved an LP")
+
+    monkeypatch.setattr(dialgo, "solve_lp", no_solve)
+    monkeypatch.setattr(dialgo, "solve_milp", no_solve)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(ExperimentConfig(raw=raw), out_dir=tmp_path / "r")
+    assert not (tmp_path / "r").exists()
+
+
 def test_valid_minimal_config_ok():
     assert _build(minimal_config())[1] == []
 
@@ -217,6 +239,10 @@ MALFORMED_DESK = {
         lambda raw: raw["profiles"]["price_sell"]["literal_eur_per_kwh"]
         .__setitem__(2, 0.35),
         "units.grid: sell price exceeds purchase price at step 2"),
+    "integrality_half": (
+        lambda raw: raw["algorithm"].update(tolerances={"integrality": 0.5}),
+        "algorithm.tolerances.integrality: must be a number < 0.5, "
+        "got 0.5"),
     "price_nan": (
         lambda raw: raw["profiles"]["price_buy"]["literal_eur_per_kwh"]
         .__setitem__(2, float("nan")),
@@ -377,8 +403,8 @@ def test_configured_integrality_reaches_certificate(tmp_path):
     default = run_experiment(ExperimentConfig(raw=raw),
                              out_dir=tmp_path / "default")
     assert not all(default.certificate.in_integral_set)
-    # every fraction lies within 0.5 of an integer
-    raw["algorithm"]["tolerances"] = {"integrality": 0.5}
+    # every fraction of this run lies within 0.499 of an integer
+    raw["algorithm"]["tolerances"] = {"integrality": 0.499}
     loose = run_experiment(ExperimentConfig(raw=raw),
                            out_dir=tmp_path / "loose")
     assert all(loose.certificate.in_integral_set)
@@ -624,7 +650,7 @@ def test_cli_reports_a_solve_failure_on_one_line(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("module,message", [
     (dialgo, "agent 0: round 0 allocation LP solve ended singular basis"),
-    (analysis, "lower-bound LP for component 0 failed: singular basis")],
+    (analysis, "agent 0: certificate floor LP 0 solve ended singular basis")],
     ids=["dialgo", "analysis"])
 def test_cli_reports_a_simplex_failure_on_one_line(tmp_path, monkeypatch,
                                                    capsys, module, message):
@@ -642,9 +668,9 @@ def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,
                                                             monkeypatch):
     monkeypatch.setattr(analysis, "solve_lp",
                         lambda *args: LpSolution(INFEASIBLE))
-    with pytest.raises(CertificateError, match=re.escape(
-            "trial 0 (scenario seed [2, 0]): lower-bound LP for component 0 "
-            "ended infeasible")):
+    with pytest.raises(dialgo.AgentSolveError, match=re.escape(
+            "agent 0: trial 0 (scenario seed [2, 0]) certificate floor LP 0 "
+            "solve ended infeasible")):
         run_montecarlo(
             ExperimentConfig(raw=with_desk_storage(minimal_config())),
             trials=2, out_dir=tmp_path / "mc")
@@ -701,6 +727,20 @@ def test_every_package_module_is_on_the_run_path():
                 continue
             assert not any(name.split(".")[0] in ("oracles", "tests")
                            for name in names), f"{path.name}: {names}"
+
+
+def test_agents_solve_only_through_their_local_problem():
+    """dialgo and analysis pass solve_lp and solve_milp to a
+    LocalProblem, which applies the run's tolerances and names the agent
+    and the stage of a failed solve; neither module calls them."""
+    direct = []
+    for name in ("dialgo.py", "analysis.py"):
+        tree = ast.parse((REPO / "src" / "mgridopt" / name).read_text())
+        direct += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and
+                   ast.unparse(node.func).split(".")[-1] in
+                   ("solve_lp", "solve_milp")]
+    assert direct == []
 
 
 def test_every_imported_name_is_read():

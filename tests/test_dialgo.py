@@ -19,8 +19,8 @@ from mgridopt.dialgo import (MAX_CAP_DOUBLINGS, AgentSolveError, AgentState,
 from mgridopt.model import (ControllableLoadParams, GridParams, LocalBlock,
                             build_controllable_load_block, build_grid_block,
                             power_balance_rhs)
-from mgridopt.solver import (OPTIMAL, SolverError, Tolerances, branch_bound,
-                             simplex, solve_lp)
+from mgridopt.solver import (OPTIMAL, SolverError, branch_bound, simplex,
+                             solve_lp)
 from mgridopt.stochastic import (ScenarioSet, assemble_two_stage, build_h,
                                  build_recourse_cost)
 from oracles.hull import box_recourse_cap
@@ -210,7 +210,7 @@ def test_closed_form_is_the_cold_simplex_bit_for_bit(monkeypatch):
         pick = rng.random(d.size)
         y[pick < 0.2] = 0.0
         y[(0.2 <= pick) & (pick < 0.4)] = -0.0
-        sol = problem.relax(y, Tolerances())
+        sol = problem.relax(y)
         cold = solve_lp(problem.lp)
         assert cold.status == sol.status == OPTIMAL
         assert np.float64(sol.value).tobytes() == \
@@ -282,12 +282,12 @@ def spy_finalizes(monkeypatch):
         trees.append(sol.node_count)
         return sol
 
-    def spied(agent, tol=Tolerances()):
+    def spied(agent):
         before = dict(lps)
         trees.clear()
-        x, eta = finalize(agent, tol)
+        x, eta = finalize(agent)
         spent = {key: lps[key] - before[key] for key in lps}
-        cold = agent.lifted.solve(milp, agent.y, tol, "cold")
+        cold = agent.lifted.solve(milp, agent.y, "cold")
         records.append(dict(agent=agent, spent=spent, trees=list(trees),
                             x=x, eta=eta, cold=cold))
         return x, eta
@@ -573,11 +573,11 @@ def desk_warm_run(tmp_path_factory):
         inversions += 1
         return inv(B)
 
-    def spied(agent, tol, **kwargs):
+    def spied(agent, **kwargs):
         nonlocal inversions
         kept = None if agent.relaxed is None else agent.relaxed.factor
         inversions = 0
-        mu = step(agent, tol, **kwargs)
+        mu = step(agent, **kwargs)
         lp, sol = agent.lifted.lp, agent.relaxed
         off = None
         if sol.factor is not None:
@@ -586,7 +586,7 @@ def desk_warm_run(tmp_path_factory):
         records.append(dict(sol=sol, closed=agent.lifted.closed_form,
                             kept=kept, factor=sol.factor,
                             inversions=inversions, off_identity=off,
-                            cold=solve_lp(lp, tol),
+                            cold=solve_lp(lp, agent.lifted.tol),
                             slack=lp.g - lp.G @ sol.x))
         return mu
 

@@ -17,8 +17,8 @@ from mgridopt.model import (EPSILON, ControllableLoadParams, DimensionError,
                             build_generator_block, build_grid_block,
                             build_storage_block, power_balance_rhs,
                             quadratic_cost_segments, storage_e_matrices)
-from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, Tolerances,
-                             solve_lp, solve_milp)
+from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram, solve_lp,
+                             solve_milp)
 from mgridopt.stochastic import ScenarioSet, build_recourse_cost
 from oracles.centralized import assemble_centralized
 from oracles.grid import big_m_grid_block
@@ -281,7 +281,6 @@ def test_convex_grid_matches_the_big_m_grid():
     except ImportError:
         scipy_opt = None
     rng = np.random.default_rng(2014)
-    tol = Tolerances()
     for trial in range(30):
         K, R = int(rng.integers(1, 5)), int(rng.integers(1, 3))
         phi_p = rng.uniform(0.05, 0.5, K)
@@ -295,8 +294,8 @@ def test_convex_grid_matches_the_big_m_grid():
         y = rng.normal(scale=p.P_max, size=2 * R * K)
         convex = LocalProblem(build_grid_block(p, K), R, d)
         big_m = LocalProblem(big_m_grid_block(p, K), R, d)
-        lp_sol = convex.solve(solve_lp, y, tol, "convex grid")
-        mi_sol = big_m.solve(solve_milp, y, tol, "big-M grid")
+        lp_sol = convex.solve(solve_lp, y, "convex grid")
+        mi_sol = big_m.solve(solve_milp, y, "big-M grid")
         assert lp_sol.status == mi_sol.status == OPTIMAL
         assert lp_sol.value == pytest.approx(mi_sol.value, abs=1e-6), trial
         if scipy_opt is not None:

@@ -13,7 +13,7 @@ from mgridopt.analysis import violation_certificate
 from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import AgentSolveError, init_allocations, make_agents, run
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram,
-                             NodeLimitError, solve_lp, solve_milp)
+                             NodeLimitError, Tolerances, solve_lp, solve_milp)
 from mgridopt.solver import branch_bound
 from mgridopt.stochastic import build_h
 
@@ -137,7 +137,8 @@ def desk_at_equal_split():
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     scen = problem.scen
     agents = make_agents(problem.blocks, scen, problem.d,
-                         init_allocations(build_h(scen), len(problem.blocks)))
+                         init_allocations(build_h(scen), len(problem.blocks)),
+                         problem.tolerances)
     return problem, agents
 
 
@@ -160,8 +161,7 @@ def test_desk_finalize_milps_match_highs():
     problem, agents = desk_at_equal_split()
     for a in agents:
         # solve() leaves y in the agent's LP
-        sol = a.lifted.solve(solve_milp, a.y, problem.tolerances,
-                              "recovery MILP")
+        sol = a.lifted.solve(solve_milp, a.y, "recovery MILP")
         assert_matches_highs(scipy_opt, a.lifted.lp, sol, a.lifted.index)
 
 
@@ -171,8 +171,7 @@ def test_desk_allocation_lps_match_highs():
     scipy_opt = pytest.importorskip("scipy.optimize")
     problem, agents = desk_at_equal_split()
     for a in agents:
-        sol = a.lifted.solve(solve_lp, a.y, problem.tolerances,
-                              "allocation LP")
+        sol = a.lifted.solve(solve_lp, a.y, "allocation LP")
         lp = a.lifted.lp
         ref = scipy_opt.linprog(lp.c, A_ub=lp.G, b_ub=lp.g,
                                 bounds=list(zip(lp.lo, lp.hi)),
@@ -200,10 +199,20 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
         return sol
 
     monkeypatch.setattr(analysis, "solve_milp", recording)
-    cert = violation_certificate(res, problem.tolerances)
+    cert = violation_certificate(res)
     assert len(solved) == sum(not f for f in cert.in_integral_set) == 3
     for k, (lp, sol) in enumerate(solved):
         assert_matches_highs(scipy_opt, lp, sol, k)
+
+
+def test_certificate_counts_integral_agents_at_the_runs_tolerance():
+    """The certificate tests integrality at the tolerance its run's
+    agents hold: after one desk round none of the three agents that are
+    non-integral at the default 1e-6 is non-integral at 0.49."""
+    problem = build_problem(ExperimentConfig.from_yaml(DESK))
+    res = run(problem.blocks, problem.scen, problem.d, problem.graph,
+              problem.schedule, T_f=1, tol=Tolerances(integrality=0.49))
+    assert violation_certificate(res).in_integral_set.count(False) == 0
 
 
 def test_node_limit_names_the_agent_round_and_stage(monkeypatch):
@@ -221,7 +230,7 @@ def test_node_limit_names_the_agent_round_and_stage(monkeypatch):
         "agent 0: round 0 recovery MILP solve ended node limit 2 reached"
     assert isinstance(err.value.__cause__.__cause__, NodeLimitError)
     with pytest.raises(AgentSolveError) as err:
-        violation_certificate(res, problem.tolerances)
+        violation_certificate(res)
     assert err.value.stage == "certificate auxiliary MILP"
 
 
@@ -242,8 +251,8 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
             return sol
 
         monkeypatch.setattr(branch_bound, "solve_lp", counting)
-        sols = [a.lifted.solve(solve_milp, a.y, problem.tolerances,
-                                "recovery MILP") for a in agents]
+        sols = [a.lifted.solve(solve_milp, a.y, "recovery MILP")
+                for a in agents]
         return pivots, sols
 
     warm, warm_sols = finalize_all(True)

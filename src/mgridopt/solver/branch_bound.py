@@ -5,8 +5,14 @@ integer-flagged coordinate (ties to the lowest column index).  The root
 LP is solved cold unless the caller already holds it; every child
 differs from its parent by one bound and starts from the parent's
 optimal basis (`LpSolution.basis`), which the dual simplex re-optimizes
-in a few pivots.  All choices are deterministic, so identical inputs
-give identical solutions and node counts.
+in a few pivots.  A child also starts from the parent's basis inverse
+when it is fresh (`Factor.updates` 0), as every node LP's is after its
+final refactorization, instead of inverting the same basis again; a
+root from a warm allocation solve may carry updates, and its children
+refactor.  Both children share the parent's arrays until they are
+solved, and each solve copies the inverse before pivoting it.  All
+choices are deterministic, so identical inputs give identical
+solutions and node counts.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
     best_val = np.inf
     nodes = 1
     counter = 0
-    # heap entries: (lp bound, insertion counter, lo, hi, parent basis)
+    # heap entries: (lp bound, insertion counter, lo, hi, parent basis,
+    # parent inverse or None); siblings share their parent's arrays
     heap: list[tuple] = []
     state = [(root, lp.lo, lp.hi)]
 
@@ -65,13 +72,13 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
         if state:
             sol, lo, hi = state.pop()
         else:
-            bound, _, lo, hi, start = heapq.heappop(heap)
+            bound, _, lo, hi, start, inverse = heapq.heappop(heap)
             if bound >= best_val - 1e-9:
                 continue
             if nodes >= MAX_BNB_NODES:
                 raise NodeLimitError(f"node limit {MAX_BNB_NODES} reached")
             sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi), tol,
-                           start=start)
+                           start=start, inverse=inverse)
             nodes += 1
             if sol.status != OPTIMAL:
                 continue
@@ -88,18 +95,21 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
             continue
         j = int(int_idx[worst])
         pivot = sol.x[j]
+        # only a fresh inverse is the one a child's refactor would compute
+        fresh = sol.factor is not None and sol.factor.updates == 0
+        inverse = sol.factor.inverse if fresh else None
         counter += 1
         lo_up = lo.copy()
         lo_up[j] = np.ceil(pivot)
         if lo_up[j] <= hi[j] + 1e-12:
             heapq.heappush(heap, (sol.value, counter, lo_up, hi.copy(),
-                                  sol.basis))
+                                  sol.basis, inverse))
         counter += 1
         hi_dn = hi.copy()
         hi_dn[j] = np.floor(pivot)
         if lo[j] <= hi_dn[j] + 1e-12:
             heapq.heappush(heap, (sol.value, counter, lo.copy(), hi_dn,
-                                  sol.basis))
+                                  sol.basis, inverse))
 
     if best_x is None:
         return MipSolution(status=INFEASIBLE, node_count=nodes)

@@ -22,11 +22,17 @@ a start tends to take more dual pivots than the cold solve takes in
 all.
 
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots and,
-unless it adopted a kept inverse, once more before it reports.  A solve
-that adopted one reports the inverse it pivoted to and the pivots taken
-since its last refactorization, and the next solve of the chain
-continues that count: a chain of warm solves refactors on the pivot
-budget, not once per solve (Koberstein 2005).
+unless it adopted a kept factor, once more before it reports; a warm
+start also inverts its start basis unless it adopts an inverse.  A
+start under other bounds may come with the fresh inverse its parent
+reported (no rank-one update since its last refactorization): the
+inverse its own refactorization would compute, bit for bit, so it
+copies that instead, as branch-and-bound children reuse their parent's
+factorization (Koberstein 2005).  A solve that adopted a kept factor
+reports the inverse it pivoted to and the pivots taken since its last
+refactorization, and the next solve of the chain continues that count:
+a chain of warm solves refactors on the pivot budget, not once per
+solve.
 
 Pivoting is deterministic: the primal prices by most-negative reduced
 cost with lowest-index tie-breaking, switching to Bland's rule after
@@ -50,10 +56,11 @@ columns) keeps its operands, shapes and order, and so do the sums and
 the `np.linalg.inv` refactors.  The one basis inverse built by hand,
 the diag(+-1) of a cold start, is written with the negative zeros that
 `np.linalg.inv` returns for it.  So a solve that starts cold, or warm
-from a basis alone, reports bits that depend only on its LP and its
-start.  A kept inverse carries the rank-one updates of the solves that
-pivoted it, so a warm chain's bits depend on the chain since its last
-refactorization; they agree with a refactor's to roundoff.
+from a basis alone or with its fresh inverse, reports bits that depend
+only on its LP and its start.  A kept inverse carries the rank-one
+updates of the solves that pivoted it, so a warm chain's bits depend on
+the chain since its last refactorization; they agree with a refactor's
+to roundoff.
 """
 
 from __future__ import annotations
@@ -172,7 +179,8 @@ class LpSolution:
 
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
              start: tuple[np.ndarray, np.ndarray] | None = None,
-             factor: Factor | None = None) -> LpSolution:
+             factor: Factor | None = None,
+             inverse: np.ndarray | None = None) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
@@ -182,12 +190,15 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
 
     `start` is the `basis` of an earlier solution of an LP with the
     same c and G; the solve then begins from it by dual simplex.  The
-    earlier LP may have other bounds, or another g when `factor` is
-    that solution's `factor`: the start then adopts its inverse and
-    update count in place of a refactorization, does not refactor
-    before it reports, and goes cold, before any dual pivot, when more
-    of its basic rows are primal infeasible than the cold start has
-    artificials.  Any start goes cold when it holds an artificial
+    earlier LP may have other bounds; `inverse` may then be that
+    solution's `factor.inverse` if its update count is 0, and a copy
+    of it replaces the start's refactorization, which would compute the
+    same bits.  The earlier LP may have another g when `factor` (and no
+    `inverse`) is that solution's `factor`: the start then adopts its
+    inverse and update count in place of a refactorization, does not
+    refactor before it reports, and goes cold, before any dual pivot,
+    when more of its basic rows are primal infeasible than the cold
+    start has artificials.  Any start goes cold when it holds an artificial
     column, its basis is singular, a nonbasic column rests on an
     infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
     the returned pivot count includes the abandoned warm pivots.
@@ -200,7 +211,7 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
         sol = _Simplex(lp, tol).run()
     else:
         warm = _Simplex(lp, tol)
-        sol = warm.run_warm(*start, factor)
+        sol = warm.run_warm(*start, factor, inverse)
         if sol is None:
             sol = _Simplex(lp, tol).run()
             sol.pivots += warm.pivots
@@ -322,7 +333,8 @@ class _Simplex:
         return self._extract()
 
     def run_warm(self, basis: np.ndarray, status: np.ndarray,
-                 factor: Factor | None = None) -> LpSolution | None:
+                 factor: Factor | None = None,
+                 inverse: np.ndarray | None = None) -> LpSolution | None:
         """Bounded dual simplex from a start basis; None means go cold.
 
         Each pivot takes the basic column farthest outside its bounds
@@ -332,7 +344,9 @@ class _Simplex:
         solve of the same [G | I] under another g, stands in for the
         refactorization and for the one before the solve reports, and
         the start must then have no more primal-infeasible basic rows
-        than the cold start has artificials.
+        than the cold start has artificials.  `inverse`, a fresh inverse
+        of the start basis (a branch-and-bound parent's), stands in for
+        the start's refactorization alone.
         """
         if (basis >= self.n + self.m).any():
             return None
@@ -354,7 +368,7 @@ class _Simplex:
         c, feas, rc_tol = self.c_phase2, self.tol.feasibility, \
             self.tol.reduced_cost
         try:
-            self._refactor(factor)
+            self._refactor(factor if inverse is None else Factor(inverse))
             if factor is not None:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 off = np.maximum(lo_b - self.xb, self.xb - hi_b) > feas

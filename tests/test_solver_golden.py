@@ -17,7 +17,7 @@ import pytest
 from mgridopt.solver import (LinearProgram, SolverError, branch_bound, simplex,
                              solve_lp, solve_milp)
 from test_solver_lp import box_lp, random_bounded_lp
-from test_solver_milp import random_mip
+from test_solver_milp import enumeration_mips
 
 
 def fold(h, sol):
@@ -189,19 +189,13 @@ def test_enumeration_milps_and_their_node_lps(monkeypatch):
     h = hashlib.sha256()
     real = branch_bound.solve_lp
 
-    def folding(lp, tol, start=None):
-        sol = real(lp, tol, start=start)
+    def folding(lp, tol, start=None, inverse=None):
+        sol = real(lp, tol, start=start, inverse=inverse)
         fold(h, sol)
         return sol
 
     monkeypatch.setattr(branch_bound, "solve_lp", folding)
-    rng = np.random.default_rng(424242)
-    for checked in range(200):
-        if checked % 25 == 24:
-            n_bin = 12
-        else:
-            n_bin = int(rng.integers(1, 8))
-        lp = random_mip(rng, n_bin, int(rng.integers(0, 4)))
+    for lp in enumeration_mips():
         fold(h, solve_milp(lp))
     assert h.hexdigest() == \
         "2893066c8112285e0e9919ea74470e2db7723b415096c0c0eedb80248123929e"

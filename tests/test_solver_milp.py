@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from mgridopt import analysis
-from mgridopt.analysis import violation_certificate
+from mgridopt.analysis import compute_lower_bound, violation_certificate
 from mgridopt.config import ExperimentConfig, build_problem
-from mgridopt.dialgo import AgentSolveError, init_allocations, make_agents, run
+from mgridopt.dialgo import (AgentSolveError, exchange_and_update,
+                             init_allocations, local_multiplier_step,
+                             make_agents, recourse_cap, run)
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram,
                              NodeLimitError, Tolerances, solve_lp, solve_milp)
 from mgridopt.solver import branch_bound
@@ -50,6 +52,15 @@ def random_mip(rng, n_bin, n_cont):
     mask = np.zeros(n, dtype=bool)
     mask[:n_bin] = True
     return LinearProgram(c, G, g, lo, hi, integrality=mask)
+
+
+def enumeration_mips():
+    """The 200 seeded MILPs checked against enumeration, 8 of them with
+    12 binaries."""
+    rng = np.random.default_rng(424242)
+    for k in range(200):
+        n_bin = 12 if k % 25 == 24 else int(rng.integers(1, 8))
+        yield random_mip(rng, n_bin, int(rng.integers(0, 4)))
 
 
 def test_single_integer_box():
@@ -103,14 +114,7 @@ def test_integrality_of_reported_solutions():
 
 
 def test_matches_enumeration_on_200_instances():
-    rng = np.random.default_rng(424242)
-    checked = 0
-    while checked < 200:
-        if checked % 25 == 24:
-            n_bin = 12  # a few full-size instances
-        else:
-            n_bin = int(rng.integers(1, 8))
-        lp = random_mip(rng, n_bin, int(rng.integers(0, 4)))
+    for lp in enumeration_mips():
         ref_val, _ = enumerate_milp(lp)
         sol = solve_milp(lp)
         if not np.isfinite(ref_val):
@@ -118,7 +122,6 @@ def test_matches_enumeration_on_200_instances():
         else:
             assert sol.status == OPTIMAL
             assert abs(sol.value - ref_val) <= 1e-8 * (1.0 + abs(ref_val))
-        checked += 1
 
 
 def test_determinism():
@@ -244,9 +247,12 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     def finalize_all(start_from_parent):
         pivots = 0
 
-        def counting(lp, tol, start=None):
+        def counting(lp, tol, start=None, inverse=None):
             nonlocal pivots
-            sol = real(lp, tol, start=start if start_from_parent else None)
+            if start_from_parent:
+                sol = real(lp, tol, start=start, inverse=inverse)
+            else:
+                sol = real(lp, tol)
             pivots += sol.pivots
             return sol
 
@@ -265,9 +271,9 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
 
 def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
     """A root that carries its factor (an allocation round's relaxed
-    solve) hands its children only its basis: no node LP gets a factor,
-    and the tree is the one a root without its factor grows, bit for
-    bit."""
+    solve) hands its children no factor: no node LP meets the start
+    rule, and the tree is the one a root without its factor grows, bit
+    for bit."""
     real = branch_bound.solve_lp
     inverses = []
 
@@ -290,3 +296,94 @@ def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
             assert kept.x.tobytes() == plain.x.tobytes()
     assert len(inverses) > 100
     assert all(given is None for given in inverses)
+
+
+def assert_same_trees(grown, again):
+    for a, b in zip(grown, again, strict=True):
+        assert (a.status, a.node_count) == (b.status, b.node_count)
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert (a.x is None and b.x is None) or a.x.tobytes() == b.x.tobytes()
+
+
+def test_node_lps_adopting_their_parents_inverse_change_no_bit(monkeypatch):
+    """A child that adopts the fresh inverse its parent hands it solves
+    bit for bit as one that refactors its start basis.  On the seeded
+    enumeration MILPs and on every desk agent's finalize and certificate
+    auxiliary MILP at the equal split, the trees reach the same x, value
+    and node count in the same node pivots; a child that pivoted the
+    shared array without copying it would move its sibling's start."""
+    problem, agents = desk_at_equal_split()
+    agents = [a for a in agents if a.lifted.lp.integrality.any()]
+    cap = recourse_cap(problem.blocks, problem.scen)
+    ells = [compute_lower_bound(a.lifted, cap) for a in agents]
+
+    def solve_all():
+        sols = [solve_milp(lp) for lp in enumeration_mips()]
+        for a, ell in zip(agents, ells):
+            sols.append(a.lifted.solve(solve_milp, a.y, "recovery MILP"))
+            sols.append(a.lifted.solve(solve_milp, ell,
+                                       "certificate auxiliary MILP"))
+        return sols
+
+    real = branch_bound.solve_lp
+    grown = []
+    for adopt in (True, False):
+        work = {"pivots": 0, "starts": 0, "inverses": 0}
+
+        def node(lp, tol, start=None, inverse=None):
+            sol = real(lp, tol, start=start,
+                       inverse=inverse if adopt else None)
+            work["pivots"] += sol.pivots
+            work["starts"] += start is not None
+            work["inverses"] += inverse is not None
+            return sol
+
+        monkeypatch.setattr(branch_bound, "solve_lp", node)
+        grown.append((solve_all(), work))
+    (adopted, work), (refactored, again) = grown
+    assert_same_trees(adopted, refactored)
+    assert work == again
+    # every root is solved cold, and every node LP refactors before it
+    # reports, so every parent hands its children its inverse
+    assert work["inverses"] == work["starts"] > 1000
+
+
+def test_children_of_a_root_with_updated_inverse_refactor(monkeypatch):
+    """A finalize rooted at a warm allocation solve, whose inverse has
+    taken rank-one updates since its last refactorization, hands the
+    root's children no inverse, and the tree is the one the same root
+    grows without its factor, bit for bit."""
+    problem, agents = desk_at_equal_split()
+    for a in agents:
+        local_multiplier_step(a)
+    exchange_and_update(agents, problem.graph, problem.schedule(0))
+    for a in agents:
+        local_multiplier_step(a, warm=True)
+    rooted = [a for a in agents if a.relaxed.factor is not None
+              and a.relaxed.factor.updates > 0
+              and a.lifted.lp.integrality.any()]
+    assert len(rooted) == 4  # the storages and the generators
+    real = branch_bound.solve_lp
+    handed = []
+
+    def spying(lp, tol, start=None, inverse=None):
+        sol = real(lp, tol, start=start, inverse=inverse)
+        handed.append((start, inverse, sol.pivots))
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp", spying)
+    children = 0
+    for a in rooted:
+        root = a.relaxed
+        handed.clear()
+        kept = a.lifted.solve(solve_milp, a.y, "recovery MILP", root=root)
+        kept_work = [(inv is None, p) for _, inv, p in handed]
+        of_root = [inv for start, inv, _ in handed if start is root.basis]
+        assert all(inv is None for inv in of_root)
+        children += len(of_root)
+        handed.clear()
+        root.factor = None
+        plain = a.lifted.solve(solve_milp, a.y, "recovery MILP", root=root)
+        assert_same_trees([kept], [plain])
+        assert kept_work == [(inv is None, p) for _, inv, p in handed]
+    assert children > 0

@@ -59,7 +59,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    payload = recertify(args.run_dir, consensus_rounds=args.rounds)
+    payload = recertify(args.run_dir)
     print(f"certificate recomputed -> {Path(args.run_dir)}/"
           f"certificate_recomputed.json")
     print(f"bound holds componentwise: "
@@ -100,7 +100,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("certify", help="recompute a saved run's certificate")
     p.add_argument("run_dir")
-    p.add_argument("--rounds", type=int, default=500)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("report", help="re-emit figure-data CSVs")

@@ -10,10 +10,11 @@ builds each section with the constructor that owns its rules (parameter
 records, profile models, step-size schedule, graph) and records each
 failure under its field path, e.g. `units.grid.max_exchange_kw:
 missing`; parsing a config checks only its YAML syntax.  Checked here
-are only the rules no record states: finite numbers, the shape of the
-mapping, the counts, the recourse penalties, the tolerances and the
-step-size kind.  Each unit builder also rejects a block whose
-polyhedron is empty.
+are only the rules no record states: numbers that are finite ints or
+floats (no strings, no bools), the shape of the mapping, the seeds,
+the counts, the recourse penalties, the tolerances and the step-size
+kind.  Each unit builder also rejects a block whose polyhedron is
+empty.
 
 Schema sketch (see configs/desk.yaml for a complete example):
 
@@ -34,8 +35,6 @@ Schema sketch (see configs/desk.yaml for a complete example):
         feasibility: 1.0e-7  # simplex: phase-1 infeasibility taken as
                              # zero (YAML reads 1e-7 as a string)
         reduced_cost: 1.0e-9 # simplex: pricing optimality threshold
-        integrality: 1.0e-6  # certificate: when a relaxed block
-                             # solution counts as integral; < 0.5
     profiles:
       name: {literal_kw: [...]} | {kind: demand, base_kw: .., peaks: [[c,w,h]],
              sigma_kw: ..} | {literal_eur_per_kwh: [...]}
@@ -149,17 +148,26 @@ def _count(key: str, value) -> int:
         raise ValueError(f"{key} {e}") from None
 
 
+def _number(value) -> float:
+    """A unit, profile, schedule or graph number: an int or a float,
+    not a string such as "inf" nor a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"could not convert {value!r} to a number")
+    return float(value)
+
+
+def _seed(value):
+    """A generator seed: an int >= 0 or a nonempty list of seeds (a
+    Monte Carlo trial writes [scenario, t])."""
+    if isinstance(value, list) and value:
+        return [_seed(v) for v in value]
+    return _int_at_least(0)(value)
+
+
 def _positive(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not value > 0:
         raise ValueError(f"must be a number > 0, got {value!r}")
-    return float(value)
-
-
-def _below_half(value) -> float:
-    """An integrality tolerance: at 0.5 every point rounds to within it."""
-    if _positive(value) >= 0.5:
-        raise ValueError(f"must be a number < 0.5, got {value!r}")
     return float(value)
 
 
@@ -194,45 +202,46 @@ def _tolerance_names(value) -> dict:
 def _schedule(step) -> StepSizeSchedule:
     kind = step["kind"]
     if kind == "diminishing":
-        return StepSizeSchedule.diminishing(float(step["a"]), float(step["b"]))
+        return StepSizeSchedule.diminishing(_number(step["a"]),
+                                            _number(step["b"]))
     if kind == "piecewise":
-        return StepSizeSchedule.piecewise(float(step["initial"]),
-                                          float(step["factor"]),
+        return StepSizeSchedule.piecewise(_number(step["initial"]),
+                                          _number(step["factor"]),
                                           _count("period", step["period"]))
     raise ValueError(f"unknown kind {kind!r}")
 
 
 def _storage_params(s: dict) -> StorageParams:
     return StorageParams(
-        eta_c=float(s["charge_efficiency"]),
-        eta_d=float(s["discharge_efficiency"]),
-        x_min=float(s["energy_min_kwh"]),
-        x_max=float(s["energy_max_kwh"]),
-        x_pl=float(s.get("loss_kwh_per_step", 0.0)),
-        C=float(s["power_limit_kw"]),
-        zeta=float(s.get("om_cost_eur_per_kwh", 0.0)),
-        x0=float(s["initial_energy_kwh"]),
+        eta_c=_number(s["charge_efficiency"]),
+        eta_d=_number(s["discharge_efficiency"]),
+        x_min=_number(s["energy_min_kwh"]),
+        x_max=_number(s["energy_max_kwh"]),
+        x_pl=_number(s.get("loss_kwh_per_step", 0.0)),
+        C=_number(s["power_limit_kw"]),
+        zeta=_number(s.get("om_cost_eur_per_kwh", 0.0)),
+        x0=_number(s["initial_energy_kwh"]),
     )
 
 
 def _generator_params(g: dict, K: int) -> GeneratorParams:
     segments = quadratic_cost_segments(
-        float(g.get("fuel_cost_quadratic_eur_per_kw2", 0.0)),
-        float(g.get("fuel_cost_linear_eur_per_kwh", 0.0)),
-        float(g["power_min_kw"]), float(g["power_max_kw"]),
+        _number(g.get("fuel_cost_quadratic_eur_per_kw2", 0.0)),
+        _number(g.get("fuel_cost_linear_eur_per_kwh", 0.0)),
+        _number(g["power_min_kw"]), _number(g["power_max_kw"]),
         n_segments=_count("cost_segments", g.get("cost_segments", 3)))
     return GeneratorParams(
         T_up=_count("min_up_steps", g["min_up_steps"]),
         T_down=_count("min_down_steps", g["min_down_steps"]),
-        u_min=float(g["power_min_kw"]),
-        u_max=float(g["power_max_kw"]),
-        r_max=float(g["ramp_limit_kw_per_step"]),
-        kappa_u=(float(g["startup_cost_eur"]),) * K,
-        kappa_d=(float(g["shutdown_cost_eur"]),) * K,
-        zeta=float(g.get("om_cost_eur_per_step", 0.0)),
+        u_min=_number(g["power_min_kw"]),
+        u_max=_number(g["power_max_kw"]),
+        r_max=_number(g["ramp_limit_kw_per_step"]),
+        kappa_u=(_number(g["startup_cost_eur"]),) * K,
+        kappa_d=(_number(g["shutdown_cost_eur"]),) * K,
+        zeta=_number(g.get("om_cost_eur_per_step", 0.0)),
         cost_segments=segments,
         delta_init=1 if g.get("initially_on", False) else 0,
-        u_init=float(g.get("initial_power_kw", 0.0)),
+        u_init=_number(g.get("initial_power_kw", 0.0)),
     )
 
 
@@ -241,16 +250,19 @@ def resolve_profile(spec: dict, K: int, seed) -> np.ndarray:
     with `seed`."""
     for key in ("literal_kw", "literal_eur_per_kwh"):
         if key in spec:
-            values = np.asarray(spec[key], dtype=float)
+            if not isinstance(spec[key], list):
+                raise TypeError(f"{key} must be a list of numbers")
+            values = np.array([_number(v) for v in spec[key]], dtype=float)
             if values.size != K:
                 raise ValueError(f"{key} has {values.size} values, "
                                  f"horizon_steps is {K}")
             return values
     if spec.get("kind") == "demand":
         model = ProfileModel.demand(
-            K=K, base_kw=float(spec.get("base_kw", 0.0)),
-            peaks=tuple(tuple(p) for p in spec.get("peaks", ())),
-            sigma=float(spec.get("sigma_kw", 0.0)))
+            K=K, base_kw=_number(spec.get("base_kw", 0.0)),
+            peaks=tuple(tuple(_number(v) for v in p)
+                        for p in spec.get("peaks", ())),
+            sigma=_number(spec.get("sigma_kw", 0.0)))
         return sample_profile(model, seed=seed)
     raise ValueError(f"cannot resolve (no literal values and kind is "
                      f"{spec.get('kind')!r})")
@@ -307,6 +319,11 @@ def _build(raw):
 
     K = field(raw, "config", "horizon_steps", _int_at_least(1))
     seeds = field(raw, "config", "seeds", _mapping, {})
+    if seeds is not None:
+        seeds = {name: field(seeds, "seeds", name, _seed, 0)
+                 for name in ("problem", "scenario", "graph")}
+        if None in seeds.values():
+            seeds = None
     profiles = field(raw, "config", "profiles", _mapping, {})
     scen_cfg = field(raw, "config", "scenarios", _mapping)
     algo = field(raw, "config", "algorithm", _mapping)
@@ -327,8 +344,7 @@ def _build(raw):
                                _int_at_least(1), DEFAULT_FINALIZE_EVERY)
         tols = field(algo, "algorithm", "tolerances", _tolerance_names, {})
         tolerances = Tolerances(**{key: field(
-            tols, "algorithm.tolerances", key,
-            _below_half if key == "integrality" else _positive)
+            tols, "algorithm.tolerances", key, _positive)
             for key in tols or {}})
         schedule = field(algo, "algorithm", "step_size", _schedule)
         graph_cfg = field(algo, "algorithm", "graph", _mapping)
@@ -342,7 +358,7 @@ def _build(raw):
         elif not isinstance(name, str) or name not in profiles:
             errors.append(f"{path}.{key}: unknown profile {name!r}")
         else:
-            seed = (seeds.get("problem", 0), seed_tag)
+            seed = (seeds["problem"], seed_tag)
             return build(f"profiles.{name}", lambda: resolve_profile(
                 _mapping(profiles[name]), K, seed))
         return None
@@ -367,10 +383,10 @@ def _build(raw):
         cl_demands.append(D)
         blocks.append(None if D is None else build(path, lambda: (
             build_controllable_load_block(ControllableLoadParams(
-                beta_min=float(c.get("curtail_min_fraction", 0.0)),
-                beta_max=float(c.get("curtail_max_fraction", 0.0)),
+                beta_min=_number(c.get("curtail_min_fraction", 0.0)),
+                beta_max=_number(c.get("curtail_max_fraction", 0.0)),
                 D=tuple(D),
-                varphi=float(c["curtailment_penalty_eur_per_kwh"])), K))))
+                varphi=_number(c["curtailment_penalty_eur_per_kwh"])), K))))
         names.append(f"controllable_load_{i}")
     lo_demands = []
     for i, c in enumerate(roster("critical_loads")):
@@ -385,7 +401,7 @@ def _build(raw):
         phi_s = profile(grid_cfg, "units.grid", "sell_price_profile")
     blocks.append(None if phi_p is None or phi_s is None else build(
         "units.grid", lambda: build_grid_block(GridParams(
-            P_max=float(grid_cfg["max_exchange_kw"]),
+            P_max=_number(grid_cfg["max_exchange_kw"]),
             phi_p=tuple(phi_p), phi_s=tuple(phi_s)), K)))
     names.append("grid")
 
@@ -393,24 +409,24 @@ def _build(raw):
     for i, s in enumerate(roster("solar")):
         renewables.append(build(f"units.solar[{i}]", lambda: (
             ProfileModel.solar(
-                K=K, peak_kw=float(s["peak_kw"]),
+                K=K, peak_kw=_number(s["peak_kw"]),
                 window=tuple(s.get("daylight_window_steps", (0, K - 1))),
-                cloud_sigma=float(s.get("cloud_sigma", 0.0))))))
+                cloud_sigma=_number(s.get("cloud_sigma", 0.0))))))
     for i, w in enumerate(roster("wind")):
         renewables.append(build(f"units.wind[{i}]", lambda: ProfileModel.wind(
-            K=K, mean_kw=float(w["mean_kw"]),
-            rho=float(w.get("autocorrelation", 0.0)),
-            sigma=float(w.get("sigma_kw", 0.0)))))
+            K=K, mean_kw=_number(w["mean_kw"]),
+            rho=_number(w.get("autocorrelation", 0.0)),
+            sigma=_number(w.get("sigma_kw", 0.0)))))
     if graph_cfg is not None:
         graph = build("algorithm.graph", lambda: generate_graph(
-            len(blocks), graph_cfg["kind"], seed=seeds.get("graph", 0),
-            p=float(graph_cfg.get("edge_probability", 0.3))))
+            len(blocks), graph_cfg["kind"], seed=seeds["graph"],
+            p=_number(graph_cfg.get("edge_probability", 0.3))))
     if errors:
         return None, errors
 
     scen = build("seeds.scenario", lambda: sample_scenarioset(
         renewables, R, K, controllable_demands=cl_demands,
-        critical_demands=lo_demands, seed=seeds.get("scenario", 0)))
+        critical_demands=lo_demands, seed=seeds["scenario"]))
     if errors:
         return None, errors
     top_price = float(phi_p.max())  # no sell price is higher

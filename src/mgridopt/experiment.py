@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import distributed_certificate, violation_certificate
+from .analysis import (CONSENSUS_ROUNDS, distributed_certificate,
+                       violation_certificate)
 from .config import (ConfigError, ExperimentConfig, Problem, _positive,
                      _string, build_problem)
 from .dialgo import AgentSolveError, RunResult, run
@@ -175,19 +176,17 @@ def write_solution(path, problem: Problem, result: RunResult):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _certify(problem: Problem, result: RunResult, consensus_rounds: int):
+def _certify(problem: Problem, result: RunResult):
     """The violation certificate and its payload with the consensus check."""
     cert = violation_certificate(result)
-    _, deviation = distributed_certificate(cert, problem.graph,
-                                           rounds=consensus_rounds)
+    _, deviation = distributed_certificate(cert, problem.graph)
     payload = cert.to_dict()
-    payload["consensus"] = {"rounds": consensus_rounds,
+    payload["consensus"] = {"rounds": CONSENSUS_ROUNDS,
                             "max_deviation": deviation}
     return cert, payload
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None,
-                   consensus_rounds: int = 500) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Build, run, certify, and write the artifact set."""
     problem = build_problem(cfg)
     out = output_dir(problem, out_dir)
@@ -195,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
                  problem.schedule, problem.T_f,
                  finalize_every=problem.finalize_every,
                  tol=problem.tolerances)
-    cert, cert_payload = _certify(problem, result, consensus_rounds)
+    cert, cert_payload = _certify(problem, result)
     cfg.to_yaml(out / "config.yaml")
     write_trace_csv(out / "trace.csv", result.trace)
     (out / "certificate.json").write_text(
@@ -205,8 +204,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     return ExperimentResult(out_dir=out, result=result, certificate=cert)
 
 
-def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
-                   consensus_rounds: int = 200) -> Path:
+def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None) -> Path:
     """Independent trials differing only in the scenario seed.
 
     Trial t draws scenarios with the seed [scenario, t], which its
@@ -228,8 +226,7 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
         trial = ExperimentConfig(
             raw={**cfg.raw, "seeds": {**cfg.seeds, "scenario": seed}})
         try:
-            res = run_experiment(trial, out_dir=out / f"trial_{t:03d}",
-                                 consensus_rounds=consensus_rounds)
+            res = run_experiment(trial, out_dir=out / f"trial_{t:03d}")
         except AgentSolveError as e:
             raise AgentSolveError(
                 e.agent, e.status,
@@ -246,7 +243,7 @@ def run_montecarlo(cfg: ExperimentConfig, trials: int, out_dir=None,
     return out
 
 
-def recertify(run_dir, consensus_rounds: int = 500) -> dict:
+def recertify(run_dir) -> dict:
     """Recompute the certificate of a saved run from its artifacts.
 
     Rebuilds the problem from the stored config, replays round 0 from
@@ -256,8 +253,6 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
     logged rounds, whose local solves start cold and so depend on the
     allocation alone.
     """
-    if consensus_rounds < 0:
-        raise ConfigError(f"rounds must be >= 0, got {consensus_rounds}")
     run_dir = Path(run_dir)
     problem = build_problem(
         ExperimentConfig.from_yaml(run_dir / "config.yaml"))
@@ -272,7 +267,7 @@ def recertify(run_dir, consensus_rounds: int = 500) -> dict:
                  problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"],
                  tol=problem.tolerances)
     result.converged_label = saved["label"]
-    _, payload = _certify(problem, result, consensus_rounds)
+    _, payload = _certify(problem, result)
     payload["matches_stored_bound"] = all(
         np.allclose(np.array(payload[key]), stored[key], atol=1e-9)
         for key in ("bound", "measured"))

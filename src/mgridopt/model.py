@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import OPTIMAL, LinearProgram, Tolerances, solve_lp
+from .solver import (INTEGRALITY, OPTIMAL, LinearProgram, Tolerances,
+                     solve_lp)
 
 # strict-positivity constant of the storage switch; machine epsilon
 # would make the big-M rows tie-prone
@@ -202,11 +203,11 @@ class LocalBlock:
     def value_of(self, x: np.ndarray, name: str) -> float:
         return float(x[self.var_index[name]])
 
-    def is_integral(self, x: np.ndarray,
-                    tol: float = Tolerances().integrality) -> bool:
-        """Every integer column of x within `tol` of an integer."""
+    def is_integral(self, x: np.ndarray) -> bool:
+        """Every integer column of x within INTEGRALITY of an integer,
+        the distance at which branch-and-bound accepts a node."""
         ints = x[self.integrality]
-        return bool(np.all(np.abs(ints - np.round(ints)) <= tol))
+        return bool(np.all(np.abs(ints - np.round(ints)) <= INTEGRALITY))
 
     def contains(self, x: np.ndarray) -> bool:
         tol = Tolerances().feasibility

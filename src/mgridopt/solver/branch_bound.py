@@ -26,6 +26,9 @@ from .simplex import (INFEASIBLE, OPTIMAL, LinearProgram, LpSolution,
                       Tolerances, solve_lp)
 
 MAX_BNB_NODES = 200_000  # node LP solves of one tree
+# a node this close to integral is accepted and rounded, which moves each
+# row by its coefficient times the distance; `LocalBlock.is_integral` too
+INTEGRALITY = 1e-12
 
 
 class NodeLimitError(RuntimeError):
@@ -86,9 +89,9 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
             continue
         frac = np.abs(sol.x[int_idx] - np.round(sol.x[int_idx]))
         worst = int(np.argmax(frac))
-        if frac[worst] <= 1e-12:
-            # integral to machine precision; branching any further could
-            # only re-derive the same point, so accept it as incumbent
+        if frac[worst] <= INTEGRALITY:
+            # branching any further could only re-derive the same point,
+            # so accept it as incumbent
             x = sol.x.copy()
             x[int_idx] = np.round(x[int_idx])
             best_x, best_val = x, sol.value

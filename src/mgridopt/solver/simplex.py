@@ -99,13 +99,11 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances of the LP and MILP solvers; `integrality` is
-    the certificate's test of whether a relaxed block solution is
-    integral."""
+    """Numeric tolerances of the simplex, which every LP and node LP
+    reads; whether a point is integral is `branch_bound.INTEGRALITY`."""
 
     feasibility: float = 1e-7
     reduced_cost: float = 1e-9
-    integrality: float = 1e-6
 
 
 @dataclass

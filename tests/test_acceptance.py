@@ -393,7 +393,7 @@ def test_criterion_10_consensus_certificate(desk_run):
     problem, result, _ = desk_run
     cert = violation_certificate(result)
     graph = generate_graph(11, "random", seed=42, p=0.35)
-    views, deviation = distributed_certificate(cert, graph, rounds=500)
+    views, deviation = distributed_certificate(cert, graph)
     assert deviation <= 1e-6
     for row in views:
         assert np.max(np.abs(row - cert.bound)) <= 1e-6

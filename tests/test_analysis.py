@@ -253,6 +253,31 @@ def test_certificate_holds_on_hull_verified_instance():
     assert cert.to_dict()["bound_holds_componentwise"]
 
 
+def test_certificate_bounds_a_nearly_integral_agent_by_its_auxiliary():
+    """u <= 2000 delta, 0 <= u <= 1, a binary delta at cost 20 and a
+    1e-3 kW demand priced at d = 10: the relaxed delta is 5e-7, and the
+    tree, which accepts only at INTEGRALITY, switches the unit off and
+    leaves the demand short.  The agent counts as non-integral, so its
+    bound is the auxiliary scalar, not its relaxed recourse 0."""
+    blk = LocalBlock(c=np.array([0.0, 20.0]), G=np.array([[1.0, -2000.0]]),
+                     g=np.zeros(1), integrality=np.array([False, True]),
+                     A=np.array([[1.0, 0.0]]), var_index={},
+                     lo=np.zeros(2), hi=np.ones(2))
+    scen = ScenarioSet(pi=[1.0], b_r=[np.array([1e-3])])
+    d = build_recourse_cost(scen.pi, 10.0, 10.0, 1)
+    res = run([blk], scen, d, generate_graph(1, "path"),
+              StepSizeSchedule.diminishing(1.0, 1.0), T_f=0)
+    agent = res.agents[0]
+    assert agent.z == pytest.approx([1e-3, 5e-7])
+    assert np.all(agent.eta_relax == 0.0)
+    assert agent.x_mi.tolist() == [0.0, 0.0]
+    cert = violation_certificate(res)
+    assert cert.in_integral_set == [False]
+    assert cert.measured == pytest.approx([-1e-3, 1e-3])
+    assert cert.bound == pytest.approx([5.004, 5.004])
+    assert cert.holds
+
+
 # ----------------------------------------------------------- consensus
 
 
@@ -275,7 +300,7 @@ def test_consensus_two_agent_single_step():
 def test_consensus_matches_centralized_bound():
     blocks, scen, d, graph, res = desk_micro_run(T_f=30)
     cert = violation_certificate(res)
-    V, dev = distributed_certificate(cert, graph, rounds=500)
+    V, dev = distributed_certificate(cert, graph)
     assert dev <= 1e-6
     for row in V:
         assert row == pytest.approx(cert.bound, abs=1e-6)

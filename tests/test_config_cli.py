@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from mgridopt.config import (ConfigError, ExperimentConfig, _build,
                              build_problem)
 from mgridopt.experiment import (recertify, regenerate_reports,
                                  run_experiment, run_montecarlo)
-from mgridopt.solver import INFEASIBLE, LpSolution, SolverError, branch_bound
+from mgridopt.solver import (INFEASIBLE, LpSolution, SolverError, Tolerances,
+                             branch_bound)
 from oracles.artifacts import read_csv, read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -154,11 +156,9 @@ def test_valid_minimal_config_ok():
 
 def test_tolerance_overrides_flow_through():
     raw = minimal_config()
-    raw["algorithm"]["tolerances"] = {"integrality": 1e-5,
-                                      "feasibility": 1e-6}
+    raw["algorithm"]["tolerances"] = {"feasibility": 1e-6}
     cfg = ExperimentConfig(raw=raw)
     problem = build_problem(cfg)
-    assert problem.tolerances.integrality == 1e-5
     assert problem.tolerances.feasibility == 1e-6
     assert problem.tolerances.reduced_cost == 1e-9  # default kept
     for key in ("pivot_style", "objective"):
@@ -241,8 +241,19 @@ MALFORMED_DESK = {
         "units.grid: sell price exceeds purchase price at step 2"),
     "integrality_half": (
         lambda raw: raw["algorithm"].update(tolerances={"integrality": 0.5}),
-        "algorithm.tolerances.integrality: must be a number < 0.5, "
-        "got 0.5"),
+        "algorithm.tolerances: unknown tolerance 'integrality'"),
+    "solar_peak_text_inf": (
+        lambda raw: raw["units"]["solar"][0].update(peak_kw="inf"),
+        "units.solar[0]: could not convert 'inf'"),
+    "grid_exchange_text_inf": (
+        lambda raw: raw["units"]["grid"].update(max_exchange_kw="inf"),
+        "units.grid: could not convert 'inf'"),
+    "power_limit_bool": (
+        lambda raw: raw["units"]["storages"][0].update(power_limit_kw=True),
+        "units.storages[0]: could not convert True"),
+    "seed_text": (
+        lambda raw: raw["seeds"].update(problem="eleven"),
+        "seeds.problem: must be an int >= 0, got 'eleven'"),
     "price_nan": (
         lambda raw: raw["profiles"]["price_buy"]["literal_eur_per_kwh"]
         .__setitem__(2, float("nan")),
@@ -319,8 +330,7 @@ def test_trace_csv_round_trip(tmp_path):
 def test_every_emitted_csv_reparses(tmp_path):
     cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     res = run_experiment(cfg, out_dir=tmp_path / "run")
-    out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc",
-                         consensus_rounds=10)
+    out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc")
     K = cfg.raw["horizon_steps"]
     for path in sorted(res.out_dir.glob("*.csv")) + [out / "aggregate.csv"]:
         header, rows = read_csv(path)
@@ -331,8 +341,7 @@ def test_every_emitted_csv_reparses(tmp_path):
 
 def test_montecarlo_seed_separation(tmp_path):
     cfg = ExperimentConfig(raw=minimal_config(T_f=2))
-    out = run_montecarlo(cfg, trials=3, out_dir=tmp_path / "mc",
-                         consensus_rounds=50)
+    out = run_montecarlo(cfg, trials=3, out_dir=tmp_path / "mc")
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert agg[0] == "iter,cost_mean,cost_std,viol_pos_max,viol_neg_max"
     # same problem seed: identical unit parameterization across trials
@@ -347,16 +356,14 @@ def test_montecarlo_seed_separation(tmp_path):
 
 def test_montecarlo_single_trial_zero_std(tmp_path):
     cfg = ExperimentConfig(raw=minimal_config(T_f=2))
-    out = run_montecarlo(cfg, trials=1, out_dir=tmp_path / "mc1",
-                         consensus_rounds=10)
+    out = run_montecarlo(cfg, trials=1, out_dir=tmp_path / "mc1")
     for line in (out / "aggregate.csv").read_text().splitlines()[1:]:
         assert float(line.split(",")[2]) == 0.0
 
 
 def test_montecarlo_aggregate_matches_trial_traces(tmp_path):
     cfg = ExperimentConfig(raw=minimal_config(T_f=4))
-    out = run_montecarlo(cfg, trials=3, out_dir=tmp_path / "mc3",
-                         consensus_rounds=10)
+    out = run_montecarlo(cfg, trials=3, out_dir=tmp_path / "mc3")
     traces = [read_trace_csv(out / f"trial_{t:03d}" / "trace.csv")
               for t in range(3)]
     agg = (out / "aggregate.csv").read_text().splitlines()[1:]
@@ -371,7 +378,7 @@ def test_montecarlo_aggregate_matches_trial_traces(tmp_path):
 def test_recertify_matches(tmp_path):
     cfg = ExperimentConfig(raw=minimal_config(T_f=4))
     res = run_experiment(cfg, out_dir=tmp_path / "run")
-    payload = recertify(res.out_dir, consensus_rounds=100)
+    payload = recertify(res.out_dir)
     assert payload["matches_stored_bound"]
 
 
@@ -379,13 +386,12 @@ def test_recertify_montecarlo_trial(tmp_path):
     # each trial records its own scenario seed, so recertify re-solves
     # the trial's scenarios and reproduces the measured violation too
     cfg = ExperimentConfig(raw=minimal_config(T_f=4))
-    out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc",
-                         consensus_rounds=10)
+    out = run_montecarlo(cfg, trials=2, out_dir=tmp_path / "mc")
     trial = out / "trial_001"
     saved = yaml.safe_load((trial / "config.yaml").read_text())
     assert saved["seeds"]["scenario"] == [2, 1]
     stored = json.loads((trial / "certificate.json").read_text())
-    payload = recertify(trial, consensus_rounds=10)
+    payload = recertify(trial)
     assert payload["matches_stored_bound"]
     assert payload["measured"] == pytest.approx(stored["measured"], abs=1e-9)
 
@@ -396,18 +402,6 @@ def with_desk_storage(raw):
     raw["units"]["storages"] = \
         yaml.safe_load(DESK.read_text())["units"]["storages"][:1]
     return raw
-
-
-def test_configured_integrality_reaches_certificate(tmp_path):
-    raw = with_desk_storage(minimal_config(T_f=0))
-    default = run_experiment(ExperimentConfig(raw=raw),
-                             out_dir=tmp_path / "default")
-    assert not all(default.certificate.in_integral_set)
-    # every fraction of this run lies within 0.499 of an integer
-    raw["algorithm"]["tolerances"] = {"integrality": 0.499}
-    loose = run_experiment(ExperimentConfig(raw=raw),
-                           out_dir=tmp_path / "loose")
-    assert all(loose.certificate.in_integral_set)
 
 
 def test_regenerate_reports_identical(tmp_path):
@@ -514,25 +508,17 @@ def test_cli_reports_a_damaged_run_artifact_on_one_line(tmp_path, capsys,
     (["report", "{file}"], os.strerror(errno.ENOTDIR)),
     (["run", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST)),
     (["build", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST)),
-    (["montecarlo", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST)),
-    (["certify", "{run}", "--rounds", "-3"],
-     "rounds must be >= 0, got -3")],
+    (["montecarlo", "{cfg}", "--out", "{file}"], os.strerror(errno.EEXIST))],
     ids=["run_a_directory", "build_a_directory", "certify_a_file",
          "report_a_file", "run_out_a_file", "build_out_a_file",
-         "montecarlo_out_a_file", "certify_negative_rounds"])
+         "montecarlo_out_a_file"])
 def test_cli_reports_a_path_of_the_wrong_kind_on_one_line(tmp_path, capsys,
                                                          argv, reason):
-    # also a negative consensus round count, rejected before certify
-    # writes anything into the run directory
     paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
-             "cfg": tmp_path / "cfg.yaml", "run": tmp_path / "r"}
+             "cfg": tmp_path / "cfg.yaml"}
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["cfg"].write_text(yaml.safe_dump(minimal_config()))
-    if "{run}" in argv:
-        assert main(["run", str(paths["cfg"]), "--out",
-                     str(paths["run"])]) == 0
-        capsys.readouterr()
     written = sorted(tmp_path.rglob("*"))
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
@@ -741,6 +727,18 @@ def test_agents_solve_only_through_their_local_problem():
                    ast.unparse(node.func).split(".")[-1] in
                    ("solve_lp", "solve_milp")]
     assert direct == []
+
+
+def test_every_tolerance_is_read_by_the_solver():
+    """A Tolerances field that no solve reads is a knob without an
+    effect: each field is read as `.tol.<field>` somewhere under
+    src/mgridopt/solver/."""
+    read = set()
+    for path in sorted((REPO / "src" / "mgridopt" / "solver").rglob("*.py")):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and
+                 ast.unparse(node.value).split(".")[-1] == "tol"}
+    assert sorted({f.name for f in fields(Tolerances)} - read) == []
 
 
 def test_every_imported_name_is_read():

@@ -241,7 +241,7 @@ def test_recertify_reproduces_the_stored_certificate(tmp_path_factory, raw):
     out = run_experiment(ExperimentConfig(raw=raw),
                          out_dir=tmp_path_factory.mktemp("run")).out_dir
     stored = json.loads((out / "certificate.json").read_text())
-    payload = recertify(out, consensus_rounds=20)
+    payload = recertify(out)
     assert payload["matches_stored_bound"]
     assert payload["bound"] == stored["bound"]
     assert payload["measured"] == stored["measured"]

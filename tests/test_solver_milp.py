@@ -15,7 +15,7 @@ from mgridopt.dialgo import (AgentSolveError, exchange_and_update,
                              init_allocations, local_multiplier_step,
                              make_agents, recourse_cap, run)
 from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram,
-                             NodeLimitError, Tolerances, solve_lp, solve_milp)
+                             NodeLimitError, solve_lp, solve_milp)
 from mgridopt.solver import branch_bound
 from mgridopt.stochastic import build_h
 
@@ -206,16 +206,6 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
     assert len(solved) == sum(not f for f in cert.in_integral_set) == 3
     for k, (lp, sol) in enumerate(solved):
         assert_matches_highs(scipy_opt, lp, sol, k)
-
-
-def test_certificate_counts_integral_agents_at_the_runs_tolerance():
-    """The certificate tests integrality at the tolerance its run's
-    agents hold: after one desk round none of the three agents that are
-    non-integral at the default 1e-6 is non-integral at 0.49."""
-    problem = build_problem(ExperimentConfig.from_yaml(DESK))
-    res = run(problem.blocks, problem.scen, problem.d, problem.graph,
-              problem.schedule, T_f=1, tol=Tolerances(integrality=0.49))
-    assert violation_certificate(res).in_integral_set.count(False) == 0
 
 
 def test_node_limit_names_the_agent_round_and_stage(monkeypatch):

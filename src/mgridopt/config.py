@@ -148,12 +148,21 @@ def _count(key: str, value) -> int:
         raise ValueError(f"{key} {e}") from None
 
 
+def _float(value: int | float) -> float:
+    """float(value); an int beyond float range is a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"must be a finite number, got an int of "
+                         f"{value.bit_length()} bits") from None
+
+
 def _number(value) -> float:
     """A unit, profile, schedule or graph number: an int or a float,
     not a string such as "inf" nor a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"could not convert {value!r} to a number")
-    return float(value)
+    return _float(value)
 
 
 def _seed(value):
@@ -168,7 +177,7 @@ def _positive(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not value > 0:
         raise ValueError(f"must be a number > 0, got {value!r}")
-    return float(value)
+    return _float(value)
 
 
 def _string(value) -> str:

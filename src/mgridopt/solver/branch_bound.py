@@ -10,9 +10,19 @@ when it is fresh (`Factor.updates` 0), as every node LP's is after its
 final refactorization, instead of inverting the same basis again; a
 root from a warm allocation solve may carry updates, and its children
 refactor.  Both children share the parent's arrays until they are
-solved, and each solve copies the inverse before pivoting it.  All
-choices are deterministic, so identical inputs give identical
-solutions and node counts.
+solved, and each solve copies the inverse before pivoting it.
+
+A node is pruned when its LP bound comes within PRUNE_GAP of the
+incumbent: when it leaves the heap, on its parent's value, and after
+its solve, on its own.  Once the tree has an incumbent, each node LP
+gets that value less PRUNE_GAP as its `cutoff`, so a node LP whose dual
+bound reaches it stops with status CUTOFF, pivots short of its optimum
+and without its final refactorization, and the tree drops it as it
+drops an infeasible one.  The dual bound only rises to the optimum the
+post-solve test reads, so a node is cut only where that test would
+prune it, and the tree, its incumbent and its node count are the ones
+uncut node LPs grow.  All choices are deterministic, so identical
+inputs give identical solutions and node counts.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ from .simplex import (INFEASIBLE, OPTIMAL, LinearProgram, LpSolution,
                       Tolerances, solve_lp)
 
 MAX_BNB_NODES = 200_000  # node LP solves of one tree
+# a node whose LP bound comes within this of the incumbent is pruned
+PRUNE_GAP = 1e-9
 # a node this close to integral is accepted and rounded, which moves each
 # row by its coefficient times the distance; `LocalBlock.is_integral` too
 INTEGRALITY = 1e-12
@@ -76,16 +88,18 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
             sol, lo, hi = state.pop()
         else:
             bound, _, lo, hi, start, inverse = heapq.heappop(heap)
-            if bound >= best_val - 1e-9:
+            if bound >= best_val - PRUNE_GAP:
                 continue
             if nodes >= MAX_BNB_NODES:
                 raise NodeLimitError(f"node limit {MAX_BNB_NODES} reached")
+            # a node LP whose bound reaches the cutoff would be pruned
             sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi), tol,
-                           start=start, inverse=inverse)
+                           start=start, inverse=inverse,
+                           cutoff=best_val - PRUNE_GAP)
             nodes += 1
-            if sol.status != OPTIMAL:
+            if sol.status != OPTIMAL:  # infeasible, or cut off
                 continue
-        if sol.value >= best_val - 1e-9:
+        if sol.value >= best_val - PRUNE_GAP:
             continue
         frac = np.abs(sol.x[int_idx] - np.round(sol.x[int_idx]))
         worst = int(np.argmax(frac))

@@ -34,6 +34,17 @@ refactorization, and the next solve of the chain continues that count:
 a chain of warm solves refactors on the pivot budget, not once per
 solve.
 
+A solve given a finite cutoff (a branch-and-bound node, which passes
+its incumbent less the pruning gap) stops once its optimum is known to
+reach it and reports CUTOFF with its pivot count alone.  Before each
+dual pivot it reads c'x of the current basis, the dual bound: the basis
+is dual feasible, so that value bounds the optimum from below and only
+rises as the dual loop pivots.  The primal passes read no bound, since
+there c'x falls toward the optimum.  A solve that reaches its optimum
+compares the value it would report before the refactorization that
+precedes the report, and skips that refactorization when cut, on the
+warm path or the cold one.
+
 Pivoting is deterministic: the primal prices by most-negative reduced
 cost with lowest-index tie-breaking, switching to Bland's rule after
 10 * (row count) degenerate steps so termination is guaranteed; the
@@ -73,6 +84,7 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+CUTOFF = "cutoff"  # the optimum is at or above the solve's cutoff
 
 # nonbasic statuses; basic columns are tracked via the basis array
 _AT_LO = 0
@@ -178,7 +190,8 @@ class LpSolution:
 def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
              start: tuple[np.ndarray, np.ndarray] | None = None,
              factor: Factor | None = None,
-             inverse: np.ndarray | None = None) -> LpSolution:
+             inverse: np.ndarray | None = None,
+             cutoff: float = math.inf) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
 
@@ -201,17 +214,23 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
     infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
     the returned pivot count includes the abandoned warm pivots.
 
+    A finite `cutoff` returns status CUTOFF, with only `pivots` set,
+    when the dual bound before a dual pivot (c'x at its basis) or the
+    value the solve would report reaches it; the check comes before the
+    refactorization the report would take.  A solve whose optimum lies
+    below the cutoff returns bit for bit what it returns without one.
+
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
     within the tolerance could still close the gap.
     """
     if start is None:
-        sol = _Simplex(lp, tol).run()
+        sol = _Simplex(lp, tol, cutoff).run()
     else:
-        warm = _Simplex(lp, tol)
+        warm = _Simplex(lp, tol, cutoff)
         sol = warm.run_warm(*start, factor, inverse)
         if sol is None:
-            sol = _Simplex(lp, tol).run()
+            sol = _Simplex(lp, tol, cutoff).run()
             sol.pivots += warm.pivots
     return sol
 
@@ -220,9 +239,10 @@ class _Simplex:
     """Engine for one solve: build, then call run() (cold two-phase)
     or run_warm() (dual start) once."""
 
-    def __init__(self, lp: LinearProgram, tol: Tolerances):
+    def __init__(self, lp: LinearProgram, tol: Tolerances, cutoff: float):
         self.lp = lp
         self.tol = tol
+        self.cutoff = cutoff
         n, m = lp.n, lp.m
         self.n = n
         self.m = m
@@ -344,7 +364,9 @@ class _Simplex:
         the start must then have no more primal-infeasible basic rows
         than the cold start has artificials.  `inverse`, a fresh inverse
         of the start basis (a branch-and-bound parent's), stands in for
-        the start's refactorization alone.
+        the start's refactorization alone.  Before each pivot the loop
+        compares c'x of its dual feasible basis, a lower bound on the
+        optimum, with the cutoff, and returns CUTOFF once it reaches it.
         """
         if (basis >= self.n + self.m).any():
             return None
@@ -379,6 +401,10 @@ class _Simplex:
                 r = int(viol.argmax())
                 if not viol[r] > feas:
                     break
+                # c'x of a dual feasible basis bounds the optimum below
+                if (self.cutoff < math.inf
+                        and self.lp.c @ self._structural() >= self.cutoff):
+                    return LpSolution(status=CUTOFF, pivots=self.pivots)
                 to_hi = bool(above[r] > below[r])
                 # row r moves by -alpha_j per unit step of column j; mov
                 # is |alpha_j| where column j moves the row toward its
@@ -577,18 +603,29 @@ class _Simplex:
 
     # -- extraction ----------------------------------------------------------
 
+    def _structural(self) -> np.ndarray:
+        """The structural columns' values at the current basis."""
+        full = self.xn.copy()
+        full[self.basis] = self.xb
+        return full[:self.n]
+
+    def _point(self) -> tuple[np.ndarray, float]:
+        """The reported x, with roundoff-level bound violations clamped,
+        and its value."""
+        x = np.clip(self._structural(), self.lp.lo, self.lp.hi)
+        return x, float(self.lp.c @ x) if self.n else 0.0
+
     def _extract(self, refactor: bool = True) -> LpSolution:
+        """Report the optimal basis; one whose value reaches the cutoff
+        reports CUTOFF before the refactorization that cleans drift."""
+        if self.cutoff < math.inf and self._point()[1] >= self.cutoff:
+            return LpSolution(status=CUTOFF, pivots=self.pivots)
         if refactor:
             self._refactor()  # clean drift before reporting
         n, m = self.n, self.m
-        full = self.xn.copy()
-        full[self.basis] = self.xb
-        x = full[:n].copy()
-        # clamp roundoff-level bound violations
-        np.clip(x, self.lp.lo, self.lp.hi, out=x)
+        x, value = self._point()
         y = self.c_phase2[self.basis] @ self.Binv
         duals = np.maximum(-y, 0.0)
-        value = float(self.lp.c @ x) if n else 0.0
         return LpSolution(
             status=OPTIMAL,
             x=x,

@@ -251,6 +251,14 @@ MALFORMED_DESK = {
     "power_limit_bool": (
         lambda raw: raw["units"]["storages"][0].update(power_limit_kw=True),
         "units.storages[0]: could not convert True"),
+    "grid_exchange_int_beyond_float": (
+        lambda raw: raw["units"]["grid"].update(max_exchange_kw=10**400),
+        "units.grid: must be a finite number, got an int of 1329 bits"),
+    "shortage_penalty_int_beyond_float": (
+        lambda raw: raw["scenarios"].update(
+            shortage_penalty_eur_per_kwh=10**400),
+        "scenarios.shortage_penalty_eur_per_kwh: must be a finite number, "
+        "got an int of 1329 bits"),
     "seed_text": (
         lambda raw: raw["seeds"].update(problem="eleven"),
         "seeds.problem: must be an int >= 0, got 'eleven'"),

@@ -185,11 +185,12 @@ def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
 
 def test_enumeration_milps_and_their_node_lps(monkeypatch):
     # the instances of test_matches_enumeration_on_200_instances: every
-    # node LP of every tree, warm-started from its parent's basis
+    # node LP of every tree, warm-started from its parent's basis and
+    # run to its optimum (the cutoff is dropped)
     h = hashlib.sha256()
     real = branch_bound.solve_lp
 
-    def folding(lp, tol, start=None, inverse=None):
+    def folding(lp, tol, start=None, inverse=None, cutoff=None):
         sol = real(lp, tol, start=start, inverse=inverse)
         fold(h, sol)
         return sol

@@ -2,11 +2,13 @@
 instances, vertex structure, subgradient property, determinism, and
 warm starts against cold solves."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mgridopt.solver import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             simplex, solve_lp)
+from mgridopt.solver import (CUTOFF, INFEASIBLE, OPTIMAL, UNBOUNDED,
+                             LinearProgram, simplex, solve_lp)
 
 
 def box_lp(c, G, g, lo, hi):
@@ -283,6 +285,73 @@ def assert_same_solve(a, b):
         assert (u is v is None) or u.tobytes() == v.tobytes()
     assert all(u.tobytes() == v.tobytes()
                for u, v in zip(a.basis or (), b.basis or ()))
+
+
+def test_a_cutoff_ends_only_a_solve_whose_optimum_reaches_it(monkeypatch):
+    """Seeded parents, solved cold, and one B&B child of each, solved
+    warm from its parent's basis.  A cutoff of +inf, or one above the
+    optimum, changes no bit of the solve, its inverse included.  A
+    cutoff below the optimum returns CUTOFF and nothing but its pivots,
+    no more of them than the full solve takes, and skips the
+    refactorization before reporting: a warm child may stop in its dual
+    loop, where c'x of its dual feasible basis bounds the optimum, and a
+    cold solve stops at its optimum."""
+    calls = [0]
+    inv = np.linalg.inv
+
+    def inverting(a):
+        calls[0] += 1
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inverting)
+
+    def solve(lp, start, cutoff=math.inf):
+        before = calls[0]
+        sol = solve_lp(lp, start=start, cutoff=cutoff)
+        return sol, calls[0] - before
+
+    rng = np.random.default_rng(25)
+    stopped_early = 0
+    for k in range(200):
+        if k % 20 == 19:  # past REFACTOR_EVERY pivots
+            lp = random_bounded_lp(rng, n=int(rng.integers(40, 80)),
+                                   m=int(rng.integers(60, 140)))
+        else:
+            lp = random_bounded_lp(rng)
+        parent = solve_lp(lp)
+        basic = parent.basis[0][parent.basis[0] < lp.n]
+        j = int(basic[k % basic.size]) if basic.size else 0
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        if k % 2:
+            lo[j] = min(np.ceil(parent.x[j]), hi[j])
+        else:
+            hi[j] = max(np.floor(parent.x[j]), lo[j])
+        child = LinearProgram(lp.c, lp.G, lp.g, lo, hi)
+        for prog, start in ((lp, None), (child, parent.basis)):
+            full, full_inv = solve(prog, start)
+            if full.status != OPTIMAL:
+                continue
+            margin = 1e-6 * (1.0 + abs(full.value))
+            for cutoff in (math.inf, full.value + margin):
+                same, same_inv = solve(prog, start, cutoff)
+                assert_same_solve(same, full)
+                assert same.factor.inverse.tobytes() == \
+                    full.factor.inverse.tobytes()
+                assert same_inv == full_inv
+            below = [full.value - margin]
+            if start is not None:
+                # halfway from the start's bound, the parent's optimum
+                below.append(0.5 * (parent.value + full.value))
+            for cutoff in below:
+                if not cutoff < full.value - margin / 2:
+                    continue
+                cut, cut_inv = solve(prog, start, cutoff)
+                assert cut.status == CUTOFF
+                assert cut.x is cut.basis is cut.factor is None
+                assert cut.pivots <= full.pivots
+                assert cut_inv <= full_inv - 1
+                stopped_early += cut.pivots < full.pivots
+    assert stopped_early > 20
 
 
 def test_resolve_under_another_g_matches_cold_solve():

@@ -3,6 +3,7 @@ desk agents' finalize and certificate MILPs and allocation LPs, against
 HiGHS; the node budget and the warm-started node LPs."""
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,12 @@ from mgridopt.config import ExperimentConfig, build_problem
 from mgridopt.dialgo import (AgentSolveError, exchange_and_update,
                              init_allocations, local_multiplier_step,
                              make_agents, recourse_cap, run)
-from mgridopt.solver import (INFEASIBLE, OPTIMAL, LinearProgram,
-                             NodeLimitError, solve_lp, solve_milp)
+from mgridopt.solver import (CUTOFF, INFEASIBLE, INTEGRALITY, OPTIMAL,
+                             LinearProgram, NodeLimitError, solve_lp,
+                             solve_milp)
 from mgridopt.solver import branch_bound
 from mgridopt.stochastic import build_h
+from test_solver_lp import assert_same_solve
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
@@ -237,12 +240,13 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     def finalize_all(start_from_parent):
         pivots = 0
 
-        def counting(lp, tol, start=None, inverse=None):
+        def counting(lp, tol, start=None, inverse=None, cutoff=math.inf):
             nonlocal pivots
             if start_from_parent:
-                sol = real(lp, tol, start=start, inverse=inverse)
+                sol = real(lp, tol, start=start, inverse=inverse,
+                           cutoff=cutoff)
             else:
-                sol = real(lp, tol)
+                sol = real(lp, tol, cutoff=cutoff)
             pivots += sol.pivots
             return sol
 
@@ -295,13 +299,9 @@ def assert_same_trees(grown, again):
         assert (a.x is None and b.x is None) or a.x.tobytes() == b.x.tobytes()
 
 
-def test_node_lps_adopting_their_parents_inverse_change_no_bit(monkeypatch):
-    """A child that adopts the fresh inverse its parent hands it solves
-    bit for bit as one that refactors its start basis.  On the seeded
-    enumeration MILPs and on every desk agent's finalize and certificate
-    auxiliary MILP at the equal split, the trees reach the same x, value
-    and node count in the same node pivots; a child that pivoted the
-    shared array without copying it would move its sibling's start."""
+def tree_solver():
+    """solve_all(): the seeded enumeration MILPs, then every desk agent's
+    finalize and certificate auxiliary MILP at the equal split."""
     problem, agents = desk_at_equal_split()
     agents = [a for a in agents if a.lifted.lp.integrality.any()]
     cap = recourse_cap(problem.blocks, problem.scen)
@@ -314,15 +314,26 @@ def test_node_lps_adopting_their_parents_inverse_change_no_bit(monkeypatch):
             sols.append(a.lifted.solve(solve_milp, ell,
                                        "certificate auxiliary MILP"))
         return sols
+    return solve_all
+
+
+def test_node_lps_adopting_their_parents_inverse_change_no_bit(monkeypatch):
+    """A child that adopts the fresh inverse its parent hands it solves
+    bit for bit as one that refactors its start basis.  On the seeded
+    enumeration MILPs and on every desk agent's finalize and certificate
+    auxiliary MILP at the equal split, the trees reach the same x, value
+    and node count in the same node pivots; a child that pivoted the
+    shared array without copying it would move its sibling's start."""
+    solve_all = tree_solver()
 
     real = branch_bound.solve_lp
     grown = []
     for adopt in (True, False):
         work = {"pivots": 0, "starts": 0, "inverses": 0}
 
-        def node(lp, tol, start=None, inverse=None):
+        def node(lp, tol, start=None, inverse=None, cutoff=math.inf):
             sol = real(lp, tol, start=start,
-                       inverse=inverse if adopt else None)
+                       inverse=inverse if adopt else None, cutoff=cutoff)
             work["pivots"] += sol.pivots
             work["starts"] += start is not None
             work["inverses"] += inverse is not None
@@ -356,8 +367,8 @@ def test_children_of_a_root_with_updated_inverse_refactor(monkeypatch):
     real = branch_bound.solve_lp
     handed = []
 
-    def spying(lp, tol, start=None, inverse=None):
-        sol = real(lp, tol, start=start, inverse=inverse)
+    def spying(lp, tol, start=None, inverse=None, cutoff=math.inf):
+        sol = real(lp, tol, start=start, inverse=inverse, cutoff=cutoff)
         handed.append((start, inverse, sol.pivots))
         return sol
 
@@ -377,3 +388,50 @@ def test_children_of_a_root_with_updated_inverse_refactor(monkeypatch):
         assert_same_trees([kept], [plain])
         assert kept_work == [(inv is None, p) for _, inv, p in handed]
     assert children > 0
+
+
+def test_cutoff_changes_no_tree(monkeypatch):
+    """A node LP stopped at the incumbent is one its tree would prune.
+    On the seeded enumeration MILPs and every desk agent's finalize and
+    certificate auxiliary MILP at the equal split, trees whose node LPs
+    get the cutoff reach the status, value, x and node count of trees
+    whose node LPs run to their optimum, bit for bit.  Each node LP gets
+    the incumbent less PRUNE_GAP (+inf before the first); one cut off is
+    infeasible or has an optimum at or above that cutoff, and every
+    other solves bit for bit as without it."""
+    solve_all = tree_solver()
+    real = branch_bound.solve_lp
+    gap = branch_bound.PRUNE_GAP
+    grown = []
+    for cut in (True, False):
+        nodes = []
+
+        def node(lp, tol, start=None, inverse=None, cutoff=math.inf):
+            sol = real(lp, tol, start=start, inverse=inverse,
+                       cutoff=cutoff if cut else math.inf)
+            nodes.append((lp, cutoff, sol))
+            return sol
+
+        monkeypatch.setattr(branch_bound, "solve_lp", node)
+        grown.append((solve_all(), nodes))
+    (trees, cut_nodes), (uncut_trees, full_nodes) = grown
+    assert_same_trees(trees, uncut_trees)
+    assert len(cut_nodes) == len(full_nodes)
+    best, cuts = math.inf, 0
+    for (lp, cutoff, sol), (_, _, full) in zip(cut_nodes, full_nodes):
+        if lp.integrality is not None:  # a root: a new tree starts
+            best, mask = math.inf, lp.integrality
+        assert cutoff == best - gap
+        if sol.status == CUTOFF:
+            cuts += 1
+            assert full.status == INFEASIBLE or full.value >= cutoff
+        else:
+            assert_same_solve(sol, full)
+            assert (sol.factor is full.factor is None
+                    or sol.factor.inverse.tobytes()
+                    == full.factor.inverse.tobytes())
+        if full.status == OPTIMAL and full.value < best - gap:
+            ints = full.x[mask]
+            if np.abs(ints - np.round(ints)).max() <= INTEGRALITY:
+                best = full.value
+    assert cuts > 100

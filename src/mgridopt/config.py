@@ -12,9 +12,11 @@ failure under its field path, e.g. `units.grid.max_exchange_kw:
 missing`; parsing a config checks only its YAML syntax.  Checked here
 are only the rules no record states: numbers that are finite ints or
 floats (no strings, no bools), the shape of the mapping, the seeds,
-the counts, the recourse penalties, the tolerances and the step-size
-kind.  Each unit builder also rejects a block whose polyhedron is
-empty.
+the counts and the size they give (MAX_COUPLING_ROWS), the recourse
+penalties and the step-size kind.  Each unit builder also rejects a
+block whose polyhedron is empty.  The simplex tolerances are solver
+constants (`solver.FEASIBILITY`), not settings: a config that still
+sets `algorithm.tolerances` is refused.
 
 Schema sketch (see configs/desk.yaml for a complete example):
 
@@ -30,11 +32,6 @@ Schema sketch (see configs/desk.yaml for a complete example):
       finalize_every: 10
       step_size: {kind: piecewise, initial: 3.0, factor: 0.5, period: 100}
       graph: {kind: random, edge_probability: 0.4}
-      tolerances:          # optional; used by the rounds, the
-                           # certificate and recertify alike
-        feasibility: 1.0e-7  # simplex: phase-1 infeasibility taken as
-                             # zero (YAML reads 1e-7 as a string)
-        reduced_cost: 1.0e-9 # simplex: pricing optimality threshold
     profiles:
       name: {literal_kw: [...]} | {kind: demand, base_kw: .., peaks: [[c,w,h]],
              sigma_kw: ..} | {literal_eur_per_kwh: [...]}
@@ -51,7 +48,7 @@ Schema sketch (see configs/desk.yaml for a complete example):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -63,13 +60,17 @@ from .model import (ControllableLoadParams, GeneratorParams, GridParams,
                     build_grid_block, build_storage_block,
                     quadratic_cost_segments)
 from .scenario import ProfileModel, sample_profile, sample_scenarioset
-from .solver import Tolerances
 from .stochastic import build_recourse_cost, ScenarioSet
 
 
 # libyaml's C parser where PyYAML was built with it (it reads desk.yaml
 # about 8x faster); the same mapping either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# each agent's dense LP carries 2RK coupling rows and, in the simplex,
+# a 2RK x 2RK slack identity: 128 MiB at this bound.  A paper-scale day
+# (K = 24 steps, R = 10 scenarios) needs 480.
+MAX_COUPLING_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -200,14 +201,6 @@ def _non_finite(value, path: str) -> list:
     return []
 
 
-def _tolerance_names(value) -> dict:
-    known = {f.name for f in fields(Tolerances)}
-    for key in _mapping(value):
-        if key not in known:
-            raise ValueError(f"unknown tolerance {key!r}")
-    return value
-
-
 def _schedule(step) -> StepSizeSchedule:
     kind = step["kind"]
     if kind == "diminishing":
@@ -290,7 +283,6 @@ class Problem:
     T_f: int
     finalize_every: int
     lo_demands: list  # one per critical load, in roster order
-    tolerances: Tolerances
     output_dir: str  # under the output root, unless a verb is given one
 
 
@@ -339,6 +331,7 @@ def _build(raw):
     units = field(raw, "config", "units", _mapping)
     output_dir = field(raw, "config", "output_dir", _string, "out")
 
+    R = None
     if scen_cfg is not None:
         R = field(scen_cfg, "scenarios", "count", _int_at_least(1))
         # null is the default; the certificate divides by the penalties
@@ -351,12 +344,16 @@ def _build(raw):
         T_f = field(algo, "algorithm", "iterations", _int_at_least(0))
         finalize_every = field(algo, "algorithm", "finalize_every",
                                _int_at_least(1), DEFAULT_FINALIZE_EVERY)
-        tols = field(algo, "algorithm", "tolerances", _tolerance_names, {})
-        tolerances = Tolerances(**{key: field(
-            tols, "algorithm.tolerances", key, _positive)
-            for key in tols or {}})
+        if "tolerances" in algo:
+            errors.append("algorithm.tolerances: not a setting; the "
+                          "simplex tolerances are constants")
         schedule = field(algo, "algorithm", "step_size", _schedule)
         graph_cfg = field(algo, "algorithm", "graph", _mapping)
+    if K is not None and 2 * (R or 1) * K > MAX_COUPLING_ROWS:
+        errors.append(f"config.horizon_steps, scenarios.count: 2 x count "
+                      f"x horizon_steps exceeds {MAX_COUPLING_ROWS} "
+                      f"coupling rows")
+        return None, errors
     if None in (K, seeds, profiles, units):
         return None, errors
 
@@ -451,8 +448,7 @@ def _build(raw):
         blocks=blocks, agent_names=names, scen=scen,
         d=build_recourse_cost(scen.pi, q_plus, q_minus, K), graph=graph,
         schedule=schedule, T_f=T_f, finalize_every=finalize_every,
-        lo_demands=lo_demands, tolerances=tolerances,
-        output_dir=output_dir), []
+        lo_demands=lo_demands, output_dir=output_dir), []
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .model import DimensionError, LocalBlock
 from .solver import (OPTIMAL, LpSolution, NodeLimitError, SolverError,
-                     Tolerances, solve_lp, solve_milp)
+                     solve_lp, solve_milp)
 from .stochastic import ScenarioSet, build_h, two_stage_lp
 
 
@@ -51,6 +51,10 @@ class AgentSolveError(RuntimeError):
         self.status = status
         self.stage = stage
         super().__init__(f"agent {agent}: {stage} solve ended {status}")
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone
+        return type(self), (self.agent, self.status, self.stage)
 
 
 class GraphError(ValueError):
@@ -211,13 +215,12 @@ class LocalProblem:
     The rounds solve it relaxed for the multiplier of the allocation
     rows and mixed-integer to recover a feasible point; the certificate
     solves the block's floor LPs and the program at y = ell.  Each solve
-    goes through `solve_program`, with the run's tolerances `tol`.
+    goes through `solve_program`.
     """
 
     def __init__(self, base: LocalBlock, R: int, d: np.ndarray,
-                 index: int = 0, tol: Tolerances = Tolerances()):
+                 index: int = 0):
         self.base, self.R, self.d, self.index = base, R, d, index
-        self.tol = tol
         self.lp = two_stage_lp([base], R, d)
         self.n, self.m0 = base.n, base.G.shape[0]
         self.H = np.ascontiguousarray(self.lp.G[self.m0:, :self.n])
@@ -237,12 +240,12 @@ class LocalProblem:
         return sol.duals[self.m0:].copy()
 
     def solve_program(self, solver, lp, stage: str, **options):
-        """`solver` (solve_lp or solve_milp) on `lp` with the agent's
-        tolerances and `options`.  A status other than optimal, a simplex
-        failure or a tree past its node limit raises an AgentSolveError
-        naming the agent and `stage`."""
+        """`solver` (solve_lp or solve_milp) on `lp` with `options`.  A
+        status other than optimal, a simplex failure or a tree past its
+        node limit raises an AgentSolveError naming the agent and
+        `stage`."""
         try:
-            sol = solver(lp, self.tol, **options)
+            sol = solver(lp, **options)
         except (NodeLimitError, SolverError) as e:
             raise AgentSolveError(self.index, str(e), stage) from e
         if sol.status != OPTIMAL:
@@ -291,11 +294,10 @@ class AgentState:
     eta_mi: np.ndarray | None = None
 
 
-def make_agents(blocks, scen: ScenarioSet, d: np.ndarray, ys,
-                tol: Tolerances) -> list:
-    """One agent per block, agent i holding allocation ys[i], a copy of
-    the recourse prices d and the tolerances `tol`."""
-    return [AgentState(LocalProblem(blk, scen.R, d.copy(), i, tol), ys[i])
+def make_agents(blocks, scen: ScenarioSet, d: np.ndarray, ys) -> list:
+    """One agent per block, agent i holding allocation ys[i] and a copy
+    of the recourse prices d."""
+    return [AgentState(LocalProblem(blk, scen.R, d.copy(), i), ys[i])
             for i, blk in enumerate(blocks)]
 
 
@@ -451,8 +453,7 @@ def recourse_cap(blocks, scen: ScenarioSet) -> float:
 def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
         schedule: StepSizeSchedule, T_f: int,
         finalize_every: int = DEFAULT_FINALIZE_EVERY, ys=None,
-        eta_cap: float | None = None,
-        tol: Tolerances = Tolerances()) -> RunResult:
+        eta_cap: float | None = None) -> RunResult:
     """Execute T_f rounds and return the finalized solution plus trace.
 
     Round 0 starts from the allocations `ys` (one per block, summing to
@@ -479,7 +480,7 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
     if ys is None:
         ys = init_allocations(h, len(blocks))
     agents = make_agents(blocks, scen, d,
-                         [np.array(y, dtype=float) for y in ys], tol)
+                         [np.array(y, dtype=float) for y in ys])
     trace = RunTrace()
     result = RunResult(agents=agents, trace=trace, h=h, eta_cap=eta_cap,
                        converged_label="empirical", T_f=T_f)

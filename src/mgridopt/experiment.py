@@ -192,8 +192,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     out = output_dir(problem, out_dir)
     result = run(problem.blocks, problem.scen, problem.d, problem.graph,
                  problem.schedule, problem.T_f,
-                 finalize_every=problem.finalize_every,
-                 tol=problem.tolerances)
+                 finalize_every=problem.finalize_every)
     cert, cert_payload = _certify(problem, result)
     cfg.to_yaml(out / "config.yaml")
     write_trace_csv(out / "trace.csv", result.trace)
@@ -264,8 +263,7 @@ def recertify(run_dir) -> dict:
                           bound=lambda v: _floats(v, dim),
                           measured=lambda v: _floats(v, dim))
     result = run(problem.blocks, problem.scen, problem.d, problem.graph,
-                 problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"],
-                 tol=problem.tolerances)
+                 problem.schedule, 0, ys=saved["y"], eta_cap=saved["eta_cap"])
     result.converged_label = saved["label"]
     _, payload = _certify(problem, result)
     payload["matches_stored_bound"] = all(

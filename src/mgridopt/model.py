@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import (INTEGRALITY, OPTIMAL, LinearProgram, Tolerances,
+from .solver import (FEASIBILITY, INTEGRALITY, OPTIMAL, LinearProgram,
                      solve_lp)
 
 # strict-positivity constant of the storage switch; machine epsilon
@@ -210,10 +210,10 @@ class LocalBlock:
         return bool(np.all(np.abs(ints - np.round(ints)) <= INTEGRALITY))
 
     def contains(self, x: np.ndarray) -> bool:
-        tol = Tolerances().feasibility
-        if np.any(x < self.lo - tol) or np.any(x > self.hi + tol):
+        if (np.any(x < self.lo - FEASIBILITY)
+                or np.any(x > self.hi + FEASIBILITY)):
             return False
-        if self.G.size and np.any(self.G @ x > self.g + tol):
+        if self.G.size and np.any(self.G @ x > self.g + FEASIBILITY):
             return False
         return self.is_integral(x)
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import (INFEASIBLE, OPTIMAL, LinearProgram, LpSolution,
-                      Tolerances, solve_lp)
+from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve_lp
 
 MAX_BNB_NODES = 200_000  # node LP solves of one tree
 # a node whose LP bound comes within this of the incumbent is pruned
@@ -55,19 +54,19 @@ class MipSolution:
     node_count: int = 0
 
 
-def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
+def solve_milp(lp: LinearProgram,
                root: LpSolution | None = None) -> MipSolution:
     """Globally minimize the mixed-integer program described by `lp`.
 
     `lp.integrality` flags the integer-constrained coordinates.  The
     relaxation must have a finite optimum (local problems are unbounded
     only in eta, which d > 0 prices).  `root`, if given, is
-    `solve_lp(lp, tol)`, the tree's first node; it is the answer when
+    `solve_lp(lp)`, the tree's first node; it is the answer when
     not optimal or when no column is integer.  Raises NodeLimitError
     rather than solve more than MAX_BNB_NODES node LPs.
     """
     if root is None:
-        root = solve_lp(lp, tol)
+        root = solve_lp(lp)
     mask = lp.integrality
     if root.status != OPTIMAL or mask is None or not np.any(mask):
         return MipSolution(status=root.status, x=root.x, value=root.value,
@@ -93,7 +92,7 @@ def solve_milp(lp: LinearProgram, tol: Tolerances = Tolerances(),
             if nodes >= MAX_BNB_NODES:
                 raise NodeLimitError(f"node limit {MAX_BNB_NODES} reached")
             # a node LP whose bound reaches the cutoff would be pruned
-            sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi), tol,
+            sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi),
                            start=start, inverse=inverse,
                            cutoff=best_val - PRUNE_GAP)
             nodes += 1

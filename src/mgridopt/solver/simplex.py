@@ -94,6 +94,8 @@ _BASIC = 3
 _FIXED = 4
 
 PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
+FEASIBILITY = 1e-7    # bound violation and phase-1 infeasibility taken as 0
+REDUCED_COST = 1e-9   # pricing optimality threshold; Harris ratio slack
 REFACTOR_EVERY = 60   # pivots between fresh basis inversions
 DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
 
@@ -107,15 +109,6 @@ _PRICE = -_MOVE
 
 class SolverError(Exception):
     """Raised when the pivot loop cannot make progress (numerical failure)."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances of the simplex, which every LP and node LP
-    reads; whether a point is integral is `branch_bound.INTEGRALITY`."""
-
-    feasibility: float = 1e-7
-    reduced_cost: float = 1e-9
 
 
 @dataclass
@@ -187,7 +180,7 @@ class LpSolution:
     factor: Factor | None = field(default=None, repr=False)
 
 
-def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
+def solve_lp(lp: LinearProgram,
              start: tuple[np.ndarray, np.ndarray] | None = None,
              factor: Factor | None = None,
              inverse: np.ndarray | None = None,
@@ -222,15 +215,15 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = Tolerances(),
 
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
-    within the tolerance could still close the gap.
+    within REDUCED_COST could still close the gap.
     """
     if start is None:
-        sol = _Simplex(lp, tol, cutoff).run()
+        sol = _Simplex(lp, cutoff).run()
     else:
-        warm = _Simplex(lp, tol, cutoff)
+        warm = _Simplex(lp, cutoff)
         sol = warm.run_warm(*start, factor, inverse)
         if sol is None:
-            sol = _Simplex(lp, tol, cutoff).run()
+            sol = _Simplex(lp, cutoff).run()
             sol.pivots += warm.pivots
     return sol
 
@@ -239,9 +232,8 @@ class _Simplex:
     """Engine for one solve: build, then call run() (cold two-phase)
     or run_warm() (dual start) once."""
 
-    def __init__(self, lp: LinearProgram, tol: Tolerances, cutoff: float):
+    def __init__(self, lp: LinearProgram, cutoff: float):
         self.lp = lp
-        self.tol = tol
         self.cutoff = cutoff
         n, m = lp.n, lp.m
         self.n = n
@@ -332,7 +324,7 @@ class _Simplex:
             self._iterate(c1, phase_one=True)
             art_basic = self.basis >= n + m
             infeas = float(self.xb[art_basic].sum()) if np.any(art_basic) else 0.0
-            if infeas > self.tol.feasibility:
+            if infeas > FEASIBILITY:
                 self._prove_infeasible(c1, infeas)
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
             self._expel_artificials(c1)
@@ -385,13 +377,12 @@ class _Simplex:
         self.status = status
         self.xn = xn
         self.rhs = self.lp.g.copy()
-        c, feas, rc_tol = self.c_phase2, self.tol.feasibility, \
-            self.tol.reduced_cost
+        c = self.c_phase2
         try:
             self._refactor(factor if inverse is None else Factor(inverse))
             if factor is not None:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
-                off = np.maximum(lo_b - self.xb, self.xb - hi_b) > feas
+                off = np.maximum(lo_b - self.xb, self.xb - hi_b) > FEASIBILITY
                 if int(off.sum()) > n_art:
                     return None
             for _ in range(DUAL_PIVOT_LIMIT):
@@ -399,7 +390,7 @@ class _Simplex:
                 below, above = lo_b - self.xb, self.xb - hi_b
                 viol = np.maximum(below, above)
                 r = int(viol.argmax())
-                if not viol[r] > feas:
+                if not viol[r] > FEASIBILITY:
                     break
                 # c'x of a dual feasible basis bounds the optimum below
                 if (self.cutoff < math.inf
@@ -418,7 +409,7 @@ class _Simplex:
                     # proof holds unless the tiny ones could close it
                     right = mov > 0.0
                     reach = np.abs(alpha[right]) @ (self.hi - self.lo)[right]
-                    if reach >= viol[r] - feas:
+                    if reach >= viol[r] - FEASIBILITY:
                         return None
                     return LpSolution(status=INFEASIBLE, pivots=self.pivots)
                 cand = elig.nonzero()[0]
@@ -426,9 +417,9 @@ class _Simplex:
                 d = c[cand] - y @ self.A[:, cand]
                 d = np.maximum(d * _MOVE[st[cand]], 0.0)
                 a = mov[cand]
-                # Harris: ratios within rc_tol of the smallest tie, and
-                # the largest pivot element among them enters
-                near = d / a <= ((d + rc_tol) / a).min()
+                # Harris: ratios within REDUCED_COST of the smallest tie,
+                # and the largest pivot element among them enters
+                near = d / a <= ((d + REDUCED_COST) / a).min()
                 j = int(cand[near][a[near].argmax()])
                 w = self.Binv @ self.A[:, j]
                 theta = (self.xb[r] - (hi_b[r] if to_hi else lo_b[r])) / w[r]
@@ -446,14 +437,13 @@ class _Simplex:
     def _iterate(self, c: np.ndarray, phase_one: bool) -> bool:
         """Pivot until optimal for cost c. Returns True if unbounded."""
         limit = 200 * (self.m + self.n) + 2000
-        rc_tol = self.tol.reduced_cost
         # the ratio test divides every row, eligible or not, and keeps
         # only the quotients of the eligible ones
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for _ in range(limit):
                 y = c[self.basis] @ self.Binv
                 d = c - y @ self.A
-                j = self._entering(d, rc_tol)
+                j = self._entering(d)
                 if j < 0:
                     return False
                 st = self.status[j]
@@ -485,13 +475,13 @@ class _Simplex:
             viol[free] = np.abs(d[free])
         return viol
 
-    def _entering(self, d: np.ndarray, rc_tol: float) -> int:
+    def _entering(self, d: np.ndarray) -> int:
         viol = self._gains(d)
         best = viol.max()
-        if not best > rc_tol:
+        if not best > REDUCED_COST:
             return -1
         if self.bland:
-            return int((viol > rc_tol).argmax())
+            return int((viol > REDUCED_COST).argmax())
         return int((viol >= best - 1e-15 * max(1.0, best)).argmax())
 
     def _ratio(self, j: int, sigma: float, w: np.ndarray):
@@ -575,11 +565,11 @@ class _Simplex:
         gain = self._gains(c1 - y @ self.A)[:real]
         right = gain > 0.0
         reach = gain[right] @ (self.hi[:real] - self.lo[:real])[right]
-        if reach >= infeas - self.tol.feasibility:
+        if reach >= infeas - FEASIBILITY:
             raise SolverError(
                 f"phase 1 stopped {infeas:.3g} short of feasible, but "
                 f"columns with reduced costs within "
-                f"{self.tol.reduced_cost:g} could close it")
+                f"{REDUCED_COST:g} could close it")
 
     def _expel_artificials(self, c1: np.ndarray):
         """Pivot zero-valued basic artificials out where a real column allows."""

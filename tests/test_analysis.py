@@ -221,7 +221,7 @@ def test_certificate_solves_one_auxiliary_milp_per_nonintegral_agent(
     original = analysis.solve_milp
     calls = []
     monkeypatch.setattr(analysis, "solve_milp",
-                        lambda lp, tol: calls.append(lp) or original(lp, tol))
+                        lambda lp: calls.append(lp) or original(lp))
     cert = violation_certificate(res)
     nonintegral = cert.in_integral_set.count(False)
     assert nonintegral >= 1

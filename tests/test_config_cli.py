@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,7 @@ from mgridopt.config import (ConfigError, ExperimentConfig, _build,
                              build_problem)
 from mgridopt.experiment import (recertify, regenerate_reports,
                                  run_experiment, run_montecarlo)
-from mgridopt.solver import (INFEASIBLE, LpSolution, SolverError, Tolerances,
-                             branch_bound)
+from mgridopt.solver import INFEASIBLE, LpSolution, SolverError, branch_bound
 from oracles.artifacts import read_csv, read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -154,19 +152,6 @@ def test_valid_minimal_config_ok():
     assert _build(minimal_config())[1] == []
 
 
-def test_tolerance_overrides_flow_through():
-    raw = minimal_config()
-    raw["algorithm"]["tolerances"] = {"feasibility": 1e-6}
-    cfg = ExperimentConfig(raw=raw)
-    problem = build_problem(cfg)
-    assert problem.tolerances.feasibility == 1e-6
-    assert problem.tolerances.reduced_cost == 1e-9  # default kept
-    for key in ("pivot_style", "objective"):
-        raw["algorithm"]["tolerances"] = {key: 1e-5}
-        errors = _build(raw)[1]
-        assert any("unknown tolerance" in e for e in errors)
-
-
 # each breaks one field of desk.yaml; the error names the field's path
 MALFORMED_DESK = {
     "solar_peak_missing": (
@@ -241,7 +226,20 @@ MALFORMED_DESK = {
         "units.grid: sell price exceeds purchase price at step 2"),
     "integrality_half": (
         lambda raw: raw["algorithm"].update(tolerances={"integrality": 0.5}),
-        "algorithm.tolerances: unknown tolerance 'integrality'"),
+        "algorithm.tolerances: not a setting; the simplex tolerances are "
+        "constants"),
+    "horizon_beyond_any_size": (
+        lambda raw: raw.update(horizon_steps=10**400),
+        "config.horizon_steps, scenarios.count: 2 x count x horizon_steps "
+        "exceeds 4096 coupling rows"),
+    "scenario_count_beyond_any_size": (
+        lambda raw: raw["scenarios"].update(count=10**400),
+        "config.horizon_steps, scenarios.count: 2 x count x horizon_steps "
+        "exceeds 4096 coupling rows"),
+    "coupling_rows_just_above_bound": (  # desk.yaml: 2 x 342 x 6 = 4104
+        lambda raw: raw["scenarios"].update(count=342),
+        "config.horizon_steps, scenarios.count: 2 x count x horizon_steps "
+        "exceeds 4096 coupling rows"),
     "solar_peak_text_inf": (
         lambda raw: raw["units"]["solar"][0].update(peak_kw="inf"),
         "units.solar[0]: could not convert 'inf'"),
@@ -725,8 +723,8 @@ def test_every_package_module_is_on_the_run_path():
 
 def test_agents_solve_only_through_their_local_problem():
     """dialgo and analysis pass solve_lp and solve_milp to a
-    LocalProblem, which applies the run's tolerances and names the agent
-    and the stage of a failed solve; neither module calls them."""
+    LocalProblem, which names the agent and the stage of a failed solve;
+    neither module calls them."""
     direct = []
     for name in ("dialgo.py", "analysis.py"):
         tree = ast.parse((REPO / "src" / "mgridopt" / name).read_text())
@@ -737,16 +735,37 @@ def test_agents_solve_only_through_their_local_problem():
     assert direct == []
 
 
-def test_every_tolerance_is_read_by_the_solver():
-    """A Tolerances field that no solve reads is a knob without an
-    effect: each field is read as `.tol.<field>` somewhere under
-    src/mgridopt/solver/."""
-    read = set()
-    for path in sorted((REPO / "src" / "mgridopt" / "solver").rglob("*.py")):
-        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Attribute) and
-                 ast.unparse(node.value).split(".")[-1] == "tol"}
-    assert sorted({f.name for f in fields(Tolerances)} - read) == []
+def test_every_desk_key_is_read():
+    """A key of the shipped config that the build never looks up is a
+    knob without an effect.  Every mapping of desk.yaml records the keys
+    read from it by `[]` or `get`; `items()`, with which the finiteness
+    check walks every key, records nothing."""
+    shipped, read = set(), set()
+
+    class Recording(dict):
+        def __init__(self, mapping, path):
+            super().__init__(mapping)
+            self.path = path
+
+        def __getitem__(self, key):
+            read.add(f"{self.path}{key}")
+            return super().__getitem__(key)
+
+        def get(self, key, *default):
+            read.add(f"{self.path}{key}")
+            return super().get(key, *default)
+
+    def wrap(value, path):
+        if isinstance(value, dict):
+            shipped.update(f"{path}{k}" for k in value)
+            return Recording({k: wrap(v, f"{path}{k}.")
+                              for k, v in value.items()}, path)
+        if isinstance(value, list):
+            return [wrap(v, f"{path[:-1]}[{i}].") for i, v in enumerate(value)]
+        return value
+
+    assert _build(wrap(yaml.safe_load(DESK.read_text()), ""))[1] == []
+    assert sorted(shipped - read) == []
 
 
 def test_every_imported_name_is_read():

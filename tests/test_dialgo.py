@@ -3,6 +3,7 @@ feasibility, and convergence of the relaxation toward the centralized
 optimum."""
 
 import copy
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +317,7 @@ def test_desk_finalize_starts_from_the_round_relaxed_solve(monkeypatch):
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     records = spy_finalizes(monkeypatch)
     run(problem.blocks, problem.scen, problem.d, problem.graph,
-        problem.schedule, T_f=2, finalize_every=1, tol=problem.tolerances)
+        problem.schedule, T_f=2, finalize_every=1)
     assert len(records) == 3 * len(problem.blocks)
     assert_finalized_as_cold(records)
     binary_free = 0
@@ -532,6 +533,15 @@ def test_recovery_infeasible_for_every_cap_names_its_round(monkeypatch):
     assert calls == {"solve_milp": 1}
 
 
+def test_agent_solve_error_survives_pickling():
+    # a trial run in a worker process returns its failure by pickle
+    e = pickle.loads(pickle.dumps(
+        AgentSolveError(3, "infeasible", "round 2 recovery MILP")))
+    assert (e.agent, e.status, e.stage) == \
+        (3, "infeasible", "round 2 recovery MILP")
+    assert str(e) == "agent 3: round 2 recovery MILP solve ended infeasible"
+
+
 def test_run_rejects_finalize_every_below_one():
     blocks, scen, d = two_agent_instance()
     with pytest.raises(ValueError, match="finalize_every"):
@@ -586,7 +596,7 @@ def desk_warm_run(tmp_path_factory):
         records.append(dict(sol=sol, closed=agent.lifted.closed_form,
                             kept=kept, factor=sol.factor,
                             inversions=inversions, off_identity=off,
-                            cold=solve_lp(lp, agent.lifted.tol),
+                            cold=solve_lp(lp),
                             slack=lp.g - lp.G @ sol.x))
         return mu
 
@@ -671,10 +681,10 @@ def test_a_simplex_failure_in_a_warm_round_names_its_agent_and_round(
         monkeypatch):
     blocks, scen, d = two_agent_instance()
 
-    def failing_warm(lp, tol, start=None, **kwargs):
+    def failing_warm(lp, start=None, **kwargs):
         if start is not None:
             raise SolverError("singular basis")
-        return solve_lp(lp, tol, start=start, **kwargs)
+        return solve_lp(lp, start=start, **kwargs)
 
     monkeypatch.setattr(dialgo, "solve_lp", failing_warm)
     with pytest.raises(AgentSolveError) as e:
@@ -706,9 +716,9 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     def pivots(name, start_as):
         total = 0
 
-        def counting(lp, tol, start=None, factor=None):
+        def counting(lp, start=None, factor=None):
             nonlocal total
-            sol = real(lp, tol, **start_as(start, factor))
+            sol = real(lp, **start_as(start, factor))
             total += sol.pivots
             return sol
 

@@ -190,8 +190,8 @@ def test_enumeration_milps_and_their_node_lps(monkeypatch):
     h = hashlib.sha256()
     real = branch_bound.solve_lp
 
-    def folding(lp, tol, start=None, inverse=None, cutoff=None):
-        sol = real(lp, tol, start=start, inverse=inverse)
+    def folding(lp, start=None, inverse=None, cutoff=None):
+        sol = real(lp, start=start, inverse=inverse)
         fold(h, sol)
         return sol
 

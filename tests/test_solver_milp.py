@@ -143,8 +143,7 @@ def desk_at_equal_split():
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     scen = problem.scen
     agents = make_agents(problem.blocks, scen, problem.d,
-                         init_allocations(build_h(scen), len(problem.blocks)),
-                         problem.tolerances)
+                         init_allocations(build_h(scen), len(problem.blocks)))
     return problem, agents
 
 
@@ -194,11 +193,11 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
     scipy_opt = pytest.importorskip("scipy.optimize")
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     res = run(problem.blocks, problem.scen, problem.d, problem.graph,
-              problem.schedule, T_f=1, tol=problem.tolerances)
+              problem.schedule, T_f=1)
     solved = []
 
-    def recording(lp, tol):
-        sol = solve_milp(lp, tol)
+    def recording(lp):
+        sol = solve_milp(lp)
         # the agent's LP is reused in place: keep the arrays of this solve
         solved.append((LinearProgram(lp.c, lp.G, lp.g.copy(), lp.lo,
                                      lp.hi.copy(), lp.integrality), sol))
@@ -215,12 +214,12 @@ def test_node_limit_names_the_agent_round_and_stage(monkeypatch):
     problem = build_problem(ExperimentConfig.from_yaml(DESK))
     args = (problem.blocks, problem.scen, problem.d, problem.graph,
             problem.schedule)
-    res = run(*args, T_f=1, tol=problem.tolerances)
+    res = run(*args, T_f=1)
     monkeypatch.setattr(branch_bound, "MAX_BNB_NODES", 2)
     # agent 0, a storage, needs 23 nodes at the equal split
     assert problem.blocks[0].kind == "storage"
     with pytest.raises(AgentSolveError) as err:
-        run(*args, T_f=0, tol=problem.tolerances)
+        run(*args, T_f=0)
     assert (err.value.agent, err.value.stage) == (0, "round 0 recovery MILP")
     assert str(err.value) == \
         "agent 0: round 0 recovery MILP solve ended node limit 2 reached"
@@ -240,13 +239,12 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     def finalize_all(start_from_parent):
         pivots = 0
 
-        def counting(lp, tol, start=None, inverse=None, cutoff=math.inf):
+        def counting(lp, start=None, inverse=None, cutoff=math.inf):
             nonlocal pivots
             if start_from_parent:
-                sol = real(lp, tol, start=start, inverse=inverse,
-                           cutoff=cutoff)
+                sol = real(lp, start=start, inverse=inverse, cutoff=cutoff)
             else:
-                sol = real(lp, tol, cutoff=cutoff)
+                sol = real(lp, cutoff=cutoff)
             pivots += sol.pivots
             return sol
 
@@ -271,8 +269,8 @@ def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
     real = branch_bound.solve_lp
     inverses = []
 
-    def spying(lp, tol, start=None, **kwargs):
-        sol = real(lp, tol, start=start, **kwargs)
+    def spying(lp, start=None, **kwargs):
+        sol = real(lp, start=start, **kwargs)
         inverses.append(kwargs.get("factor"))
         return sol
 
@@ -331,8 +329,8 @@ def test_node_lps_adopting_their_parents_inverse_change_no_bit(monkeypatch):
     for adopt in (True, False):
         work = {"pivots": 0, "starts": 0, "inverses": 0}
 
-        def node(lp, tol, start=None, inverse=None, cutoff=math.inf):
-            sol = real(lp, tol, start=start,
+        def node(lp, start=None, inverse=None, cutoff=math.inf):
+            sol = real(lp, start=start,
                        inverse=inverse if adopt else None, cutoff=cutoff)
             work["pivots"] += sol.pivots
             work["starts"] += start is not None
@@ -367,8 +365,8 @@ def test_children_of_a_root_with_updated_inverse_refactor(monkeypatch):
     real = branch_bound.solve_lp
     handed = []
 
-    def spying(lp, tol, start=None, inverse=None, cutoff=math.inf):
-        sol = real(lp, tol, start=start, inverse=inverse, cutoff=cutoff)
+    def spying(lp, start=None, inverse=None, cutoff=math.inf):
+        sol = real(lp, start=start, inverse=inverse, cutoff=cutoff)
         handed.append((start, inverse, sol.pivots))
         return sol
 
@@ -406,8 +404,8 @@ def test_cutoff_changes_no_tree(monkeypatch):
     for cut in (True, False):
         nodes = []
 
-        def node(lp, tol, start=None, inverse=None, cutoff=math.inf):
-            sol = real(lp, tol, start=start, inverse=inverse,
+        def node(lp, start=None, inverse=None, cutoff=math.inf):
+            sol = real(lp, start=start, inverse=inverse,
                        cutoff=cutoff if cut else math.inf)
             nodes.append((lp, cutoff, sol))
             return sol

@@ -259,7 +259,7 @@ class LocalProblem:
 
     def relax(self, y: np.ndarray, prev=None) -> LpSolution:
         """The relaxed optimum at allocation y: by `solve_lp`, cold or
-        warm from `prev`'s basis and factor, or for an agent without
+        warm from the earlier solution `prev`, or for an agent without
         columns in closed form.
 
         The closed form is the cold simplex's vertex, bit for bit: eta
@@ -274,9 +274,7 @@ class LocalProblem:
             return LpSolution(status=OPTIMAL, x=x,
                               value=float(self.lp.c @ x),
                               duals=np.where(short, self.d, 0.0))
-        return self.solve(solve_lp, y, "allocation LP",
-                          start=None if prev is None else prev.basis,
-                          factor=None if prev is None else prev.factor)
+        return self.solve(solve_lp, y, "allocation LP", start=prev)
 
 
 @dataclass

@@ -247,10 +247,10 @@ def recertify(run_dir) -> dict:
 
     Rebuilds the problem from the stored config, replays round 0 from
     the final allocations with the stored recourse cap, and compares the
-    bound and the measured violation against the stored certificate.
-    The replay reproduces the run's last round bit for bit: both are
-    logged rounds, whose local solves start cold and so depend on the
-    allocation alone.
+    bound and the measured violation with the stored certificate's, bit
+    for bit.  The replay reproduces the run's last round bit for bit:
+    both are logged rounds, whose local solves start cold and so depend
+    on the allocation alone.
     """
     run_dir = Path(run_dir)
     problem = build_problem(
@@ -267,7 +267,7 @@ def recertify(run_dir) -> dict:
     result.converged_label = saved["label"]
     _, payload = _certify(problem, result)
     payload["matches_stored_bound"] = all(
-        np.allclose(np.array(payload[key]), stored[key], atol=1e-9)
+        np.array_equal(payload[key], stored[key])
         for key in ("bound", "measured"))
     (run_dir / "certificate_recomputed.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -4,13 +4,11 @@ Best-bound node selection, branching on the most fractional
 integer-flagged coordinate (ties to the lowest column index).  The root
 LP is solved cold unless the caller already holds it; every child
 differs from its parent by one bound and starts from the parent's
-optimal basis (`LpSolution.basis`), which the dual simplex re-optimizes
-in a few pivots.  A child also starts from the parent's basis inverse
-when it is fresh (`Factor.updates` 0), as every node LP's is after its
-final refactorization, instead of inverting the same basis again; a
-root from a warm allocation solve may carry updates, and its children
-refactor.  Both children share the parent's arrays until they are
-solved, and each solve copies the inverse before pivoting it.
+solution, as an allocation round starts from the round before: the dual
+simplex re-optimizes its optimal basis in a few pivots, from its basis
+inverse and update count, so a path down the tree refactors on the
+simplex's pivot budget.  Both children share the parent's arrays until
+they are solved, and each solve copies the inverse before pivoting it.
 
 A node is pruned when its LP bound comes within PRUNE_GAP of the
 incumbent: when it leaves the heap, on its parent's value, and after
@@ -77,8 +75,8 @@ def solve_milp(lp: LinearProgram,
     best_val = np.inf
     nodes = 1
     counter = 0
-    # heap entries: (lp bound, insertion counter, lo, hi, parent basis,
-    # parent inverse or None); siblings share their parent's arrays
+    # heap entries: (lp bound, insertion counter, lo, hi, parent
+    # solution); siblings share their parent's arrays
     heap: list[tuple] = []
     state = [(root, lp.lo, lp.hi)]
 
@@ -86,15 +84,14 @@ def solve_milp(lp: LinearProgram,
         if state:
             sol, lo, hi = state.pop()
         else:
-            bound, _, lo, hi, start, inverse = heapq.heappop(heap)
+            bound, _, lo, hi, parent = heapq.heappop(heap)
             if bound >= best_val - PRUNE_GAP:
                 continue
             if nodes >= MAX_BNB_NODES:
                 raise NodeLimitError(f"node limit {MAX_BNB_NODES} reached")
             # a node LP whose bound reaches the cutoff would be pruned
             sol = solve_lp(LinearProgram(lp.c, lp.G, lp.g, lo, hi),
-                           start=start, inverse=inverse,
-                           cutoff=best_val - PRUNE_GAP)
+                           start=parent, cutoff=best_val - PRUNE_GAP)
             nodes += 1
             if sol.status != OPTIMAL:  # infeasible, or cut off
                 continue
@@ -111,21 +108,16 @@ def solve_milp(lp: LinearProgram,
             continue
         j = int(int_idx[worst])
         pivot = sol.x[j]
-        # only a fresh inverse is the one a child's refactor would compute
-        fresh = sol.factor is not None and sol.factor.updates == 0
-        inverse = sol.factor.inverse if fresh else None
         counter += 1
         lo_up = lo.copy()
         lo_up[j] = np.ceil(pivot)
         if lo_up[j] <= hi[j] + 1e-12:
-            heapq.heappush(heap, (sol.value, counter, lo_up, hi.copy(),
-                                  sol.basis, inverse))
+            heapq.heappush(heap, (sol.value, counter, lo_up, hi.copy(), sol))
         counter += 1
         hi_dn = hi.copy()
         hi_dn[j] = np.floor(pivot)
         if lo[j] <= hi_dn[j] + 1e-12:
-            heapq.heappush(heap, (sol.value, counter, lo.copy(), hi_dn,
-                                  sol.basis, inverse))
+            heapq.heappush(heap, (sol.value, counter, lo.copy(), hi_dn, sol))
 
     if best_x is None:
         return MipSolution(status=INFEASIBLE, node_count=nodes)

@@ -7,32 +7,27 @@ with a revised simplex over the slack-augmented system
 interior-point methods would not do.
 
 A solve starts cold, with a two-phase primal simplex from the slack
-basis, or warm, from the basis of an earlier solve of the same c and G
-under other bounds (a branch-and-bound parent) or another g (the
-previous round of an allocation LP): that basis stays dual feasible
-when only bounds or g move, so a bounded dual simplex restores primal
+basis, or warm, from an earlier solution of the same c and G under
+other bounds (a branch-and-bound parent) or another g (the previous
+round of an allocation LP): its basis stays dual feasible when only
+bounds or g move, so a bounded dual simplex restores primal
 feasibility in a few pivots, and one primal pass then clears any
 roundoff-level dual infeasibility (Koberstein 2005; Bixby 2002).  A
-start the dual loop cannot use falls back to the cold solve.  A start
-under another g comes with the basis inverse its solve ended on
-(`LpSolution.factor`), which replaces its refactorization, and goes cold
-before any dual pivot when it has more primal-infeasible basic rows
-than the cold start has artificials: after a long allocation step such
-a start tends to take more dual pivots than the cold solve takes in
-all.
+start the dual loop cannot use falls back to the cold solve.
 
-A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots and,
-unless it adopted a kept factor, once more before it reports; a warm
-start also inverts its start basis unless it adopts an inverse.  A
-start under other bounds may come with the fresh inverse its parent
-reported (no rank-one update since its last refactorization): the
-inverse its own refactorization would compute, bit for bit, so it
-copies that instead, as branch-and-bound children reuse their parent's
-factorization (Koberstein 2005).  A solve that adopted a kept factor
-reports the inverse it pivoted to and the pivots taken since its last
-refactorization, and the next solve of the chain continues that count:
-a chain of warm solves refactors on the pivot budget, not once per
-solve.
+A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots.  A
+warm start comes with the basis inverse its solve ended on and the
+rank-one updates that inverse carries (`LpSolution.factor`): it adopts
+a copy of both in place of a refactorization and reports the inverse
+it pivoted to with the count continued, so a chain of warm solves, the
+rounds of an allocation LP or a path down a branch-and-bound tree,
+refactors on the pivot budget, not once per solve (Koberstein 2005).
+Such a start goes cold before any dual pivot when it has more
+primal-infeasible basic rows than the cold start has artificials:
+after a long allocation step such a start tends to take more dual
+pivots than the cold solve takes in all.  A start without a factor
+inverts its basis, meets no such rule, and, as a cold solve does,
+refactors once more before it reports.
 
 A solve given a finite cutoff (a branch-and-bound node, which passes
 its incumbent less the pruning gap) stops once its optimum is known to
@@ -67,11 +62,11 @@ columns) keeps its operands, shapes and order, and so do the sums and
 the `np.linalg.inv` refactors.  The one basis inverse built by hand,
 the diag(+-1) of a cold start, is written with the negative zeros that
 `np.linalg.inv` returns for it.  So a solve that starts cold, or warm
-from a basis alone or with its fresh inverse, reports bits that depend
-only on its LP and its start.  A kept inverse carries the rank-one
-updates of the solves that pivoted it, so a warm chain's bits depend on
-the chain since its last refactorization; they agree with a refactor's
-to roundoff.
+from a basis without a factor, reports bits that depend only on its LP
+and its start.  A kept inverse carries the rank-one updates of the
+solves that pivoted it, so a warm chain's bits depend on the chain
+since its last refactorization; they agree with a refactor's to
+roundoff.
 """
 
 from __future__ import annotations
@@ -163,7 +158,7 @@ class Factor:
     `np.linalg.inv` last computed it (0 for a fresh one)."""
 
     inverse: np.ndarray
-    updates: int = 0
+    updates: int
 
 
 @dataclass
@@ -173,17 +168,14 @@ class LpSolution:
     value: float = np.nan
     duals: np.ndarray | None = None  # >= 0, one per row of G
     pivots: int = 0
-    # (basic columns, statuses of the [x | s] columns): a `start`
+    # (basic columns, statuses of the [x | s] columns)
     basis: tuple[np.ndarray, np.ndarray] | None = None
-    # the inverse of the basis matrix of `basis`, with its update count:
-    # a `factor` for a start under another g
+    # the inverse of the basis matrix of `basis`, with its update count;
+    # a solve that starts from this solution adopts it
     factor: Factor | None = field(default=None, repr=False)
 
 
-def solve_lp(lp: LinearProgram,
-             start: tuple[np.ndarray, np.ndarray] | None = None,
-             factor: Factor | None = None,
-             inverse: np.ndarray | None = None,
+def solve_lp(lp: LinearProgram, start: LpSolution | None = None,
              cutoff: float = math.inf) -> LpSolution:
     """Solve the LP to a vertex, returning a dual for every row; an
     integrality mask is ignored, so a MILP gives its relaxation.
@@ -192,20 +184,18 @@ def solve_lp(lp: LinearProgram,
     slackness; -mu is a subgradient of the optimal value with respect
     to g (used by the allocation update).
 
-    `start` is the `basis` of an earlier solution of an LP with the
-    same c and G; the solve then begins from it by dual simplex.  The
-    earlier LP may have other bounds; `inverse` may then be that
-    solution's `factor.inverse` if its update count is 0, and a copy
-    of it replaces the start's refactorization, which would compute the
-    same bits.  The earlier LP may have another g when `factor` (and no
-    `inverse`) is that solution's `factor`: the start then adopts its
-    inverse and update count in place of a refactorization, does not
-    refactor before it reports, and goes cold, before any dual pivot,
-    when more of its basic rows are primal infeasible than the cold
-    start has artificials.  Any start goes cold when it holds an artificial
-    column, its basis is singular, a nonbasic column rests on an
-    infinite bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots;
-    the returned pivot count includes the abandoned warm pivots.
+    `start` is an earlier solution of an LP with the same c and G,
+    under other bounds or another g; the solve then begins from its
+    `basis` by dual simplex.  A start with a `factor` adopts a copy of
+    its inverse and update count in place of a refactorization, does
+    not refactor before it reports, and goes cold, before any dual
+    pivot, when more of its basic rows are primal infeasible than the
+    cold start has artificials.  A start whose factor is None inverts
+    its basis and refactors before it reports.  Any start goes cold
+    when it holds an artificial column, its basis is singular, a
+    nonbasic column rests on an infinite bound, or the dual loop passes
+    DUAL_PIVOT_LIMIT pivots; the returned pivot count includes the
+    abandoned warm pivots.
 
     A finite `cutoff` returns status CUTOFF, with only `pivots` set,
     when the dual bound before a dual pivot (c'x at its basis) or the
@@ -221,7 +211,7 @@ def solve_lp(lp: LinearProgram,
         sol = _Simplex(lp, cutoff).run()
     else:
         warm = _Simplex(lp, cutoff)
-        sol = warm.run_warm(*start, factor, inverse)
+        sol = warm.run_warm(*start.basis, start.factor)
         if sol is None:
             sol = _Simplex(lp, cutoff).run()
             sol.pivots += warm.pivots
@@ -343,22 +333,21 @@ class _Simplex:
         return self._extract()
 
     def run_warm(self, basis: np.ndarray, status: np.ndarray,
-                 factor: Factor | None = None,
-                 inverse: np.ndarray | None = None) -> LpSolution | None:
+                 factor: Factor | None) -> LpSolution | None:
         """Bounded dual simplex from a start basis; None means go cold.
 
         Each pivot takes the basic column farthest outside its bounds
         to the violated bound and enters the nonbasic column of the
         Harris ratio test on that row.  A row no column can move proves
-        the LP infeasible.  `factor`, the basis inverse of an earlier
-        solve of the same [G | I] under another g, stands in for the
-        refactorization and for the one before the solve reports, and
-        the start must then have no more primal-infeasible basic rows
-        than the cold start has artificials.  `inverse`, a fresh inverse
-        of the start basis (a branch-and-bound parent's), stands in for
-        the start's refactorization alone.  Before each pivot the loop
-        compares c'x of its dual feasible basis, a lower bound on the
-        optimum, with the cutoff, and returns CUTOFF once it reaches it.
+        the LP infeasible.  `factor`, the start basis's inverse and
+        update count from an earlier solve of the same [G | I], stands
+        in for the start's refactorization and for the one before the
+        solve reports, and the start must then have no more
+        primal-infeasible basic rows than the cold start has
+        artificials; without it the start basis is inverted.  Before
+        each pivot the loop compares c'x of its dual feasible basis, a
+        lower bound on the optimum, with the cutoff, and returns CUTOFF
+        once it reaches it.
         """
         if (basis >= self.n + self.m).any():
             return None
@@ -379,7 +368,7 @@ class _Simplex:
         self.rhs = self.lp.g.copy()
         c = self.c_phase2
         try:
-            self._refactor(factor if inverse is None else Factor(inverse))
+            self._refactor(factor)
             if factor is not None:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 off = np.maximum(lo_b - self.xb, self.xb - hi_b) > FEASIBILITY

@@ -221,7 +221,8 @@ def test_certificate_solves_one_auxiliary_milp_per_nonintegral_agent(
     original = analysis.solve_milp
     calls = []
     monkeypatch.setattr(analysis, "solve_milp",
-                        lambda lp: calls.append(lp) or original(lp))
+                        lambda lp, **kwargs:
+                        calls.append(lp) or original(lp, **kwargs))
     cert = violation_certificate(res)
     nonintegral = cert.in_integral_set.count(False)
     assert nonintegral >= 1

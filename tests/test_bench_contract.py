@@ -215,7 +215,7 @@ def test_recourse_cap_after_a_run_solves_no_lp(monkeypatch):
         ExperimentConfig.from_yaml(ROOT / "configs" / "desk.yaml"))
     res = run(p.blocks, p.scen, p.d, p.graph, p.schedule, T_f=0)
 
-    def no_lp(*args):
+    def no_lp(lp, **kwargs):
         raise AssertionError("recourse_cap solved an LP after the run")
 
     monkeypatch.setattr(model, "solve_lp", no_lp)

@@ -138,7 +138,7 @@ def test_a_null_penalty_needs_a_positive_purchase_price(tmp_path,
                "purchase price > 0, got 0.0")
     assert _build(raw)[1] == [message]
 
-    def no_solve(*args, **kwargs):
+    def no_solve(lp, **kwargs):
         raise AssertionError("a round solved an LP")
 
     monkeypatch.setattr(dialgo, "solve_lp", no_solve)
@@ -388,6 +388,19 @@ def test_recertify_matches(tmp_path):
     assert payload["matches_stored_bound"]
 
 
+def test_recertify_refuses_a_bound_moved_in_its_last_digit(tmp_path):
+    # the replay reproduces the stored bound bit for bit, so one ulp on
+    # its largest entry is a mismatch
+    cfg = ExperimentConfig(raw=minimal_config(T_f=4))
+    res = run_experiment(cfg, out_dir=tmp_path / "run")
+    path = res.out_dir / "certificate.json"
+    stored = json.loads(path.read_text())
+    k = int(np.argmax(np.abs(stored["bound"])))
+    stored["bound"][k] = float(np.nextafter(stored["bound"][k], np.inf))
+    path.write_text(json.dumps(stored))
+    assert not recertify(res.out_dir)["matches_stored_bound"]
+
+
 def test_recertify_montecarlo_trial(tmp_path):
     # each trial records its own scenario seed, so recertify re-solves
     # the trial's scenarios and reproduces the measured violation too
@@ -603,9 +616,9 @@ def test_each_verb_builds_the_problem_once(tmp_path, monkeypatch):
         calls["builds"] += 1
         return build(raw)
 
-    def counting_solve(*args):
+    def counting_solve(lp, **kwargs):
         calls["lps"] += 1
-        return solve(*args)
+        return solve(lp, **kwargs)
 
     monkeypatch.setattr(config, "_build", counting_build)
     monkeypatch.setattr(model, "solve_lp", counting_solve)
@@ -646,7 +659,7 @@ def test_cli_reports_a_solve_failure_on_one_line(tmp_path, monkeypatch,
     ids=["dialgo", "analysis"])
 def test_cli_reports_a_simplex_failure_on_one_line(tmp_path, monkeypatch,
                                                    capsys, module, message):
-    def failing(*args, **kwargs):
+    def failing(lp, **kwargs):
         raise SolverError("singular basis")
 
     monkeypatch.setattr(module, "solve_lp", failing)
@@ -659,7 +672,7 @@ def test_cli_reports_a_simplex_failure_on_one_line(tmp_path, monkeypatch,
 def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,
                                                             monkeypatch):
     monkeypatch.setattr(analysis, "solve_lp",
-                        lambda *args: LpSolution(INFEASIBLE))
+                        lambda lp, **kwargs: LpSolution(INFEASIBLE))
     with pytest.raises(dialgo.AgentSolveError, match=re.escape(
             "agent 0: trial 0 (scenario seed [2, 0]) certificate floor LP 0 "
             "solve ended infeasible")):

@@ -7,6 +7,8 @@ its 8 artifacts is fixed below, and so is the work every solver layer
 does, counted by wrappers around the `solve_lp`/`solve_milp` names each
 calling module looks up (the names the traced benchmark wraps), and
 the number of basis inversions (`np.linalg.inv` calls) of the run.
+So that new digests rest on more than their new-ness, every LP the same
+run solves at those names is checked on its own against its duals.
 `mgridopt build configs/desk.yaml`'s centralized two-stage program,
 the all-blocks side of the assembly each agent's local program shares,
 is pinned by the sha256 of the LP file it writes.
@@ -19,6 +21,7 @@ the digests here and names each changed file in CHANGES.md.
 
 import copy
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +29,16 @@ import pytest
 
 from mgridopt import analysis, cli, dialgo, experiment, model
 from mgridopt.config import ExperimentConfig
-from mgridopt.solver import branch_bound
+from mgridopt.solver import (CUTOFF, FEASIBILITY, INFEASIBLE, OPTIMAL,
+                             branch_bound)
+from oracles.duality import dual_objective
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 ROUNDS = 10
 
 ARTIFACT_SHA256 = {
     "certificate.json":
-        "81ec4ff45661faca95a9240b2e4678f9186d61c3e9669026b11fd8166e78e9d4",
+        "435b32d950814a59d1681192fed98f8b084ea9b4458fb88491cbd77f53c8ccf6",
     "config.yaml":
         "a1f7b2df04d7851cb5db08b1f613034cf386115f214dc5461397f51b7485aa4f",
     "report_consumption.csv":
@@ -41,13 +46,13 @@ ARTIFACT_SHA256 = {
     "report_grid.csv":
         "0040de484c6243afebeff88eca5271026da353fd9623859c602d83cddb776bc8",
     "report_power_fraction.csv":
-        "cc94e9adfb7221249821f023afdcc3314178047014939e21748b24bbc530458b",
+        "e18ab7257e35b7cd318eb920991a454dfcf97b6dd5b94ed36282a293c45d5f7f",
     "report_storage.csv":
-        "4e8edf3bba03b3652b2f603b7e2d743086277bdfb8cd70e3a70b88a0bfb6f395",
+        "189b38cd8695baedc55ceeb40bcc7e166f4338f12176f0a4ac8868e86f81b12c",
     "solution.json":
-        "dd847fc7b8b2cb3aef89723657ab8042f64b7667d904e04ca7e17f48fea76982",
+        "89c2b629aae22b193ea4983b414390286f3f57aed5a0a231f2770f80270b2d28",
     "trace.csv":
-        "8357585ac88e6a8ee6561d4b3ec1dfa343d56b1d496aef066d61461628fe26b6",
+        "268781788ed7b039002c4623cedab7f1afe07c0cfc6e01081b22df31d9a23bd4",
 }
 
 BUILD_LP_SHA256 = \
@@ -80,8 +85,8 @@ def desk_run(tmp_path_factory):
         return inv(a)
 
     def counting(fn, layer, field):
-        def wrapper(*args, **kwargs):
-            sol = fn(*args, **kwargs)
+        def wrapper(lp, **kwargs):
+            sol = fn(lp, **kwargs)
             work[layer][0] += 1
             work[layer][1] += getattr(sol, field)
             return sol
@@ -114,19 +119,69 @@ def test_desk_work_counters(desk_run):
     # auxiliary trees give 557 - 33 + 255 node LPs
     _, work = desk_run
     assert work["alloc"] == [99, 2570]
-    # 352 node LPs stop once their dual bound reaches the incumbent,
-    # pivots short of the optimum their tree would prune (2688 pivots
+    # 354 node LPs stop once their dual bound reaches the incumbent,
+    # pivots short of the optimum their tree would prune (2672 pivots
     # when each ran to its optimum)
-    assert work["node"] == [779, 2337]
+    assert work["node"] == [779, 2323]
     assert work["cert"] == [36, 713]
     assert work["box"] == [9, 53]
     assert work["finalize"] == [33, 557]
     assert work["cert_aux"] == [3, 255]
-    # every node LP but the 3 auxiliary roots is a child that adopts its
-    # parent's fresh inverse in place of inverting its start basis: 776
-    # inversions fewer than refactoring each start; the 352 cut off skip
-    # the refactorization before reporting (893 when each reported)
-    assert work["inv"] == 541
+    # every node LP but the 3 auxiliary roots adopts its parent's factor
+    # and, with no path down a tree reaching REFACTOR_EVERY pivots,
+    # inverts no basis: the roots' 3 inversions are the node LPs' share,
+    # and the allocation LPs' 69, the certificate's 36 and the box LPs' 9
+    # the rest (541 when each child refactored before it reported)
+    assert work["inv"] == 117
+
+
+def assert_checks_out(lp, sol):
+    """An optimal `sol` of `lp`: x within its bounds, each row within
+    FEASIBILITY times (1 + its coefficients' absolute sum), the amount
+    clamping x to its bounds may move it; duals >= 0 and complementary
+    to the rows' slacks; strong duality to 1e-7 (1 + |value|)."""
+    scale = 1.0 + abs(sol.value)
+    x, mu = sol.x, sol.duals
+    assert np.all((lp.lo <= x) & (x <= lp.hi))
+    slack = lp.g - lp.G @ x
+    assert np.all(slack >= -FEASIBILITY * (1.0 + np.abs(lp.G).sum(axis=1)))
+    assert np.all(mu >= 0.0)
+    assert np.all(np.abs(mu * slack) <= 1e-9 * scale)
+    assert abs(sol.value - dual_objective(lp, sol)) <= 1e-7 * scale
+
+
+def test_desk_run_path_solves_check_out(tmp_path, monkeypatch):
+    """Every LP solve of the pinned desk run, at the four names the
+    traced benchmark wraps, checked inside the wrapper, since the agents
+    rewrite their LP's g in place: an optimal one checks out against its
+    duals, and one cut off is infeasible, or reaches its cutoff, when
+    solved again from the same start without it."""
+    raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
+    raw["algorithm"]["iterations"] = ROUNDS
+    seen = {}
+
+    def checking(fn, layer):
+        def wrapper(lp, **kwargs):
+            sol = fn(lp, **kwargs)
+            if sol.status == OPTIMAL:
+                assert_checks_out(lp, sol)
+            elif sol.status == CUTOFF:
+                full = fn(lp, **{**kwargs, "cutoff": math.inf})
+                assert full.status == INFEASIBLE or \
+                    full.value >= kwargs["cutoff"]
+            key = f"{layer} {sol.status}"
+            seen[key] = seen.get(key, 0) + 1
+            return sol
+        return wrapper
+
+    for module, name, layer, _ in CALL_SITES:
+        if name == "solve_lp":
+            monkeypatch.setattr(module, name,
+                                checking(getattr(module, name), layer))
+    experiment.run_experiment(ExperimentConfig(raw=raw), out_dir=tmp_path)
+    assert seen == {"alloc optimal": 99, "node optimal": 425,
+                    "node cutoff": 354, "cert optimal": 36,
+                    "box optimal": 9}
 
 
 def test_desk_build_lp_matches_its_digest(tmp_path, capsys):

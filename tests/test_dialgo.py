@@ -3,6 +3,7 @@ feasibility, and convergence of the relaxation toward the centralized
 optimum."""
 
 import copy
+import dataclasses
 import pickle
 from pathlib import Path
 
@@ -273,13 +274,13 @@ def spy_finalizes(monkeypatch):
     milp, finalize = dialgo.solve_milp, dialgo.finalize_mixed_integer
 
     def counted(fn, key):
-        def wrapper(*args, **kwargs):
+        def wrapper(lp, **kwargs):
             lps[key] += 1
-            return fn(*args, **kwargs)
+            return fn(lp, **kwargs)
         return wrapper
 
-    def tree(*args, **kwargs):
-        sol = milp(*args, **kwargs)
+    def tree(lp, **kwargs):
+        sol = milp(lp, **kwargs)
         trees.append(sol.node_count)
         return sol
 
@@ -473,9 +474,9 @@ def counting(monkeypatch, module, name, calls, edit=None):
     given, may change each solution before it is returned."""
     fn = getattr(module, name)
 
-    def wrapper(*args, **kwargs):
+    def wrapper(lp, **kwargs):
         calls[name] = calls.get(name, 0) + 1
-        sol = fn(*args, **kwargs)
+        sol = fn(lp, **kwargs)
         return sol if edit is None else edit(sol)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -700,8 +701,8 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     """The benchmark's montecarlo config, 2 trials of 20 rounds whose
     steps of 3 move each allocation far: the start rule sends almost
     every warm round cold before any dual pivot.  Without the rule (the
-    start's basis alone, as a B&B child takes it) the allocation LPs take
-    19% more pivots than with every round cold; with it, 0.3% more: one
+    start without its factor) the allocation LPs take 19% more pivots
+    than with every round cold; with it, 0.3% more: one
     start that passes the rule runs its dual loop into DUAL_PIVOT_LIMIT,
     100 pivots a cold solve does not spend."""
     raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
@@ -716,9 +717,9 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
     def pivots(name, start_as):
         total = 0
 
-        def counting(lp, start=None, factor=None):
+        def counting(lp, start=None, **kwargs):
             nonlocal total
-            sol = real(lp, **start_as(start, factor))
+            sol = real(lp, start=start_as(start), **kwargs)
             total += sol.pivots
             return sol
 
@@ -726,10 +727,10 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
         experiment.run_montecarlo(cfg, 2, out_dir=tmp_path / name)
         return total
 
-    cold = pivots("cold", lambda start, factor: {})
-    warm = pivots("warm", lambda start, factor: dict(start=start,
-                                                     factor=factor))
-    no_rule = pivots("no_rule", lambda start, factor: dict(start=start))
+    cold = pivots("cold", lambda start: None)
+    warm = pivots("warm", lambda start: start)
+    no_rule = pivots("no_rule", lambda start: None if start is None
+                     else dataclasses.replace(start, factor=None))
     assert warm <= 1.01 * cold
     assert no_rule > 1.1 * cold
 
@@ -744,9 +745,9 @@ def test_desk_build_solves_only_phase_one_lps_and_the_cap_none(monkeypatch):
     nonzeros = []
     solve = model.solve_lp
 
-    def counting(lp, *args):
+    def counting(lp, **kwargs):
         nonzeros.append(np.count_nonzero(lp.c))
-        return solve(lp, *args)
+        return solve(lp, **kwargs)
 
     monkeypatch.setattr(model, "solve_lp", counting)
     problem = build_problem(cfg)

@@ -16,7 +16,7 @@ import pytest
 
 from mgridopt.solver import (LinearProgram, SolverError, branch_bound, simplex,
                              solve_lp, solve_milp)
-from test_solver_lp import box_lp, random_bounded_lp
+from test_solver_lp import box_lp, random_bounded_lp, start_at
 from test_solver_milp import enumeration_mips
 
 
@@ -52,7 +52,7 @@ def child_of(lp, parent, k):
 
 def test_random_lps_and_their_warm_children():
     # 190 small instances and 10 past REFACTOR_EVERY pivots, each solved
-    # cold and one child of each solved warm from its basis
+    # cold and one child of each solved warm from its basis alone
     rng = np.random.default_rng(16)
     h = hashlib.sha256()
     for k in range(200):
@@ -65,7 +65,7 @@ def test_random_lps_and_their_warm_children():
         fold(h, parent)
         child = child_of(lp, parent, k)
         if child is not None:
-            fold(h, solve_lp(child, start=parent.basis))
+            fold(h, solve_lp(child, start=start_at(*parent.basis)))
     assert h.hexdigest() == \
         "60857eb1dd571724b8d442dc3419b791836798f8217f187824e7c64a761a0d1e"
 
@@ -130,7 +130,7 @@ def slack_start(lp):
     basis = np.arange(lp.n, lp.n + lp.m)
     status = np.zeros(lp.n + lp.m, dtype=np.int8)
     status[basis] = simplex._BASIC
-    return basis, status
+    return start_at(basis, status)
 
 
 def test_warm_starts_that_go_cold():
@@ -141,7 +141,7 @@ def test_warm_starts_that_go_cold():
     free, boxed, unbounded = lps["free"], lps["phase_one"], lps["unbounded"]
     # a nonbasic column on an infinite bound
     infinite = slack_start(free)
-    basis, status = slack_start(boxed)
+    basis, status = slack_start(boxed).basis
     singular = basis.copy()
     singular[1] = singular[0]
     artificial = basis.copy()
@@ -150,8 +150,8 @@ def test_warm_starts_that_go_cold():
     chain = box_lp(np.linspace(1.0, 2.0, n),
                    -(np.eye(n) + np.diag(np.full(n - 1, 0.5), 1)),
                    np.full(n, -0.5), np.zeros(n), np.ones(n))
-    runs = [(free, infinite), (boxed, (singular, status)),
-            (boxed, (artificial, status)),
+    runs = [(free, infinite), (boxed, start_at(singular, status)),
+            (boxed, start_at(artificial, status)),
             (unbounded, slack_start(unbounded)), (chain, slack_start(chain))]
     h = hashlib.sha256()
     statuses = []
@@ -185,13 +185,14 @@ def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
 
 def test_enumeration_milps_and_their_node_lps(monkeypatch):
     # the instances of test_matches_enumeration_on_200_instances: every
-    # node LP of every tree, warm-started from its parent's basis and
+    # node LP of every tree, warm-started from its parent's solution and
     # run to its optimum (the cutoff is dropped)
     h = hashlib.sha256()
     real = branch_bound.solve_lp
 
-    def folding(lp, start=None, inverse=None, cutoff=None):
-        sol = real(lp, start=start, inverse=inverse)
+    def folding(lp, **kwargs):
+        kwargs.pop("cutoff", None)
+        sol = real(lp, **kwargs)
         fold(h, sol)
         return sol
 
@@ -199,4 +200,4 @@ def test_enumeration_milps_and_their_node_lps(monkeypatch):
     for lp in enumeration_mips():
         fold(h, solve_milp(lp))
     assert h.hexdigest() == \
-        "2893066c8112285e0e9919ea74470e2db7723b415096c0c0eedb80248123929e"
+        "7b632563b0455a42df5564a633682e951300c81d89dfd9f5a9522b42f7721699"

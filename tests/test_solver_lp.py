@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mgridopt.solver import (CUTOFF, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                             LinearProgram, simplex, solve_lp)
+                             LinearProgram, LpSolution, simplex, solve_lp)
+from oracles.duality import dual_objective
 
 
 def box_lp(c, G, g, lo, hi):
@@ -17,22 +18,10 @@ def box_lp(c, G, g, lo, hi):
                          np.asarray(hi, float))
 
 
-def dual_objective(lp, sol):
-    """Assemble the dual value from row duals and reduced costs.
-
-    The reduced costs c + G'mu come from the row duals, and bound
-    multipliers from their sign split, so equality with the primal value
-    genuinely certifies the duals.
-    """
-    r = lp.c + lp.G.T @ sol.duals
-    nu_lo = np.maximum(r, 0.0)
-    nu_hi = np.maximum(-r, 0.0)
-    val = -lp.g @ sol.duals
-    finite_lo = np.isfinite(lp.lo)
-    finite_hi = np.isfinite(lp.hi)
-    val += lp.lo[finite_lo] @ nu_lo[finite_lo]
-    val -= lp.hi[finite_hi] @ nu_hi[finite_hi]
-    return val
+def start_at(basis, status):
+    """A start of the given basis and statuses without a factor, which
+    inverts its basis."""
+    return LpSolution(OPTIMAL, basis=(basis, status))
 
 
 def random_bounded_lp(rng, n=None, m=None):
@@ -253,7 +242,7 @@ def test_warm_start_matches_cold_solve(monkeypatch):
         clean_up.clear()
         with monkeypatch.context() as patch:
             patch.setattr(simplex._Simplex, "_iterate", recording)
-            warm = solve_lp(child, start=parent.basis)
+            warm = solve_lp(child, start=start_at(*parent.basis))
         assert warm.status == cold.status
         assert clean_up == ([] if warm.status == INFEASIBLE else [0])
         if cold.status == OPTIMAL:
@@ -263,7 +252,7 @@ def test_warm_start_matches_cold_solve(monkeypatch):
         # an artificial in the start basis sends the solve cold
         basis = parent.basis[0].copy()
         basis[0] = lp.n + lp.m
-        art = solve_lp(child, start=(basis, parent.basis[1]))
+        art = solve_lp(child, start=start_at(basis, parent.basis[1]))
         assert art.status == cold.status and art.pivots == cold.pivots
         if cold.status == OPTIMAL:
             assert art.value == cold.value
@@ -327,7 +316,7 @@ def test_a_cutoff_ends_only_a_solve_whose_optimum_reaches_it(monkeypatch):
         else:
             hi[j] = max(np.floor(parent.x[j]), lo[j])
         child = LinearProgram(lp.c, lp.G, lp.g, lo, hi)
-        for prog, start in ((lp, None), (child, parent.basis)):
+        for prog, start in ((lp, None), (child, start_at(*parent.basis))):
             full, full_inv = solve(prog, start)
             if full.status != OPTIMAL:
                 continue
@@ -373,7 +362,7 @@ def test_resolve_under_another_g_matches_cold_solve():
         g = lp.g + rng.normal(scale=0.3, size=lp.m)
         moved = LinearProgram(lp.c, lp.G, g, lp.lo, lp.hi)
         cold = solve_lp(moved)
-        warm = solve_lp(moved, start=prev.basis, factor=prev.factor)
+        warm = solve_lp(moved, start=prev)
         assert warm.status == cold.status
         if cold.status != OPTIMAL:
             continue
@@ -410,8 +399,8 @@ def farther_than_cold(lp, prev):
 
 def test_a_resolve_start_farther_from_feasible_than_cold_goes_cold():
     # such a start returns the cold solve bit for bit: it spends no dual
-    # pivot, while the same start without its factor (a B&B child's,
-    # which never meets the rule) runs the dual loop
+    # pivot, while the same start without its factor, which never meets
+    # the rule, runs the dual loop
     rng = np.random.default_rng(23)
     refused = differs = 0
     for _ in range(300):
@@ -424,9 +413,9 @@ def test_a_resolve_start_farther_from_feasible_than_cold_goes_cold():
             continue
         refused += 1
         cold = solve_lp(moved)
-        assert_same_solve(
-            solve_lp(moved, start=prev.basis, factor=prev.factor), cold)
-        differs += solve_lp(moved, start=prev.basis).pivots != cold.pivots
+        assert_same_solve(solve_lp(moved, start=prev), cold)
+        differs += solve_lp(moved, start=start_at(*prev.basis)).pivots != \
+            cold.pivots
     assert refused > 20 and differs > 10
 
 

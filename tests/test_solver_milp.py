@@ -2,6 +2,7 @@
 desk agents' finalize and certificate MILPs and allocation LPs, against
 HiGHS; the node budget and the warm-started node LPs."""
 
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -196,8 +197,8 @@ def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):
               problem.schedule, T_f=1)
     solved = []
 
-    def recording(lp):
-        sol = solve_milp(lp)
+    def recording(lp, **kwargs):
+        sol = solve_milp(lp, **kwargs)
         # the agent's LP is reused in place: keep the arrays of this solve
         solved.append((LinearProgram(lp.c, lp.G, lp.g.copy(), lp.lo,
                                      lp.hi.copy(), lp.integrality), sol))
@@ -239,12 +240,11 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     def finalize_all(start_from_parent):
         pivots = 0
 
-        def counting(lp, start=None, inverse=None, cutoff=math.inf):
+        def counting(lp, **kwargs):
             nonlocal pivots
-            if start_from_parent:
-                sol = real(lp, start=start, inverse=inverse, cutoff=cutoff)
-            else:
-                sol = real(lp, cutoff=cutoff)
+            if not start_from_parent:
+                kwargs.pop("start", None)
+            sol = real(lp, **kwargs)
             pivots += sol.pivots
             return sol
 
@@ -259,35 +259,6 @@ def test_node_lps_start_from_their_parents_basis(monkeypatch):
     for w, c in zip(warm_sols, cold_sols):
         assert w.node_count == c.node_count
         assert abs(w.value - c.value) <= 1e-9 * (1.0 + abs(c.value))
-
-
-def test_node_lps_never_meet_the_resolve_start_rule(monkeypatch):
-    """A root that carries its factor (an allocation round's relaxed
-    solve) hands its children no factor: no node LP meets the start
-    rule, and the tree is the one a root without its factor grows, bit
-    for bit."""
-    real = branch_bound.solve_lp
-    inverses = []
-
-    def spying(lp, start=None, **kwargs):
-        sol = real(lp, start=start, **kwargs)
-        inverses.append(kwargs.get("factor"))
-        return sol
-
-    monkeypatch.setattr(branch_bound, "solve_lp", spying)
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        lp = random_mip(rng, int(rng.integers(2, 7)), int(rng.integers(0, 3)))
-        root = solve_lp(lp)
-        kept = solve_milp(lp, root=root)
-        root.factor = None
-        plain = solve_milp(lp, root=root)
-        assert kept.status == plain.status
-        assert kept.node_count == plain.node_count
-        if kept.status == OPTIMAL:
-            assert kept.x.tobytes() == plain.x.tobytes()
-    assert len(inverses) > 100
-    assert all(given is None for given in inverses)
 
 
 def assert_same_trees(grown, again):
@@ -315,43 +286,58 @@ def tree_solver():
     return solve_all
 
 
-def test_node_lps_adopting_their_parents_inverse_change_no_bit(monkeypatch):
-    """A child that adopts the fresh inverse its parent hands it solves
-    bit for bit as one that refactors its start basis.  On the seeded
-    enumeration MILPs and on every desk agent's finalize and certificate
-    auxiliary MILP at the equal split, the trees reach the same x, value
-    and node count in the same node pivots; a child that pivoted the
-    shared array without copying it would move its sibling's start."""
+def test_node_lps_start_from_their_parents_solution_and_leave_it(
+        monkeypatch):
+    """On the seeded enumeration MILPs and every desk agent's finalize
+    and certificate auxiliary MILP at the equal split, every node LP but
+    a root starts from the solution of its parent, the node one bound
+    away, factor included, and leaves that factor's inverse as it found
+    it: siblings share the array, so a child that pivoted it in place
+    would move its sibling's start.  The trees reach the status, node
+    count and value (1e-9 relative) of trees whose children start from
+    their parent's basis alone."""
     solve_all = tree_solver()
-
     real = branch_bound.solve_lp
     grown = []
-    for adopt in (True, False):
-        work = {"pivots": 0, "starts": 0, "inverses": 0}
+    for with_factor in (True, False):
+        solved = {}  # id of a node LP's solution -> (solution, its LP)
+        starts = 0
 
-        def node(lp, start=None, inverse=None, cutoff=math.inf):
-            sol = real(lp, start=start,
-                       inverse=inverse if adopt else None, cutoff=cutoff)
-            work["pivots"] += sol.pivots
-            work["starts"] += start is not None
-            work["inverses"] += inverse is not None
+        def node(lp, start=None, **kwargs):
+            nonlocal starts
+            if start is not None:
+                starts += 1
+                parent, parent_lp = solved[id(start)]
+                assert parent is start
+                moved = (lp.lo != parent_lp.lo) | (lp.hi != parent_lp.hi)
+                assert int(moved.sum()) == 1
+                assert start.factor is not None
+                before = start.factor.inverse.tobytes()
+                if not with_factor:
+                    start = dataclasses.replace(start, factor=None)
+            sol = real(lp, start=start, **kwargs)
+            if start is not None and with_factor:
+                assert start.factor.inverse.tobytes() == before
+            solved[id(sol)] = (sol, lp)
             return sol
 
         monkeypatch.setattr(branch_bound, "solve_lp", node)
-        grown.append((solve_all(), work))
-    (adopted, work), (refactored, again) = grown
-    assert_same_trees(adopted, refactored)
-    assert work == again
-    # every root is solved cold, and every node LP refactors before it
-    # reports, so every parent hands its children its inverse
-    assert work["inverses"] == work["starts"] > 1000
+        grown.append(solve_all())
+        assert starts > 1000
+    for a, b in zip(*grown, strict=True):
+        assert (a.status, a.node_count) == (b.status, b.node_count)
+        if a.status == OPTIMAL:
+            assert abs(a.value - b.value) <= 1e-9 * (1.0 + abs(b.value))
 
 
-def test_children_of_a_root_with_updated_inverse_refactor(monkeypatch):
+def test_children_of_a_warm_root_take_its_updated_factor(monkeypatch):
     """A finalize rooted at a warm allocation solve, whose inverse has
     taken rank-one updates since its last refactorization, hands the
-    root's children no inverse, and the tree is the one the same root
-    grows without its factor, bit for bit."""
+    root's children that factor, and the tree reaches the status and
+    value (1e-9 relative) of the same root without its factor.  The
+    updated inverse may break a tie between optimal vertices otherwise,
+    so the trees may differ: one generator's takes 9 nodes against 7,
+    and the 4 trees together 188 against 186."""
     problem, agents = desk_at_equal_split()
     for a in agents:
         local_multiplier_step(a)
@@ -365,27 +351,28 @@ def test_children_of_a_root_with_updated_inverse_refactor(monkeypatch):
     real = branch_bound.solve_lp
     handed = []
 
-    def spying(lp, start=None, inverse=None, cutoff=math.inf):
-        sol = real(lp, start=start, inverse=inverse, cutoff=cutoff)
-        handed.append((start, inverse, sol.pivots))
-        return sol
+    def spying(lp, start=None, **kwargs):
+        handed.append((start, None if start is None else start.factor))
+        return real(lp, start=start, **kwargs)
 
     monkeypatch.setattr(branch_bound, "solve_lp", spying)
     children = 0
+    nodes = {"kept": 0, "plain": 0}
     for a in rooted:
-        root = a.relaxed
+        root, factor = a.relaxed, a.relaxed.factor
         handed.clear()
         kept = a.lifted.solve(solve_milp, a.y, "recovery MILP", root=root)
-        kept_work = [(inv is None, p) for _, inv, p in handed]
-        of_root = [inv for start, inv, _ in handed if start is root.basis]
-        assert all(inv is None for inv in of_root)
+        of_root = [given for start, given in handed if start is root]
+        assert all(given is factor for given in of_root)
         children += len(of_root)
-        handed.clear()
         root.factor = None
         plain = a.lifted.solve(solve_milp, a.y, "recovery MILP", root=root)
-        assert_same_trees([kept], [plain])
-        assert kept_work == [(inv is None, p) for _, inv, p in handed]
+        assert kept.status == plain.status == OPTIMAL
+        assert abs(kept.value - plain.value) <= 1e-9 * (1.0 + abs(plain.value))
+        nodes["kept"] += kept.node_count
+        nodes["plain"] += plain.node_count
     assert children > 0
+    assert nodes["kept"] <= 1.05 * nodes["plain"]
 
 
 def test_cutoff_changes_no_tree(monkeypatch):
@@ -404,9 +391,8 @@ def test_cutoff_changes_no_tree(monkeypatch):
     for cut in (True, False):
         nodes = []
 
-        def node(lp, start=None, inverse=None, cutoff=math.inf):
-            sol = real(lp, start=start, inverse=inverse,
-                       cutoff=cutoff if cut else math.inf)
+        def node(lp, cutoff=math.inf, **kwargs):
+            sol = real(lp, cutoff=cutoff if cut else math.inf, **kwargs)
             nodes.append((lp, cutoff, sol))
             return sol
 

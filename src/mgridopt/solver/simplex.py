@@ -15,6 +15,15 @@ feasibility in a few pivots, and one primal pass then clears any
 roundoff-level dual infeasibility (Koberstein 2005; Bixby 2002).  A
 start the dual loop cannot use falls back to the cold solve.
 
+Phase 1 adds no column: every solve stays on [G | I].  A row the slack
+start violates (negative residual) is short, and its slack, basic at
+that negative value, carries the infeasibility: while basic it has
+cost -1 and bounds (-inf, 0], so phase 1 minimizes the sum of the
+short rows' shortfalls (Maros 2003).  A short slack leaves the basis
+only at 0, and then takes back cost 0 and bounds [0, inf), an ordinary
+slack again; those still basic when phase 1 ends, within FEASIBILITY
+of 0, take their bounds back too.
+
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots.  A
 warm start comes with the basis inverse its solve ended on and the
 rank-one updates that inverse carries (`LpSolution.factor`): it adopts
@@ -23,7 +32,7 @@ it pivoted to with the count continued, so a chain of warm solves, the
 rounds of an allocation LP or a path down a branch-and-bound tree,
 refactors on the pivot budget, not once per solve (Koberstein 2005).
 Such a start goes cold before any dual pivot when it has more
-primal-infeasible basic rows than the cold start has artificials:
+primal-infeasible basic rows than the slack start violates rows:
 after a long allocation step such a start tends to take more dual
 pivots than the cold solve takes in all.  A start without a factor
 inverts its basis, meets no such rule, and, as a cold solve does,
@@ -59,14 +68,13 @@ summation order with an operand's shape, stride or contiguity, so
 every matmul (`c[basis] @ Binv`, `y @ A`, `Binv @ A[:, j]`, the
 strided column included, `Binv[r] @ A`, the offset of the nonbasic
 columns) keeps its operands, shapes and order, and so do the sums and
-the `np.linalg.inv` refactors.  The one basis inverse built by hand,
-the diag(+-1) of a cold start, is written with the negative zeros that
-`np.linalg.inv` returns for it.  So a solve that starts cold, or warm
-from a basis without a factor, reports bits that depend only on its LP
-and its start.  A kept inverse carries the rank-one updates of the
-solves that pivoted it, so a warm chain's bits depend on the chain
-since its last refactorization; they agree with a refactor's to
-roundoff.
+the `np.linalg.inv` refactors.  A cold start's basis inverse, the
+identity, is `np.linalg.inv`'s bit for bit.  So a solve that starts
+cold, or warm from a basis without a factor, reports bits that depend
+only on its LP and its start.  A kept inverse carries the rank-one
+updates of the solves that pivoted it, so a warm chain's bits depend
+on the chain since its last refactorization; they agree with a
+refactor's to roundoff.
 """
 
 from __future__ import annotations
@@ -190,12 +198,11 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None,
     its inverse and update count in place of a refactorization, does
     not refactor before it reports, and goes cold, before any dual
     pivot, when more of its basic rows are primal infeasible than the
-    cold start has artificials.  A start whose factor is None inverts
+    slack start violates rows.  A start whose factor is None inverts
     its basis and refactors before it reports.  Any start goes cold
-    when it holds an artificial column, its basis is singular, a
-    nonbasic column rests on an infinite bound, or the dual loop passes
-    DUAL_PIVOT_LIMIT pivots; the returned pivot count includes the
-    abandoned warm pivots.
+    when its basis is singular, a nonbasic column rests on an infinite
+    bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots; the returned
+    pivot count includes the abandoned warm pivots.
 
     A finite `cutoff` returns status CUTOFF, with only `pivots` set,
     when the dual bound before a dual pivot (c'x at its basis) or the
@@ -228,7 +235,7 @@ class _Simplex:
         n, m = lp.n, lp.m
         self.n = n
         self.m = m
-        # columns: [structural | slack | artificial...]
+        # columns: [structural | slack]
         self.A = np.concatenate([lp.G, np.eye(m)], axis=1) if n else np.eye(m)
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.full(m, np.inf)])
@@ -283,47 +290,25 @@ class _Simplex:
         m, n = self.m, self.n
         self.rhs = self.lp.g.copy()
         resid = self.rhs - self._nonbasic_offset()
-        # slacks host the initial basis; rows with negative residual get
-        # an artificial column (coefficient -1) so the start is feasible
+        # slacks host the initial basis, B^-1 = I; the slack of a row
+        # with negative residual starts short, below 0 at cost -1
         self.basis = np.arange(n, n + m)
-        bad = (resid < 0.0).nonzero()[0]
-        self.n_art = bad.size
-        if self.n_art:
-            art_cols = np.zeros((m, self.n_art))
-            art_cols[bad, np.arange(self.n_art)] = -1.0
-            self.A = np.concatenate([self.A, art_cols], axis=1)
-            self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
-            self.hi = np.concatenate([self.hi, np.full(self.n_art, np.inf)])
-            self.c_phase2 = np.concatenate([self.c_phase2, np.zeros(self.n_art)])
-            self.status = np.concatenate(
-                [self.status, np.full(self.n_art, _AT_LO, dtype=np.int8)])
-            self.xn = np.concatenate([self.xn, np.zeros(self.n_art)])
-            self.basis[bad] = n + m + np.arange(self.n_art)
         self.status[self.basis] = _BASIC
-        # the start basis is diag(+-1): its inverse is itself, with the
-        # zeros of a -1 row negative, exactly as np.linalg.inv returns it
-        sign = np.ones(m)
-        sign[bad] = -1.0
-        self.Binv = np.eye(m) * sign[:, None]
+        short = n + (resid < 0.0).nonzero()[0]
+        self.Binv = np.eye(m)
         self.xb = self.Binv @ resid
         self.since_refactor = 0
 
-        if self.n_art:
-            c1 = np.zeros(self.A.shape[1])
-            c1[n + m:] = 1.0
+        if short.size:
+            c1 = np.zeros(n + m)
+            c1[short] = -1.0
+            self.lo[short], self.hi[short] = -np.inf, 0.0
             self._iterate(c1, phase_one=True)
-            art_basic = self.basis >= n + m
-            infeas = float(self.xb[art_basic].sum()) if np.any(art_basic) else 0.0
+            infeas = -float(self.xb[c1[self.basis] < 0.0].sum())
             if infeas > FEASIBILITY:
                 self._prove_infeasible(c1, infeas)
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
-            self._expel_artificials(c1)
-            # artificials may never re-enter
-            self.lo[n + m:] = 0.0
-            self.hi[n + m:] = 0.0
-            nb_art = (self.status != _BASIC)
-            nb_art[:n + m] = False
-            self.status[nb_art] = _FIXED
+            self.lo[short], self.hi[short] = 0.0, np.inf
             self.degenerate_run = 0
             self.bland = False
 
@@ -343,18 +328,16 @@ class _Simplex:
         update count from an earlier solve of the same [G | I], stands
         in for the start's refactorization and for the one before the
         solve reports, and the start must then have no more
-        primal-infeasible basic rows than the cold start has
-        artificials; without it the start basis is inverted.  Before
+        primal-infeasible basic rows than the slack start violates
+        rows; without it the start basis is inverted.  Before
         each pivot the loop compares c'x of its dual feasible basis, a
         lower bound on the optimum, with the cutoff, and returns CUTOFF
         once it reaches it.
         """
-        if (basis >= self.n + self.m).any():
-            return None
         if factor is not None:
             # the cold start's offset, before the start's statuses
-            # replace it: the artificials run() would add
-            n_art = int((self.lp.g - self._nonbasic_offset() < 0.0).sum())
+            # replace it: the rows whose slacks run() starts short
+            n_short = int((self.lp.g - self._nonbasic_offset() < 0.0).sum())
         status = status.copy()
         status[(status != _BASIC) & (self.lo == self.hi)] = _FIXED
         xn = np.where(status == _AT_HI, self.hi, self.lo)
@@ -372,7 +355,7 @@ class _Simplex:
             if factor is not None:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 off = np.maximum(lo_b - self.xb, self.xb - hi_b) > FEASIBILITY
-                if int(off.sum()) > n_art:
+                if int(off.sum()) > n_short:
                     return None
             for _ in range(DUAL_PIVOT_LIMIT):
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
@@ -444,6 +427,12 @@ class _Simplex:
                     if phase_one:
                         raise SolverError("phase-1 subproblem unbounded")
                     return True
+                if (phase_one and leave_pos >= 0
+                        and c[self.basis[leave_pos]] < 0.0):
+                    # a short slack leaves at 0, an ordinary slack again
+                    out = self.basis[leave_pos]
+                    c[out], self.lo[out], self.hi[out] = 0.0, 0.0, np.inf
+                    leave_to_hi = False
                 if t <= PIVOT_TOL:
                     self.degenerate_run += 1
                     if (not self.bland
@@ -545,40 +534,18 @@ class _Simplex:
 
         Phase 1 stops when no reduced cost passes the tolerance, but a
         column of a smaller one still lowers the infeasibility by its
-        gain times its range; the artificials are 0 at any feasible
-        point, so only the real columns count.  As in the dual loop, the
-        proof holds unless those columns together could close the gap.
+        gain times its range.  As in the dual loop, the proof holds
+        unless those columns together could close the gap.
         """
-        real = self.n + self.m
         y = c1[self.basis] @ self.Binv
-        gain = self._gains(c1 - y @ self.A)[:real]
+        gain = self._gains(c1 - y @ self.A)
         right = gain > 0.0
-        reach = gain[right] @ (self.hi[:real] - self.lo[:real])[right]
+        reach = gain[right] @ (self.hi - self.lo)[right]
         if reach >= infeas - FEASIBILITY:
             raise SolverError(
                 f"phase 1 stopped {infeas:.3g} short of feasible, but "
                 f"columns with reduced costs within "
                 f"{REDUCED_COST:g} could close it")
-
-    def _expel_artificials(self, c1: np.ndarray):
-        """Pivot zero-valued basic artificials out where a real column allows."""
-        n_real = self.n + self.m
-        for pos in range(self.m):
-            if self.basis[pos] < n_real:
-                continue
-            row = self.Binv[pos] @ self.A[:, :n_real]
-            cand = np.flatnonzero((np.abs(row) > 1e-8)
-                                  & (self.status[:n_real] != _BASIC)
-                                  & (self.status[:n_real] != _FIXED))
-            if cand.size == 0:
-                continue  # redundant row; artificial stays basic at zero
-            j = int(cand[0])
-            out = self.basis[pos]
-            self.basis[pos] = j
-            self.status[j] = _BASIC
-            self.status[out] = _AT_LO
-            self.xn[out] = 0.0
-            self._refactor()
 
     # -- extraction ----------------------------------------------------------
 
@@ -601,7 +568,6 @@ class _Simplex:
             return LpSolution(status=CUTOFF, pivots=self.pivots)
         if refactor:
             self._refactor()  # clean drift before reporting
-        n, m = self.n, self.m
         x, value = self._point()
         y = self.c_phase2[self.basis] @ self.Binv
         duals = np.maximum(-y, 0.0)
@@ -611,7 +577,7 @@ class _Simplex:
             value=value,
             duals=duals,
             pivots=self.pivots,
-            basis=(self.basis, self.status[:n + m].copy()),
+            basis=(self.basis, self.status.copy()),
             factor=Factor(self.Binv, self.since_refactor),
         )
 

@@ -16,11 +16,15 @@ is pinned by the sha256 of the LP file it writes.
 The digests hold on the numpy and OpenBLAS build they were taken with:
 another BLAS, or another numpy, may sum a product in another order and
 move a last bit.  A change that alters an artifact on purpose updates
-the digests here and names each changed file in CHANGES.md.
+the digests here and names each changed file in CHANGES.md;
+`tests/repin.py` recomputes every value pinned here with the functions
+the tests call.
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import math
 from pathlib import Path
 
@@ -70,12 +74,46 @@ CALL_SITES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def desk_run(tmp_path_factory):
-    """(artifact directory, {layer: [solves, pivots or nodes]}, with
-    the run's `np.linalg.inv` calls under "inv")."""
+# [solves, pivots] of each LP layer, [solves, B&B nodes] of each MILP
+# layer, and the run's basis inversions; the 2 critical loads solve no
+# allocation LP and rounds 2 to 9 start the other 9 agents' from the
+# round before, the box LPs are the builders' phase-1 solves, and a
+# finalize's root is the round's relaxed solve, so its node LPs and the
+# certificate's auxiliary trees give 557 - 33 + 255 node LPs
+DESK_WORK = {
+    "alloc": [99, 2570],
+    # 354 node LPs stop once their dual bound reaches the incumbent,
+    # pivots short of the optimum their tree would prune (2672 pivots
+    # when each ran to its optimum)
+    "node": [779, 2323],
+    "cert": [36, 713],
+    "box": [9, 53],
+    "finalize": [33, 557],
+    "cert_aux": [3, 255],
+    # every node LP but the 3 auxiliary roots adopts its parent's factor
+    # and, with no path down a tree reaching REFACTOR_EVERY pivots,
+    # inverts no basis: the roots' 3 inversions are the node LPs' share,
+    # and the allocation LPs' 69, the certificate's 36 and the box LPs' 9
+    # the rest (541 when each child refactored before it reported)
+    "inv": 117,
+}
+
+# "<layer> <status>": solves of the run at the four solve_lp names
+RUN_PATH_SOLVES = {"alloc optimal": 99, "node optimal": 425,
+                   "node cutoff": 354, "cert optimal": 36,
+                   "box optimal": 9}
+
+
+def desk_config() -> ExperimentConfig:
     raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
     raw["algorithm"]["iterations"] = ROUNDS
+    return ExperimentConfig(raw=raw)
+
+
+def run_desk(out: Path):
+    """Run the pinned desk run into `out`: ({artifact: sha256},
+    {layer: [solves, pivots or nodes]}, with the run's `np.linalg.inv`
+    calls under "inv")."""
     work = {layer: [0, 0] for _, _, layer, _ in CALL_SITES}
     work["inv"] = 0
     inv = np.linalg.inv
@@ -92,47 +130,30 @@ def desk_run(tmp_path_factory):
             return sol
         return wrapper
 
-    out = tmp_path_factory.mktemp("desk")
     with pytest.MonkeyPatch.context() as patch:
         for module, name, layer, field in CALL_SITES:
             patch.setattr(module, name,
                           counting(getattr(module, name), layer, field))
         patch.setattr(np.linalg, "inv", inverting)
-        experiment.run_experiment(ExperimentConfig(raw=raw),
-                                  out_dir=out)
-    return out, work
+        experiment.run_experiment(desk_config(), out_dir=out)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    return written, work
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    return run_desk(tmp_path_factory.mktemp("desk"))
 
 
 def test_desk_artifacts_match_their_digests(desk_run):
-    out, _ = desk_run
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir())}
+    written, _ = desk_run
     assert written == ARTIFACT_SHA256
 
 
 def test_desk_work_counters(desk_run):
-    # [solves, pivots] of each LP layer, [solves, B&B nodes] of each
-    # MILP layer; the 2 critical loads solve no allocation LP and rounds
-    # 2 to 9 start the other 9 agents' from the round before, the box
-    # LPs are the builders' phase-1 solves, and a finalize's root is the
-    # round's relaxed solve, so its node LPs and the certificate's
-    # auxiliary trees give 557 - 33 + 255 node LPs
     _, work = desk_run
-    assert work["alloc"] == [99, 2570]
-    # 354 node LPs stop once their dual bound reaches the incumbent,
-    # pivots short of the optimum their tree would prune (2672 pivots
-    # when each ran to its optimum)
-    assert work["node"] == [779, 2323]
-    assert work["cert"] == [36, 713]
-    assert work["box"] == [9, 53]
-    assert work["finalize"] == [33, 557]
-    assert work["cert_aux"] == [3, 255]
-    # every node LP but the 3 auxiliary roots adopts its parent's factor
-    # and, with no path down a tree reaching REFACTOR_EVERY pivots,
-    # inverts no basis: the roots' 3 inversions are the node LPs' share,
-    # and the allocation LPs' 69, the certificate's 36 and the box LPs' 9
-    # the rest (541 when each child refactored before it reported)
-    assert work["inv"] == 117
+    assert work == DESK_WORK
 
 
 def assert_checks_out(lp, sol):
@@ -150,14 +171,13 @@ def assert_checks_out(lp, sol):
     assert abs(sol.value - dual_objective(lp, sol)) <= 1e-7 * scale
 
 
-def test_desk_run_path_solves_check_out(tmp_path, monkeypatch):
-    """Every LP solve of the pinned desk run, at the four names the
-    traced benchmark wraps, checked inside the wrapper, since the agents
-    rewrite their LP's g in place: an optimal one checks out against its
-    duals, and one cut off is infeasible, or reaches its cutoff, when
-    solved again from the same start without it."""
-    raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
-    raw["algorithm"]["iterations"] = ROUNDS
+def run_path_solves(out: Path) -> dict[str, int]:
+    """Run the pinned desk run into `out`, checking every LP solve at
+    the four names the traced benchmark wraps inside the wrapper, since
+    the agents rewrite their LP's g in place: an optimal one checks out
+    against its duals, and one cut off is infeasible, or reaches its
+    cutoff, when solved again from the same start without it.  Returns
+    the solves per "<layer> <status>"."""
     seen = {}
 
     def checking(fn, layer):
@@ -174,17 +194,26 @@ def test_desk_run_path_solves_check_out(tmp_path, monkeypatch):
             return sol
         return wrapper
 
-    for module, name, layer, _ in CALL_SITES:
-        if name == "solve_lp":
-            monkeypatch.setattr(module, name,
-                                checking(getattr(module, name), layer))
-    experiment.run_experiment(ExperimentConfig(raw=raw), out_dir=tmp_path)
-    assert seen == {"alloc optimal": 99, "node optimal": 425,
-                    "node cutoff": 354, "cert optimal": 36,
-                    "box optimal": 9}
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, layer, _ in CALL_SITES:
+            if name == "solve_lp":
+                patch.setattr(module, name,
+                              checking(getattr(module, name), layer))
+        experiment.run_experiment(desk_config(), out_dir=out)
+    return seen
 
 
-def test_desk_build_lp_matches_its_digest(tmp_path, capsys):
-    assert cli.main(["build", str(DESK), "--out", str(tmp_path)]) == 0
-    written = (tmp_path / "centralized_problem.lp").read_bytes()
-    assert hashlib.sha256(written).hexdigest() == BUILD_LP_SHA256
+def test_desk_run_path_solves_check_out(tmp_path):
+    assert run_path_solves(tmp_path) == RUN_PATH_SOLVES
+
+
+def build_lp_digest(out: Path) -> str:
+    """The sha256 of the LP file `mgridopt build` writes into `out`."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["build", str(DESK), "--out", str(out)]) == 0
+    written = (out / "centralized_problem.lp").read_bytes()
+    return hashlib.sha256(written).hexdigest()
+
+
+def test_desk_build_lp_matches_its_digest(tmp_path):
+    assert build_lp_digest(tmp_path) == BUILD_LP_SHA256

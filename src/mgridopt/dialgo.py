@@ -387,8 +387,6 @@ class RunTrace:
     iters: list = field(default_factory=list)
     incumbent_cost: list = field(default_factory=list)
     coupling_vectors: list = field(default_factory=list)   # 2RK-dim
-    balance_injection: list = field(default_factory=list)  # sum A_i x_i, K-dim
-    eta_total: list = field(default_factory=list)          # sum eta_i, 2RK-dim
 
     def rows(self):
         """(round, incumbent cost, max coupling above the band, max slack
@@ -504,9 +502,6 @@ def run(blocks, scen: ScenarioSet, d: np.ndarray, graph: CommGraph,
         trace.relax_cost_all.append(float(sum(
             a.lifted.base.c @ a.z + a.lifted.d @ a.eta_relax for a in agents)))
         if t in log_set:
-            trace.balance_injection.append(
-                sum(a.lifted.base.A @ a.x_mi for a in agents))
-            trace.eta_total.append(sum(a.eta_mi for a in agents))
             trace.iters.append(t)
             trace.incumbent_cost.append(result.incumbent_cost())
             trace.coupling_vectors.append(result.total_coupling())

@@ -24,6 +24,17 @@ only at 0, and then takes back cost 0 and bounds [0, inf), an ordinary
 slack again; those still basic when phase 1 ends, within FEASIBILITY
 of 0, take their bounds back too.
 
+Both infeasibility verdicts rest on one test (`_could_close`): phase 1
+stopping short of feasibility, and a row of the dual loop that no
+pivot-sized column moves toward its violated bound.  The verdict holds
+unless the columns that move the row the right way at a smaller rate
+could together close its gap, rate times range summed.  A rate counts
+only above the rounding error of the products that compute it, for
+the row's weights v on the basis 4 (m+1) eps max_i (|v| |B^-1|)_i
+|A_j|_1, so a roundoff-level rate on a column of infinite range, which
+every slack has, proves nothing.  Where a real rate could close the
+gap, phase 1 raises SolverError and the dual loop goes cold.
+
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots.  A
 warm start comes with the basis inverse its solve ended on and the
 rank-one updates that inverse carries (`LpSolution.factor`): it adopts
@@ -212,7 +223,10 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None,
 
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
-    within REDUCED_COST could still close the gap.
+    within REDUCED_COST could still close the gap, each by its rate
+    times its range; a rate counts only above its roundoff bound,
+    4 (m+1) eps max_i (|v| |B^-1|)_i |A_j|_1.  A dual-loop row that
+    such columns could close sends the start cold instead.
     """
     if start is None:
         sol = _Simplex(lp, cutoff).run()
@@ -304,9 +318,14 @@ class _Simplex:
             c1[short] = -1.0
             self.lo[short], self.hi[short] = -np.inf, 0.0
             self._iterate(c1, phase_one=True)
-            infeas = -float(self.xb[c1[self.basis] < 0.0].sum())
+            v = c1[self.basis]
+            infeas = -float(self.xb[v < 0.0].sum())
             if infeas > FEASIBILITY:
-                self._prove_infeasible(c1, infeas)
+                if self._could_close(v, infeas):
+                    raise SolverError(
+                        f"phase 1 stopped {infeas:.3g} short of feasible, "
+                        f"but columns with reduced costs within "
+                        f"{REDUCED_COST:g} could close it")
                 return LpSolution(status=INFEASIBLE, pivots=self.pivots)
             self.lo[short], self.hi[short] = 0.0, np.inf
             self.degenerate_run = 0
@@ -323,9 +342,11 @@ class _Simplex:
 
         Each pivot takes the basic column farthest outside its bounds
         to the violated bound and enters the nonbasic column of the
-        Harris ratio test on that row.  A row no column can move proves
-        the LP infeasible.  `factor`, the start basis's inverse and
-        update count from an earlier solve of the same [G | I], stands
+        Harris ratio test on that row.  A row no pivot-sized column can
+        move proves the LP infeasible, unless `_could_close` finds that
+        smaller rates could still close it; then the start goes cold.
+        `factor`, the start basis's inverse and update count from an
+        earlier solve of the same [G | I], stands
         in for the start's refactorization and for the one before the
         solve reports, and the start must then have no more
         primal-infeasible basic rows than the slack start violates
@@ -377,11 +398,10 @@ class _Simplex:
                 mov = alpha * (_MOVE if to_hi else _PRICE)[st]
                 elig = mov > PIVOT_TOL
                 if not elig.any():
-                    # the pivot-sized columns cannot move row r; the
-                    # proof holds unless the tiny ones could close it
-                    right = mov > 0.0
-                    reach = np.abs(alpha[right]) @ (self.hi - self.lo)[right]
-                    if reach >= viol[r] - FEASIBILITY:
+                    # no pivot-sized column moves row r toward its bound
+                    v = np.zeros(self.m)
+                    v[r] = 1.0 if to_hi else -1.0
+                    if self._could_close(v, float(viol[r])):
                         return None
                     return LpSolution(status=INFEASIBLE, pivots=self.pivots)
                 cand = elig.nonzero()[0]
@@ -528,24 +548,30 @@ class _Simplex:
         if self.since_refactor >= REFACTOR_EVERY:
             self._refactor()
 
-    def _prove_infeasible(self, c1: np.ndarray, infeas: float):
-        """Raise SolverError unless phase 1's end, `infeas` short of
-        feasible, proves the LP infeasible.
+    def _could_close(self, v: np.ndarray, gap: float) -> bool:
+        """Whether the nonbasic columns could still close `gap`, by
+        which v'x_B lies above its feasible value, once no column lowers
+        it by a priced or pivot-sized rate.  Phase 1's verdict passes
+        its costs on the basis (v'x_B is minus the shortfall), the dual
+        loop's +-e_r for its violated row r.
 
-        Phase 1 stops when no reduced cost passes the tolerance, but a
-        column of a smaller one still lowers the infeasibility by its
-        gain times its range.  As in the dual loop, the proof holds
-        unless those columns together could close the gap.
+        Column j lowers v'x_B at the rate v B^-1 A_j per unit step off
+        its bound (a free column steps either way), so together the
+        columns lower it by at most the sum of rate times range.  A rate
+        counts only above the rounding error of the two products that
+        compute it, 2 (m+1) eps per unit of (|v| |B^-1|) |A_j| (Higham
+        2002, 3.1), doubled for the error B^-1 carries and taken
+        normwise, max_i (|v| |B^-1|)_i |A_j|_1: that error sits in
+        entries that are 0 in exact arithmetic too.  Below it a rate is
+        noise, which a slack's infinite range would turn into any reach.
         """
-        y = c1[self.basis] @ self.Binv
-        gain = self._gains(c1 - y @ self.A)
-        right = gain > 0.0
-        reach = gain[right] @ (self.hi - self.lo)[right]
-        if reach >= infeas - FEASIBILITY:
-            raise SolverError(
-                f"phase 1 stopped {infeas:.3g} short of feasible, but "
-                f"columns with reduced costs within "
-                f"{REDUCED_COST:g} could close it")
+        rate = self._gains(-((v @ self.Binv) @ self.A))
+        noise = (4 * (self.m + 1) * np.finfo(float).eps
+                 * (np.abs(v) @ np.abs(self.Binv)).max()
+                 * np.abs(self.A).sum(axis=0))
+        real = rate > noise
+        return bool(rate[real] @ (self.hi - self.lo)[real]
+                    >= gap - FEASIBILITY)
 
     # -- extraction ----------------------------------------------------------
 

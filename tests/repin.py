@@ -1,9 +1,10 @@
 """Recompute every value the desk and golden tests pin, and report those
 that moved.
 
-Run from the repository root:
+Run from the repository root; the script puts `src` on `sys.path`, as
+the pytest `pythonpath` setting in pyproject.toml does, and `tests`:
 
-    PYTHONPATH=src python tests/repin.py
+    python tests/repin.py
 
 It prints `name: old -> new` for each value that differs from the one
 written in its test module and exits 1 if any does, 0 if none does.
@@ -17,7 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 import test_desk_digests as desk  # noqa: E402
 import test_solver_golden as golden  # noqa: E402

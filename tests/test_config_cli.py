@@ -116,6 +116,22 @@ def test_a_roster_without_loads_or_renewables_runs_and_certifies(tmp_path):
     assert res.certificate.holds
 
 
+def test_storages_starting_at_their_minimum_energy_run_and_certify(
+        tmp_path):
+    # a storage at its minimum energy cannot discharge in the first
+    # step, so half its recovery tree is infeasible node LPs; each must
+    # be proved infeasible, not refused
+    raw = yaml.safe_load(DESK.read_text())
+    for storage in raw["units"]["storages"]:
+        storage["initial_energy_kwh"] = storage["energy_min_kwh"]
+    assert [s["initial_energy_kwh"] for s in raw["units"]["storages"]] == \
+        [1.0, 0.5]
+    raw["algorithm"]["iterations"] = 3
+    res = run_experiment(ExperimentConfig(raw=raw), out_dir=tmp_path / "run")
+    assert res.result.trace.iters == [0, 1, 3]
+    assert res.certificate.holds
+
+
 def test_zero_recourse_penalty_rejected_up_front():
     for key in ("surplus_penalty_eur_per_kwh",
                 "shortage_penalty_eur_per_kwh"):

@@ -13,9 +13,10 @@ import pytest
 from mgridopt import analysis
 from mgridopt.analysis import compute_lower_bound, violation_certificate
 from mgridopt.config import ExperimentConfig, build_problem
-from mgridopt.dialgo import (AgentSolveError, exchange_and_update,
-                             init_allocations, local_multiplier_step,
-                             make_agents, recourse_cap, run)
+from mgridopt.dialgo import (AgentSolveError, LocalProblem,
+                             exchange_and_update, init_allocations,
+                             local_multiplier_step, make_agents,
+                             recourse_cap, run)
 from mgridopt.solver import (CUTOFF, INFEASIBLE, INTEGRALITY, OPTIMAL,
                              LinearProgram, NodeLimitError, solve_lp,
                              solve_milp)
@@ -185,6 +186,47 @@ def test_desk_allocation_lps_match_highs():
         assert sol.status == OPTIMAL and ref.status == 0, a.lifted.index
         assert abs(sol.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun)), \
             (a.lifted.index, sol.value, ref.fun)
+
+
+def test_storage_nodes_at_minimum_energy_match_highs():
+    """The desk storage_0 block starting at its minimum energy, where
+    every node LP that discharges in the first step is infeasible: at
+    the equal split and two random allocations, each of the 64 patterns
+    of its charging flags, fixed, solves to HiGHS's status (and
+    optimum), warm from the relaxed root and cold, and none raises."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    verdict = {0: OPTIMAL, 2: INFEASIBLE}
+    raw = ExperimentConfig.from_yaml(DESK).raw
+    storage = raw["units"]["storages"][0]
+    storage["initial_energy_kwh"] = storage["energy_min_kwh"]
+    problem = build_problem(ExperimentConfig(raw=raw))
+    assert problem.blocks[0].kind == "storage"
+    lifted = LocalProblem(problem.blocks[0], problem.scen.R, problem.d)
+    lp = lifted.lp
+    flags = np.flatnonzero(lp.integrality)
+    h = build_h(problem.scen)
+    rng = np.random.default_rng(6)
+    allocations = [h / len(problem.blocks)] + [
+        rng.uniform(-5.0, 5.0, h.size) for _ in range(2)]
+    infeasible = 0
+    for y in allocations:
+        root = lifted.solve(solve_lp, y, "allocation LP")
+        for pattern in itertools.product((0.0, 1.0), repeat=flags.size):
+            lo, hi = lp.lo.copy(), lp.hi.copy()
+            lo[flags] = hi[flags] = pattern
+            node = LinearProgram(lp.c, lp.G, lp.g, lo, hi)
+            ref = scipy_opt.linprog(node.c, A_ub=node.G, b_ub=node.g,
+                                    bounds=list(zip(lo, hi)),
+                                    method="highs",
+                                    options={"presolve": False})
+            infeasible += ref.status == 2
+            for start in (root, None):
+                sol = solve_lp(node, start=start)
+                assert sol.status == verdict[ref.status], pattern
+                if sol.status == OPTIMAL:
+                    assert abs(sol.value - ref.fun) <= \
+                        1e-7 * (1.0 + abs(ref.fun)), pattern
+    assert infeasible > 0
 
 
 def test_desk_certificate_auxiliary_milps_match_highs(monkeypatch):

@@ -29,10 +29,10 @@ stopping short of feasibility, and a row of the dual loop that no
 pivot-sized column moves toward its violated bound.  The verdict holds
 unless the columns that move the row the right way at a smaller rate
 could together close its gap, rate times range summed.  A rate counts
-only above the rounding error of the products that compute it, for
-the row's weights v on the basis 4 (m+1) eps max_i (|v| |B^-1|)_i
-|A_j|_1, so a roundoff-level rate on a column of infinite range, which
-every slack has, proves nothing.  Where a real rate could close the
+only above a first-order bound on its error, row by row, which the
+residual of the row's weights on the basis measures (see
+`_could_close`), so a roundoff-level rate on a column of infinite
+range, which every slack has, proves nothing.  Where a real rate could close the
 gap, phase 1 raises SolverError and the dual loop goes cold.
 
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots.  A
@@ -224,9 +224,10 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None,
     Raises SolverError when the pivot loop fails, and when phase 1
     stops short of feasibility but columns whose reduced costs lie
     within REDUCED_COST could still close the gap, each by its rate
-    times its range; a rate counts only above its roundoff bound,
-    4 (m+1) eps max_i (|v| |B^-1|)_i |A_j|_1.  A dual-loop row that
-    such columns could close sends the start cold instead.
+    times its range; a rate u A_j, u = v B^-1, counts only above the
+    first-order bound on its error (|r| + (m+1) eps (|u| |B| + |v|))
+    |B^-1| |A_j| + (m+1) eps |u| |A_j|, r = u B - v.  A dual-loop row
+    that such columns could close sends the start cold instead.
     """
     if start is None:
         sol = _Simplex(lp, cutoff).run()
@@ -555,20 +556,25 @@ class _Simplex:
         its costs on the basis (v'x_B is minus the shortfall), the dual
         loop's +-e_r for its violated row r.
 
-        Column j lowers v'x_B at the rate v B^-1 A_j per unit step off
-        its bound (a free column steps either way), so together the
-        columns lower it by at most the sum of rate times range.  A rate
-        counts only above the rounding error of the two products that
-        compute it, 2 (m+1) eps per unit of (|v| |B^-1|) |A_j| (Higham
-        2002, 3.1), doubled for the error B^-1 carries and taken
-        normwise, max_i (|v| |B^-1|)_i |A_j|_1: that error sits in
-        entries that are 0 in exact arithmetic too.  Below it a rate is
-        noise, which a slack's infinite range would turn into any reach.
+        Column j lowers v'x_B at the rate u A_j, u = v B^-1, per unit
+        step off its bound (a free column steps either way), so together
+        the columns lower it by at most the sum of rate times range.  A
+        rate counts only above a first-order bound on its error, row by
+        row (Higham 2002, 3.1 and 7.2): the computed u misses v B^-1 by
+        r B^-1, r = u B - v its residual, which bounds the error of the
+        inverse B^-1 carries too, and u A_j adds (m+1) eps |u| |A_j|:
+        (|r| + (m+1) eps (|u| |B| + |v|)) |B^-1| |A_j|
+        + (m+1) eps |u| |A_j|, with the computed B^-1 for the exact one.
+        Below it a rate is noise, which a slack's infinite range would
+        turn into any reach.
         """
-        rate = self._gains(-((v @ self.Binv) @ self.A))
-        noise = (4 * (self.m + 1) * np.finfo(float).eps
-                 * (np.abs(v) @ np.abs(self.Binv)).max()
-                 * np.abs(self.A).sum(axis=0))
+        eps = (self.m + 1) * np.finfo(float).eps
+        u = v @ self.Binv
+        rate = self._gains(-(u @ self.A))
+        B = self.A[:, self.basis]
+        au = np.abs(u)
+        r = np.abs(u @ B - v) + eps * (au @ np.abs(B) + np.abs(v))
+        noise = (r @ np.abs(self.Binv) + eps * au) @ np.abs(self.A)
         real = rate > noise
         return bool(rate[real] @ (self.hi - self.lo)[real]
                     >= gap - FEASIBILITY)

@@ -205,6 +205,23 @@ def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
     assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
 
 
+def test_a_large_entry_in_another_row_does_not_hide_a_real_rate():
+    # the tiny and small LPs with a loose second row whose coefficient
+    # on x is large: the rate of x on the short row is exact, and its
+    # noise bound must not pair that row's weight with the other row's
+    # entry, which would call a feasible LP infeasible
+    tiny = box_lp([1.0], [[-1e-11], [1e4]], [-1e-3, 1e20], [0.0], [1e12])
+    small = box_lp([1.0], [[-1e-9], [1e6]], [-1e-3, 1e20], [0.0], [1e12])
+    for lp, start in ((tiny, None), (tiny, slack_start(tiny)),
+                      (small, None)):
+        with pytest.raises(SolverError, match="phase 1 stopped 0.001 "
+                           "short of feasible"):
+            solve_lp(lp, start=start)
+    sol = solve_lp(small, start=slack_start(small))
+    assert sol.status == "optimal"
+    assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
+
+
 def enumeration_milps_and_their_node_lps():
     """The digest of the instances of
     test_matches_enumeration_on_200_instances and of every node LP of

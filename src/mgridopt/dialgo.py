@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionError, LocalBlock
-from .solver import (OPTIMAL, LpSolution, NodeLimitError, SolverError,
-                     solve_lp, solve_milp)
+from .solver import (FEASIBILITY, OPTIMAL, LpSolution, NodeLimitError,
+                     SolverError, solve_lp, solve_milp)
 from .stochastic import ScenarioSet, build_h, two_stage_lp
 
 
@@ -263,13 +263,15 @@ class LocalProblem:
         columns in closed form.
 
         The closed form is the cold simplex's vertex, bit for bit: eta
-        = max(0, -y), basic where y < 0 with the dual d there (d > 0)
-        and 0 elsewhere, a tie at y = 0 included; eta and the value are
-        computed by the operations the cold solve reports them with.
+        = -y, basic with the dual d there (d > 0), on the rows where y <
+        -FEASIBILITY, which the dual loop finds violated, and eta = 0
+        with the dual 0 elsewhere, y = 0 and a roundoff-level negative y
+        included; eta and the value are computed by the operations the
+        cold solve reports them with.
         """
         if self.closed_form:
             self.lp.g[:] = y
-            short = self.lp.g < 0.0
+            short = self.lp.g < -FEASIBILITY
             x = np.where(short, -self.lp.g, 0.0)
             return LpSolution(status=OPTIMAL, x=x,
                               value=float(self.lp.c @ x),

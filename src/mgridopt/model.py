@@ -176,8 +176,10 @@ class LocalBlock:
     through the K x n matrix A (K, the horizon, is A.shape[0]).
 
     `lo`/`hi` default to the unbounded box; the columns A touches need
-    finite bounds (see `dialgo.recourse_cap`).  `var_index` maps names like
-    "u(3)" to column positions, which keeps tests and reports readable.
+    finite bounds (see `dialgo.recourse_cap`).  A non-finite entry of
+    c, G, g or A, or a nan bound, raises ParameterError.  `var_index`
+    maps names like "u(3)" to column positions, which keeps tests and
+    reports readable.
     """
 
     c: np.ndarray
@@ -195,6 +197,12 @@ class LocalBlock:
             self.lo = np.full(self.n, -np.inf)
         if self.hi is None:
             self.hi = np.full(self.n, np.inf)
+        for name in ("c", "G", "g", "A"):
+            _require(np.isfinite(getattr(self, name)).all(),
+                     f"{self.kind} block: {name} holds a non-finite entry")
+        for name in ("lo", "hi"):
+            _require(not np.isnan(getattr(self, name)).any(),
+                     f"{self.kind} block: {name} holds a nan")
 
     @property
     def n(self) -> int:
@@ -293,7 +301,7 @@ def _check_horizon(K):
 
 
 def _nonempty(blk: LocalBlock) -> LocalBlock:
-    """`blk`, once a phase-1 LP has found a point of its relaxation."""
+    """`blk`, once a zero-cost LP has found a point of its relaxation."""
     if solve_lp(blk.relaxation_lp(np.zeros(blk.n))).status != OPTIMAL:
         raise ParameterError(f"{blk.kind} block polyhedron is empty")
     return blk
@@ -438,12 +446,15 @@ def quadratic_cost_segments(a: float, b: float, u_min: float, u_max: float,
     _require(n_segments >= 1, "need at least one segment")
     _require(u_max > u_min, "u_max must exceed u_min")
     pts = np.linspace(u_min, u_max, n_segments + 1)
-    f = a * pts ** 2 + b * pts
     out = []
-    for i in range(n_segments):
-        S = (f[i + 1] - f[i]) / (pts[i + 1] - pts[i])
-        s = f[i] - S * pts[i]
-        out.append((float(S), float(s)))
+    # a u^2 beyond the float range leaves a segment non-finite, which
+    # the block built on it refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = a * pts ** 2 + b * pts
+        for i in range(n_segments):
+            S = (f[i + 1] - f[i]) / (pts[i + 1] - pts[i])
+            s = f[i] - S * pts[i]
+            out.append((float(S), float(s)))
     return tuple(out)
 
 

@@ -6,34 +6,34 @@ with a revised simplex over the slack-augmented system
 (vertices), which downstream integrality-counting arguments rely on;
 interior-point methods would not do.
 
-A solve starts cold, with a two-phase primal simplex from the slack
-basis, or warm, from an earlier solution of the same c and G under
-other bounds (a branch-and-bound parent) or another g (the previous
-round of an allocation LP): its basis stays dual feasible when only
-bounds or g move, so a bounded dual simplex restores primal
-feasibility in a few pivots, and one primal pass then clears any
-roundoff-level dual infeasibility (Koberstein 2005; Bixby 2002).  A
+Every solve runs one algorithm: a bounded dual simplex from a dual
+feasible basis until the basis is primal feasible, then one primal pass
+on the LP's own costs (Koberstein 2005; Bixby 2002).  A warm solve
+starts from an earlier solution of the same c and G under other bounds
+(a branch-and-bound parent) or another g (the previous round of an
+allocation LP): its basis stays dual feasible when only bounds or g
+move, so the dual loop restores primal feasibility in a few pivots,
+and the primal pass clears any roundoff-level dual infeasibility.  A
 start the dual loop cannot use falls back to the cold solve.
 
-Phase 1 adds no column: every solve stays on [G | I].  A row the slack
-start violates (negative residual) is short, and its slack, basic at
-that negative value, carries the infeasibility: while basic it has
-cost -1 and bounds (-inf, 0], so phase 1 minimizes the sum of the
-short rows' shortfalls (Maros 2003).  A short slack leaves the basis
-only at 0, and then takes back cost 0 and bounds [0, inf), an ordinary
-slack again; those still basic when phase 1 ends, within FEASIBILITY
-of 0, take their bounds back too.
+A cold solve starts from the slack basis, B^-1 = I, with each
+structural column on its finite lower bound, else its finite upper
+bound, a fixed one at its value and a free one at zero.  The dual loop
+gives a zero price to each column whose cost would move it off that
+bound, so the start is dual feasible (the cost-modification dual phase
+1 of Koberstein 2005, ch. 4), and the primal pass then prices the LP's
+own costs.  The dual loop prices a free column by |alpha| at ratio 0.
 
-Both infeasibility verdicts rest on one test (`_could_close`): phase 1
-stopping short of feasibility, and a row of the dual loop that no
-pivot-sized column moves toward its violated bound.  The verdict holds
-unless the columns that move the row the right way at a smaller rate
-could together close its gap, rate times range summed.  A rate counts
-only above a first-order bound on its error, row by row, which the
-residual of the row's weights on the basis measures (see
-`_could_close`), so a roundoff-level rate on a column of infinite
-range, which every slack has, proves nothing.  Where a real rate could close the
-gap, phase 1 raises SolverError and the dual loop goes cold.
+A row of the dual loop that no pivot-sized column moves toward its
+violated bound proves the LP infeasible, unless the columns that move
+it the right way at a smaller rate could together close its gap, rate
+times range summed (`_could_close`).  A rate counts only above a
+first-order bound on its error, row by row, which the residual of the
+row's weights on the basis measures, so a roundoff-level rate on a
+column of infinite range, which every slack has, proves nothing.  A
+row real rates could close sends a warm start cold; a cold solve sets
+it aside until its next pivot, and raises SolverError once it has set
+aside every violated row or passes the primal pass's pivot budget.
 
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots.  A
 warm start comes with the basis inverse its solve ended on and the
@@ -54,11 +54,12 @@ its incumbent less the pruning gap) stops once its optimum is known to
 reach it and reports CUTOFF with its pivot count alone.  Before each
 dual pivot it reads c'x of the current basis, the dual bound: the basis
 is dual feasible, so that value bounds the optimum from below and only
-rises as the dual loop pivots.  The primal passes read no bound, since
-there c'x falls toward the optimum.  A solve that reaches its optimum
-compares the value it would report before the refactorization that
-precedes the report, and skips that refactorization when cut, on the
-warm path or the cold one.
+rises as the dual loop pivots.  A cold solve that zeroed a price reads
+no such bound, which would bound only the optimum under those prices,
+and the primal pass reads none, since there c'x falls toward the
+optimum.  A solve that reaches its optimum compares the value it would
+report before the refactorization that precedes the report, and skips
+that refactorization when cut, on the warm path or the cold one.
 
 Pivoting is deterministic: the primal prices by most-negative reduced
 cost with lowest-index tie-breaking, switching to Bland's rule after
@@ -108,7 +109,7 @@ _BASIC = 3
 _FIXED = 4
 
 PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
-FEASIBILITY = 1e-7    # bound violation and phase-1 infeasibility taken as 0
+FEASIBILITY = 1e-7    # bound violation taken as 0, and a gap closed
 REDUCED_COST = 1e-9   # pricing optimality threshold; Harris ratio slack
 REFACTOR_EVERY = 60   # pivots between fresh basis inversions
 DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
@@ -119,6 +120,8 @@ DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
 # way and are priced apart
 _MOVE = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
 _PRICE = -_MOVE
+
+_COLD = "cold"  # a warm start the dual loop cannot use
 
 
 class SolverError(Exception):
@@ -203,46 +206,41 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None,
     slackness; -mu is a subgradient of the optimal value with respect
     to g (used by the allocation update).
 
+    Without a `start` the dual loop starts cold, from the slack basis.
     `start` is an earlier solution of an LP with the same c and G,
-    under other bounds or another g; the solve then begins from its
-    `basis` by dual simplex.  A start with a `factor` adopts a copy of
-    its inverse and update count in place of a refactorization, does
-    not refactor before it reports, and goes cold, before any dual
-    pivot, when more of its basic rows are primal infeasible than the
-    slack start violates rows.  A start whose factor is None inverts
-    its basis and refactors before it reports.  Any start goes cold
-    when its basis is singular, a nonbasic column rests on an infinite
-    bound, or the dual loop passes DUAL_PIVOT_LIMIT pivots; the returned
-    pivot count includes the abandoned warm pivots.
+    under other bounds or another g; the dual loop then begins from its
+    `basis`.  A start with a `factor` adopts a copy of its inverse and
+    update count in place of a refactorization, does not refactor
+    before it reports, and goes cold, before any dual pivot, when more
+    of its basic rows are primal infeasible than the slack start
+    violates rows.  A start whose factor is None inverts its basis and
+    refactors before it reports.  Any start goes cold when its basis is
+    singular, a nonbasic column rests on an infinite bound or is free,
+    the dual loop passes DUAL_PIVOT_LIMIT pivots, or it meets a row
+    that only rates below PIVOT_TOL could close; the returned pivot
+    count includes the abandoned warm pivots.
 
     A finite `cutoff` returns status CUTOFF, with only `pivots` set,
-    when the dual bound before a dual pivot (c'x at its basis) or the
-    value the solve would report reaches it; the check comes before the
-    refactorization the report would take.  A solve whose optimum lies
-    below the cutoff returns bit for bit what it returns without one.
+    when the dual bound before a dual pivot (c'x at its basis, read
+    only while no price is zeroed) or the value the solve would report
+    reaches it; the check comes before the refactorization the report
+    would take.  A solve whose optimum lies below the cutoff returns
+    bit for bit what it returns without one.
 
-    Raises SolverError when the pivot loop fails, and when phase 1
-    stops short of feasibility but columns whose reduced costs lie
-    within REDUCED_COST could still close the gap, each by its rate
-    times its range; a rate u A_j, u = v B^-1, counts only above the
-    first-order bound on its error (|r| + (m+1) eps (|u| |B| + |v|))
-    |B^-1| |A_j| + (m+1) eps |u| |A_j|, r = u B - v.  A dual-loop row
-    that such columns could close sends the start cold instead.
+    Raises SolverError when a pivot loop fails or passes its budget,
+    and when a cold solve's dual loop has set aside every violated row:
+    no column moves one by a pivot-sized rate, yet columns with smaller
+    rates could close each, each by its rate times its range.  For the
+    row's weights v (+-1 on the row), a rate u A_j, u = v B^-1, counts
+    only above the first-order bound on its error (|r| + (m+1) eps
+    (|u| |B| + |v|)) |B^-1| |A_j| + (m+1) eps |u| |A_j|, with the
+    residual r = u B - v.
     """
-    if start is None:
-        sol = _Simplex(lp, cutoff).run()
-    else:
-        warm = _Simplex(lp, cutoff)
-        sol = warm.run_warm(*start.basis, start.factor)
-        if sol is None:
-            sol = _Simplex(lp, cutoff).run()
-            sol.pivots += warm.pivots
-    return sol
+    return _Simplex(lp, cutoff).run(start)
 
 
 class _Simplex:
-    """Engine for one solve: build, then call run() (cold two-phase)
-    or run_warm() (dual start) once."""
+    """Engine for one solve: build, then call run() once."""
 
     def __init__(self, lp: LinearProgram, cutoff: float):
         self.lp = lp
@@ -250,29 +248,32 @@ class _Simplex:
         n, m = lp.n, lp.m
         self.n = n
         self.m = m
+        self.limit = 200 * (m + n) + 2000  # pivots of a pivot loop
         # columns: [structural | slack]
         self.A = np.concatenate([lp.G, np.eye(m)], axis=1) if n else np.eye(m)
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.full(m, np.inf)])
-        self.c_phase2 = np.concatenate([lp.c, np.zeros(m)])
-        # a structural column rests on its finite bound, a fixed one on
-        # its value, a free one at zero; slacks rest at zero until basic
+        self.c = np.concatenate([lp.c, np.zeros(m)])
+        # the cold start: a structural column rests on its finite bound,
+        # a fixed one on its value, a free one at zero; slacks are basic
         fixed, fin_lo, fin_hi = lp.lo == lp.hi, np.isfinite(lp.lo), \
             np.isfinite(lp.hi)
-        self.status = np.full(n + m, _AT_LO, dtype=np.int8)
+        self.status = np.full(n + m, _BASIC, dtype=np.int8)
         self.status[:n] = np.where(
             fixed, _FIXED,
             np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_HI, _FREE)))
         self.xn = np.zeros(n + m)  # values of nonbasic columns
         self.xn[:n] = np.where(fixed | fin_lo, lp.lo,
                                np.where(fin_hi, lp.hi, 0.0))
+        self.rest = self.status, self.xn
+        # the slack basic values of the cold start
+        self.resid = lp.g - self._nonbasic_offset()
         # a free column never leaves the basis once it enters (its ratio
         # is infinite), so no column becomes free during a solve
         self.any_free = not (fin_lo | fin_hi).all()
         self.pivots = 0
         self.degenerate_run = 0
         self.bland = False
-        self.since_refactor = 0
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -289,7 +290,7 @@ class _Simplex:
         else:
             self.Binv = kept.inverse.copy()
             self.since_refactor = kept.updates
-        self.xb = self.Binv @ (self.rhs - self._nonbasic_offset())
+        self.xb = self.Binv @ (self.lp.g - self._nonbasic_offset())
 
     def _nonbasic_offset(self) -> np.ndarray:
         nb = (self.status != _BASIC).nonzero()[0]
@@ -301,139 +302,138 @@ class _Simplex:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> LpSolution:
-        m, n = self.m, self.n
-        self.rhs = self.lp.g.copy()
-        resid = self.rhs - self._nonbasic_offset()
-        # slacks host the initial basis, B^-1 = I; the slack of a row
-        # with negative residual starts short, below 0 at cost -1
-        self.basis = np.arange(n, n + m)
-        self.status[self.basis] = _BASIC
-        short = n + (resid < 0.0).nonzero()[0]
-        self.Binv = np.eye(m)
-        self.xb = self.Binv @ resid
-        self.since_refactor = 0
+    def run(self, start: LpSolution | None = None) -> LpSolution:
+        """The dual loop from `start`, or cold when there is none or the
+        loop cannot use it, then the primal pass."""
+        verdict, refactor = _COLD, True
+        if start is not None:
+            verdict, refactor = self._warm(start), start.factor is None
+        if verdict is _COLD:
+            verdict, refactor = self._cold(), True
+        if verdict is None and self._iterate():
+            verdict = UNBOUNDED
+        if verdict is None:
+            return self._extract(refactor)
+        return LpSolution(status=verdict, pivots=self.pivots)
 
-        if short.size:
-            c1 = np.zeros(n + m)
-            c1[short] = -1.0
-            self.lo[short], self.hi[short] = -np.inf, 0.0
-            self._iterate(c1, phase_one=True)
-            v = c1[self.basis]
-            infeas = -float(self.xb[v < 0.0].sum())
-            if infeas > FEASIBILITY:
-                if self._could_close(v, infeas):
-                    raise SolverError(
-                        f"phase 1 stopped {infeas:.3g} short of feasible, "
-                        f"but columns with reduced costs within "
-                        f"{REDUCED_COST:g} could close it")
-                return LpSolution(status=INFEASIBLE, pivots=self.pivots)
-            self.lo[short], self.hi[short] = 0.0, np.inf
-            self.degenerate_run = 0
-            self.bland = False
-
-        unbounded = self._iterate(self.c_phase2, phase_one=False)
-        if unbounded:
-            return LpSolution(status=UNBOUNDED, pivots=self.pivots)
-        return self._extract()
-
-    def run_warm(self, basis: np.ndarray, status: np.ndarray,
-                 factor: Factor | None) -> LpSolution | None:
-        """Bounded dual simplex from a start basis; None means go cold.
-
-        Each pivot takes the basic column farthest outside its bounds
-        to the violated bound and enters the nonbasic column of the
-        Harris ratio test on that row.  A row no pivot-sized column can
-        move proves the LP infeasible, unless `_could_close` finds that
-        smaller rates could still close it; then the start goes cold.
-        `factor`, the start basis's inverse and update count from an
-        earlier solve of the same [G | I], stands
-        in for the start's refactorization and for the one before the
-        solve reports, and the start must then have no more
-        primal-infeasible basic rows than the slack start violates
-        rows; without it the start basis is inverted.  Before
-        each pivot the loop compares c'x of its dual feasible basis, a
-        lower bound on the optimum, with the cutoff, and returns CUTOFF
-        once it reaches it.
-        """
-        if factor is not None:
-            # the cold start's offset, before the start's statuses
-            # replace it: the rows whose slacks run() starts short
-            n_short = int((self.lp.g - self._nonbasic_offset() < 0.0).sum())
+    def _warm(self, start: LpSolution) -> str | None:
+        """The dual loop from the basis of `start`, whose factor, when
+        it has one, stands in for the refactorizations and brings the
+        start rule (see `solve_lp`): None once primal feasible,
+        INFEASIBLE, CUTOFF, or _COLD for a start it cannot use."""
+        basis, status = start.basis
         status = status.copy()
         status[(status != _BASIC) & (self.lo == self.hi)] = _FIXED
         xn = np.where(status == _AT_HI, self.hi, self.lo)
         xn[basis] = 0.0
         if ((status == _FREE).any() or not np.isfinite(xn).all()
                 or ((status == _FIXED) & (self.lo != self.hi)).any()):
-            return None
+            return _COLD
         self.basis = basis.copy()
         self.status = status
         self.xn = xn
-        self.rhs = self.lp.g.copy()
-        c = self.c_phase2
         try:
-            self._refactor(factor)
-            if factor is not None:
+            self._refactor(start.factor)
+            if start.factor is not None:
                 lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
                 off = np.maximum(lo_b - self.xb, self.xb - hi_b) > FEASIBILITY
-                if int(off.sum()) > n_short:
-                    return None
-            for _ in range(DUAL_PIVOT_LIMIT):
-                lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
-                below, above = lo_b - self.xb, self.xb - hi_b
-                viol = np.maximum(below, above)
-                r = int(viol.argmax())
-                if not viol[r] > FEASIBILITY:
-                    break
-                # c'x of a dual feasible basis bounds the optimum below
-                if (self.cutoff < math.inf
-                        and self.lp.c @ self._structural() >= self.cutoff):
-                    return LpSolution(status=CUTOFF, pivots=self.pivots)
+                if int(off.sum()) > int((self.resid < 0.0).sum()):
+                    return _COLD
+            return self._dual(self.c, self.cutoff, cold=False)
+        except SolverError:
+            return _COLD
+
+    def _cold(self) -> str | None:
+        """The dual loop from the slack basis, B^-1 = I, with a zero
+        price on each column whose cost would move it off its resting
+        bound: None once primal feasible, INFEASIBLE or CUTOFF."""
+        self.basis = np.arange(self.n, self.n + self.m)
+        self.status, self.xn = self.rest
+        self.Binv = np.eye(self.m)
+        self.since_refactor = 0
+        self.xb = self.Binv @ self.resid
+        zeroed = self._gains(self.c) > 0.0
+        # c'x bounds the optimum only while every price is the LP's own
+        cutoff = math.inf if zeroed.any() else self.cutoff
+        return self._dual(np.where(zeroed, 0.0, self.c), cutoff, cold=True)
+
+    def _dual(self, c: np.ndarray, cutoff: float, cold: bool) -> str | None:
+        """Bounded dual simplex under the costs c, which the basis is
+        dual feasible for: None once the basis is primal feasible,
+        INFEASIBLE, or CUTOFF once c'x reaches `cutoff`.
+
+        Each pivot takes the basic column farthest outside its bounds
+        to the violated bound and enters the nonbasic column of the
+        Harris ratio test on that row.  A row no pivot-sized column can
+        move proves the LP infeasible, unless `_could_close` finds that
+        smaller rates could still close it: a cold loop then sets the
+        row aside until its next pivot, and raises SolverError once
+        every violated row is set aside, or past the primal pass's pivot
+        budget; a warm loop raises it on the first such row, or past
+        DUAL_PIVOT_LIMIT pivots.
+        """
+        if not self.m:
+            return None
+        limit = self.limit if cold else DUAL_PIVOT_LIMIT
+        for _ in range(limit):
+            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+            below, above = lo_b - self.xb, self.xb - hi_b
+            viol = np.maximum(below, above)
+            r = int(viol.argmax())
+            if not viol[r] > FEASIBILITY:
+                return None
+            # c'x of a dual feasible basis bounds the optimum below
+            if (cutoff < math.inf
+                    and self.lp.c @ self._structural() >= cutoff):
+                return CUTOFF
+            st = self.status
+            while True:
                 to_hi = bool(above[r] > below[r])
                 # row r moves by -alpha_j per unit step of column j; mov
                 # is |alpha_j| where column j moves the row toward its
                 # violated bound, and <= 0 elsewhere
                 alpha = self.Binv[r] @ self.A
-                st = self.status
                 mov = alpha * (_MOVE if to_hi else _PRICE)[st]
+                if self.any_free:
+                    free = st == _FREE
+                    mov[free] = np.abs(alpha[free])
                 elig = mov > PIVOT_TOL
-                if not elig.any():
-                    # no pivot-sized column moves row r toward its bound
-                    v = np.zeros(self.m)
-                    v[r] = 1.0 if to_hi else -1.0
-                    if self._could_close(v, float(viol[r])):
-                        return None
-                    return LpSolution(status=INFEASIBLE, pivots=self.pivots)
-                cand = elig.nonzero()[0]
-                y = c[self.basis] @ self.Binv
-                d = c[cand] - y @ self.A[:, cand]
-                d = np.maximum(d * _MOVE[st[cand]], 0.0)
-                a = mov[cand]
-                # Harris: ratios within REDUCED_COST of the smallest tie,
-                # and the largest pivot element among them enters
-                near = d / a <= ((d + REDUCED_COST) / a).min()
-                j = int(cand[near][a[near].argmax()])
-                w = self.Binv @ self.A[:, j]
-                theta = (self.xb[r] - (hi_b[r] if to_hi else lo_b[r])) / w[r]
-                self._pivot(j, 1.0 if theta >= 0.0 else -1.0, w, abs(theta),
-                            r, to_hi)
-            else:
-                return None
-        except SolverError:
-            return None
-        unbounded = self._iterate(c, phase_one=False)
-        if unbounded:
-            return LpSolution(status=UNBOUNDED, pivots=self.pivots)
-        return self._extract(refactor=factor is None)
+                if elig.any():
+                    break
+                if not self._could_close(r, to_hi, float(viol[r])):
+                    return INFEASIBLE
+                # smaller rates could close row r: a cold loop sets it
+                # aside until its next pivot, a warm one goes cold
+                viol[r] = -np.inf
+                r = int(viol.argmax())
+                if not (cold and viol[r] > FEASIBILITY):
+                    raise SolverError(
+                        "no violated row moves by a pivot-sized rate, but "
+                        "smaller rates could close each")
+            cand = elig.nonzero()[0]
+            y = c[self.basis] @ self.Binv
+            d = c[cand] - y @ self.A[:, cand]
+            # _MOVE is 0 for a free column: it enters at ratio 0
+            d = np.maximum(d * _MOVE[st[cand]], 0.0)
+            a = mov[cand]
+            # Harris: ratios within REDUCED_COST of the smallest tie,
+            # and the largest pivot element among them enters
+            near = d / a <= ((d + REDUCED_COST) / a).min()
+            j = int(cand[near][a[near].argmax()])
+            w = self.Binv @ self.A[:, j]
+            theta = (self.xb[r] - (hi_b[r] if to_hi else lo_b[r])) / w[r]
+            self._pivot(j, 1.0 if theta >= 0.0 else -1.0, w, abs(theta),
+                        r, to_hi)
+        raise SolverError(f"dual pivot limit exceeded ({limit} pivots)")
 
-    def _iterate(self, c: np.ndarray, phase_one: bool) -> bool:
-        """Pivot until optimal for cost c. Returns True if unbounded."""
-        limit = 200 * (self.m + self.n) + 2000
+    def _iterate(self) -> bool:
+        """Primal simplex on the LP's own costs until optimal.  Returns
+        True if unbounded."""
+        c = self.c
         # the ratio test divides every row, eligible or not, and keeps
         # only the quotients of the eligible ones
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(limit):
+            for _ in range(self.limit):
                 y = c[self.basis] @ self.Binv
                 d = c - y @ self.A
                 j = self._entering(d)
@@ -445,15 +445,7 @@ class _Simplex:
                 w = self.Binv @ self.A[:, j]
                 t, leave_pos, leave_to_hi = self._ratio(j, sigma, w)
                 if t is None:
-                    if phase_one:
-                        raise SolverError("phase-1 subproblem unbounded")
                     return True
-                if (phase_one and leave_pos >= 0
-                        and c[self.basis[leave_pos]] < 0.0):
-                    # a short slack leaves at 0, an ordinary slack again
-                    out = self.basis[leave_pos]
-                    c[out], self.lo[out], self.hi[out] = 0.0, 0.0, np.inf
-                    leave_to_hi = False
                 if t <= PIVOT_TOL:
                     self.degenerate_run += 1
                     if (not self.bland
@@ -462,7 +454,7 @@ class _Simplex:
                 else:
                     self.degenerate_run = 0
                 self._pivot(j, sigma, w, t, leave_pos, leave_to_hi)
-        raise SolverError(f"pivot limit exceeded ({limit} iterations)")
+        raise SolverError(f"pivot limit exceeded ({self.limit} iterations)")
 
     def _gains(self, d: np.ndarray) -> np.ndarray:
         # the objective's decrease per unit step off the column's bound;
@@ -549,12 +541,12 @@ class _Simplex:
         if self.since_refactor >= REFACTOR_EVERY:
             self._refactor()
 
-    def _could_close(self, v: np.ndarray, gap: float) -> bool:
+    def _could_close(self, row: int, to_hi: bool, gap: float) -> bool:
         """Whether the nonbasic columns could still close `gap`, by
-        which v'x_B lies above its feasible value, once no column lowers
-        it by a priced or pivot-sized rate.  Phase 1's verdict passes
-        its costs on the basis (v'x_B is minus the shortfall), the dual
-        loop's +-e_r for its violated row r.
+        which basic row `row` lies above its upper bound (`to_hi`) or
+        below its lower one, once no column moves it back by a
+        pivot-sized rate: the gap is v'x_B less its bound, v the unit
+        vector of the row above the bound and its negation below it.
 
         Column j lowers v'x_B at the rate u A_j, u = v B^-1, per unit
         step off its bound (a free column steps either way), so together
@@ -568,6 +560,8 @@ class _Simplex:
         Below it a rate is noise, which a slack's infinite range would
         turn into any reach.
         """
+        v = np.zeros(self.m)
+        v[row] = 1.0 if to_hi else -1.0
         eps = (self.m + 1) * np.finfo(float).eps
         u = v @ self.Binv
         rate = self._gains(-(u @ self.A))
@@ -593,7 +587,7 @@ class _Simplex:
         x = np.clip(self._structural(), self.lp.lo, self.lp.hi)
         return x, float(self.lp.c @ x) if self.n else 0.0
 
-    def _extract(self, refactor: bool = True) -> LpSolution:
+    def _extract(self, refactor: bool) -> LpSolution:
         """Report the optimal basis; one whose value reaches the cutoff
         reports CUTOFF before the refactorization that cleans drift."""
         if self.cutoff < math.inf and self._point()[1] >= self.cutoff:
@@ -601,7 +595,7 @@ class _Simplex:
         if refactor:
             self._refactor()  # clean drift before reporting
         x, value = self._point()
-        y = self.c_phase2[self.basis] @ self.Binv
+        y = self.c[self.basis] @ self.Binv
         duals = np.maximum(-y, 0.0)
         return LpSolution(
             status=OPTIMAL,

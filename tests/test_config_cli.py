@@ -231,6 +231,10 @@ MALFORMED_DESK = {
             power_max_kw=float("inf")),
         "units.generators[0].power_max_kw: must be a finite number, "
         "got inf"),
+    "power_max_overflows_the_cost_segments": (  # a u^2 at u = 1e160
+        lambda raw: raw["units"]["generators"][0].update(
+            power_max_kw=1e160),
+        "units.generators[0]: generator block: G holds a non-finite entry"),
     "startup_cost_inf": (
         lambda raw: raw["units"]["generators"][1].update(
             startup_cost_eur=float("inf")),
@@ -624,7 +628,7 @@ def desk_cut_to_one_round(tmp_path):
 
 def test_each_verb_builds_the_problem_once(tmp_path, monkeypatch):
     """Parsing builds nothing and every verb builds once; on desk a build
-    solves 9 phase-1 LPs and a run's recourse cap none."""
+    solves 9 zero-cost LPs and a run's recourse cap none."""
     calls = {"builds": 0, "lps": 0}
     build, solve = config._build, model.solve_lp
 
@@ -698,10 +702,12 @@ def test_montecarlo_names_the_trial_of_a_certificate_failure(tmp_path,
 
 
 @pytest.mark.parametrize("case", ["storage_loss_empties_block",
-                                  "power_max_inf"])
+                                  "power_max_inf",
+                                  "power_max_overflows_the_cost_segments"])
 def test_cli_run_reports_an_empty_or_infinite_unit_on_one_line(
         tmp_path, capsys, case):
-    # both configs used to pass validation and crash inside recourse_cap
+    # each config used to pass validation: the first two crashed inside
+    # recourse_cap, and the overflowing one ran to a bound of 9.6e161 kW
     break_field, path = MALFORMED_DESK[case]
     raw = yaml.safe_load(DESK.read_text())
     break_field(raw)

@@ -42,21 +42,21 @@ ROUNDS = 10
 
 ARTIFACT_SHA256 = {
     "certificate.json":
-        "435b32d950814a59d1681192fed98f8b084ea9b4458fb88491cbd77f53c8ccf6",
+        "8f68cc1d9d3b20bfbfba9316658378ea25abe3ad01340108777d3a4012e432a8",
     "config.yaml":
         "a1f7b2df04d7851cb5db08b1f613034cf386115f214dc5461397f51b7485aa4f",
     "report_consumption.csv":
-        "91545aa8c7a19d3fb3cebc06ca457b062980cf79247cd79f30449308a521c462",
+        "949aa836bba2026ff866e53c4b5a40135f1642c268b84e09afa65fdfa3e34cb8",
     "report_grid.csv":
-        "0040de484c6243afebeff88eca5271026da353fd9623859c602d83cddb776bc8",
+        "33ab678e6937c94b3350679a85d0036d6761e2ac179467c2c7c8c9ef2535ad57",
     "report_power_fraction.csv":
-        "e18ab7257e35b7cd318eb920991a454dfcf97b6dd5b94ed36282a293c45d5f7f",
+        "bae980a49bf5c6ec0a36bee19eae6b4b4ad2872b7b913ab5bba64f02b8457bde",
     "report_storage.csv":
-        "189b38cd8695baedc55ceeb40bcc7e166f4338f12176f0a4ac8868e86f81b12c",
+        "73e7354e730b5cd7176814f28ad57faacedcf2cef5889f29e35bef01124cb5db",
     "solution.json":
-        "89c2b629aae22b193ea4983b414390286f3f57aed5a0a231f2770f80270b2d28",
+        "4806afa8ade3b89902ed99135cd1b598b068d197065da1f83ff66dac94aa50a9",
     "trace.csv":
-        "268781788ed7b039002c4623cedab7f1afe07c0cfc6e01081b22df31d9a23bd4",
+        "6e309f1d1273fb1f686ca210fe82c8f5343233d16c231a7c2887826a7a279f7c",
 }
 
 BUILD_LP_SHA256 = \
@@ -77,30 +77,30 @@ CALL_SITES = [
 # [solves, pivots] of each LP layer, [solves, B&B nodes] of each MILP
 # layer, and the run's basis inversions; the 2 critical loads solve no
 # allocation LP and rounds 2 to 9 start the other 9 agents' from the
-# round before, the box LPs are the builders' phase-1 solves, and a
+# round before, the box LPs are the builders' zero-cost solves, and a
 # finalize's root is the round's relaxed solve, so its node LPs and the
-# certificate's auxiliary trees give 557 - 33 + 255 node LPs
+# certificate's auxiliary trees give 543 - 33 + 255 node LPs
 DESK_WORK = {
-    "alloc": [99, 2570],
-    # 354 node LPs stop once their dual bound reaches the incumbent,
-    # pivots short of the optimum their tree would prune (2672 pivots
+    "alloc": [99, 2022],
+    # 343 node LPs stop once their dual bound reaches the incumbent,
+    # pivots short of the optimum their tree would prune (2852 pivots
     # when each ran to its optimum)
-    "node": [779, 2323],
-    "cert": [36, 713],
-    "box": [9, 53],
-    "finalize": [33, 557],
+    "node": [765, 2446],
+    "cert": [36, 695],
+    "box": [9, 55],
+    "finalize": [33, 543],
     "cert_aux": [3, 255],
     # every node LP but the 3 auxiliary roots adopts its parent's factor
     # and, with no path down a tree reaching REFACTOR_EVERY pivots,
     # inverts no basis: the roots' 3 inversions are the node LPs' share,
-    # and the allocation LPs' 69, the certificate's 36 and the box LPs' 9
-    # the rest (541 when each child refactored before it reported)
-    "inv": 117,
+    # and the allocation LPs' 62, the certificate's 36 and the box LPs' 9
+    # the rest
+    "inv": 110,
 }
 
 # "<layer> <status>": solves of the run at the four solve_lp names
-RUN_PATH_SOLVES = {"alloc optimal": 99, "node optimal": 425,
-                   "node cutoff": 354, "cert optimal": 36,
+RUN_PATH_SOLVES = {"alloc optimal": 99, "node optimal": 422,
+                   "node cutoff": 343, "cert optimal": 36,
                    "box optimal": 9}
 
 

@@ -738,8 +738,8 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
 # --------------------------------------------------------------- recourse cap
 
 
-def test_desk_build_solves_only_phase_one_lps_and_the_cap_none(monkeypatch):
-    # each built block costs one zero-cost phase-1 LP; recourse_cap reads
+def test_desk_build_solves_only_zero_cost_lps_and_the_cap_none(monkeypatch):
+    # each built block costs one zero-cost feasibility LP; recourse_cap reads
     # the coupled columns' native bounds and solves none
     cfg = ExperimentConfig.from_yaml(DESK)
     nonzeros = []

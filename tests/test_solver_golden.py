@@ -21,13 +21,13 @@ from test_solver_milp import enumeration_mips
 
 DIGESTS = {
     "random_lps_and_their_warm_children":
-        "c727884f3b83e4e797ca465f64f1a155dc3ea092b6f16cd34721ca10336fadcc",
+        "f1c358a24c495457319aeaf60bb255b1784b2da21d7b49321b505329d16a3031",
     "special_lps":
-        "7fb975afbba390ae5ce0eed3b25af0325383a35cab65e0f4c34a739fe8b78867",
+        "b8dd8465e32167bc93a4f48008f6b12e7338319570fd06ca4d198650d2b0574d",
     "warm_starts_that_go_cold":
-        "3cfca22458725556281b27b979183e9d6afd1c13d18d94b0cbf565dd465a624a",
+        "2f35b2c515a4eaddf283a1f1ad484551751a6ff8128db461f8a673c41d4626f5",
     "enumeration_milps_and_their_node_lps":
-        "e494eceef74c6cbe9bd3c78c9244169ca1f4a53f9f332dbc5501c0a9c4ac91c5",
+        "8847924164e3fe0d2471f13d413d2909e0a0929689c77df97ae4a03467332159",
 }
 
 
@@ -113,9 +113,9 @@ def special_lps():
     # x reaches its upper bound before any row binds
     flip = box_lp([-1.0, -0.5], [[1.0, 2.0]], [10.0], [0.0, 0.0],
                   [1.0, inf])
-    # a row with negative slack starts in phase 1
-    phase_one = box_lp([1.0, 1.0], [[-1.0, -1.0], [1.0, -2.0]],
-                       [-2.0, 1.0], [0.0, 0.0], [5.0, 5.0])
+    # a row the slack start violates
+    violated = box_lp([1.0, 1.0], [[-1.0, -1.0], [1.0, -2.0]],
+                      [-2.0, 1.0], [0.0, 0.0], [5.0, 5.0])
     unbounded = box_lp([-1.0, 0.0], [[0.0, 1.0]], [1.0], [0.0, 0.0],
                        [inf, 2.0])
     infeasible = box_lp([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]],
@@ -124,7 +124,7 @@ def special_lps():
                           np.array([1.0, 0.0]), np.zeros(0), np.zeros(0))
     return {"beale": beale, "kuhn": kuhn, "hall_mckinnon": hall_mckinnon,
             "free": free, "fixed": fixed, "flip": flip,
-            "phase_one": phase_one, "unbounded": unbounded,
+            "violated": violated, "unbounded": unbounded,
             "infeasible": infeasible, "empty": empty}
 
 
@@ -159,7 +159,7 @@ def warm_starts_that_go_cold():
     its solve to a cold one; the last one runs the dual loop into
     DUAL_PIVOT_LIMIT, and those pivots count too."""
     lps = special_lps()
-    free, boxed, unbounded = lps["free"], lps["phase_one"], lps["unbounded"]
+    free, boxed, unbounded = lps["free"], lps["violated"], lps["unbounded"]
     # a nonbasic column on an infinite bound
     infinite = slack_start(free)
     basis, status = slack_start(boxed).basis
@@ -187,39 +187,37 @@ def test_warm_starts_that_go_cold():
 
 
 def test_a_row_only_tiny_columns_can_close_is_not_called_infeasible():
-    # x = 1e3 / |coef| is feasible, but the row's coefficient lies
-    # within the reduced-cost tolerance, where phase 1 stops short, or
-    # also below PIVOT_TOL, where the dual loop's reach proof refuses
-    # and hands the solve to the cold path; the cold path's reach proof
-    # refuses to call the row infeasible too
+    # x = 1e3 / |coef| is feasible.  A coefficient below PIVOT_TOL moves
+    # the row by no pivot-sized rate, yet the reach proof finds it could
+    # close the row: a warm start hands the solve to the cold one, whose
+    # dual loop sets the row aside and, with no other row violated,
+    # refuses the LP rather than call it infeasible
     tiny = box_lp([1.0], [[-1e-11]], [-1e-3], [0.0], [1e12])
     small = box_lp([1.0], [[-1e-9]], [-1e-3], [0.0], [1e12])
-    for lp, start in ((tiny, None), (tiny, slack_start(tiny)),
-                      (small, None)):
-        with pytest.raises(SolverError, match="phase 1 stopped 0.001 "
-                           "short of feasible"):
-            solve_lp(lp, start=start)
+    for start in (None, slack_start(tiny)):
+        with pytest.raises(SolverError, match="smaller rates could close"):
+            solve_lp(tiny, start=start)
     # a pivot element of 1e-9 passes PIVOT_TOL: the dual loop solves it
-    sol = solve_lp(small, start=slack_start(small))
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
+    for start in (None, slack_start(small)):
+        sol = solve_lp(small, start=start)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
 
 
 def test_a_large_entry_in_another_row_does_not_hide_a_real_rate():
     # the tiny and small LPs with a loose second row whose coefficient
-    # on x is large: the rate of x on the short row is exact, and its
+    # on x is large: the rate of x on the violated row is exact, and its
     # noise bound must not pair that row's weight with the other row's
     # entry, which would call a feasible LP infeasible
     tiny = box_lp([1.0], [[-1e-11], [1e4]], [-1e-3, 1e20], [0.0], [1e12])
     small = box_lp([1.0], [[-1e-9], [1e6]], [-1e-3, 1e20], [0.0], [1e12])
-    for lp, start in ((tiny, None), (tiny, slack_start(tiny)),
-                      (small, None)):
-        with pytest.raises(SolverError, match="phase 1 stopped 0.001 "
-                           "short of feasible"):
-            solve_lp(lp, start=start)
-    sol = solve_lp(small, start=slack_start(small))
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
+    for start in (None, slack_start(tiny)):
+        with pytest.raises(SolverError, match="smaller rates could close"):
+            solve_lp(tiny, start=start)
+    for start in (None, slack_start(small)):
+        sol = solve_lp(small, start=start)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(1e6, rel=1e-12)
 
 
 def enumeration_milps_and_their_node_lps():

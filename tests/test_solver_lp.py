@@ -219,7 +219,11 @@ def random_verdict_lp(rng, family):
 
 # the LPs of `random_verdict_lp` at seeds 100-111, by seed and index,
 # that an infeasibility proof once refused to call infeasible: it
-# counted rates of a few 1e-15, roundoff, on columns of infinite range
+# counted rates of a few 1e-15, roundoff, on columns of infinite range.
+# (110, 89) is the one whose cold dual loop meets a violated row that
+# only rates below PIVOT_TOL could close and must set it aside: a loop
+# that raised SolverError at that row refused an LP HiGHS calls
+# infeasible
 ROUNDOFF_REFUSED = {
     100: (116, 167, 482, 662, 794),
     101: (26, 95, 179, 551, 563, 596, 614, 638, 755, 782),
@@ -236,13 +240,13 @@ ROUNDOFF_REFUSED = {
 }
 
 
-def test_phase_one_verdicts_match_highs():
-    """Status and optimal value against HiGHS (presolve off, since with
-    it HiGHS may call an unbounded LP infeasible) on LPs that are
-    feasible, hold equalities, or are mostly infeasible, so phase 1's
-    INFEASIBLE and phase 2's UNBOUNDED verdicts are checked too; then
-    on the ROUNDOFF_REFUSED LPs, each regenerated from its seed.  No
-    solve may raise SolverError."""
+def test_cold_verdicts_match_highs():
+    """Status and optimal value of cold solves against HiGHS (presolve
+    off, since with it HiGHS may call an unbounded LP infeasible) on
+    LPs that are feasible, hold equalities, or are mostly infeasible, so
+    the dual loop's INFEASIBLE and the primal pass's UNBOUNDED verdicts
+    are checked too; then on the ROUNDOFF_REFUSED LPs, each regenerated
+    from its seed.  No solve may raise SolverError."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     verdict = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
@@ -292,9 +296,9 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     iterate = simplex._Simplex._iterate
     clean_up = []
 
-    def recording(self, c, phase_one):
+    def recording(self):
         before = self.pivots
-        unbounded = iterate(self, c, phase_one)
+        unbounded = iterate(self)
         clean_up.append(self.pivots - before)
         return unbounded
 
@@ -349,7 +353,11 @@ def test_a_cutoff_ends_only_a_solve_whose_optimum_reaches_it(monkeypatch):
     no more of them than the full solve takes, and skips the
     refactorization before reporting: a warm child may stop in its dual
     loop, where c'x of its dual feasible basis bounds the optimum, and a
-    cold solve stops at its optimum."""
+    cold solve stops at its optimum.  Then cold solves of verdict LPs,
+    whose infinite bounds zero the prices of free columns and of columns
+    whose cost points off their one finite bound: a cutoff above the
+    optimum, any finite one for an unbounded LP, changes no bit, and
+    CUTOFF comes only when the optimum reaches the cutoff."""
     calls = [0]
     inv = np.linalg.inv
 
@@ -407,6 +415,30 @@ def test_a_cutoff_ends_only_a_solve_whose_optimum_reaches_it(monkeypatch):
                 stopped_early += cut.pivots < full.pivots
     assert stopped_early > 20
 
+    rng = np.random.default_rng(29)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for k in range(600):
+        lp = random_verdict_lp(rng, k % 3)
+        full, _ = solve(lp, None)
+        seen[full.status] += 1
+        if full.status == OPTIMAL:
+            margin = 1e-6 * (1.0 + abs(full.value))
+            above, below = [full.value + margin], [full.value - margin]
+        elif full.status == UNBOUNDED:
+            above, below = [-1e3, 0.0, 1e3], []
+        else:
+            above, below = [], [-1e3, 0.0, 1e3]
+        for cutoff in above:
+            same, _ = solve(lp, None, cutoff)
+            assert_same_solve(same, full)
+        for cutoff in below:
+            cut, _ = solve(lp, None, cutoff)
+            assert cut.status in (CUTOFF, full.status)
+            assert cut.pivots <= full.pivots
+            if full.status == OPTIMAL:
+                assert cut.status == CUTOFF
+    assert min(seen.values()) > 50, seen
+
 
 def test_resolve_under_another_g_matches_cold_solve():
     """An allocation round: the same c, G and bounds under a moved g,
@@ -450,7 +482,7 @@ def test_resolve_under_another_g_matches_cold_solve():
 def farther_than_cold(lp, prev):
     """Whether the start `prev` leaves more basic rows of `lp` outside
     their bounds than the cold start of `lp` (every column at its
-    finite lower bound) starts short slacks."""
+    finite lower bound) violates rows."""
     basis, status = prev.basis
     A = np.concatenate([lp.G, np.eye(lp.m)], axis=1)
     lo = np.concatenate([lp.lo, np.zeros(lp.m)])

@@ -149,6 +149,26 @@ def _count(key: str, value) -> int:
         raise ValueError(f"{key} {e}") from None
 
 
+def _bool(key: str, value) -> bool:
+    """A YAML bool, not a string such as "no" nor a number."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _window(value) -> tuple[int, int]:
+    """A daylight window: two step indices [first, last], ints >= 0
+    (`ProfileModel` checks first <= last)."""
+    key = "daylight_window_steps"
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{key} must be two ints [first, last], "
+                         f"got {value!r}")
+    try:
+        return tuple(map(_int_at_least(0), value))
+    except ValueError as e:
+        raise ValueError(f"{key} {e}") from None
+
+
 def _float(value: int | float) -> float:
     """float(value); an int beyond float range is a ValueError."""
     try:
@@ -242,7 +262,7 @@ def _generator_params(g: dict, K: int) -> GeneratorParams:
         kappa_d=(_number(g["shutdown_cost_eur"]),) * K,
         zeta=_number(g.get("om_cost_eur_per_step", 0.0)),
         cost_segments=segments,
-        delta_init=1 if g.get("initially_on", False) else 0,
+        delta_init=int(_bool("initially_on", g.get("initially_on", False))),
         u_init=_number(g.get("initial_power_kw", 0.0)),
     )
 
@@ -416,7 +436,7 @@ def _build(raw):
         renewables.append(build(f"units.solar[{i}]", lambda: (
             ProfileModel.solar(
                 K=K, peak_kw=_number(s["peak_kw"]),
-                window=tuple(s.get("daylight_window_steps", (0, K - 1))),
+                window=_window(s.get("daylight_window_steps", [0, K - 1])),
                 cloud_sigma=_number(s.get("cloud_sigma", 0.0))))))
     for i, w in enumerate(roster("wind")):
         renewables.append(build(f"units.wind[{i}]", lambda: ProfileModel.wind(

@@ -14,7 +14,9 @@ starts from an earlier solution of the same c and G under other bounds
 allocation LP): its basis stays dual feasible when only bounds or g
 move, so the dual loop restores primal feasibility in a few pivots,
 and the primal pass clears any roundoff-level dual infeasibility.  A
-start the dual loop cannot use falls back to the cold solve.
+warm start's dual loop is the cold one's, with the same pivot budget
+and the same rows set aside; a start it cannot use, or one it raises
+on, falls back to the cold solve.
 
 A cold solve starts from the slack basis, B^-1 = I, with each
 structural column on its finite lower bound, else its finite upper
@@ -31,9 +33,9 @@ times range summed (`_could_close`).  A rate counts only above a
 first-order bound on its error, row by row, which the residual of the
 row's weights on the basis measures, so a roundoff-level rate on a
 column of infinite range, which every slack has, proves nothing.  A
-row real rates could close sends a warm start cold; a cold solve sets
-it aside until its next pivot, and raises SolverError once it has set
-aside every violated row or passes the primal pass's pivot budget.
+row real rates could close is set aside until the loop's next pivot;
+the loop raises SolverError once it has set aside every violated row
+or passes the primal pass's pivot budget.
 
 A solve refactors (`np.linalg.inv`) every REFACTOR_EVERY pivots.  A
 warm start comes with the basis inverse its solve ended on and the
@@ -112,7 +114,6 @@ PIVOT_TOL = 1e-10     # smallest pivot element and nondegenerate step
 FEASIBILITY = 1e-7    # bound violation taken as 0, and a gap closed
 REDUCED_COST = 1e-9   # pricing optimality threshold; Harris ratio slack
 REFACTOR_EVERY = 60   # pivots between fresh basis inversions
-DUAL_PIVOT_LIMIT = 100  # dual pivots of a warm start before it goes cold
 
 # indexed by status: the direction a nonbasic column steps off its
 # bound, and its negation, which the primal prices with; 0 for basic and
@@ -214,11 +215,11 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None,
     before it reports, and goes cold, before any dual pivot, when more
     of its basic rows are primal infeasible than the slack start
     violates rows.  A start whose factor is None inverts its basis and
-    refactors before it reports.  Any start goes cold when its basis is
-    singular, a nonbasic column rests on an infinite bound or is free,
-    the dual loop passes DUAL_PIVOT_LIMIT pivots, or it meets a row
-    that only rates below PIVOT_TOL could close; the returned pivot
-    count includes the abandoned warm pivots.
+    refactors before it reports.  Any start goes cold when a nonbasic
+    column rests on an infinite bound or is free, its basis is
+    singular, or its dual loop raises SolverError, as a cold solve's
+    would; the returned pivot count includes the abandoned warm
+    pivots.
 
     A finite `cutoff` returns status CUTOFF, with only `pivots` set,
     when the dual bound before a dual pivot (c'x at its basis, read
@@ -339,7 +340,7 @@ class _Simplex:
                 off = np.maximum(lo_b - self.xb, self.xb - hi_b) > FEASIBILITY
                 if int(off.sum()) > int((self.resid < 0.0).sum()):
                     return _COLD
-            return self._dual(self.c, self.cutoff, cold=False)
+            return self._dual(self.c, self.cutoff)
         except SolverError:
             return _COLD
 
@@ -355,9 +356,9 @@ class _Simplex:
         zeroed = self._gains(self.c) > 0.0
         # c'x bounds the optimum only while every price is the LP's own
         cutoff = math.inf if zeroed.any() else self.cutoff
-        return self._dual(np.where(zeroed, 0.0, self.c), cutoff, cold=True)
+        return self._dual(np.where(zeroed, 0.0, self.c), cutoff)
 
-    def _dual(self, c: np.ndarray, cutoff: float, cold: bool) -> str | None:
+    def _dual(self, c: np.ndarray, cutoff: float) -> str | None:
         """Bounded dual simplex under the costs c, which the basis is
         dual feasible for: None once the basis is primal feasible,
         INFEASIBLE, or CUTOFF once c'x reaches `cutoff`.
@@ -366,16 +367,14 @@ class _Simplex:
         to the violated bound and enters the nonbasic column of the
         Harris ratio test on that row.  A row no pivot-sized column can
         move proves the LP infeasible, unless `_could_close` finds that
-        smaller rates could still close it: a cold loop then sets the
-        row aside until its next pivot, and raises SolverError once
-        every violated row is set aside, or past the primal pass's pivot
-        budget; a warm loop raises it on the first such row, or past
-        DUAL_PIVOT_LIMIT pivots.
+        smaller rates could still close it: the loop then sets the row
+        aside until its next pivot.  It raises SolverError once every
+        violated row is set aside, or past the primal pass's pivot
+        budget, the same from a warm start as from a cold one.
         """
         if not self.m:
             return None
-        limit = self.limit if cold else DUAL_PIVOT_LIMIT
-        for _ in range(limit):
+        for _ in range(self.limit):
             lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
             below, above = lo_b - self.xb, self.xb - hi_b
             viol = np.maximum(below, above)
@@ -402,11 +401,11 @@ class _Simplex:
                     break
                 if not self._could_close(r, to_hi, float(viol[r])):
                     return INFEASIBLE
-                # smaller rates could close row r: a cold loop sets it
-                # aside until its next pivot, a warm one goes cold
+                # smaller rates could close row r: set it aside until
+                # the next pivot
                 viol[r] = -np.inf
                 r = int(viol.argmax())
-                if not (cold and viol[r] > FEASIBILITY):
+                if not viol[r] > FEASIBILITY:
                     raise SolverError(
                         "no violated row moves by a pivot-sized rate, but "
                         "smaller rates could close each")
@@ -424,7 +423,7 @@ class _Simplex:
             theta = (self.xb[r] - (hi_b[r] if to_hi else lo_b[r])) / w[r]
             self._pivot(j, 1.0 if theta >= 0.0 else -1.0, w, abs(theta),
                         r, to_hi)
-        raise SolverError(f"dual pivot limit exceeded ({limit} pivots)")
+        raise SolverError(f"dual pivot limit exceeded ({self.limit} pivots)")
 
     def _iterate(self) -> bool:
         """Primal simplex on the LP's own costs until optimal.  Returns

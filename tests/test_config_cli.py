@@ -204,7 +204,42 @@ MALFORMED_DESK = {
     "solar_window_one_step": (
         lambda raw: raw["units"]["solar"][0].update(
             daylight_window_steps=[3]),
-        "units.solar[0]: tuple index out of range"),
+        "units.solar[0]: daylight_window_steps must be two ints "
+        "[first, last], got [3]"),
+    "solar_window_three_steps": (
+        lambda raw: raw["units"]["solar"][0].update(
+            daylight_window_steps=[0, 1, 2]),
+        "units.solar[0]: daylight_window_steps must be two ints "
+        "[first, last], got [0, 1, 2]"),
+    "solar_window_text": (
+        lambda raw: raw["units"]["solar"][0].update(
+            daylight_window_steps="05"),
+        "units.solar[0]: daylight_window_steps must be two ints "
+        "[first, last], got '05'"),
+    "solar_window_bools": (
+        lambda raw: raw["units"]["solar"][0].update(
+            daylight_window_steps=[False, True]),
+        "units.solar[0]: daylight_window_steps must be an int >= 0, "
+        "got False"),
+    "solar_window_fractional": (
+        lambda raw: raw["units"]["solar"][0].update(
+            daylight_window_steps=[0.5, 3.5]),
+        "units.solar[0]: daylight_window_steps must be an int >= 0, "
+        "got 0.5"),
+    "solar_window_reversed": (
+        lambda raw: raw["units"]["solar"][0].update(
+            daylight_window_steps=[3, 1]),
+        "units.solar[0]: bad daylight window (3, 1)"),
+    "initially_on_text_with_power": (
+        lambda raw: raw["units"]["generators"][0].update(
+            initially_on="no", initial_power_kw=1.0),
+        "units.generators[0]: initially_on must be true or false, "
+        "got 'no'"),
+    "initially_on_text_without_power": (
+        lambda raw: raw["units"]["generators"][0].update(
+            initially_on="no", initial_power_kw=0),
+        "units.generators[0]: initially_on must be true or false, "
+        "got 'no'"),
     "storages_not_a_list": (
         lambda raw: raw["units"].update(storages=5),
         "units.storages: expected a list of mappings"),

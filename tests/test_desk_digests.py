@@ -5,8 +5,9 @@ byte and count for count.
 1 and 10) runs once through `run_experiment`.  The sha256 of each of
 its 8 artifacts is fixed below, and so is the work every solver layer
 does, counted by wrappers around the `solve_lp`/`solve_milp` names each
-calling module looks up (the names the traced benchmark wraps), and
-the number of basis inversions (`np.linalg.inv` calls) of the run.
+calling module looks up (the names the traced benchmark wraps), the
+number of basis inversions (`np.linalg.inv` calls) of the run, and how
+many warm starts stay warm and how many go cold.
 So that new digests rest on more than their new-ness, every LP the same
 run solves at those names is checked on its own against its duals.
 `mgridopt build configs/desk.yaml`'s centralized two-stage program,
@@ -34,7 +35,7 @@ import pytest
 from mgridopt import analysis, cli, dialgo, experiment, model
 from mgridopt.config import ExperimentConfig
 from mgridopt.solver import (CUTOFF, FEASIBILITY, INFEASIBLE, OPTIMAL,
-                             branch_bound)
+                             branch_bound, simplex)
 from oracles.duality import dual_objective
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
@@ -96,6 +97,9 @@ DESK_WORK = {
     # and the allocation LPs' 62, the certificate's 36 and the box LPs' 9
     # the rest
     "inv": 110,
+    # [warm starts whose dual loop the solve keeps, warm starts that go
+    # cold]: the allocation rounds' and the node LPs' starts together
+    "warm": [806, 28],
 }
 
 # "<layer> <status>": solves of the run at the four solve_lp names
@@ -113,14 +117,21 @@ def desk_config() -> ExperimentConfig:
 def run_desk(out: Path):
     """Run the pinned desk run into `out`: ({artifact: sha256},
     {layer: [solves, pivots or nodes]}, with the run's `np.linalg.inv`
-    calls under "inv")."""
+    calls under "inv" and [warm starts that stay warm, warm starts that
+    go cold] under "warm")."""
     work = {layer: [0, 0] for _, _, layer, _ in CALL_SITES}
     work["inv"] = 0
-    inv = np.linalg.inv
+    work["warm"] = [0, 0]
+    inv, warm = np.linalg.inv, simplex._Simplex._warm
 
     def inverting(a):
         work["inv"] += 1
         return inv(a)
+
+    def warming(engine, start):
+        verdict = warm(engine, start)
+        work["warm"][verdict is simplex._COLD] += 1
+        return verdict
 
     def counting(fn, layer, field):
         def wrapper(lp, **kwargs):
@@ -135,6 +146,7 @@ def run_desk(out: Path):
             patch.setattr(module, name,
                           counting(getattr(module, name), layer, field))
         patch.setattr(np.linalg, "inv", inverting)
+        patch.setattr(simplex._Simplex, "_warm", warming)
         experiment.run_experiment(desk_config(), out_dir=out)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}

@@ -700,11 +700,11 @@ def test_montecarlo_allocation_pivots_stay_at_the_cold_path(monkeypatch,
                                                             tmp_path):
     """The benchmark's montecarlo config, 2 trials of 20 rounds whose
     steps of 3 move each allocation far: the start rule sends almost
-    every warm round cold before any dual pivot.  Without the rule (the
-    start without its factor) the allocation LPs take 19% more pivots
-    than with every round cold; with it, 0.3% more: one
-    start that passes the rule runs its dual loop into DUAL_PIVOT_LIMIT,
-    100 pivots a cold solve does not spend."""
+    every warm round cold before any dual pivot (321 of 324).  Without
+    the rule (the start without its factor) the allocation LPs take 26%
+    more pivots than with every round cold (21,424 against 16,992);
+    with it, 0.8% more (17,136): of the 3 starts that pass the rule,
+    one takes 105 pivots where a cold solve takes 66."""
     raw = copy.deepcopy(ExperimentConfig.from_yaml(DESK).raw)
     raw["algorithm"].update(
         iterations=20, finalize_every=20,
